@@ -60,12 +60,9 @@ def optimal_reorder(rwsets: Sequence, max_transactions: int = 16) -> ReorderResu
             if found:
                 break
     survivors = set(best)
-    reduced = build_conflict_graph([rwsets[i] for i in best])
-    local_schedule = _build_schedule(reduced)
-    schedule = [best[i] for i in local_schedule]
     aborted = [i for i in range(n) if i not in survivors]
     return ReorderResult(
-        schedule=schedule,
+        schedule=_build_schedule(graph, set(aborted)),
         aborted=aborted,
         cycles_found=0,
         elapsed_seconds=wall_clock_seconds() - started,

@@ -1,17 +1,19 @@
 """Conflict-graph construction from read/write sets (Algorithm 1, step 1).
 
-The paper builds, for every transaction, bit vectors over the unique keys
-the block touches — one for reads, one for writes — and finds conflicts via
-bitwise AND: Ti conflicts into Tj (edge Ti -> Tj) iff Ti writes a key that
-Tj reads. Python integers serve as arbitrary-width bit vectors, so the
-pairwise test is a single ``&`` per ordered pair, mirroring the paper's
-quadratic-but-cheap scheme ("the number of transactions to consider is very
-small in practice due to the limitation by the block size").
+Ti conflicts into Tj (edge Ti -> Tj) iff Ti writes a key that Tj reads.
+The paper finds these pairs with per-transaction bit vectors over the
+block's unique keys and one bitwise AND per ordered pair — quadratic in
+the block size, cheap in Go. Here the same edge set comes from a
+key -> readers index in time linear in the block's reads, writes and
+edges; the all-pairs bit-vector builder is kept as the reference oracle in
+``tests/core/conflict_graph_oracle.py``. :class:`KeyUniverse` (keys as bit
+positions) still serves the batch cutter's unique-key bound and the
+validation dependency graph.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro.graphalgo.digraph import DiGraph
 
@@ -48,21 +50,6 @@ class KeyUniverse:
         return vector
 
 
-def rwset_bitvectors(
-    rwsets: Sequence["ReadWriteSet"], universe: KeyUniverse = None
-) -> Tuple[List[int], List[int]]:
-    """Return (read_vectors, write_vectors) for ``rwsets``.
-
-    These correspond to the paper's ``vec_r(Ti)`` and ``vec_w(Ti)``
-    (Table 3 interpreted as rows of bits).
-    """
-    if universe is None:
-        universe = KeyUniverse()
-    read_vectors = [universe.bitvector(rwset.reads) for rwset in rwsets]
-    write_vectors = [universe.bitvector(rwset.writes) for rwset in rwsets]
-    return read_vectors, write_vectors
-
-
 def build_conflict_graph(rwsets: Sequence["ReadWriteSet"]) -> DiGraph:
     """Build the conflict graph of a block's transactions.
 
@@ -71,15 +58,28 @@ def build_conflict_graph(rwsets: Sequence["ReadWriteSet"]) -> DiGraph:
     reads, so any serializable schedule must place ``j`` before ``i``.
     A transaction's conflict with itself (reading a key it also writes) is
     not an edge — the paper only considers pairs with ``j != i``.
+
+    Only point reads (``rwset.reads``) count. Keys observed by a range
+    scan do not create edges: the orderer cannot reorder around them, and
+    validation's re-executed scan aborts the reader if they changed.
+
+    Edges are inserted writer by writer in index order, each writer's
+    readers in ascending order, so adjacency iteration (which cycle
+    enumeration and hence the abort choice depend on) is the same as with
+    a scan over all ordered pairs.
     """
-    read_vectors, write_vectors = rwset_bitvectors(rwsets)
+    readers: Dict[str, List[int]] = {}
+    for j, rwset in enumerate(rwsets):
+        for key in rwset.reads:
+            readers.setdefault(key, []).append(j)
     graph = DiGraph(range(len(rwsets)))
-    for i, writes in enumerate(write_vectors):
-        if not writes:
-            continue
-        for j, reads in enumerate(read_vectors):
-            if i != j and writes & reads:
-                graph.add_edge(i, j)
+    for i, rwset in enumerate(rwsets):
+        targets = set()
+        for key in rwset.writes:
+            targets.update(readers.get(key, ()))
+        targets.discard(i)
+        for j in sorted(targets):
+            graph.add_edge(i, j)
     return graph
 
 

@@ -10,11 +10,11 @@ serializable schedule that minimises unnecessary within-block aborts:
 4. greedily remove the transaction occurring in the most cycles (ties
    break toward the smaller index, keeping the algorithm deterministic)
    until no cycle survives — the removed transactions are aborted early;
-5. rebuild the now cycle-free conflict graph and emit a serializable
-   schedule by repeatedly locating a "source" (a node whose parents are
-   all scheduled) walking upwards, scheduling it, then walking downwards —
-   finally inverting the collected order, exactly as the paper's
-   pseudo-code does.
+5. take the now cycle-free conflict graph of the survivors and emit a
+   serializable schedule by repeatedly locating a "source" (a node whose
+   parents are all scheduled) walking upwards, scheduling it, then walking
+   downwards — finally inverting the collected order, exactly as the
+   paper's pseudo-code does.
 
 The reordering is deliberately not abort-minimal (that would be NP-hard, as
 the paper notes); it is a lightweight heuristic.
@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, AbstractSet, Dict, List, Optional, Sequence, Set
 
 from repro.core.conflict_graph import build_conflict_graph
 from repro.graphalgo.digraph import DiGraph
@@ -118,18 +118,14 @@ def reorder(
     # Steps 3 + 4: count cycle membership and greedily abort.
     aborted = _break_cycles(cycles)
 
-    surviving = [i for i in range(len(rwsets)) if i not in aborted]
-
     if truncated:
         # The cycle list was incomplete; make sure nothing cyclic survives.
-        aborted |= _abort_residual_cycles(graph, surviving)
         surviving = [i for i in range(len(rwsets)) if i not in aborted]
+        aborted |= _abort_residual_cycles(graph, surviving)
 
-    # Step 5: rebuild the cycle-free conflict graph and derive the schedule.
-    survivor_rwsets = [rwsets[i] for i in surviving]
-    reduced = build_conflict_graph(survivor_rwsets)
-    local_schedule = _build_schedule(reduced)
-    schedule = [surviving[local] for local in local_schedule]
+    # Step 5: the cycle-free conflict graph is the block's graph without the
+    # aborted transactions; derive the schedule from it.
+    schedule = _build_schedule(graph, aborted)
 
     elapsed = wall_clock_seconds() - started
     return ReorderResult(
@@ -252,8 +248,16 @@ def _abort_residual_cycles(graph: DiGraph, surviving: List[int]) -> Set[int]:
     return extra
 
 
-def _build_schedule(graph: DiGraph) -> List[int]:
+def _build_schedule(
+    graph: DiGraph, removed: AbstractSet[int] = frozenset()
+) -> List[int]:
     """Derive the serializable schedule from a cycle-free conflict graph.
+
+    The graph meant is ``graph`` without the nodes in ``removed`` (the
+    aborted transactions): the subgraph the survivors induce, equal to
+    the conflict graph of the survivors' rwsets. The traversal only
+    compares node labels, so it walks the original indices and treats
+    ``removed`` as already scheduled instead of building that subgraph.
 
     Follows the paper's traversal (Algorithm 1, lines 47-71): starting
     from the unscheduled node with the smallest index, walk *upwards*
@@ -262,8 +266,8 @@ def _build_schedule(graph: DiGraph) -> List[int]:
     The collected order is inverted at the end, so "sources" — writers —
     commit last and the readers they would invalidate commit first.
     """
-    nodes = sorted(graph.nodes())
-    scheduled: Set[int] = set()
+    nodes = sorted(node for node in graph.nodes() if node not in removed)
+    scheduled: Set[int] = set(removed)
     order: List[int] = []
     cursor = 0  # getNextNode() position
 

@@ -13,6 +13,7 @@ registry is trusted exactly as the MSP's certificate chain is in Fabric.
 
 from __future__ import annotations
 
+import hmac
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -67,11 +68,4 @@ def verify(registry: IdentityRegistry, signature: Signature, payload: bytes) -> 
         return False
     identity = registry.lookup(signature.signer)
     expected = mac(identity.keypair.secret, payload)
-    return _constant_time_eq(expected, signature.value)
-
-
-def _constant_time_eq(a: bytes, b: bytes) -> bool:
-    """Constant-time byte comparison (hmac.compare_digest wrapper)."""
-    import hmac as _hmac
-
-    return _hmac.compare_digest(a, b)
+    return hmac.compare_digest(expected, signature.value)

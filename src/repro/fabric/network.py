@@ -31,6 +31,7 @@ from repro.consensus.service import ReplicatedOrderingService
 from repro.faults import MISBEHAVIOR_SEED_SALT, FaultInjector, assign_misbehaviors
 from repro.traffic import TRAFFIC_SEED_SALT, ArrivalSampler
 from repro.ledger.block import Block
+from repro.ledger.state_db import StateDatabase
 from repro.sim.distributions import Rng, mix_seed
 from repro.sim.engine import Environment
 from repro.sim.resources import Resource
@@ -182,9 +183,14 @@ class FabricNetwork:
 
         chaincodes = ChaincodeRegistry()
         chaincodes.install(instance.create_chaincode())
+        # The genesis store is built once; every peer starts from a copy.
         initial_state = instance.initial_state()
+        genesis = None
+        if initial_state:
+            genesis = StateDatabase()
+            genesis.populate(initial_state)
         for peer in self.peers:
-            peer.join_channel(channel, chaincodes, self.policy, initial_state)
+            peer.join_channel(channel, chaincodes, self.policy, genesis=genesis)
 
         if self.orderer_cluster is not None:
             orderer = ReplicatedOrderingService(

@@ -17,7 +17,7 @@ experiments (Figure 11).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Mapping, Optional, Tuple
 
 from repro.crypto.identity import Identity, IdentityRegistry
 from repro.crypto.signing import sign, verify
@@ -138,13 +138,21 @@ class Peer:
         channel: str,
         chaincodes: ChaincodeRegistry,
         policy: EndorsementPolicy,
-        initial_state: Optional[Dict[str, object]] = None,
+        initial_state: Optional[Mapping[str, object]] = None,
+        genesis: Optional[StateDatabase] = None,
     ) -> None:
-        """Join ``channel``, installing chaincodes and seeding state."""
+        """Join ``channel``, installing chaincodes and seeding state.
+
+        ``initial_state`` is a key -> value mapping to load. ``genesis`` is
+        an already populated store (built once per channel by the network)
+        that this peer starts from a copy of instead.
+        """
         if channel in self.channels:
             raise ConfigError(f"{self.name} already joined channel {channel!r}")
         state = PeerChannelState(self.env, chaincodes)
-        if initial_state:
+        if genesis is not None:
+            state.state = genesis.copy()
+        elif initial_state:
             state.state.populate(initial_state)
         self.channels[channel] = state
         self._policies[channel] = policy

@@ -75,10 +75,12 @@ class ReadWriteSet:
     def read_keys(self) -> FrozenSet[str]:
         """All keys this transaction read, point reads and range results.
 
-        Range-scan results participate so the conflict graph sees
-        write->range-read dependencies (inserts creating *new* phantoms
-        remain invisible to key-based analysis; validation still catches
-        them, the orderer just cannot reorder around them).
+        This is the set behind :attr:`unique_keys` (the batch cutter's
+        bound) and the validation dependency graph. The reordering
+        conflict graph does *not* use it: ``build_conflict_graph`` builds
+        edges from point reads (``reads``) only, so a write into a scanned
+        key is left to validation, which re-executes the scan and aborts
+        the reader — the orderer does not reorder around range reads.
         """
         keys = set(self.reads)
         for range_read in self.range_reads:

@@ -136,10 +136,13 @@ class StateDatabase:
         """
         if self._last_block_id != 0:
             raise StateError("populate() is only allowed before the first block")
-        for key, value in initial.items():
-            if key not in self._data:
-                bisect.insort(self._sorted_keys, key)
-            self._data[key] = VersionedValue(value, GENESIS_VERSION)
+        # Bulk load: one dict update and one sort instead of an O(n) list
+        # insert per key.
+        self._data.update(
+            (key, VersionedValue(value, GENESIS_VERSION))
+            for key, value in initial.items()
+        )
+        self._sorted_keys = sorted(self._data)
 
     def apply_write(self, key: str, value: object, version: Version) -> None:
         """Apply a single validated write, stamping it with ``version``."""
@@ -198,6 +201,21 @@ class StateDatabase:
         """
         current = self.get_version(key)
         return current == version
+
+    def copy(self) -> "StateDatabase":
+        """Return an independent store with the same content.
+
+        O(n): the dict and the sorted-key index are copied, the frozen
+        :class:`VersionedValue` entries are shared. Writes replace entries
+        and never mutate them, so neither store can observe the other's
+        later writes. This is how every peer of a channel starts from one
+        genesis state without each rebuilding it.
+        """
+        clone = StateDatabase()
+        clone._data = dict(self._data)
+        clone._sorted_keys = list(self._sorted_keys)
+        clone._last_block_id = self._last_block_id
+        return clone
 
     def snapshot(self) -> "StateSnapshot":
         """Return an immutable snapshot of the current state.

@@ -1,12 +1,20 @@
 """Unit tests for conflict-graph construction."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.conflict_graph import (
     KeyUniverse,
     build_conflict_graph,
-    rwset_bitvectors,
     schedule_is_serializable,
 )
+from repro.fabric.rwset import RangeRead
+from repro.ledger.state_db import GENESIS_VERSION
 from tests.conftest import rwset
+from tests.core.conflict_graph_oracle import (
+    build_conflict_graph_all_pairs,
+    rwset_bitvectors,
+)
 
 
 def test_key_universe_assigns_stable_positions():
@@ -127,3 +135,53 @@ def test_edge_orientation_writer_to_reader():
     assert list(graph.edges()) == [(0, 1)]
     assert schedule_is_serializable(block, [1, 0])
     assert not schedule_is_serializable(block, [0, 1])
+
+
+def test_range_scan_result_keys_create_no_edge():
+    """Pins today's behaviour: only point reads feed the conflict graph.
+
+    T0 writes a key that T1 observed through a range scan. No edge, so
+    the orderer does not move T1 ahead of T0; that T0-then-T1 aborts T1
+    is validation's job (pinned end to end in
+    ``tests/fabric/test_range_queries.py``).
+    Changing this means changing the golden hashes, deliberately.
+    """
+    scanner = rwset()
+    scanner.record_range_read(
+        RangeRead("k0", "k9", (("k1", GENESIS_VERSION), ("k2", GENESIS_VERSION)))
+    )
+    assert "k1" in scanner.read_keys
+    for block in ([rwset(writes=["k1"]), scanner], [scanner, rwset(writes=["k1"])]):
+        assert build_conflict_graph(block).num_edges() == 0
+        assert build_conflict_graph_all_pairs(block).num_edges() == 0
+
+
+ORACLE_KEYS = [f"k{i}" for i in range(6)]
+oracle_block = st.lists(
+    st.builds(
+        rwset,
+        reads=st.lists(st.sampled_from(ORACLE_KEYS), max_size=4, unique=True),
+        writes=st.lists(st.sampled_from(ORACLE_KEYS), max_size=4, unique=True),
+    ),
+    max_size=24,
+)
+
+
+@given(oracle_block)
+@settings(deadline=None)
+def test_index_builder_equals_all_pairs_oracle(block):
+    """Same nodes, same edges, and the same adjacency *iteration order*.
+
+    Six keys over up to 24 transactions force empty read/write sets,
+    read-own-write, many writers of one key and many readers of one key.
+    Iteration order of the adjacency sets is what Tarjan and Johnson walk,
+    so it decides which cycles a capped enumeration sees and thereby
+    which transactions abort; equal sets in another order would not do.
+    """
+    graph = build_conflict_graph(block)
+    oracle = build_conflict_graph_all_pairs(block)
+    assert graph.nodes() == oracle.nodes() == list(range(len(block)))
+    assert graph.edges() == oracle.edges()
+    for node in oracle.nodes():
+        assert list(graph.successors(node)) == list(oracle.successors(node))
+        assert list(graph.predecessors(node)) == list(oracle.predecessors(node))

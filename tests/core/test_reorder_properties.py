@@ -10,6 +10,7 @@ from repro.fabric.rwset import ReadWriteSet
 from repro.graphalgo import is_acyclic
 from repro.ledger.state_db import Version
 from tests.conftest import count_valid_in_order
+from tests.core.conflict_graph_oracle import reorder_rebuilding_survivors
 
 KEYS = [f"k{i}" for i in range(8)]
 
@@ -126,6 +127,23 @@ def test_greedy_can_lose_to_arrival_order_on_cliques():
     result = reorder(block)
     assert arrival == 2
     assert len(result.schedule) == 1  # greedy keeps only one here
+
+
+@given(
+    random_block,
+    st.none() | st.integers(min_value=1, max_value=5),
+    st.none() | st.integers(min_value=1, max_value=12),
+)
+@settings(deadline=None)
+def test_reorder_equals_reference_rebuilding_survivor_graph(block, cap, node_cap):
+    """``reorder`` takes the survivors' graph as an induced subgraph of
+    the block's graph (original labels); the reference builds the block's
+    graph from all ordered pairs and the survivors' graph again from
+    their rwsets, relabelled. Same result, with and without the caps
+    (whose truncation makes the abort choice depend on cycle order)."""
+    assert reorder(block, cap, node_cap) == reorder_rebuilding_survivors(
+        block, cap, node_cap
+    )
 
 
 @given(random_block, st.integers(min_value=1, max_value=5))

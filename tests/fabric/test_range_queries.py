@@ -147,6 +147,32 @@ def test_updated_range_member_invalidates(bed):
     assert bed.notifications["scan"] is TxOutcome.ABORT_MVCC
 
 
+def test_write_into_scanned_key_aborts_scanner_without_reorder(bed):
+    """Pins the division of labour on range reads: a write into a key a
+    scan *observed* gives the orderer no conflict edge (only point reads
+    do, see ``build_conflict_graph``), so Fabric++ reordering does not
+    rescue the scanner — validation's re-executed scan aborts it."""
+    from repro.core.conflict_graph import build_conflict_graph
+    from repro.core.reorder import reorder
+    from repro.fabric.transaction import Transaction
+
+    writer_rwset = ReadWriteSet()
+    writer_rwset.record_write("item_2", 21)
+    proposal = bed.proposal("writer")
+    writer = Transaction(
+        "writer", proposal, writer_rwset,
+        [bed.forge_endorsement(proposal, writer_rwset, peer) for peer in bed.peers],
+    )
+    scanner = scan_tx(bed, "scan", genesis_results())
+    assert writer_rwset.conflicts_into(scanner.rwset)
+    block = [writer.rwset, scanner.rwset]
+    assert build_conflict_graph(block).num_edges() == 0
+    assert reorder(block).aborted == []
+    bed.deliver(Block.create(1, GENESIS_HASH, [writer, scanner]))
+    assert bed.notifications["writer"] is TxOutcome.COMMITTED
+    assert bed.notifications["scan"] is TxOutcome.ABORT_MVCC
+
+
 def test_phantom_insert_invalidates(bed):
     """A key inserted into the scanned range by an earlier valid tx is a
     phantom: the recorded scan never saw it."""

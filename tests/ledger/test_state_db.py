@@ -1,9 +1,17 @@
 """Unit tests for the versioned state database."""
 
-import pytest
+from dataclasses import replace
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.checkpoint import state_digest
 from repro.errors import StateError
+from repro.fabric.config import FabricConfig
+from repro.fabric.network import FabricNetwork
 from repro.ledger.state_db import GENESIS_VERSION, StateDatabase, Version
+from repro.workloads.custom import CustomWorkload, CustomWorkloadParams
 
 
 def test_empty_db():
@@ -111,3 +119,83 @@ def test_keys_and_items_iteration():
     assert sorted(db.keys()) == ["a", "b"]
     items = dict(db.items())
     assert items["a"].value == 1
+
+
+# -- bulk load and the shared genesis --------------------------------------------
+
+
+def observable(db):
+    """Everything a caller can see of a store, iteration orders included."""
+    return (
+        state_digest(db),
+        len(db),
+        list(db.keys()),
+        list(db.items()),
+        list(db.range_scan("")),
+    )
+
+
+@given(st.dictionaries(st.text(max_size=3), st.integers(), max_size=30))
+def test_bulk_populate_equals_key_by_key_load(initial):
+    bulk = StateDatabase()
+    bulk.populate(initial)
+    one_by_one = StateDatabase()
+    for key, value in initial.items():
+        one_by_one.apply_write(key, value, GENESIS_VERSION)  # per-key insort
+    assert observable(bulk) == observable(one_by_one)
+    grown = StateDatabase()
+    for key, value in initial.items():
+        grown.populate({key: value})  # non-empty after the first key
+    assert observable(bulk) == observable(grown)
+    assert [key for key, _ in bulk.range_scan("")] == sorted(initial)
+
+
+def test_populate_on_non_empty_store_overwrites_and_inserts():
+    db = StateDatabase()
+    db.apply_write("b", "live", Version(0, 3))
+    db.populate({"c": 3, "b": 2, "a": 1})
+    assert db.get("b").value == 2
+    assert db.get_version("b") == GENESIS_VERSION
+    assert list(db.keys()) == ["b", "c", "a"]
+    assert [key for key, _ in db.range_scan("")] == ["a", "b", "c"]
+    db.advance_block(1)
+    with pytest.raises(StateError):
+        db.populate({"d": 4})
+
+
+def test_copies_of_one_genesis_are_isolated():
+    """Peers start from copies of one genesis store that share its frozen
+    entries; no write on one may show anywhere else."""
+    genesis = StateDatabase()
+    genesis.populate({"a": 1, "b": 2, "d": 4})
+    before = observable(genesis)
+    first, second = genesis.copy(), genesis.copy()
+    assert observable(first) == observable(second) == before
+    assert first.get("a") is second.get("a")  # entries shared, not cloned
+
+    first.apply_write("a", 10, Version(1, 0))
+    first.apply_write("c", 30, Version(1, 1))  # brand-new key
+    first.apply_block_writes(2, [(0, {"b": 20, "e": 50})])
+    assert first.get_value("a") == 10 and first.get_value("b") == 20
+    assert [key for key, _ in first.range_scan("")] == ["a", "b", "c", "d", "e"]
+    assert first.last_block_id == 2
+    assert observable(second) == observable(genesis) == before
+    assert "c" not in second and "e" not in genesis
+    assert second.last_block_id == 0
+
+    second.populate({"z": 26})  # still before its first block
+    assert "z" not in first and "z" not in genesis
+
+
+def test_network_peers_share_no_state_container():
+    workload = CustomWorkload(
+        CustomWorkloadParams(num_accounts=300, hot_set_fraction=0.05), seed=1
+    )
+    config = replace(FabricConfig(), num_orgs=1, peers_per_org=2)
+    network = FabricNetwork(config, workload)
+    first, second = (peer.channels["ch0"].state for peer in network.peers)
+    assert first is not second
+    assert first._data is not second._data
+    assert first._sorted_keys is not second._sorted_keys
+    assert observable(first) == observable(second)
+    assert len(first) == len(workload.initial_state()) > 0
