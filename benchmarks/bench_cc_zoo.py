@@ -4,9 +4,9 @@ Every strategy in :mod:`repro.validation.registry` runs the same
 scheme × contention × workers grid on vanilla Fabric (where the
 commit-path write lock actually bites):
 
-- ``serial`` — the legacy loop (the pipelined serial scheduler once
+- ``serial`` — Fabric's validator (on modelled verify lanes once
   ``workers > 1``);
-- ``dependency`` — the modelled pipeline with topological MVCC waves;
+- ``dependency`` — topological MVCC waves on the lanes;
 - ``lockless`` — OCC snapshot validation with no exclusive write lock
   (Meir et al., arXiv:1911.12711); ignores the worker knob;
 - ``depaware`` — conflict-graph dataflow execution (Kaul et al.,
@@ -18,7 +18,7 @@ behind the block write lock. Under high contention its first-committer-
 wins rule converts hot write-write races into ``abort_occ_ww``.
 
 Set ``REPRO_BENCH_ARTIFACT=/path/to.json`` to dump the grid as a JSON
-artifact — CI uploads this from the ``cc-zoo-smoke`` job.
+artifact — CI uploads this from the ``validation-smoke`` job.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ def sweep_config(workers: int):
         paper_config(block_size=256, clients_per_channel=4, client_rate=600.0),
         seed=3,
         validation_workers=workers,
-        validation_scheduler="dependency",
+        cc_strategy="dependency",
         pipeline_depth=2,
     )
 

@@ -53,7 +53,9 @@ from repro.bench.spec import ExperimentSpec
 #: 6: configs gained the streaming_metrics knob (in the key via
 #: config_to_dict) and metric snapshots may carry a conditional
 #: "streaming" aggregate block.
-CACHE_FORMAT = 6
+#: 7: configs lost the validation_scheduler knob (cc_strategy
+#: "dependency" is the one spelling), so config_to_dict has no such key.
+CACHE_FORMAT = 7
 
 #: Default cache directory, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.core.batch_cutter import BatchCutConfig
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.fabric.config import (
     BackpressureConfig,
     ConsensusConfig,
@@ -85,6 +85,17 @@ def config_from_dict(data: Dict[str, object]) -> FabricConfig:
     population = PopulationConfig(**data.pop("population", {}))
     if "channel_cc_strategies" in data:
         data["channel_cc_strategies"] = tuple(data["channel_cc_strategies"])
+    # Stored by builds that had the knob cc_strategy superseded: "serial"
+    # was its default, "dependency" is now spelled cc_strategy.
+    scheduler = data.pop("validation_scheduler", "serial")
+    if scheduler != "serial":
+        strategy = data.get("cc_strategy", "serial")
+        if strategy not in ("serial", scheduler):
+            raise ConfigError(
+                f"stored config sets validation_scheduler {scheduler!r} "
+                f"and cc_strategy {strategy!r}, which disagree"
+            )
+        data["cc_strategy"] = scheduler
     return FabricConfig(
         batch=batch,
         costs=costs,

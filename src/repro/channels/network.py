@@ -302,7 +302,7 @@ class ShardedNetwork:
                 fleet.fault_events.append((time, kind, subject))
             row: Dict[str, object] = {
                 "channel": name,
-                "cc_strategy": runtime.config.resolved_cc_strategy,
+                "cc_strategy": runtime.config.cc_strategy,
                 "fired": metrics.fired,
                 "successful": metrics.successful,
                 "failed": metrics.failed,

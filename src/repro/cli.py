@@ -84,7 +84,6 @@ SWEEPABLE = {
     "drop-rate": ("drop_rate", float),
     "jitter": ("jitter", float),
     "validation-workers": ("validation_workers", int),
-    "validation-scheduler": ("validation_scheduler", str),
     "pipeline-depth": ("pipeline_depth", int),
     "cc-strategy": ("cc_strategy", str),
     "orderer-nodes": ("orderer_nodes", int),
@@ -353,11 +352,7 @@ def _add_system_arguments(sub: argparse.ArgumentParser, with_system: bool) -> No
                           "negative = retry forever (default 16)")
     sub.add_argument("--validation-workers", type=int, default=1, metavar="N",
                      help="modelled signature-verification lanes per peer "
-                          "(default 1 = legacy inline serial validator)")
-    sub.add_argument("--validation-scheduler",
-                     choices=("serial", "dependency"), default="serial",
-                     help="MVCC commit scheduler: serial (default) or "
-                          "dependency-aware parallel waves")
+                          "(default 1 = serial keeps the assumed worker pool)")
     sub.add_argument("--pipeline-depth", type=int, default=1, metavar="K",
                      help="blocks in flight per channel: K>1 overlaps "
                           "verification of block n+1 with the commit of "
@@ -624,7 +619,6 @@ def config_from_args(args: argparse.Namespace) -> FabricConfig:
         endorsement_policy=getattr(args, "policy", None),
         faults=faults_from_args(args),
         validation_workers=getattr(args, "validation_workers", 1),
-        validation_scheduler=getattr(args, "validation_scheduler", "serial"),
         pipeline_depth=getattr(args, "pipeline_depth", 1),
         cc_strategy=getattr(args, "cc_strategy", "serial"),
         orderer_nodes=getattr(args, "orderer_nodes", 1),

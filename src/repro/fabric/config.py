@@ -337,33 +337,27 @@ class FabricConfig:
     orderer_nodes: int = 1
     consensus: ConsensusConfig = field(default_factory=ConsensusConfig)
 
-    #: Validation pipeline (``repro.validation``). The defaults select the
-    #: legacy inline serial validator, which is bit-identical to the
-    #: pre-pipeline build; any non-default value switches the peer to the
-    #: modelled pipeline, where worker lanes, the MVCC scheduler, and
-    #: cross-block overlap change *timing only* — committed ledgers and
-    #: per-transaction outcomes are invariant (the oracle tests prove it).
+    #: Validation stage (``repro.validation``). The defaults select
+    #: Fabric's serial validator on the assumed worker pool, which is
+    #: bit-identical to the pre-pipeline build; the knobs below change
+    #: *timing only* for every strategy but "lockless" — committed
+    #: ledgers and per-transaction outcomes are invariant (the oracle
+    #: tests prove it).
     #: Number of parallel signature-verification lanes per peer.
     validation_workers: int = 1
-    #: MVCC commit scheduler: "serial" checks transactions one after the
-    #: other in block order; "dependency" validates independent
-    #: transactions in parallel waves along the intra-block dependency
-    #: graph, serialising only along conflict chains.
-    validation_scheduler: str = "serial"
     #: Blocks allowed in flight per channel: 1 = verify and commit strictly
     #: alternate; k allows verifying block n+k-1 while block n commits.
     pipeline_depth: int = 1
     #: Concurrency-control strategy for the validation/commit stage, by
     #: registry name (``repro.validation.registry``): "serial",
-    #: "dependency", "lockless" (OCC snapshot validation, no write lock,
-    #: first-committer-wins write-write aborts — Meir et al.), or
+    #: "dependency" (independent transactions validate in parallel waves
+    #: along the intra-block dependency graph, serialising only along
+    #: conflict chains), "lockless" (OCC snapshot validation, no write
+    #: lock, first-committer-wins write-write aborts — Meir et al.), or
     #: "depaware" (conflict-graph dataflow, out-of-arrival-order commits
-    #: — Kaul et al.). The default "serial" defers to
-    #: ``validation_scheduler`` for backward compatibility (see
-    #: :attr:`resolved_cc_strategy`); "lockless" and "depaware" ignore
+    #: — Kaul et al.). "lockless" and "depaware" ignore
     #: ``pipeline_depth``, and "lockless" also ignores
-    #: ``validation_workers`` (its per-transaction cost model folds
-    #: verification like the serial loop).
+    #: ``validation_workers`` (it keeps serial's assumed cost model).
     cc_strategy: str = "serial"
 
     #: Cap on Johnson cycle enumeration per block. Dense conflict graphs
@@ -424,29 +418,12 @@ class FabricConfig:
 
     @property
     def uses_validation_pipeline(self) -> bool:
-        """True when any validation knob leaves its legacy default.
+        """True when a pipeline knob leaves its legacy default.
 
-        The peer then runs the modelled ``repro.validation`` pipeline
-        instead of the inline serial validator.
+        ``serial`` then runs on the modelled verify lanes with the
+        verify-ahead stage instead of the assumed worker pool.
         """
-        return (
-            self.validation_workers != 1
-            or self.validation_scheduler != "serial"
-            or self.pipeline_depth != 1
-        )
-
-    @property
-    def resolved_cc_strategy(self) -> str:
-        """The registry name of the CC strategy this config selects.
-
-        An explicit non-default ``cc_strategy`` wins; the default
-        "serial" falls back to ``validation_scheduler``, which named the
-        only two strategies before the registry existed (so old specs
-        and CLI invocations keep their meaning).
-        """
-        if self.cc_strategy != "serial":
-            return self.cc_strategy
-        return self.validation_scheduler
+        return self.validation_workers != 1 or self.pipeline_depth != 1
 
     @property
     def is_fabric_plus_plus(self) -> bool:
@@ -521,11 +498,6 @@ class FabricConfig:
             raise ConfigError("max_resubmits must be >= 0 (or None for no cap)")
         if self.validation_workers < 1:
             raise ConfigError("validation_workers must be >= 1")
-        if self.validation_scheduler not in ("serial", "dependency"):
-            raise ConfigError(
-                "validation_scheduler must be 'serial' or 'dependency', "
-                f"got {self.validation_scheduler!r}"
-            )
         if self.pipeline_depth < 1:
             raise ConfigError("pipeline_depth must be >= 1")
         # Imported here: the registry lives above the config in the
@@ -537,16 +509,6 @@ class FabricConfig:
             raise ConfigError(
                 f"cc_strategy must be one of {known}; "
                 f"got {self.cc_strategy!r}"
-            )
-        if (
-            self.cc_strategy != "serial"
-            and self.validation_scheduler != "serial"
-            and self.cc_strategy != self.validation_scheduler
-        ):
-            raise ConfigError(
-                f"cc_strategy {self.cc_strategy!r} conflicts with "
-                f"validation_scheduler {self.validation_scheduler!r}; "
-                "set only one of the two knobs"
             )
         if self.orderer_nodes < 1:
             raise ConfigError("orderer_nodes must be >= 1")

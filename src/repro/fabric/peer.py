@@ -34,11 +34,10 @@ from repro.ledger.state_db import StateDatabase, Version
 from repro.sim.engine import Environment, Process
 from repro.sim.resources import Resource, RWLock, Store
 from repro.trace.tracer import ASYNC, Tracer
-from repro.validation import build_validator
-from repro.validation.workers import VerifyWorkerPool
+from repro.validation import VALIDATE_PRIORITY, VerifyWorkerPool, build_validator
 
-#: CPU scheduling bands within a peer: validation preempts endorsement.
-VALIDATE_PRIORITY = 0
+#: CPU scheduling bands within a peer: validation (``VALIDATE_PRIORITY``)
+#: preempts endorsement.
 ENDORSE_PRIORITY = 10
 
 
@@ -120,6 +119,7 @@ class Peer:
         #: network on backpressure runs.
         self._endorse_inflight = 0
         self.overload = None
+        self._verify_pool: Optional[VerifyWorkerPool] = None
 
     @property
     def name(self) -> str:
@@ -303,21 +303,22 @@ class Peer:
 
     # -- validation + commit phase ----------------------------------------------
     #
-    # The validator loop itself lives in ``repro.validation``:
-    # ``serial_validator`` (the legacy inline loop, default) or
-    # ``PipelinedValidator`` (worker lanes / dependency waves / cross-block
-    # overlap) — ``join_channel`` picks via ``build_validator``. The
-    # check helpers below are shared by both.
+    # The block loop itself is ``repro.validation.BlockValidator``, started
+    # by ``join_channel`` through ``build_validator`` with the policies of
+    # the configured ``cc_strategy``. What stays here is what the loop asks
+    # of the peer: the verify lanes, the two checks of Section 2.2.3, and
+    # the reference peer's client notification.
 
     def verify_pool(self) -> VerifyWorkerPool:
         """The peer's verification worker pool (created on first use).
 
         Shared across the peer's channels, like the validator worker
-        pool of a real peer process. Only the modelled pipeline uses it;
-        the legacy serial validator folds verification into its
-        per-transaction CPU charge.
+        pool of a real peer process. Only the lanes cost policy
+        (``repro.validation.policies.WorkerLanes``) asks for it; the
+        assumed pool folds verification into its per-transaction CPU
+        charge.
         """
-        if getattr(self, "_verify_pool", None) is None:
+        if self._verify_pool is None:
             self._verify_pool = VerifyWorkerPool(
                 self.env,
                 self.cpu,
@@ -327,19 +328,6 @@ class Peer:
                 tracer=self.tracer,
             )
         return self._verify_pool
-
-    def _validate_transaction(
-        self,
-        channel: str,
-        tx: Transaction,
-        pending_writes: Dict[str, Version],
-    ) -> TxOutcome:
-        """Run the two validation checks of Section 2.2.3."""
-        if not self._endorsements_valid(channel, tx):
-            return TxOutcome.ABORT_POLICY
-        if not self._reads_current(channel, tx, pending_writes):
-            return TxOutcome.ABORT_MVCC
-        return TxOutcome.COMMITTED
 
     def _endorsements_valid(self, channel: str, tx: Transaction) -> bool:
         """Endorsement-policy evaluation (paper Appendix A.3.1)."""

@@ -1,65 +1,45 @@
 """``repro.validation`` — the peer's pluggable validation/commit stage.
 
-The peer historically validated blocks in a single inline serial loop.
-This package makes that stage a pluggable *concurrency-control
-strategy*, dispatched through :mod:`repro.validation.registry`:
-
-- ``serial`` — :func:`repro.validation.serial.serial_validator`, the
-  legacy loop moved verbatim (the default, bit-identical to the
-  pre-pipeline build), upgraded to
-  :class:`repro.validation.pipeline.PipelinedValidator` with the serial
-  scheduler when ``validation_workers`` / ``pipeline_depth`` are set;
-- ``dependency`` — the modelled pipeline with topological MVCC waves;
-- ``lockless`` — :class:`repro.validation.lockless.LocklessValidator`,
-  OCC snapshot validation with no exclusive write lock and
-  first-committer-wins write-write aborts (Meir et al.,
-  arXiv:1911.12711);
-- ``depaware`` — :class:`repro.validation.depaware.DepAwareValidator`,
-  conflict-graph dataflow execution with out-of-arrival-order commits
-  (Kaul et al., arXiv:2509.07425).
-
-``serial``, ``dependency`` and ``depaware`` produce identical committed
-ledgers and per-transaction outcomes — only simulated timing changes.
-``lockless`` intentionally diverges on intra-block write-write races
-(``abort_occ_ww``); the CC oracle test pins the exact bound.
+One block loop, :class:`repro.validation.validator.BlockValidator`,
+owns fetch, verify-ahead, locking, commit, spans and statistics. A
+*concurrency-control strategy* (:mod:`repro.validation.registry`, which
+has the table of the built-in ones) picks the policies it runs with
+(:mod:`repro.validation.policies`): when the block's transactions are
+checked, against what, and who pays for signature verification
+(:class:`repro.validation.workers.VerifyWorkerPool` when it is modelled
+lanes). The default, ``serial``, is bit-identical to the pre-pipeline
+build.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.validation.pipeline import PipelinedValidator
 from repro.validation.registry import (
     StrategyInfo,
-    build_strategy,
     get_strategy,
     register_strategy,
     strategy_names,
 )
-from repro.validation.serial import serial_validator
-from repro.validation.workers import VerifyWorkerPool
+from repro.validation.validator import BlockValidator
+from repro.validation.workers import VALIDATE_PRIORITY, VerifyWorkerPool
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fabric.peer import Peer
 
 __all__ = [
-    "PipelinedValidator",
+    "BlockValidator",
     "StrategyInfo",
+    "VALIDATE_PRIORITY",
     "VerifyWorkerPool",
-    "build_strategy",
     "build_validator",
     "get_strategy",
     "register_strategy",
-    "serial_validator",
     "strategy_names",
 ]
 
 
 def build_validator(peer: "Peer", channel: str) -> Generator:
-    """Return the validator generator for ``peer`` on ``channel``.
-
-    Dispatches the configuration's resolved CC strategy through the
-    registry; the all-default configuration resolves to the legacy
-    serial loop.
-    """
-    return build_strategy(peer.config.resolved_cc_strategy, peer, channel)
+    """Return the validator generator for ``peer`` on ``channel``."""
+    strategy = get_strategy(peer.config.cc_strategy)
+    return BlockValidator(peer, channel, strategy).run()

@@ -1,33 +1,19 @@
 """The concurrency-control strategy registry — the CC zoo.
 
-ROADMAP item 3: the peer's validation/commit stage is a seam where
-database-style concurrency control pays off, and several papers propose
-competing schemes. This registry generalises the old hard-wired
-``validation_scheduler=serial|dependency`` branch into named, pluggable
-*strategies* (mirroring :mod:`repro.workloads.registry`): a strategy is
-a factory that, given a peer and a channel, returns the generator that
-owns the per-block verify/resolve/commit loop.
+The peer's validation/commit stage is the seam where database-style
+concurrency control pays off, and several papers propose competing
+schemes. A *strategy* is a named choice of the three policies in
+:mod:`repro.validation.policies` plus one flag; the block loop itself
+is :class:`repro.validation.validator.BlockValidator`, the same for all:
 
-Built-in strategies:
-
-- ``serial`` — the legacy inline loop (default, golden-hash pinned), or
-  the modelled pipeline with the serial scheduler when any pipeline knob
-  (``validation_workers`` / ``pipeline_depth``) is non-default.
-- ``dependency`` — the modelled pipeline with topological MVCC waves
-  from the intra-block conflict graph (identical outcomes to serial;
-  timing only).
-- ``lockless`` — OCC-style validation after Meir et al.,
-  *Lockless Transaction Isolation in Hyperledger Fabric*
-  (arXiv:1911.12711): reads validate against the block-start snapshot,
-  no exclusive write lock is ever taken, and write-write races within a
-  block abort at commit (first-committer-wins,
-  ``TxOutcome.ABORT_OCC_WW``).
-- ``depaware`` — conflict-graph-driven dataflow execution after Kaul et
-  al., *Dependency-Aware Execution in Hyperledger Fabric*
-  (arXiv:2509.07425): each transaction validates as soon as all its
-  graph predecessors have resolved, so non-conflicting transactions
-  commit out of arrival order — but serializably, with outcomes
-  identical to serial.
+==============  =================  ===================  ==========  ==========
+strategy        schedule           decision             cost        write lock
+==============  =================  ===================  ==========  ==========
+``serial``      arrival order      MVCC, live state     configured  vanilla
+``dependency``  topological waves  MVCC, live state     lanes       vanilla
+``lockless``    arrival order      OCC, block snapshot  assumed     never
+``depaware``    dataflow           MVCC, live state     lanes       vanilla
+==============  =================  ===================  ==========  ==========
 
 ``serial``, ``dependency`` and ``depaware`` are outcome-equivalent: the
 committed ledger and every per-transaction outcome match the serial
@@ -42,22 +28,29 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Generator, Tuple
 
 from repro.errors import ConfigError
+from repro.validation import policies
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fabric.peer import Peer
 
-#: A strategy factory: builds the validator generator for one channel.
-StrategyFactory = Callable[["Peer", str], Generator]
-
 
 @dataclass(frozen=True)
 class StrategyInfo:
-    """A registered concurrency-control strategy."""
+    """A registered concurrency-control strategy: three policies, one flag."""
 
     name: str
-    factory: StrategyFactory
+    #: When each transaction is checked (``policies.arrival_order`` ...).
+    schedule: Callable[..., Generator]
+    #: Against what it is checked (``policies.mvcc_live_state`` ...).
+    decision: Callable[..., policies.Decide]
+    #: Who provides the verification parallelism (``policies.AssumedPool``,
+    #: ``policies.WorkerLanes`` or a function of the peer choosing one).
+    cost: Callable[["Peer"], object]
+    #: Whether vanilla Fabric's exclusive write lock is held over the
+    #: commit section (Fabric++ never takes it).
+    write_lock: bool = True
     #: One-line description for ``--help`` and docs.
-    description: str
+    description: str = ""
     #: Empty string == outcome-equivalent to the serial baseline
     #: (identical committed ledger and per-tx outcomes). Otherwise a
     #: short statement of the intentional, pinned divergence.
@@ -67,21 +60,13 @@ class StrategyInfo:
 _STRATEGIES: Dict[str, StrategyInfo] = {}
 
 
-def register_strategy(
-    name: str,
-    factory: StrategyFactory,
-    description: str = "",
-    divergence: str = "",
-) -> None:
-    """Register ``factory`` as the CC strategy named ``name``."""
+def register_strategy(name: str, **policy) -> None:
+    """Register the CC strategy ``name``; the keywords are the fields of
+    :class:`StrategyInfo` (``schedule``, ``decision`` and ``cost`` are
+    required)."""
     if name in _STRATEGIES:
         raise ConfigError(f"cc strategy {name!r} is already registered")
-    _STRATEGIES[name] = StrategyInfo(
-        name=name,
-        factory=factory,
-        description=description,
-        divergence=divergence,
-    )
+    _STRATEGIES[name] = StrategyInfo(name=name, **policy)
 
 
 def strategy_names() -> Tuple[str, ...]:
@@ -100,63 +85,38 @@ def get_strategy(name: str) -> StrategyInfo:
         ) from None
 
 
-def build_strategy(name: str, peer: "Peer", channel: str) -> Generator:
-    """Build the validator generator for ``peer``/``channel``."""
-    return get_strategy(name).factory(peer, channel)
-
-
-# -- built-in strategies --------------------------------------------------------
-
-
-def _make_serial(peer: "Peer", channel: str) -> Generator:
-    from repro.validation.pipeline import PipelinedValidator
-    from repro.validation.serial import serial_validator
-
-    # The pipeline knobs still select the modelled pipeline (worker
-    # lanes, cross-block overlap) with its serial MVCC scheduler; the
-    # all-default configuration keeps the legacy loop bit-identical.
-    if peer.config.uses_validation_pipeline:
-        return PipelinedValidator(peer, channel, scheduler="serial").run()
-    return serial_validator(peer, channel)
-
-
-def _make_dependency(peer: "Peer", channel: str) -> Generator:
-    from repro.validation.pipeline import PipelinedValidator
-
-    return PipelinedValidator(peer, channel, scheduler="dependency").run()
-
-
-def _make_lockless(peer: "Peer", channel: str) -> Generator:
-    from repro.validation.lockless import LocklessValidator
-
-    return LocklessValidator(peer, channel).run()
-
-
-def _make_depaware(peer: "Peer", channel: str) -> Generator:
-    from repro.validation.depaware import DepAwareValidator
-
-    return DepAwareValidator(peer, channel).run()
-
-
 register_strategy(
     "serial",
-    _make_serial,
+    schedule=policies.arrival_order,
+    decision=policies.mvcc_live_state,
+    cost=policies.configured_cost,
     description=(
-        "legacy in-order validation; the modelled pipeline's serial "
-        "scheduler when validation_workers/pipeline_depth are set"
+        "Fabric's in-order validation; on modelled verify lanes with a "
+        "verify-ahead stage when validation_workers/pipeline_depth are set"
     ),
 )
 register_strategy(
     "dependency",
-    _make_dependency,
+    schedule=policies.topological_waves,
+    decision=policies.mvcc_live_state,
+    cost=policies.WorkerLanes,
     description=(
-        "pipeline with topological MVCC waves over the intra-block "
-        "conflict graph (outcome-identical to serial)"
+        "topological MVCC waves over the intra-block conflict graph on "
+        "modelled verify lanes (outcome-identical to serial)"
     ),
 )
+# After Meir et al., *Lockless Transaction Isolation in Hyperledger
+# Fabric*: no exclusive write lock is ever taken — not even on vanilla
+# Fabric, so endorsements no longer queue behind block validation, which
+# is where it beats serial's committed TPS under low contention. It keeps
+# serial's assumed cost, so that throughput differences come from
+# concurrency control and not from a different cost model.
 register_strategy(
     "lockless",
-    _make_lockless,
+    schedule=policies.arrival_order,
+    decision=policies.occ_block_snapshot,
+    cost=policies.AssumedPool,
+    write_lock=False,
     description=(
         "OCC validation against the block-start snapshot, no exclusive "
         "write lock, first-committer-wins write-write aborts "
@@ -170,7 +130,9 @@ register_strategy(
 )
 register_strategy(
     "depaware",
-    _make_depaware,
+    schedule=policies.dataflow,
+    decision=policies.mvcc_live_state,
+    cost=policies.WorkerLanes,
     description=(
         "conflict-graph dataflow execution: transactions validate as "
         "soon as their dependencies resolve and commit out of arrival "

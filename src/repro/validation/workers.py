@@ -24,6 +24,12 @@ from repro.sim.engine import Environment, Event
 from repro.sim.resources import Resource
 from repro.trace.tracer import Tracer
 
+#: The peer CPU's scheduling band for validation work, ahead of
+#: ``repro.fabric.peer.ENDORSE_PRIORITY`` so that an endorsement flood
+#: cannot starve block validation. The one definition: the peer, the
+#: block validator and the schedule policies all import it from here.
+VALIDATE_PRIORITY = 0
+
 
 class VerifyWorkerPool:
     """``num_workers`` verification lanes multiplexed onto a peer's CPU."""
@@ -33,7 +39,7 @@ class VerifyWorkerPool:
         env: Environment,
         cpu: Resource,
         num_workers: int,
-        priority: int = 0,
+        priority: int = VALIDATE_PRIORITY,
         owner: str = "peer",
         tracer: Optional[Tracer] = None,
     ) -> None:

@@ -3,7 +3,8 @@
 The acceptance contract of the strategy registry
 (:mod:`repro.validation.registry`):
 
-- ``serial``, ``dependency`` and ``depaware`` are **outcome-equivalent**:
+- every strategy that declares no divergence (``serial``, ``dependency``
+  and ``depaware``) is **outcome-equivalent**:
   replaying the same ordered block stream yields a bit-identical ledger
   export and identical per-transaction outcomes across seeds × systems ×
   worker counts — only simulated timing may differ.
@@ -35,7 +36,8 @@ from repro.fabric.config import FabricConfig
 from repro.fabric.network import FabricNetwork
 from repro.ledger.state_db import Version
 from repro.testing import rwset
-from repro.validation.lockless import LocklessValidator
+from repro.validation import get_strategy, strategy_names
+from repro.validation.policies import occ_block_snapshot
 from repro.workloads.registry import WorkloadRef
 
 from tests.validation.test_oracle_replay import (
@@ -47,13 +49,13 @@ from tests.validation.test_oracle_replay import (
 CHANNEL = "ch0"
 SEEDS = (7, 11)
 SYSTEMS = ("vanilla", "fabric++")
-#: (cc_strategy, validation_workers) replay matrix for the
-#: outcome-equivalent strategies.
-EQUIVALENT_VARIANTS = (
-    ("serial", 1),
-    ("dependency", 2),
-    ("depaware", 1),
-    ("depaware", 4),
+#: (cc_strategy, validation_workers) replay matrix: every registered
+#: strategy that claims outcome-equivalence, on one lane and on several.
+EQUIVALENT_VARIANTS = tuple(
+    (name, workers)
+    for name in strategy_names()
+    if not get_strategy(name).divergence
+    for workers in (1, 4)
 )
 
 #: Custom-workload parameters with *blind* hot writes: write targets are
@@ -273,7 +275,6 @@ def test_lockless_decision_rules_first_committer_wins():
     )
     peer = network.reference_peer
     peer._endorsements_valid = lambda channel, tx: tx.tx_id != "bad"
-    validator = LocklessValidator(peer, CHANNEL)
 
     class Tx:
         def __init__(self, tx_id, rws):
@@ -303,7 +304,10 @@ def test_lockless_decision_rules_first_committer_wins():
             Tx("bad", rwset(writes=["m"])),
         ]
     )
-    outcomes = [o.value for o in validator._decide(block)]
+    decide = occ_block_snapshot(peer, CHANNEL, block, {})
+    outcomes = [
+        decide(index, tx).value for index, tx in enumerate(block.transactions)
+    ]
     assert outcomes == [
         "committed",
         "abort_occ_ww",

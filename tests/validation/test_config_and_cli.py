@@ -30,8 +30,6 @@ def parse(argv):
     [
         ("validation_workers", 0),
         ("validation_workers", -1),
-        ("validation_scheduler", "parallel"),
-        ("validation_scheduler", ""),
         ("pipeline_depth", 0),
     ],
 )
@@ -49,7 +47,7 @@ def test_default_config_uses_legacy_validator():
     "overrides",
     [
         {"validation_workers": 2},
-        {"validation_scheduler": "dependency"},
+        {"validation_workers": 4, "pipeline_depth": 2},
         {"pipeline_depth": 2},
     ],
 )
@@ -68,13 +66,13 @@ def test_cli_forwards_validation_flags():
             [
                 "run",
                 "--validation-workers", "4",
-                "--validation-scheduler", "dependency",
+                "--cc-strategy", "dependency",
                 "--pipeline-depth", "2",
             ]
         )
     )
     assert config.validation_workers == 4
-    assert config.validation_scheduler == "dependency"
+    assert config.cc_strategy == "dependency"
     assert config.pipeline_depth == 2
     assert config.uses_validation_pipeline
 
@@ -85,12 +83,15 @@ def test_cli_defaults_keep_legacy_validator():
 
 
 def test_cli_rejects_unknown_scheduler():
+    # The flag is retired with the knob: --cc-strategy dependency is the
+    # one spelling, and even the old flag's valid values are refused.
     with pytest.raises(SystemExit):
-        parse(["run", "--validation-scheduler", "optimistic"])
+        parse(["run", "--validation-scheduler", "dependency"])
+    assert "validation-scheduler" not in SWEEPABLE
 
 
 def test_validation_knobs_are_sweepable():
-    for key in ("validation-workers", "validation-scheduler", "pipeline-depth"):
+    for key in ("validation-workers", "pipeline-depth"):
         assert key in SWEEPABLE
 
 
@@ -114,7 +115,7 @@ def test_fingerprint_distinguishes_validation_configs():
         base,
         replace(base, validation_workers=2),
         replace(base, validation_workers=4),
-        replace(base, validation_scheduler="dependency"),
+        replace(base, cc_strategy="dependency"),
         replace(base, pipeline_depth=2),
     ]
     fingerprints = [spec_fingerprint(small_spec(c)) for c in variants]

@@ -1,6 +1,6 @@
 """Acceptance oracle: the validation pipeline never changes *what* commits.
 
-For every seed × system × scheduler × worker-count (× pipeline depth),
+For every seed × system × strategy × worker-count (× pipeline depth),
 replaying the same ordered block stream must yield a bit-identical
 ledger export and identical per-transaction outcomes — only the
 simulated timing may differ. The block stream is captured once from a
@@ -28,8 +28,9 @@ from repro.workloads.registry import WorkloadRef
 CHANNEL = "ch0"
 SEEDS = (7, 11)
 SYSTEMS = ("vanilla", "fabric++")
-#: (scheduler, validation_workers, pipeline_depth) — the acceptance
-#: matrix: both schedulers across the worker counts, plus deep pipelines.
+#: (cc_strategy, validation_workers, pipeline_depth) — the acceptance
+#: matrix: both verify-ahead strategies across the worker counts, plus
+#: deep pipelines.
 VARIANTS = (
     ("serial", 1, 1),
     ("serial", 2, 1),
@@ -129,15 +130,15 @@ def replay(config: FabricConfig, blocks):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_all_variants_commit_identical_ledgers(seed, system):
     blocks, source_hash, source_outcomes = capture(seed, system)
-    for scheduler, workers, depth in VARIANTS:
+    for strategy, workers, depth in VARIANTS:
         config = replace(
             base_config(seed, system),
-            validation_scheduler=scheduler,
+            cc_strategy=strategy,
             validation_workers=workers,
             pipeline_depth=depth,
         )
         ledger = replay(config, blocks)
-        label = f"{system}/seed={seed}/{scheduler}/w={workers}/d={depth}"
+        label = f"{system}/seed={seed}/{strategy}/w={workers}/d={depth}"
         assert ledger.height == len(blocks), label
         assert fingerprint(ledger) == source_hash, label
         assert outcome_table(ledger) == source_outcomes, label
@@ -160,7 +161,7 @@ def test_pipeline_replay_records_validation_stats(system):
     blocks, _, _ = capture(seed, system)
     config = replace(
         base_config(seed, system),
-        validation_scheduler="dependency",
+        cc_strategy="dependency",
         validation_workers=4,
         pipeline_depth=2,
     )

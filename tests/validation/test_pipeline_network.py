@@ -12,6 +12,7 @@ from repro.fabric.config import FabricConfig
 from repro.fabric.network import FabricNetwork
 from repro.faults import CrashWindow, FaultSchedule
 from repro.trace.tracer import Tracer
+from repro.validation import strategy_names
 from repro.workloads.registry import WorkloadRef
 
 CHANNEL = "ch0"
@@ -24,7 +25,7 @@ def pipeline_config(**overrides) -> FabricConfig:
         client_rate=120.0,
         seed=7,
         validation_workers=4,
-        validation_scheduler="dependency",
+        cc_strategy="dependency",
         pipeline_depth=2,
     )
     return replace(config, **overrides)
@@ -66,7 +67,7 @@ def test_pipeline_network_commits_and_reports_stats(system):
 
 def test_default_config_reports_no_validation_stats():
     config = pipeline_config(
-        validation_workers=1, validation_scheduler="serial", pipeline_depth=1
+        validation_workers=1, cc_strategy="serial", pipeline_depth=1
     )
     metrics = FabricNetwork(config, workload()).run(duration=0.5, drain=1.0)
     assert metrics.validation is None
@@ -80,7 +81,7 @@ def test_pipeline_depth_overlaps_verify_with_commit():
     # rarely backlogs (blocks arrive slower than they commit), so the
     # stream is captured once and then delivered all at simulated t=0.
     base = pipeline_config(
-        validation_workers=1, validation_scheduler="serial", pipeline_depth=1
+        validation_workers=1, cc_strategy="serial", pipeline_depth=1
     ).with_vanilla()
     source = FabricNetwork(base, workload())
     source.run(duration=0.8, drain=2.0)
@@ -121,18 +122,43 @@ def test_pipeline_depth_overlaps_verify_with_commit():
 
 
 def test_pipeline_survives_crash_and_recovery():
+    # One skeleton owns catch-up, ``pcs.validating`` and the stale-ready-
+    # block handling for everybody, so every strategy (and both forms of
+    # serial: assumed pool and worker lanes) must rejoin the reference
+    # chain after a crash.
     faults = FaultSchedule(
         crashes=(CrashWindow(peer="peer0.OrgB", at=0.3, duration=0.4),),
         endorsement_timeout=0.05,
     )
-    config = pipeline_config(
-        faults=faults, endorsement_policy="outof:1"
-    ).with_vanilla()
-    network = FabricNetwork(config, workload())
-    metrics = network.run(duration=1.2, drain=2.5)
-    assert metrics.successful > 0
-    reference = network.reference_peer.channels[CHANNEL]
-    for peer in network.peers:
-        pcs = peer.channels[CHANNEL]
-        assert pcs.ledger.tip_block_id == reference.ledger.tip_block_id
-        assert dict(pcs.state.items()) == dict(reference.state.items())
+    # pipeline_config's workers=4 / depth=2 put serial on the lanes; the
+    # all-default knobs are its assumed-pool form.
+    cells = [(name, "lanes", {}) for name in strategy_names()]
+    assumed = {"validation_workers": 1, "pipeline_depth": 1}
+    cells.append(("serial", "assumed", assumed))
+    for strategy, cost, knobs in cells:
+        for system in ("vanilla", "fabric++"):
+            config = pipeline_config(
+                faults=faults,
+                endorsement_policy="outof:1",
+                cc_strategy=strategy,
+                **knobs,
+            )
+            config = (
+                config.with_fabric_plus_plus()
+                if system == "fabric++"
+                else config.with_vanilla()
+            )
+            label = f"{strategy}/{cost}/{system}"
+            network = FabricNetwork(config, workload())
+            metrics = network.run(duration=1.2, drain=2.5)
+            assert metrics.successful > 0, label
+            reference = network.reference_peer.channels[CHANNEL]
+            assert reference.ledger.tip_block_id > 0, label
+            for peer in network.peers:
+                pcs = peer.channels[CHANNEL]
+                assert (
+                    pcs.ledger.tip_block_id == reference.ledger.tip_block_id
+                ), f"{label}/{peer.name}"
+                assert dict(pcs.state.items()) == dict(
+                    reference.state.items()
+                ), f"{label}/{peer.name}"

@@ -1,6 +1,6 @@
 """Reorder-buffer regression (PR-8 bugfix satellite).
 
-The serial fetch loop buffers out-of-order block deliveries until the
+The validator's fetch buffers out-of-order block deliveries until the
 next expected id arrives. Re-gossiped *duplicates* of a buffered id used
 to overwrite the buffered copy — letting the last delivery win, so a
 late (possibly divergent) duplicate could displace the block the
@@ -10,8 +10,8 @@ an already-buffered id is dropped on the floor.
 The test delivers block 2 early, then a tampered duplicate of block 2,
 then block 1 to release the buffer — and asserts the committed ledger is
 bit-identical to the in-order baseline (the tampered copy never
-committed). Both the legacy serial loop and the pipelined fetch stage
-share the fix.
+committed). The one fetch is exercised with and without the
+verify-ahead stage behind it.
 """
 
 from __future__ import annotations

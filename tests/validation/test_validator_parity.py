@@ -24,6 +24,7 @@ import pytest
 from repro.bench.harness import run_experiment_with_network
 from repro.fabric.network import FabricNetwork
 from repro.trace import Tracer
+from repro.validation import strategy_names
 
 from tests.integration.test_fault_determinism import golden_spec
 from tests.validation.test_cc_oracle import base_config, capture, make_workload
@@ -41,17 +42,14 @@ def reference_block_spans(tracer: Tracer, network: FabricNetwork):
     ]
 
 
+#: Every registered strategy, plus serial's second cost policy.
+PARITY_CASES = {name: {"cc_strategy": name} for name in strategy_names()}
+PARITY_CASES["pipeline"] = {"validation_workers": 2}  # serial on lanes
+
+
 @pytest.mark.parametrize("system", ("vanilla", "fabric++"))
 @pytest.mark.parametrize(
-    "overrides",
-    [
-        {},                              # legacy serial loop
-        {"validation_workers": 2},       # pipelined serial scheduler
-        {"cc_strategy": "dependency"},
-        {"cc_strategy": "lockless"},
-        {"cc_strategy": "depaware"},
-    ],
-    ids=("serial", "pipeline", "dependency", "lockless", "depaware"),
+    "overrides", list(PARITY_CASES.values()), ids=list(PARITY_CASES)
 )
 def test_block_span_committed_matches_metrics(system, overrides):
     spec = golden_spec(system)
@@ -62,9 +60,7 @@ def test_block_span_committed_matches_metrics(system, overrides):
     assert spans, "run recorded no block.validate spans"
     span_committed = sum(span.args["committed"] for span in spans)
     assert span_committed == result.metrics.successful
-    expected = spec.config.resolved_cc_strategy
-    if overrides.get("validation_workers"):
-        expected = "serial"
+    expected = overrides.get("cc_strategy", "serial")
     assert {span.args["strategy"] for span in spans} == {expected}
 
 

@@ -4,17 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fabric.peer import VALIDATE_PRIORITY as PEER_VALIDATE_PRIORITY
 from repro.sim.engine import Environment
 from repro.sim.resources import Resource
-from repro.validation.pipeline import VALIDATE_PRIORITY as PIPELINE_PRIORITY
 from repro.validation.workers import VerifyWorkerPool
-
-
-def test_pipeline_priority_mirrors_peer_constant():
-    # pipeline.py keeps a local copy to avoid an import cycle; it must
-    # stay in lockstep with the peer's validation band.
-    assert PIPELINE_PRIORITY == PEER_VALIDATE_PRIORITY
 
 
 def drive(env, pool, durations):
