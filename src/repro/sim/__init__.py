@@ -3,10 +3,10 @@
 This package is the substrate that replaces the paper's six-server cluster.
 Clients, endorsing peers, the ordering service, and validators all run as
 DES *processes* (Python generators) inside one :class:`Environment`. Time
-is simulated: a `yield env.timeout(d)` models `d` seconds of latency or CPU
-work, and :class:`Resource` models a contended CPU so that concurrent
-channels and clients slow each other down — the effect behind the paper's
-Figure 11 scaling experiments.
+is simulated: a process that yields a bare delay (``yield d``) models `d`
+seconds of latency or CPU work, and :class:`Resource` models a contended
+CPU so that concurrent channels and clients slow each other down — the
+effect behind the paper's Figure 11 scaling experiments.
 
 The design follows the classic process-interaction style (as popularised by
 SimPy) but is implemented from scratch and trimmed to what the Fabric
@@ -17,9 +17,10 @@ This module is the *stable public surface* of the engine: import from
 ``repro.sim``, not from the submodules. Waiting on several events at once
 goes through the combinators — ``yield env.all_of(events)`` /
 ``yield gate | deadline`` — never through manual callback wiring; names not
-exported here (``Environment._schedule``, the heap layout, the timeout
-pool) are private and may change without notice. See ``docs/engine.md``
-for the scheduler internals and the migration guide from raw callbacks.
+exported here (``Environment._loop``, the heap and deque layout, the
+``_proc``/``_cb`` waiter slots) are private and may change without notice.
+See ``docs/engine.md`` for the scheduler internals and the migration guide
+from raw callbacks.
 """
 
 from repro.sim.engine import (

@@ -9,67 +9,58 @@ processes can wait on each other (fork/join). :class:`AllOf` and
 events into joins and races.
 
 The scheduler keeps two structures: a binary heap of bare
-``(time, sequence, event)`` tuples for *future* events, and a plain FIFO
-deque for *same-instant* events (``succeed``/``fail``/``timeout(0)``),
-which skips the heap — and its tuple allocation — entirely. Together
-they replay events in strict ``(time, sequence)`` order, giving
-deterministic FIFO behaviour among simultaneous events; every golden
-metrics hash in the test suite depends on this ordering.
-
-Hot-path design (see ``docs/engine.md`` for the full contract):
+``(time, sequence, entry)`` tuples for the *future*, and a plain FIFO
+deque for *same-instant* events (``succeed``/``fail``/``timeout(0)``,
+process starts and completions), which skips the heap — and its tuple
+allocation — entirely. One private loop, :meth:`Environment._loop`,
+replays them in strict ``(time, sequence)`` order; ``run()`` and
+``step()`` both drive it, so there is exactly one answer to "what fires
+next". Every golden metrics hash in the test suite depends on this
+ordering. ``docs/engine.md`` has the full contract; in short:
 
 - **Bare-delay sleeps.** ``yield 0.004`` — a plain float or int — is
   the allocation-free spelling of a value-less sleep: the *process
-  itself* becomes the heap entry ``(time, seq, process)`` and the
-  dispatcher resumes its generator directly. No event object exists at
-  any point. ``yield env.timeout(d)`` allocates its sequence number at
-  the ``timeout()`` call and ``yield d`` at the dispatch of the yield,
-  which is the same scheduling position — so the two spellings replay
-  identically and golden hashes do not care which one a model uses.
-  Interrupting a bare-delay sleep invalidates a wake token
-  (``Process._wake``); the orphaned heap entry is skipped as stale.
-- **Pooled timeouts.** ``env.timeout()`` — sleeps that carry a value or
-  feed a combinator — reuses :class:`Timeout` objects from a free list.
-  A fired timeout whose only consumer was the process that yielded it is
-  recycled immediately, so steady-state sleeping allocates nothing but
-  the heap tuple. Consequence: do not retain a fired ``Timeout`` object;
-  keep the value the ``yield`` returned instead.
+  itself* becomes the heap entry ``(time, seq, process)`` and the loop
+  resumes its generator directly. No event object exists at any point.
+  ``yield env.timeout(d)`` allocates its sequence number at the
+  ``timeout()`` call and ``yield d`` when the yield is handled, which is
+  the same scheduling position — so the two spellings replay identically
+  and golden hashes do not care which one a model uses. Interrupting a
+  bare-delay sleep invalidates a wake token (``Process._wake``); the
+  orphaned heap entry is skipped as stale.
 - **Same-instant deque.** Triggering an event never touches the heap:
-  the event is appended to the pending deque and drained FIFO once every
-  heap entry at the current instant (which was scheduled earlier, i.e.
-  with a smaller sequence number) has fired. Fire-chains of zero-delay
-  handoffs — endorsement replies, combinator resolutions, process
-  completions — cost one ``append``/``popleft`` pair per event.
-- **Single-slot callbacks.** Most events have exactly one waiter, so the
-  first callback lives in a plain attribute (``_cb``) and only the rare
-  second-and-later waiters allocate an overflow list (``_cbs``).
-- **Direct process resume.** A process yielding a fresh timeout is
-  stored in the timeout's ``_proc`` slot; the ``run()`` loop resumes the
-  generator inline, with no callback object and no intermediate call.
-- **Batched same-instant wakeups.** ``run()`` drains every event that
-  shares the current timestamp in one inner loop, re-checking the
-  ``until`` horizon (and the trace hook) once per distinct instant
-  rather than once per event.
-- **O(1) trace hook.** When no hook is installed the dispatcher pays a
-  single ``is not None`` test; installing one never changes the
+  the event is appended to the deque, which is drained FIFO whenever no
+  heap entry is stamped with the current instant. Fire-chains of
+  zero-delay handoffs — endorsement replies, combinator resolutions,
+  process completions — cost one ``append``/``popleft`` pair per event.
+- **Single waiter slot.** Most events have exactly one waiter, a
+  process: it is stored in the event's ``_proc`` slot and the loop
+  resumes its generator inline, with no callback object and no
+  intermediate call. Other waiters (combinators, second-and-later
+  processes) are callbacks: the first in ``_cb``, the rare rest in the
+  overflow list ``_cbs``.
+- **Trace hook.** When no hook is installed the loop pays a single
+  ``is not None`` test per entry; installing one never changes the
   schedule (observation only).
 
-Scheduling-order invariants the optimisations must preserve (the golden
-hashes pin them): ``succeed``/``fail`` always *schedule* the event at
-the current instant (callbacks never run synchronously from the
-trigger), heap entries carry sequence numbers allocated in call order
-and fire in strict ``(time, sequence)`` order, and same-instant events
-fire in trigger order (deque position — they need no sequence numbers,
-and ``_sequence`` counts only heap entries). This replays exactly the
-strict ``(time, schedule-call)`` total order of the pre-overhaul
-engine, because heap entries at the current instant always predate —
-and therefore out-rank — everything appended while that instant is
-being processed.
+Scheduling-order invariants (the golden hashes pin them):
+``succeed``/``fail`` always *schedule* the event at the current instant
+(callbacks never run synchronously from the trigger); heap entries carry
+sequence numbers allocated in call order and fire in strict
+``(time, sequence)`` order; same-instant events fire in trigger order
+(deque position — they need no sequence numbers, and ``_sequence``
+counts only heap entries); and a heap entry stamped with the current
+instant always fires before the deque head. Such an entry normally
+predates the instant — and therefore out-ranks, in ``(time,
+schedule-call)`` order, everything appended while the instant is being
+handled. The one exception is a positive delay small enough for the
+clock to absorb (``1e6 + 1e-12 == 1e6``): its entry is pushed *during*
+the instant it is stamped with, and still fires ahead of the deque. The
+rule is applied per entry, so ``run()`` and ``step()`` agree on it.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from heapq import heappop, heappush
 from typing import Callable, Generator, Iterable, List, Optional
@@ -99,7 +90,7 @@ class Event:
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
-        #: Sole waiting process, resumed inline by the dispatcher with no
+        #: Sole waiting process, resumed inline by the loop with no
         #: callback object at all (the dominant single-waiter case).
         self._proc: Optional["Process"] = None
         #: First callback; overflow goes to ``_cbs``.
@@ -155,46 +146,11 @@ class Event:
         """Remove one occurrence of ``callback``, preserving the order of
         the remaining waiters (interrupt support)."""
         if self._cb == callback:
-            cbs = self._cbs
-            if cbs:
-                self._cb = cbs.pop(0)
-            else:
-                self._cb = None
-        elif self._cbs is not None:
-            try:
-                self._cbs.remove(callback)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-
-    def _fire(self) -> None:
-        """Run all attached callbacks (dispatcher path for plain events)."""
-        self.processed = True
-        cb = self._cb
-        if cb is not None:
-            self._cb = None
-            cb(self)
-        cbs = self._cbs
-        if cbs is not None:
-            self._cbs = None
-            for cb in cbs:
-                cb(self)
-
-    # -- deprecated public spelling -----------------------------------------
-
-    def add_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Deprecated: wire waiters through processes or combinators.
-
-        Kept for one release so external scripts written against the old
-        engine keep running; internal code must use combinators (or the
-        private :meth:`_attach`).
-        """
-        warnings.warn(
-            "Event.add_callback is deprecated; wait on events from a "
-            "process, or compose them with AllOf/AnyOf ('&'/'|')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._attach(callback)
+            # Promote the oldest overflow waiter, so that a non-empty
+            # ``_cbs`` always implies a non-empty ``_cb``.
+            self._cb = self._cbs.pop(0) if self._cbs else None
+        elif self._cbs is not None and callback in self._cbs:
+            self._cbs.remove(callback)
 
     # -- combinator operators ------------------------------------------------
 
@@ -208,13 +164,11 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed simulated delay.
+    """An event that fires, with ``value``, after a fixed simulated delay.
 
-    Instances are pooled: once fired with no waiter other than the
-    process that yielded them, they return to the environment's free
-    list and are reused by later ``env.timeout()`` calls. Hold on to the
-    *value* a ``yield env.timeout(...)`` returns, never to the fired
-    timeout object itself.
+    For sleeps that carry a value or feed a combinator
+    (``gate | env.timeout(deadline)``); a process that merely sleeps
+    yields the bare delay instead.
     """
 
     __slots__ = ()
@@ -251,29 +205,22 @@ class Process(Event):
         generator: Generator,
         name: Optional[str] = None,
     ) -> None:
-        # Field init is inlined (no super().__init__ call): processes are
-        # created per endorsement fan-out, so construction is hot. The
-        # bootstrap is the process itself appended to the same-instant
-        # deque: an untriggered Process in the deque means "first resume"
-        # (a triggered one is a completion event) — one schedule entry,
-        # no bootstrap event object.
-        self.env = env
-        self._proc = None
-        self._cb = None
-        self._cbs = None
-        self._value = None
-        self._exception = None
-        self.triggered = False
-        self.processed = False
+        super().__init__(env)
         self._generator = generator
         #: Bound ``generator.send`` (skips one attribute lookup per resume).
         self._send = generator.send
+        #: The event this process is parked on (None while it sleeps on
+        #: a bare delay or runs); :meth:`interrupt` detaches from it.
         self._waiting_on: Optional[Event] = None
         #: Sequence number of the outstanding bare-delay sleep, if any.
         #: A heap entry whose sequence no longer matches is stale (the
-        #: sleep was interrupted) and is skipped by the dispatcher.
+        #: sleep was interrupted) and is skipped by the loop.
         self._wake: Optional[int] = None
         self._name = name
+        # The bootstrap is the process itself appended to the
+        # same-instant deque: an untriggered Process in the deque means
+        # "first resume" (a triggered one is a completion event) — one
+        # schedule entry, no bootstrap event object.
         env._pending.append(self)
 
     @property
@@ -296,173 +243,81 @@ class Process(Event):
         if self.triggered:
             return
         waiting_on = self._waiting_on
-        if waiting_on is not None:
-            if waiting_on._proc is self:
-                waiting_on._proc = None
-            else:
-                waiting_on._detach(self._resume)
-            self._waiting_on = None
-        else:
+        if waiting_on is None:
             # Sleeping on a bare delay: invalidate the wake token so the
             # heap entry (which cannot be removed cheaply) is skipped as
             # stale when it surfaces.
             self._wake = None
-        poke = Event(self.env)
-        poke.succeed()
-        poke._attach(lambda _event: self._throw(Interrupt(cause)))
-
-    def _throw(self, exc: BaseException) -> None:
-        if self.triggered:
-            return
-        try:
-            target = self._generator.throw(exc)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as error:
-            self.fail(error)
-            return
-        self._wait_on(target)
+        elif waiting_on._proc is self:
+            waiting_on._proc = None
+        else:
+            waiting_on._detach(self._resume)
+        self._waiting_on = None
+        # Delivered as a failed event scheduled now: like every trigger,
+        # an interrupt never runs the target synchronously from the caller.
+        self.env.event().fail(Interrupt(cause))._attach(self._resume)
 
     def _resume(self, event: Event) -> None:
+        """Callback form of a resume: for a process that found the
+        event's ``_proc`` slot taken, and for interrupt delivery."""
         self._waiting_on = None
-        exception = event._exception
-        try:
-            if exception is not None:
-                target = self._generator.throw(exception)
-            else:
-                target = self._send(event._value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as error:
-            self.fail(error)
-            return
-        cls = target.__class__
-        if cls is float or cls is int:
-            # Bare-delay sleep: no Timeout object at all.
-            self._sleep(target)
-            return
-        # Fast path: an unprocessed event of this environment with no
-        # other waiter resumes this generator directly, no callback.
-        if (
-            isinstance(target, Event)
-            and not target.processed
-            and target._proc is None
-            and target._cb is None
-            and target.env is self.env
-        ):
-            target._proc = self
-            self._waiting_on = target
-            return
-        self._wait_on(target)
+        self._advance(event._value, event._exception)
 
-    def _resume_direct(self) -> None:
-        """Resume the generator with ``None`` — bootstrap (first resume)
-        or bare-delay sleep expiry (``step()`` path; ``run()`` inlines
-        this)."""
-        try:
-            target = self._send(None)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as error:
-            self.fail(error)
-            return
-        cls = target.__class__
-        if cls is float or cls is int:
-            self._sleep(target)
-            return
-        if (
-            isinstance(target, Event)
-            and not target.processed
-            and target._proc is None
-            and target._cb is None
-            and target.env is self.env
-        ):
-            target._proc = self
-            self._waiting_on = target
-            return
-        self._wait_on(target)
+    def _advance(self, value: object, exception: Optional[BaseException]) -> None:
+        """Send ``value`` (or throw ``exception``) into the generator and
+        park on what it yields next.
 
-    def _sleep(self, delay: float) -> None:
-        """Suspend until ``delay`` simulated seconds from now.
-
-        The allocation-free sleep path behind ``yield <delay>``: the
-        process itself is scheduled as the heap entry — no event object
-        is created. ``self._wake`` records the entry's sequence number;
-        :meth:`interrupt` cancels the sleep by clearing it, leaving a
-        stale heap entry the dispatcher skips.
+        The cold twin of the resume inlined in :meth:`Environment._loop`;
+        callback resumes, interrupts and yield misuse all come through
+        here.
         """
-        env = self.env
-        if delay > 0:
-            env._sequence = sequence = env._sequence + 1
-            heappush(env._queue, (env.now + delay, sequence, self))
-            self._wake = sequence
-            return
-        if delay == 0:
-            # Zero-delay sleeps ride a pooled timeout through the
-            # same-instant deque (processes never sit in the deque:
-            # there they would be mistaken for completion events).
-            pool = env._timeout_pool
-            if pool:
-                tick = pool.pop()
-                tick.processed = False
-            else:
-                tick = Timeout.__new__(Timeout)
-                tick.env = env
-                tick._cb = None
-                tick._cbs = None
-                tick._value = None
-                tick._exception = None
-                tick.triggered = True
-                tick.processed = False
-            tick._proc = self
-            self._waiting_on = tick
-            env._pending.append(tick)
-            return
-        # Negative delay: thrown back into the generator like any other
-        # yield misuse.
+        if self.triggered:
+            return  # a second interrupt at the instant the first one ended it
         try:
-            target = self._generator.throw(
-                SimulationError(f"negative sleep delay: {delay!r}")
-            )
+            if exception is None:
+                target = self._send(value)
+            else:
+                target = self._generator.throw(exception)
         except StopIteration as stop:
             self.succeed(stop.value)
-            return
-        except BaseException as raised:
-            self.fail(raised)
-            return
-        self._wait_on(target)
+        except BaseException as error:
+            self.fail(error)
+        else:
+            self._wait_on(target)
 
     def _wait_on(self, target: object) -> None:
-        # Misuse (yielding a non-event or a foreign event) is thrown back
-        # into the generator; if it does not handle the error, the process
-        # fails like any other uncaught exception.
-        while True:
-            cls = target.__class__
-            if cls is float or cls is int:
-                self._sleep(target)
+        """Park on whatever the generator yielded (the general form; the
+        loop inlines the two hot cases and calls this for the rest)."""
+        env = self.env
+        misuse = None
+        cls = target.__class__
+        if cls is float or cls is int:
+            if target > 0:
+                # Bare-delay sleep: the process itself is the heap entry
+                # and ``_wake`` its token — no event object is created.
+                env._sequence = sequence = env._sequence + 1
+                heappush(env._queue, (env.now + target, sequence, self))
+                self._wake = sequence
                 return
-            if isinstance(target, Event) and target.env is self.env:
-                break
-            if isinstance(target, Event):
-                error = SimulationError(
-                    "event belongs to a different environment"
-                )
+            if target == 0:
+                # A same-instant hop, behind everything already pending.
+                # It rides a plain event: a Process sitting in the deque
+                # would read as a bootstrap or a completion.
+                target = env.event().succeed()
             else:
-                error = SimulationError(
-                    f"process yielded a non-event: {target!r}"
-                )
-            try:
-                target = self._generator.throw(error)
-            except StopIteration as stop:
-                self.succeed(stop.value)
-                return
-            except BaseException as raised:
-                self.fail(raised)
-                return
+                misuse = f"negative sleep delay: {target!r}"
+        elif not isinstance(target, Event):
+            misuse = f"process yielded a non-event: {target!r}"
+        elif target.env is not env:
+            misuse = "event belongs to a different environment"
+        if misuse is not None:
+            # Thrown back into the generator; if it does not handle the
+            # error, the process fails like any other uncaught exception.
+            self._advance(None, SimulationError(misuse))
+            return
         self._waiting_on = target
+        # The ``_proc`` slot is resumed ahead of the callbacks, so it is
+        # taken only while there are none: waiters fire in arrival order.
         if not target.processed and target._proc is None and target._cb is None:
             target._proc = self
         else:
@@ -491,21 +346,12 @@ class AllOf(Event):
             return
         # One shared callback per member — member values are collected in
         # one pass when the last member fires, so no per-member closure.
-        # The attach is inlined (see Event._attach) for construction speed.
-        check = self._check
         for event in members:
             if event.env is not env:
                 raise SimulationError(
                     "AllOf member is not an event of this environment"
                 )
-            if event.processed:
-                check(event)
-            elif event._cb is None:
-                event._cb = check
-            elif event._cbs is None:
-                event._cbs = [check]
-            else:
-                event._cbs.append(check)
+            event._attach(self._check)
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -543,20 +389,12 @@ class AnyOf(Event):
         self.events = members
         #: Index of the member that fired first (None until then).
         self.first_index: Optional[int] = None
-        check = self._check
         for event in members:
             if event.env is not env:
                 raise SimulationError(
                     "AnyOf member is not an event of this environment"
                 )
-            if event.processed:
-                check(event)
-            elif event._cb is None:
-                event._cb = check
-            elif event._cbs is None:
-                event._cbs = [check]
-            else:
-                event._cbs.append(check)
+            event._attach(self._check)
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -588,98 +426,49 @@ class Environment:
     only the event loop advances the clock.
     """
 
-    __slots__ = ("now", "_queue", "_pending", "_sequence", "_trace_hook", "_timeout_pool")
+    __slots__ = ("now", "_queue", "_pending", "_sequence", "_trace_hook")
 
     def __init__(self) -> None:
         #: Current simulated time in seconds (read-only).
         self.now = 0.0
-        #: Future events: a heap of ``(time, sequence, event)``.
+        #: The future: a heap of ``(time, sequence, entry)``, where the
+        #: entry is an event or — for a bare-delay sleep — a process.
         self._queue: List[tuple] = []
-        #: Same-instant events, drained FIFO after the heap entries that
-        #: share the current timestamp (which always have smaller
-        #: sequence numbers — see the module docstring).
+        #: Same-instant events, drained FIFO whenever no heap entry is
+        #: stamped with the current instant (see the module docstring).
         self._pending: deque = deque()
+        #: Sequence numbers handed out so far (heap entries only).
         self._sequence = 0
         self._trace_hook: Optional[Callable[[float, Event], None]] = None
-        #: Free list of fired, consumer-less Timeout objects.
-        self._timeout_pool: List[Timeout] = []
 
     def set_trace_hook(
         self, hook: Optional[Callable[[float, Event], None]]
     ) -> None:
-        """Install an observer called as ``hook(time, event)`` for every
-        processed event. For a bare-delay sleep expiry the ``event``
-        argument is the :class:`Process` being woken (there is no event
-        object on that path). Observation only: the hook must not
-        schedule events or mutate simulation state, so a hooked run is
-        bit-identical to an unhooked one. Installing a hook from inside
-        a running simulation takes effect at the next distinct
-        timestamp."""
+        """Install an observer called as ``hook(time, event)`` once for
+        every processed entry (never for a stale one). For a bare-delay
+        sleep expiry the ``event`` argument is the :class:`Process`
+        being woken (there is no event object on that path).
+        Observation only: the hook must not schedule events or mutate
+        simulation state, so a hooked run is bit-identical to an
+        unhooked one. The hook is latched when ``run()``/``step()`` is
+        entered: one installed (or removed) from inside a running
+        simulation takes effect at the next ``run()``/``step()`` call,
+        not during the current one."""
         self._trace_hook = hook
 
     # -- factory helpers -----------------------------------------------------
 
     def event(self) -> Event:
         """Create a fresh, untriggered event."""
-        # Inlined field init (no __init__ dispatch): gates are created per
-        # transaction, so construction is hot.
-        event = Event.__new__(Event)
-        event.env = self
-        event._proc = None
-        event._cb = None
-        event._cbs = None
-        event._value = None
-        event._exception = None
-        event.triggered = False
-        event.processed = False
-        return event
+        return Event(self)
 
     def timeout(self, delay: float, value: object = None) -> Timeout:
         """Create an event that fires ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        pool = self._timeout_pool
-        if pool:
-            timeout = pool.pop()
-            timeout._value = value
-            timeout.processed = False
-        else:
-            timeout = Timeout.__new__(Timeout)
-            timeout.env = self
-            timeout._cb = None
-            timeout._cbs = None
-            timeout._exception = None
-            timeout._value = value
-            timeout.triggered = True
-            timeout.processed = False
-            timeout._proc = None
-        if delay == 0.0:
-            self._pending.append(timeout)
-        else:
-            self._sequence = sequence = self._sequence + 1
-            heappush(self._queue, (self.now + delay, sequence, timeout))
-        return timeout
+        return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start ``generator`` as a process."""
-        # Inlined Process.__init__ (kept in sync with it): processes are
-        # spawned per endorsement fan-out, so construction is hot.
-        proc = Process.__new__(Process)
-        proc.env = self
-        proc._proc = None
-        proc._cb = None
-        proc._cbs = None
-        proc._value = None
-        proc._exception = None
-        proc.triggered = False
-        proc.processed = False
-        proc._generator = generator
-        proc._send = generator.send
-        proc._waiting_on = None
-        proc._wake = None
-        proc._name = name
-        self._pending.append(proc)
-        return proc
+        return Process(self, generator, name)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """An event that fires once every event in ``events`` has; its
@@ -694,65 +483,124 @@ class Environment:
 
     # -- execution -----------------------------------------------------------
 
-    def _dispatch(self, event: Event) -> None:
-        """Fire one popped event (kept in sync with the inlined loop in
-        :meth:`run`)."""
-        event.processed = True
-        proc = event._proc
-        if proc is not None:
-            event._proc = None
-            proc._resume(event)
-        if event._cb is not None or event._cbs is not None:
-            event._fire()
-        elif event.__class__ is Timeout:
-            # No other consumer: recycle into the free list.
-            event._value = None
-            self._timeout_pool.append(event)
+    def _loop(self, horizon: float, single: bool) -> bool:
+        """The dispatch loop: process entries in replay order until the
+        schedule drains or the next one lies beyond ``horizon`` (returns
+        False), or — with ``single`` — one entry was processed (True).
+        """
+        queue = self._queue
+        pending = self._pending
+        popleft = pending.popleft
+        append = pending.append
+        pop = heappop
+        push = heappush
+        process_class = Process
+        float_class = float
+        int_class = int
+        # Latched per call: see set_trace_hook.
+        hook = self._trace_hook
+        time = self.now
+        while True:
+            # -- select the next entry --
+            if queue and queue[0][0] == time:
+                # A heap entry stamped with the current instant out-ranks
+                # the deque (see the module docstring). A Process on the
+                # heap is a bare-delay sleep (completions travel through
+                # the deque); its wake token tells a live sleep from one
+                # an interrupt cancelled.
+                _, seq, event = pop(queue)
+                wake = event.__class__ is process_class
+                if wake and event._wake != seq:
+                    continue  # stale: no hook call, not a step
+            elif pending:
+                event = popleft()
+                # An untriggered Process in the deque is a bootstrap (a
+                # triggered one is its completion event).
+                wake = event.__class__ is process_class and not event.triggered
+            elif queue:
+                # Instant fully drained: advance the clock.
+                time = queue[0][0]
+                if time > horizon:
+                    return False
+                self.now = time
+                continue
+            else:
+                return False
+            # -- process it --
+            if hook is not None:
+                hook(time, event)
+            if wake:
+                # Sleep expiry or bootstrap: the entry *is* the process,
+                # resumed with None; no event fires.
+                proc = event
+                value = exc = None
+            else:
+                event.processed = True
+                proc = event._proc
+                if proc is not None:
+                    event._proc = None
+                    proc._waiting_on = None
+                    value = event._value
+                    exc = event._exception
+            if proc is not None:
+                # Advance the generator and park it on what it yields
+                # (Process._advance is the out-of-line twin).
+                try:
+                    if exc is None:
+                        target = proc._send(value)
+                    else:
+                        target = proc._generator.throw(exc)
+                except StopIteration as stop:
+                    # Inlined succeed(): the engine is the sole completer
+                    # of a process, so no triggered guard.
+                    proc.triggered = True
+                    proc._value = stop.value
+                    append(proc)
+                except BaseException as error:
+                    proc.fail(error)
+                else:
+                    tcls = target.__class__
+                    if (tcls is float_class or tcls is int_class) and target > 0:
+                        self._sequence = seq = self._sequence + 1
+                        push(queue, (time + target, seq, proc))
+                        proc._wake = seq
+                    elif (
+                        isinstance(target, Event)
+                        and not target.processed
+                        and target._proc is None
+                        and target._cb is None
+                        and target.env is self
+                    ):
+                        target._proc = proc
+                        proc._waiting_on = target
+                    else:
+                        proc._wait_on(target)
+            if not wake:
+                # Callbacks run after the waiting process, in attach
+                # order; ``_cb`` is read only now because the resume
+                # above may have detached a waiter (interrupt).
+                cb = event._cb
+                if cb is not None:
+                    event._cb = None
+                    cb(event)
+                    cbs = event._cbs
+                    if cbs is not None:
+                        event._cbs = None
+                        for cb in cbs:
+                            cb(event)
+            if single:
+                return True
 
     def step(self) -> None:
-        """Process the next scheduled event.
+        """Process the next scheduled entry.
 
         Raises :class:`SimulationError` when the schedule is empty (the
         ``run``/``step`` boundary contract pinned by the engine tests).
         Stale heap entries — bare-delay sleeps whose process was
         interrupted — are skipped, not counted as a step.
         """
-        queue = self._queue
-        pending = self._pending
-        while True:
-            sequence = None
-            if queue and queue[0][0] == self.now:
-                time, sequence, event = heappop(queue)
-            elif pending:
-                time, event = self.now, pending.popleft()
-            elif queue:
-                time, sequence, event = heappop(queue)
-                self.now = time
-            else:
-                raise SimulationError("step() on an empty schedule")
-            if event.__class__ is Process:
-                if sequence is not None:
-                    # Heap entries holding a Process are bare-delay sleep
-                    # wakeups (completions travel through the deque).
-                    if event._wake != sequence:
-                        continue  # interrupted sleep: stale entry
-                    hook = self._trace_hook
-                    if hook is not None:
-                        hook(time, event)
-                    event._resume_direct()
-                    return
-                if not event.triggered:
-                    # Deque entry, not yet triggered: process bootstrap.
-                    hook = self._trace_hook
-                    if hook is not None:
-                        hook(time, event)
-                    event._resume_direct()
-                    return
-            hook = self._trace_hook
-            if hook is not None:
-                hook(time, event)
-            self._dispatch(event)
-            return
+        if not self._loop(float("inf"), True):
+            raise SimulationError("step() on an empty schedule")
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or simulated time reaches ``until``.
@@ -762,237 +610,14 @@ class Environment:
         ones first scheduled while handling that instant — and the clock
         ends at ``until`` even if the queue drained earlier.
         """
-        if until is not None and until < self.now:
+        if until is None:
+            # +inf keeps the horizon test a single float compare.
+            self._loop(float("inf"), False)
+            return
+        if until < self.now:
             raise SimulationError("cannot run into the past")
-        queue = self._queue
-        pending = self._pending
-        pool = self._timeout_pool
-        timeout_class = Timeout
-        process_class = Process
-        float_class = float
-        int_class = int
-        pop = heappop
-        push = heappush
-        popleft = pending.popleft
-        append = pending.append
-        # +inf sentinel keeps the horizon test a single float compare.
-        horizon = float("inf") if until is None else until
-        # The hook is latched per run() call: installing one from inside
-        # a running simulation takes effect on the next run()/step().
-        hook = self._trace_hook
-        time = self.now
-        while True:
-            # Phase 1: heap entries at the current instant. These were
-            # all scheduled before this instant began, so their sequence
-            # numbers precede anything appended to the deque while the
-            # instant is handled. The dispatch body below mirrors
-            # step()/_dispatch, inlined — with the generator resume for
-            # the dominant timeout-with-waiting-process case folded in.
-            while queue and queue[0][0] == time:
-                _, seq, event = pop(queue)
-                if event.__class__ is process_class:
-                    # Bare-delay sleep expiry: the process itself is the
-                    # heap entry — resume the generator with None, with
-                    # no event object anywhere on the path.
-                    proc = event
-                    if proc._wake != seq:
-                        continue  # interrupted sleep: stale entry
-                    if hook is not None:
-                        hook(time, proc)
-                    try:
-                        target = proc._send(None)
-                    except StopIteration as stop:
-                        # Inlined succeed(): the engine is the sole
-                        # completer of a process, so no triggered guard.
-                        proc.triggered = True
-                        proc._value = stop.value
-                        append(proc)
-                    except BaseException as error:
-                        proc.fail(error)
-                    else:
-                        tcls = target.__class__
-                        if (
-                            (tcls is float_class or tcls is int_class)
-                            and target > 0
-                        ):
-                            self._sequence = seq = self._sequence + 1
-                            push(queue, (time + target, seq, proc))
-                            proc._wake = seq
-                        elif (
-                            isinstance(target, Event)
-                            and not target.processed
-                            and target._proc is None
-                            and target._cb is None
-                            and target.env is self
-                        ):
-                            target._proc = proc
-                            proc._waiting_on = target
-                        else:
-                            proc._wait_on(target)
-                    continue
-                if hook is not None:
-                    hook(time, event)
-                event.processed = True
-                proc = event._proc
-                if proc is not None:
-                    event._proc = None
-                    exc = event._exception
-                    try:
-                        if exc is None:
-                            target = proc._send(event._value)
-                        else:
-                            target = proc._generator.throw(exc)
-                    except StopIteration as stop:
-                        proc.triggered = True
-                        proc._value = stop.value
-                        proc._waiting_on = None
-                        append(proc)
-                    except BaseException as error:
-                        proc._waiting_on = None
-                        proc.fail(error)
-                    else:
-                        tcls = target.__class__
-                        if (
-                            (tcls is float_class or tcls is int_class)
-                            and target > 0
-                        ):
-                            self._sequence = seq = self._sequence + 1
-                            push(queue, (time + target, seq, proc))
-                            proc._wake = seq
-                            proc._waiting_on = None
-                        elif (
-                            isinstance(target, Event)
-                            and not target.processed
-                            and target._proc is None
-                            and target._cb is None
-                            and target.env is self
-                        ):
-                            target._proc = proc
-                            proc._waiting_on = target
-                        else:
-                            proc._wait_on(target)
-                cb = event._cb
-                if cb is not None:
-                    event._cb = None
-                    cb(event)
-                    cbs = event._cbs
-                    if cbs is not None:
-                        event._cbs = None
-                        for cb in cbs:
-                            cb(event)
-                elif event._cbs is not None:
-                    event._fire()
-                elif event.__class__ is timeout_class:
-                    event._value = None
-                    pool.append(event)
-            # Phase 2: same-instant arrivals, FIFO. Handlers may append
-            # more (zero-delay chains); they drain in this same loop.
-            # They cannot add heap entries at this instant (delays are
-            # strictly positive on the heap path), so phase 1 never needs
-            # revisiting.
-            while pending:
-                event = popleft()
-                if event.__class__ is process_class and not event.triggered:
-                    # Bootstrap: first resume of a just-created process.
-                    # (A triggered Process in the deque is its completion
-                    # event and falls through to the normal dispatch.)
-                    proc = event
-                    if hook is not None:
-                        hook(time, proc)
-                    try:
-                        target = proc._send(None)
-                    except StopIteration as stop:
-                        proc.triggered = True
-                        proc._value = stop.value
-                        append(proc)
-                    except BaseException as error:
-                        proc.fail(error)
-                    else:
-                        tcls = target.__class__
-                        if (
-                            (tcls is float_class or tcls is int_class)
-                            and target > 0
-                        ):
-                            self._sequence = seq = self._sequence + 1
-                            push(queue, (time + target, seq, proc))
-                            proc._wake = seq
-                        elif (
-                            isinstance(target, Event)
-                            and not target.processed
-                            and target._proc is None
-                            and target._cb is None
-                            and target.env is self
-                        ):
-                            target._proc = proc
-                            proc._waiting_on = target
-                        else:
-                            proc._wait_on(target)
-                    continue
-                if hook is not None:
-                    hook(time, event)
-                event.processed = True
-                proc = event._proc
-                if proc is not None:
-                    event._proc = None
-                    exc = event._exception
-                    try:
-                        if exc is None:
-                            target = proc._send(event._value)
-                        else:
-                            target = proc._generator.throw(exc)
-                    except StopIteration as stop:
-                        proc.triggered = True
-                        proc._value = stop.value
-                        proc._waiting_on = None
-                        append(proc)
-                    except BaseException as error:
-                        proc._waiting_on = None
-                        proc.fail(error)
-                    else:
-                        tcls = target.__class__
-                        if (
-                            (tcls is float_class or tcls is int_class)
-                            and target > 0
-                        ):
-                            self._sequence = seq = self._sequence + 1
-                            push(queue, (time + target, seq, proc))
-                            proc._wake = seq
-                            proc._waiting_on = None
-                        elif (
-                            isinstance(target, Event)
-                            and not target.processed
-                            and target._proc is None
-                            and target._cb is None
-                            and target.env is self
-                        ):
-                            target._proc = proc
-                            proc._waiting_on = target
-                        else:
-                            proc._wait_on(target)
-                cb = event._cb
-                if cb is not None:
-                    event._cb = None
-                    cb(event)
-                    cbs = event._cbs
-                    if cbs is not None:
-                        event._cbs = None
-                        for cb in cbs:
-                            cb(event)
-                elif event._cbs is not None:
-                    event._fire()
-                elif event.__class__ is timeout_class:
-                    event._value = None
-                    pool.append(event)
-            # Instant fully drained: advance to the next scheduled time.
-            if not queue:
-                break
-            time = queue[0][0]
-            if time > horizon:
-                self.now = until
-                return
-            self.now = time
-        if until is not None:
-            self.now = until
+        self._loop(until, False)
+        self.now = until
 
     def peek(self) -> float:
         """Time of the next event, or +inf if the queue is empty."""

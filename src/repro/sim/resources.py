@@ -76,19 +76,11 @@ class Resource:
         The caller owns the slot once the event fires and must call
         :meth:`release` when done (or use :meth:`use`).
         """
-        # Grant construction and (on the uncontended path) its succeed()
-        # are inlined — request/release dominate the modelled pipelines,
-        # and resources live inside repro.sim, so they may touch Event
-        # internals.
+        # On the uncontended path the grant's succeed() is inlined —
+        # request/release dominate the modelled pipelines, and resources
+        # live inside repro.sim, so they may touch Event internals.
         env = self.env
-        grant = Event.__new__(Event)
-        grant.env = env
-        grant._proc = None
-        grant._cb = None
-        grant._cbs = None
-        grant._value = None
-        grant._exception = None
-        grant.processed = False
+        grant = Event(env)
         if self._in_use < self.capacity:
             in_use = self._in_use
             now = env.now
@@ -98,7 +90,6 @@ class Resource:
             grant.triggered = True
             env._pending.append(grant)
         else:
-            grant.triggered = False
             self._sequence += 1
             heapq.heappush(self._waiters, (priority, self._sequence, grant))
         return grant

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.sim import AllOf, AnyOf, Environment, Interrupt
 
+from tests.sim.test_run_until_boundary import step_until_empty
+
 
 # -- AllOf aggregation -----------------------------------------------------------
 
@@ -306,8 +308,9 @@ def dag_recipes(draw):
     return nodes
 
 
-def _run_dag(recipe):
-    """Build and run the DAG once; return the full dispatch trace."""
+def _run_dag(recipe, drive=Environment.run):
+    """Build the DAG and drive it to the end; return the full dispatch
+    trace: resumes plus the hook's ``(time, type, process name)``."""
     env = Environment()
     trace = []
     events = []
@@ -325,12 +328,14 @@ def _run_dag(recipe):
         trace.append(("resume", index, env.now, repr(value)))
 
     for index, event in enumerate(events):
-        env.process(waiter(index, event))
+        env.process(waiter(index, event), name=f"waiter{index}")
 
     env.set_trace_hook(
-        lambda time, event: trace.append(("fire", time, type(event).__name__))
+        lambda time, event: trace.append(
+            ("fire", time, type(event).__name__, getattr(event, "name", None))
+        )
     )
-    env.run()
+    drive(env)
     return trace
 
 
@@ -340,6 +345,9 @@ def test_random_combinator_dag_replays_identically(recipe):
     first = _run_dag(recipe)
     second = _run_dag(recipe)
     assert first == second
+    # run() and step() are two drivers of one loop: same order, same hook
+    # calls, entry for entry.
+    assert _run_dag(recipe, step_until_empty) == first
     # Every waiter resumed exactly once: combinators never double-fire.
     resumes = [entry[1] for entry in first if entry[0] == "resume"]
     assert sorted(resumes) == list(range(len(recipe)))

@@ -42,6 +42,21 @@ def test_timeout_carries_value():
     assert got == ["hello"]
 
 
+def test_fired_timeout_keeps_its_value():
+    """A timeout is an ordinary event: it can be held and read after it
+    fired, like any other."""
+    env = Environment()
+    held = env.timeout(1.0, value="x")
+
+    def proc():
+        yield held
+        yield 1.0
+
+    env.process(proc())
+    env.run()
+    assert held.processed and held.value == "x"
+
+
 def test_events_fire_in_time_order():
     env = Environment()
     log = []
@@ -275,3 +290,12 @@ def test_immediate_process_without_yield():
     handle = env.process(proc())
     env.run()
     assert handle.value == "done"
+
+
+def test_environment_and_process_are_slots_only():
+    # repro.checkpoint reaches the client RNG streams through these
+    # objects' slots; no instance __dict__ keeps that walk, and its
+    # order, spelled out in __slots__.
+    env = Environment()
+    proc = env.process(_ for _ in ())
+    assert not hasattr(env, "__dict__") and not hasattr(proc, "__dict__")

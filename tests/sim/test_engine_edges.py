@@ -257,3 +257,54 @@ def test_timeout_zero_fires_immediately_in_order():
     env.process(proc("b"))
     env.run()
     assert log == ["a", "b"]
+
+
+def test_trace_hook_is_latched_per_run_call():
+    env = Environment()
+    seen = []
+
+    def installer():
+        yield 1.0
+        env.set_trace_hook(lambda time, event: seen.append(time))
+        yield 1.0
+        yield 1.0
+
+    env.process(installer())
+    env.run(until=3.0)
+    assert seen == []  # installed mid-run: not observed by that run() call
+    env.process(installer())
+    env.step()
+    assert seen == [3.0]  # the next run()/step() picks it up
+
+
+def test_interrupt_cancels_sleep_entered_after_a_caught_misuse_error():
+    env = Environment()
+    log = []
+    gate = env.event()
+
+    def victim():
+        yield gate
+        try:
+            yield -1  # misuse, thrown back and handled
+        except SimulationError:
+            pass
+        try:
+            yield 10.0
+        except Interrupt:
+            log.append(("interrupted", env.now))
+            yield env.event()  # parks for good
+            log.append(("resumed", env.now))
+
+    handle = env.process(victim())
+
+    def attacker():
+        yield 1.0
+        gate.succeed()
+        yield 1.0
+        handle.interrupt()
+
+    env.process(attacker())
+    env.run()
+    # The cancelled sleep's heap entry (t=11) must surface as stale.
+    assert log == [("interrupted", 2.0)]
+    assert handle.is_alive

@@ -159,3 +159,46 @@ def test_peek_reports_next_heap_instant():
     env.process(proc())
     env.run()
     assert env.peek() == float("inf")
+
+
+def _absorbed_delay_log(drive):
+    """A positive delay the clock absorbs (``1e6 + 1e-12 == 1e6``) puts a
+    heap entry at the instant that is being handled."""
+    env = Environment()
+    log = []
+    gate1, gate2 = env.event(), env.event()
+
+    def waiter(tag, gate):
+        yield gate
+        log.append(tag)
+
+    def tiny():
+        yield 1e-12
+        log.append("tiny-woke")
+
+    def main():
+        yield 1e6
+        env.process(tiny())
+        gate1.succeed()
+        yield 0
+        log.append("main-done")
+        gate2.succeed()
+
+    env.process(waiter("w1", gate1))
+    env.process(waiter("w2", gate2))
+    env.process(main())
+    drive(env)
+    assert env.now == 1e6
+    return log
+
+
+def step_until_empty(env):
+    while env.peek() != float("inf"):
+        env.step()
+
+
+@pytest.mark.parametrize("drive", [Environment.run, step_until_empty])
+def test_absorbed_delay_fires_before_the_deque_under_run_and_step(drive):
+    # One loop, one answer: a heap entry stamped with the current instant
+    # out-ranks the deque even when it was pushed during that instant.
+    assert _absorbed_delay_log(drive) == ["tiny-woke", "w1", "main-done", "w2"]
