@@ -234,7 +234,7 @@ def _quiescent(network: FabricNetwork) -> bool:
     if network._pending:
         return False
     for orderer in network.orderers.values():
-        if getattr(orderer, "pending_count", 0):
+        if orderer.pending_count:
             return False
     for channel in network.channels:
         reference = network.reference_peer.channels[channel].ledger
@@ -417,7 +417,7 @@ def run_chaos(
 
     liveness = not network._pending and metrics.resolved == metrics.fired
     for channel, orderer in network.orderers.items():
-        pending = getattr(orderer, "pending_count", 0)
+        pending = orderer.pending_count
         if pending:
             liveness = False
             details.append(
@@ -549,7 +549,7 @@ def run_kill_resume_chaos(
 
     liveness = not network._pending and metrics.resolved == metrics.fired
     for channel, orderer in network.orderers.items():
-        pending = getattr(orderer, "pending_count", 0)
+        pending = orderer.pending_count
         if pending:
             liveness = False
             details.append(

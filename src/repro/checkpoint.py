@@ -323,7 +323,7 @@ def capture_snapshot(network, boundary: float) -> Dict[str, object]:
             channels[channel] = {
                 "ledger": ledger_digest(reference.ledger),
                 "peers": peers,
-                "orderer_pending": int(getattr(orderer, "pending_count", 0) or 0),
+                "orderer_pending": orderer.pending_count,
             }
     return {
         "time": boundary,

@@ -11,11 +11,12 @@ models that cluster inside the existing discrete-event simulation:
 - :mod:`repro.consensus.raft` — the consensus state machine: leader
   election with randomized timeouts, heartbeats, log replication, and
   the quorum commit rule (current-term entries only).
-- :mod:`repro.consensus.service` — :class:`ReplicatedOrderingService`, a
-  drop-in replacement for :class:`~repro.fabric.orderer.OrderingService`
-  selected by ``FabricConfig.orderer_nodes > 1``: batches are cut as
-  before, but a block is broadcast to peers only after a quorum of
-  orderer nodes has acknowledged its log entry.
+- :mod:`repro.consensus.service` — :class:`RaftConsenter`, the consenter
+  :class:`~repro.fabric.orderer.OrderingService` is given when
+  ``FabricConfig.orderer_nodes > 1``: the one ordering front cuts and
+  transforms batches exactly as it does solo, but the leader's node pays
+  for the work and a block is sealed and broadcast to peers only after a
+  quorum of orderer nodes has acknowledged its log entry.
 
 Determinism: every random draw (election timeouts) comes from per-replica
 streams seeded with ``mix_seed(seed, CONSENSUS_SEED_SALT, channel,
@@ -26,7 +27,7 @@ stays bit-identical to the pre-consensus build.
 
 from repro.consensus.cluster import CONSENSUS_SEED_SALT, OrdererCluster, OrdererNode
 from repro.consensus.raft import CANDIDATE, FOLLOWER, LEADER, LogEntry, RaftGroup, RaftReplica
-from repro.consensus.service import ReplicatedOrderingService
+from repro.consensus.service import RaftConsenter
 from repro.fabric.config import ConsensusConfig
 
 __all__ = [
@@ -38,7 +39,7 @@ __all__ = [
     "LogEntry",
     "OrdererCluster",
     "OrdererNode",
+    "RaftConsenter",
     "RaftGroup",
     "RaftReplica",
-    "ReplicatedOrderingService",
 ]

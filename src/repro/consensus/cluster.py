@@ -55,7 +55,7 @@ class OrdererCluster:
         if config.orderer_nodes < 2:
             raise SimulationError(
                 "OrdererCluster needs orderer_nodes >= 2; a single orderer "
-                "uses the plain OrderingService"
+                "orders solo, without a cluster"
             )
         self.env = env
         self.config = config

@@ -44,7 +44,7 @@ class LogEntry:
 
     The reorder/early-abort transform of Sections 5.1–5.2 runs *before*
     proposal, so every replica holds byte-identical batch content and the
-    facade can materialise the block from whichever replica's committed
+    consenter can seal the block from whichever replica's committed
     log it observes first. ``noop`` entries are the leadership markers
     Raft appends to commit inherited tails; they never produce blocks.
     """
@@ -221,7 +221,7 @@ class RaftReplica:
             self._reset_election_deadline()
             self._spawn_watchdog()
 
-    # -- proposing (leader API used by the ordering facade) ------------------
+    # -- proposing (leader API used by the Raft consenter) --------------------
 
     def propose(
         self,

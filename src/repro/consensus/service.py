@@ -1,77 +1,46 @@
-"""The replicated ordering facade: the cluster behind one channel's intake.
+"""The Raft consenter: the cluster behind one channel's ordering front.
 
-:class:`ReplicatedOrderingService` presents the same surface as
-:class:`~repro.fabric.orderer.OrderingService` — ``submit``, batch
-cutting, the reorder/early-abort transform, ``install_stalls``,
-``flush``, the ``blocks_cut``/``txs_received`` counters — but a cut batch
-becomes a peer-visible block only after the channel's Raft group has
-committed its log entry on a quorum of orderer nodes.
+:class:`RaftConsenter` plugs into
+:class:`~repro.fabric.orderer.OrderingService` (which owns admission,
+intake, batch cutting, the reorder/early-abort transform and block
+sealing) and changes only what consensus changes: the leader's node is
+charged for the work, and a cut batch becomes a peer-visible block — and
+its early aborts final — only after the channel's Raft group has committed
+its log entry on a quorum of orderer nodes.
 
 Failover correctness rests on three pieces:
 
-- *Authoritative apply*: block ids and the tip hash are assigned at
-  commit time, in committed-log order, never at proposal time — so a
+- *Authoritative apply*: blocks are sealed (ids and the tip hash assigned)
+  at commit time, in committed-log order, never at proposal time — so a
   leader whose proposals are lost cannot burn ids or fork the chain.
-- *Re-proposal*: the facade tracks every unresolved transaction; when it
-  adopts a new leader (monotone by term — modelling Raft client
+- *Re-proposal*: the consenter tracks every unresolved transaction; when
+  it adopts a new leader (monotone by term — modelling Raft client
   redirection), any pending transaction absent from that leader's entire
-  log is re-queued through the cutter, so no accepted transaction is
+  log is re-queued through the intake, so no accepted transaction is
   lost to a failover.
 - *Apply-time dedup*: the same transaction can legitimately end up in
   two committed entries (an inherited old-term entry committing after
-  the facade already re-proposed its batch through a newer leader);
+  the consenter already re-proposed its batch through a newer leader);
   the committed-id set suppresses the second occurrence, keeping commits
   exactly-once per tx id.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional
 
-from repro.consensus.cluster import OrdererCluster
+from repro.consensus.cluster import OrdererCluster, OrdererNode
 from repro.consensus.raft import LEADER, LogEntry, RaftGroup, RaftReplica
-from repro.core.batch_cutter import BatchCutter, CutReason
-from repro.core.early_abort import filter_stale_within_block
-from repro.core.reorder import reorder
-from repro.fabric.config import FabricConfig
 from repro.fabric.metrics import TxOutcome
 from repro.fabric.transaction import Transaction
-from repro.ledger.block import Block
-from repro.ledger.ledger import GENESIS_HASH
-from repro.sim.engine import Environment
-from repro.sim.resources import Store
-from repro.trace.tracer import ASYNC, Tracer
 
 
-class ReplicatedOrderingService:
-    """Ordering pipeline of one channel, backed by the Raft cluster."""
+class RaftConsenter:
+    """Consensus for one channel's ordering service, on the Raft cluster."""
 
-    def __init__(
-        self,
-        env: Environment,
-        channel: str,
-        channel_index: int,
-        config: FabricConfig,
-        cluster: OrdererCluster,
-        broadcast: Callable[[str, Block], None],
-        notify: Callable[[str, TxOutcome], None],
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        self.env = env
-        self.channel = channel
-        self.config = config
+    def __init__(self, cluster: OrdererCluster, channel_index: int) -> None:
         self.cluster = cluster
-        self.tracer = tracer
-        self.incoming: Store = Store(env)
-        self._broadcast = broadcast
-        self._notify = notify
-        self._cutter = BatchCutter(
-            config.batch,
-            track_unique_keys=config.reordering,
-        )
-        # Authoritative chain state, advanced only at commit time.
-        self._next_block_id = 1
-        self._tip_hash = GENESIS_HASH
+        self.channel_index = channel_index
         self._applied = 0
         self._committed_tx_ids: set = set()
         # Unresolved transactions in submission order (dict = ordered).
@@ -79,127 +48,53 @@ class ReplicatedOrderingService:
         # Ids currently sitting in the intake store or the cutter, i.e.
         # not yet inside any proposed log entry.
         self._unproposed: set = set()
-        self._generation = 0
-        self._stall_windows: tuple = ()
         # Leadership adoption (monotone by term).
         self._adopted: Optional[RaftReplica] = None
         self._adopted_term = 0
-        self._leader_event = env.event()
-        self.blocks_cut = 0
-        self.txs_received = 0
-        self.txs_early_aborted = 0
-        #: Backpressure: shared OverloadStats, attached by the network
-        #: when a queue bound is configured (same contract as the single
-        #: orderer). Internal re-proposal paths bypass admission — an
-        #: accepted transaction is never dropped by its own failover.
-        self.overload = None
+
+    def bind(self, service) -> None:
+        """Start the channel's Raft group behind ``service``."""
+        self.service = service
+        self._leader_event = service.env.event()
         self.group = RaftGroup(
-            cluster,
-            channel,
-            channel_index,
-            config,
+            self.cluster,
+            service.channel,
+            self.channel_index,
+            service.config,
             on_leader=self._adopt,
             on_commit=self._on_commit,
-            tracer=tracer,
+            tracer=service.tracer,
         )
         self.group.start()
-        env.process(self._receiver(), name=f"orderer/{channel}")
-
-    @property
-    def next_block_id(self) -> int:
-        """Id the next committed block will carry (committed tip + 1)."""
-        return self._next_block_id
 
     @property
     def pending_count(self) -> int:
         """Transactions accepted but not yet resolved (liveness probe)."""
         return len(self._pending)
 
-    # -- receiving -----------------------------------------------------------
-
-    def submit(self, transaction: Transaction) -> bool:
-        """Accept a transaction from a client.
-
-        Returns False when admission control rejects it at a full bounded
-        queue — before any pending-state bookkeeping, so a rejected
-        transaction is never re-proposed across failovers. True means
-        accepted (the historical unbounded behavior when no bound is
-        configured).
-        """
-        stats = self.overload
-        if stats is not None:
-            stats.submissions += 1
-            limit = self.config.backpressure.orderer_queue_limit
-            depth = len(self.incoming)
-            if 0 < limit <= depth:
-                stats.orderer_rejections += 1
-                return False
-            stats.queue_depth_sum += depth
-            if depth > stats.queue_depth_peak:
-                stats.queue_depth_peak = depth
-        if self.tracer is not None:
-            transaction.orderer_arrival = self.env.now
-        self.txs_received += 1
+    def accepted(self, transaction: Transaction) -> None:
+        """Track an admitted transaction until an entry carrying it commits.
+        Re-proposal puts straight into the intake, bypassing admission — an
+        accepted transaction is never dropped by its own failover."""
         self._pending[transaction.tx_id] = transaction
         self._unproposed.add(transaction.tx_id)
-        self.incoming.put(transaction)
-        return True
-
-    def install_stalls(self, windows: tuple) -> None:
-        """Fault injection: stall intake/cutting during the given windows."""
-        self._stall_windows = tuple(windows)
-
-    def _maybe_stall(self) -> Generator:
-        for window in self._stall_windows:
-            if window.at <= self.env.now < window.until:
-                yield window.until - self.env.now
-
-    def _receiver(self) -> Generator:
-        while True:
-            transaction = yield self.incoming.get()
-            yield from self._maybe_stall()
-            leader = yield from self._await_leader()
-            yield from leader.node.cpu.use(self.config.costs.order_tx)
-            if self.tracer is not None:
-                self.tracer.charge("ordering", self.config.costs.order_tx)
-            was_empty = self._cutter.is_empty
-            reason = self._cutter.add(transaction, self.env.now)
-            if reason is not None:
-                yield from self._cut(reason)
-            elif was_empty:
-                self.env.process(
-                    self._batch_timer(self._generation, self._cutter.deadline()),
-                    name=f"orderer/{self.channel}/timer",
-                )
-
-    def _batch_timer(self, generation: int, deadline: Optional[float]) -> Generator:
-        if deadline is None:  # pragma: no cover - defensive
-            return
-        yield max(0.0, deadline - self.env.now)
-        # Same contract as the single orderer: never cut mid-stall, and a
-        # size cut racing the timeout during the stall wins (generation).
-        yield from self._maybe_stall()
-        if generation == self._generation and not self._cutter.is_empty:
-            yield from self._cut(CutReason.TIMEOUT)
 
     # -- leadership ----------------------------------------------------------
 
-    def _usable_leader(self) -> Optional[RaftReplica]:
-        """The adopted leader, while it is alive and still believes it
-        leads. A stale minority leader is deliberately still usable:
-        transactions proposed into its doomed log model client requests
-        lost to the wrong side of a partition, and are re-proposed once
-        the majority side elects a successor."""
-        adopted = self._adopted
-        if adopted is not None and adopted.role == LEADER and not adopted.node.crashed:
-            return adopted
-        return None
-
-    def _await_leader(self) -> Generator:
+    def host(self) -> Generator:
+        """The adopted leader's node, once there is one that is alive and
+        still believes it leads. A stale minority leader is deliberately
+        still usable: transactions proposed into its doomed log model
+        client requests lost to the wrong side of a partition, and are
+        re-proposed once the majority side elects a successor."""
         while True:
-            leader = self._usable_leader()
-            if leader is not None:
-                return leader
+            adopted = self._adopted
+            if (
+                adopted is not None
+                and adopted.role == LEADER
+                and not adopted.node.crashed
+            ):
+                return adopted.node
             yield self._leader_event
 
     def _adopt(self, replica: RaftReplica) -> None:
@@ -211,93 +106,47 @@ class ReplicatedOrderingService:
         self._adopted_term = replica.current_term
         in_log: set = set()
         for entry in replica.log:
-            for tx in entry.batch:
+            for tx in entry.batch + entry.early_aborted:
                 in_log.add(tx.tx_id)
-            for tx in entry.early_aborted:
-                in_log.add(tx.tx_id)
-        requeued = 0
-        for tx_id, transaction in list(self._pending.items()):
-            if (
-                tx_id in in_log
-                or tx_id in self._unproposed
-                or tx_id in self._committed_tx_ids
-            ):
-                continue
-            # The previous transform may have stamped an abort reason the
-            # fresh cut will recompute against the new batch composition.
-            transaction.failure_reason = None
-            self._unproposed.add(tx_id)
-            self.incoming.put(transaction)
-            requeued += 1
-        if requeued:
-            self.group.stats.txs_reproposed += requeued
-        waiters, self._leader_event = self._leader_event, self.env.event()
+        requeued = [
+            transaction
+            for tx_id, transaction in self._pending.items()
+            if tx_id not in in_log
+            and tx_id not in self._unproposed
+            and tx_id not in self._committed_tx_ids
+        ]
+        self._recycle(requeued)
+        self.group.stats.txs_reproposed += len(requeued)
+        waiters, self._leader_event = self._leader_event, self.service.env.event()
         waiters.succeed()
 
-    # -- cutting & proposing -------------------------------------------------
+    def _recycle(self, transactions: List[Transaction]) -> None:
+        """Back through the intake. The previous transform may have
+        stamped an abort reason the fresh cut will recompute against the
+        new batch composition."""
+        for transaction in transactions:
+            transaction.failure_reason = None
+            self._unproposed.add(transaction.tx_id)
+            self.service.incoming.put(transaction)
 
-    def _cut(self, reason: CutReason) -> Generator:
-        batch = self._cutter.cut(reason)
-        self._generation += 1
-        if not batch:  # pragma: no cover - cut() callers guard non-empty
-            return
-        yield from self._maybe_stall()
-        leader = yield from self._await_leader()
-        costs = self.config.costs
-        yield from leader.node.cpu.use(costs.order_block)
-        if self.tracer is not None:
-            self.tracer.charge("ordering", costs.order_block)
+    # -- proposing -----------------------------------------------------------
 
-        early_aborted: List[Transaction] = []
-        if self.config.early_abort_ordering:
-            batch, version_aborts = self._apply_version_filter(batch)
-            early_aborted.extend(version_aborts)
+    def abort_decided(self, tx_id: str, outcome: TxOutcome) -> None:
+        """Clients are notified only when the entry carrying the abort
+        *commits* — an abort proposed into a doomed leader's log never
+        happened."""
 
-        if self.config.reordering and batch:
-            yield from leader.node.cpu.use(costs.reorder_per_tx * len(batch))
-            if self.tracer is not None:
-                self.tracer.charge(
-                    "ordering", costs.reorder_per_tx * len(batch), count=len(batch)
-                )
-            rwsets = [tx.rwset for tx in batch]
-            result = reorder(rwsets, max_cycles=self.config.max_cycles_per_block)
-            for index in result.aborted:
-                tx = batch[index]
-                tx.failure_reason = TxOutcome.EARLY_ABORT_CYCLE.value
-                early_aborted.append(tx)
-            batch = [batch[index] for index in result.schedule]
-
-        for tx in batch:
+    def order(self, host: OrdererNode, batch, early_aborted, cut_span) -> Generator:
+        cut_span()
+        # Delivery credit pauses cutting: nothing is proposed while a
+        # peer's block backlog sits at the bound.
+        yield from self.service._delivery_credit()
+        for tx in batch + early_aborted:
             self._unproposed.discard(tx.tx_id)
-        for tx in early_aborted:
-            self._unproposed.discard(tx.tx_id)
-
         # Leadership may have moved while we held the leader's CPU; a
         # refused proposal recycles the whole batch through the intake.
-        if not leader.propose(batch, early_aborted):
-            for tx in list(batch) + early_aborted:
-                tx.failure_reason = None
-                self._unproposed.add(tx.tx_id)
-                self.incoming.put(tx)
-
-    def _apply_version_filter(
-        self, batch: List[Transaction]
-    ) -> Tuple[List[Transaction], List[Transaction]]:
-        """Within-block version-mismatch early abort (Section 5.2.2).
-
-        Unlike the single orderer, clients are notified only when the
-        entry carrying the abort *commits* — an abort proposed into a
-        doomed leader's log never happened.
-        """
-        kept_indices, aborted_indices = filter_stale_within_block(
-            [tx.rwset for tx in batch]
-        )
-        aborted: List[Transaction] = []
-        for index in aborted_indices:
-            tx = batch[index]
-            tx.failure_reason = TxOutcome.EARLY_ABORT_VERSION.value
-            aborted.append(tx)
-        return [batch[index] for index in kept_indices], aborted
+        if not self.group.replicas[host.index].propose(batch, early_aborted):
+            self._recycle(batch + early_aborted)
 
     # -- committing ----------------------------------------------------------
 
@@ -310,69 +159,35 @@ class ReplicatedOrderingService:
         while self._applied < replica.commit_index:
             entry = replica.log[self._applied]
             self._applied += 1
-            self._apply(entry)
+            if not entry.noop:
+                self._apply(entry)
 
     def _apply(self, entry: LogEntry) -> None:
-        if entry.noop:
-            return
-        batch = [
-            tx for tx in entry.batch if tx.tx_id not in self._committed_tx_ids
-        ]
-        early = [
-            tx
-            for tx in entry.early_aborted
-            if tx.tx_id not in self._committed_tx_ids
-        ]
-        duplicates = (len(entry.batch) - len(batch)) + (
-            len(entry.early_aborted) - len(early)
+        service = self.service
+        committed = self._committed_tx_ids
+        batch = [tx for tx in entry.batch if tx.tx_id not in committed]
+        early = [tx for tx in entry.early_aborted if tx.tx_id not in committed]
+        self.group.stats.duplicate_txs_suppressed += (
+            len(entry.batch) - len(batch) + len(entry.early_aborted) - len(early)
         )
-        if duplicates:
-            self.group.stats.duplicate_txs_suppressed += duplicates
         if not batch and not early:
             # Every transaction already committed through an earlier
             # entry: the whole block collapses and no id is consumed.
             return
-        for tx in batch:
-            self._committed_tx_ids.add(tx.tx_id)
+        for tx in batch + early:
+            committed.add(tx.tx_id)
             self._pending.pop(tx.tx_id, None)
         for tx in early:
-            self._committed_tx_ids.add(tx.tx_id)
-            self._pending.pop(tx.tx_id, None)
-            self._notify(tx.tx_id, TxOutcome(tx.failure_reason))
-        self.txs_early_aborted += len(early)
-        for tx in batch:
-            tx.ordered_at = self.env.now
-        block = Block.create(
-            self._next_block_id, self._tip_hash, batch, early_aborted=early
-        )
-        self._next_block_id += 1
-        self._tip_hash = block.header.data_hash
-        self.blocks_cut += 1
+            service._notify(tx.tx_id, TxOutcome(tx.failure_reason))
         self.group.stats.entries_committed += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.span(
+        if service.tracer is not None:
+            service.tracer.span(
                 "consensus.replicate",
                 cat="consensus",
-                track=f"consensus/{self.channel}",
+                track=f"consensus/{service.channel}",
                 start=entry.proposed_at,
-                block_id=block.block_id,
-                batch=len(block.transactions),
+                block_id=service.next_block_id,
+                batch=len(batch),
                 early_aborts=len(early),
             )
-            for tx in batch + early:
-                if tx.orderer_arrival is not None:
-                    tracer.span(
-                        "orderer.queue",
-                        cat="order",
-                        track=f"orderer/{self.channel}/queue",
-                        start=tx.orderer_arrival,
-                        tx_id=tx.tx_id,
-                        mode=ASYNC,
-                    )
-        self._broadcast(self.channel, block)
-
-    def flush(self) -> Generator:
-        """Cut whatever is pending (used by tests to drain the pipeline)."""
-        if not self._cutter.is_empty:
-            yield from self._cut(CutReason.FLUSH)
+        service._broadcast(service.channel, service._seal(batch, early))

@@ -331,9 +331,9 @@ class FabricConfig:
     faults: FaultSchedule = field(default_factory=FaultSchedule)
 
     #: Ordering-service replication (``repro.consensus``). The default of
-    #: one node keeps the legacy single ``OrderingService`` and is
-    #: bit-identical to the pre-consensus build; ``orderer_nodes >= 2``
-    #: replaces it with a Raft-style CFT cluster per channel.
+    #: one node orders solo and is bit-identical to the pre-consensus
+    #: build; ``orderer_nodes >= 2`` puts a Raft-style CFT cluster per
+    #: channel behind the same ``OrderingService``.
     orderer_nodes: int = 1
     consensus: ConsensusConfig = field(default_factory=ConsensusConfig)
 

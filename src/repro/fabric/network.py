@@ -27,7 +27,7 @@ from repro.fabric.orderer import OrderingService
 from repro.fabric.peer import Peer
 from repro.fabric.policy import AllOrgs, EndorsementPolicy, parse_policy_spec
 from repro.consensus.cluster import OrdererCluster
-from repro.consensus.service import ReplicatedOrderingService
+from repro.consensus.service import RaftConsenter
 from repro.faults import MISBEHAVIOR_SEED_SALT, FaultInjector, assign_misbehaviors
 from repro.traffic import TRAFFIC_SEED_SALT, ArrivalSampler
 from repro.ledger.block import Block
@@ -192,33 +192,24 @@ class FabricNetwork:
         for peer in self.peers:
             peer.join_channel(channel, chaincodes, self.policy, genesis=genesis)
 
+        # One ordering front either way; a cluster only swaps the consenter
+        # (None = solo, charging the shared orderer machine).
+        consenter = None
         if self.orderer_cluster is not None:
-            orderer = ReplicatedOrderingService(
-                self.env,
-                channel,
-                channel_index,
-                self.config,
-                self.orderer_cluster,
-                broadcast=self._broadcast,
-                notify=self._notify,
-                tracer=self.tracer,
-            )
-        else:
-            orderer = OrderingService(
-                self.env,
-                channel,
-                self.config,
-                self.orderer_cpu,
-                broadcast=self._broadcast,
-                notify=self._notify,
-                tracer=self.tracer,
-            )
+            consenter = RaftConsenter(self.orderer_cluster, channel_index)
+        orderer = OrderingService(
+            self.env,
+            channel,
+            self.config,
+            self.orderer_cpu,
+            broadcast=self._broadcast,
+            notify=self._notify,
+            tracer=self.tracer,
+            consenter=consenter,
+        )
         self.orderers[channel] = orderer
         orderer.overload = self.overload
-        if (
-            self.config.backpressure.delivery_backlog_limit > 0
-            and isinstance(orderer, OrderingService)
-        ):
+        if self.config.backpressure.delivery_backlog_limit > 0:
             peers = list(self.peers)
             orderer.peer_backlog = lambda: max(
                 len(peer.channels[channel].incoming_blocks) for peer in peers

@@ -8,8 +8,14 @@ provably stale (within-block version mismatches, Section 5.2.2), (b) remove
 transactions stuck in conflict cycles, and (c) reorder the survivors into a
 serializable schedule (Section 5.1).
 
-All channels' ordering processes run on one orderer machine and share its
-CPU, as in the paper's setup (one server runs the ordering service).
+There is one ordering front per channel — admission, intake, batch
+cutting, the cut transform, delivery credit, block sealing — whatever
+stands behind it. A *consenter* decides only what consensus changes: whose
+CPU the work is charged to, when an early abort is final, and when a cut
+batch becomes a block. :class:`SoloConsenter` is the paper's setup (one
+server runs the ordering service; all channels share its CPU and every
+decision is immediate); ``repro.consensus.service.RaftConsenter`` puts the
+channel's Raft group behind the same front (``orderer_nodes >= 2``).
 """
 
 from __future__ import annotations
@@ -33,6 +39,38 @@ from repro.trace.tracer import ASYNC, Tracer
 DELIVERY_POLL_INTERVAL = 0.002
 
 
+class SoloConsenter:
+    """No consensus round: one trusted ordering process on one machine, so
+    everything the front decides is final the moment it is decided."""
+
+    #: Sealing at cut leaves nothing in flight that could need re-proposal.
+    pending_count = 0
+
+    def bind(self, service: "OrderingService") -> None:
+        self.service = service
+
+    def accepted(self, transaction: Transaction) -> None:
+        """Nothing to track: an accepted transaction cannot be lost."""
+
+    def host(self) -> Generator:
+        """The shared orderer machine, at once: this yields nothing, so
+        it schedules nothing."""
+        yield from ()
+        return self.service
+
+    def abort_decided(self, tx_id: str, outcome: TxOutcome) -> None:
+        self.service._notify(tx_id, outcome)
+
+    def order(self, host, batch, early_aborted, cut_span) -> Generator:
+        service = self.service
+        block = service._seal(batch, early_aborted)
+        cut_span(block_id=block.block_id)
+        # Credit is awaited only after sealing, so a delivery stall never
+        # moves ``ordered_at`` or the chain — it only delays the broadcast.
+        yield from service._delivery_credit()
+        service._broadcast(service.channel, block)
+
+
 class OrderingService:
     """The ordering pipeline of one channel."""
 
@@ -45,9 +83,11 @@ class OrderingService:
         broadcast: Callable[[str, Block], None],
         notify: Callable[[str, TxOutcome], None],
         tracer: Optional[Tracer] = None,
+        consenter=None,
     ) -> None:
-        """``broadcast`` ships a cut block to all peers; ``notify`` resolves
-        early-aborted transactions back to their clients."""
+        """``broadcast`` ships a sealed block to all peers; ``notify``
+        resolves early-aborted transactions back to their clients;
+        ``consenter`` defaults to :class:`SoloConsenter` on ``cpu``."""
         self.env = env
         self.channel = channel
         self.config = config
@@ -56,10 +96,7 @@ class OrderingService:
         self.incoming: Store = Store(env)
         self._broadcast = broadcast
         self._notify = notify
-        self._cutter = BatchCutter(
-            config.batch,
-            track_unique_keys=config.reordering,
-        )
+        self._cutter = BatchCutter(config.batch, track_unique_keys=config.reordering)
         self._next_block_id = 1
         self._tip_hash = GENESIS_HASH
         self._generation = 0
@@ -78,12 +115,20 @@ class OrderingService:
         #: peers, attached by the network when ``delivery_backlog_limit``
         #: is configured. None disables the stall entirely.
         self.peer_backlog: Optional[Callable[[], int]] = None
+        self._consenter = consenter if consenter is not None else SoloConsenter()
+        self._consenter.bind(self)
         env.process(self._receiver(), name=f"orderer/{channel}")
 
     @property
     def next_block_id(self) -> int:
-        """Id the next cut block will carry (committed tip + 1)."""
+        """Id the next sealed block will carry (committed tip + 1)."""
         return self._next_block_id
+
+    @property
+    def pending_count(self) -> int:
+        """Accepted transactions the consenter still tracks for
+        re-proposal (liveness probe; always 0 without consensus)."""
+        return self._consenter.pending_count
 
     # -- receiving ---------------------------------------------------------------
 
@@ -91,9 +136,10 @@ class OrderingService:
         """Accept a transaction from a client.
 
         Returns False when admission control rejects it at a full bounded
-        queue (the client retries or sheds); True means enqueued. With no
-        queue bound configured this always accepts, unbounded — the
-        historical behavior.
+        queue (the client retries or sheds) — before the consenter hears of
+        it, so a rejected transaction is never re-proposed. True means
+        enqueued. With no queue bound configured this always accepts,
+        unbounded — the historical behavior.
         """
         stats = self.overload
         if stats is not None:
@@ -108,6 +154,8 @@ class OrderingService:
                 stats.queue_depth_peak = depth
         if self.tracer is not None:
             transaction.orderer_arrival = self.env.now
+        self.txs_received += 1
+        self._consenter.accepted(transaction)
         self.incoming.put(transaction)
         return True
 
@@ -128,9 +176,9 @@ class OrderingService:
     def _receiver(self) -> Generator:
         while True:
             transaction = yield self.incoming.get()
-            self.txs_received += 1
             yield from self._maybe_stall()
-            yield from self.cpu.use(self.config.costs.order_tx)
+            host = yield from self._consenter.host()
+            yield from host.cpu.use(self.config.costs.order_tx)
             if self.tracer is not None:
                 self.tracer.charge("ordering", self.config.costs.order_tx)
             was_empty = self._cutter.is_empty
@@ -167,10 +215,12 @@ class OrderingService:
             return
         tracer = self.tracer
         cut_start = self.env.now
-        arrivals = {tx.tx_id: tx.orderer_arrival for tx in batch}
         costs = self.config.costs
         yield from self._maybe_stall()
-        yield from self.cpu.use(costs.order_block)
+        # One host for the whole cut: the transform is charged to, and the
+        # batch handed to, whoever led when the cut began.
+        host = yield from self._consenter.host()
+        yield from host.cpu.use(costs.order_block)
         if tracer is not None:
             tracer.charge("ordering", costs.order_block)
 
@@ -183,7 +233,7 @@ class OrderingService:
             early_aborted.extend(version_aborts)
 
         if self.config.reordering and batch:
-            yield from self.cpu.use(costs.reorder_per_tx * len(batch))
+            yield from host.cpu.use(costs.reorder_per_tx * len(batch))
             if tracer is not None:
                 tracer.charge(
                     "ordering", costs.reorder_per_tx * len(batch), count=len(batch)
@@ -195,12 +245,41 @@ class OrderingService:
             for index in result.aborted:
                 tx = batch[index]
                 tx.failure_reason = TxOutcome.EARLY_ABORT_CYCLE.value
-                self._notify(tx.tx_id, TxOutcome.EARLY_ABORT_CYCLE)
+                self._consenter.abort_decided(tx.tx_id, TxOutcome.EARLY_ABORT_CYCLE)
                 early_aborted.append(tx)
             batch = [batch[index] for index in result.schedule]
 
-        self.txs_early_aborted += len(early_aborted)
+        def cut_span(**block_id: int) -> None:
+            """``orderer.cut``, emitted by the consenter at cut time: solo
+            knows the block id by then, Raft only at commit."""
+            if tracer is not None:
+                tracer.span(
+                    "orderer.cut",
+                    cat="order",
+                    track=f"orderer/{self.channel}",
+                    start=cut_start,
+                    reason=reason.value,
+                    **block_id,
+                    batch=len(batch),
+                    early_aborts=len(early_aborted),
+                    cycles_found=cycles_found,
+                    # Wall-clock channel: the reordering computation's real
+                    # elapsed time, reported here so deterministic result
+                    # objects never carry it.
+                    reorder_wall_seconds=reorder_wall_seconds,
+                )
 
+        yield from self._consenter.order(host, batch, early_aborted, cut_span)
+
+    def _seal(
+        self, batch: List[Transaction], early_aborted: List[Transaction]
+    ) -> Block:
+        """Turn a transformed batch into the chain's next block.
+
+        Ids and the tip hash are assigned here and nowhere else, so the
+        chain advances in sealing order whoever the consenter is.
+        """
+        self.txs_early_aborted += len(early_aborted)
         for tx in batch:
             tx.ordered_at = self.env.now
         block = Block.create(
@@ -209,36 +288,20 @@ class OrderingService:
         self._next_block_id += 1
         self._tip_hash = block.header.data_hash
         self.blocks_cut += 1
-        if tracer is not None:
-            # Queue-wait spans: submission to cut, per transaction of the
-            # batch (including the ones this cut early-aborted).
-            for tx_id, arrival in arrivals.items():
-                if arrival is not None:
-                    tracer.span(
+        if self.tracer is not None:
+            # Queue-wait spans: submission to sealing, per transaction of
+            # the block (including the ones its cut early-aborted).
+            for tx in batch + early_aborted:
+                if tx.orderer_arrival is not None:
+                    self.tracer.span(
                         "orderer.queue",
                         cat="order",
                         track=f"orderer/{self.channel}/queue",
-                        start=arrival,
-                        tx_id=tx_id,
+                        start=tx.orderer_arrival,
+                        tx_id=tx.tx_id,
                         mode=ASYNC,
                     )
-            tracer.span(
-                "orderer.cut",
-                cat="order",
-                track=f"orderer/{self.channel}",
-                start=cut_start,
-                reason=reason.value,
-                block_id=block.block_id,
-                batch=len(block.transactions),
-                early_aborts=len(early_aborted),
-                cycles_found=cycles_found,
-                # Wall-clock channel: the reordering computation's real
-                # elapsed time, reported here so deterministic result
-                # objects never carry it.
-                reorder_wall_seconds=reorder_wall_seconds,
-            )
-        yield from self._delivery_credit()
-        self._broadcast(self.channel, block)
+        return block
 
     def _delivery_credit(self) -> Generator:
         """Pause delivery while a peer's block backlog sits at the bound.
@@ -269,7 +332,7 @@ class OrderingService:
         for index in aborted_indices:
             tx = batch[index]
             tx.failure_reason = TxOutcome.EARLY_ABORT_VERSION.value
-            self._notify(tx.tx_id, TxOutcome.EARLY_ABORT_VERSION)
+            self._consenter.abort_decided(tx.tx_id, TxOutcome.EARLY_ABORT_VERSION)
             aborted.append(tx)
         return [batch[index] for index in kept_indices], aborted
 

@@ -369,7 +369,7 @@ def run_scenario(
                 "fired proposals"
             )
     for channel, orderer in network.orderers.items():
-        pending = getattr(orderer, "pending_count", 0)
+        pending = orderer.pending_count
         if pending:
             liveness = False
             details.append(

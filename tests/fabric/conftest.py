@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import pytest
 
+from repro.consensus import OrdererCluster, RaftConsenter
 from repro.crypto.identity import IdentityRegistry
 from repro.crypto.signing import sign
 from repro.fabric.chaincode import Chaincode, ChaincodeRegistry
 from repro.fabric.config import FabricConfig
 from repro.fabric.metrics import PipelineMetrics, TxOutcome
+from repro.fabric.orderer import OrderingService
 from repro.fabric.peer import Peer
 from repro.fabric.policy import AllOrgs
 from repro.fabric.rwset import ReadWriteSet
@@ -22,6 +24,7 @@ from repro.fabric.transaction import (
     endorsement_payload,
 )
 from repro.sim.engine import Environment
+from repro.sim.resources import Resource
 
 
 class CounterChaincode(Chaincode):
@@ -100,3 +103,74 @@ class TestBed:
 @pytest.fixture
 def testbed():
     return TestBed(initial={"k": 0, "x": 10, "y": 20})
+
+
+class OrdererHarness:
+    """Ordering services (one per channel) on one orderer machine or one
+    3-node Raft cluster, with captured broadcasts and notifications.
+
+    Test times are relative to ``t0``: 0.0 solo, and the instant by which
+    a healthy cluster has elected its first leader on Raft, so a test's
+    arrivals, stall windows and deadlines line up the same way behind
+    either consenter.
+    """
+
+    #: Simulated seconds after which every healthy election has finished.
+    ELECTED_BY = 0.5
+    #: Raft heartbeats never end, so a Raft ``run`` advances this far.
+    SETTLE = 4.0
+
+    def __init__(self, config: FabricConfig, consenter="solo", channels=("ch0",)):
+        self.env = Environment()
+        self.broadcasts: List = []  # (channel, block), in broadcast order
+        self.notifications = {}
+        self.raft = consenter == "raft"
+        cluster = None
+        if self.raft:
+            config = replace(config, orderer_nodes=3)
+            cluster = OrdererCluster(self.env, config)
+        cpu = Resource(self.env, config.cores_per_peer)
+        self.orderers = [
+            OrderingService(
+                self.env,
+                channel,
+                config,
+                cpu,
+                broadcast=lambda ch, block: self.broadcasts.append((ch, block)),
+                notify=lambda tx_id, outcome: self.notifications.__setitem__(
+                    tx_id, outcome
+                ),
+                consenter=RaftConsenter(cluster, index) if self.raft else None,
+            )
+            for index, channel in enumerate(channels)
+        ]
+        self.orderer = self.orderers[0]
+        if self.raft:
+            self.env.run(until=self.ELECTED_BY)
+            elected = {channel for _, channel, _, _ in cluster.leadership_log}
+            assert elected == set(channels)
+        self.t0 = self.env.now
+
+    @property
+    def blocks(self) -> List:
+        return [block for _channel, block in self.broadcasts]
+
+    def run(self):
+        """Run the simulation dry (solo) or long enough to settle (Raft)."""
+        self.env.run(until=self.env.now + self.SETTLE if self.raft else None)
+
+    def submit_all(self, transactions):
+        for tx in transactions:
+            self.orderer.submit(tx)
+        self.run()
+
+
+@pytest.fixture
+def consenter():
+    """The consenter the contract runs against (overridden per module)."""
+    return "solo"
+
+
+@pytest.fixture
+def harness_for(consenter):
+    return lambda config, **kwargs: OrdererHarness(config, consenter, **kwargs)

@@ -1,43 +1,19 @@
-"""Unit tests for the ordering service."""
+"""The ordering-service contract.
+
+Every test here builds its service through the ``harness_for`` fixture
+(``conftest.OrdererHarness``), so the same contract runs against both
+consenters: this module runs it solo, ``test_orderer_raft`` re-collects it
+with the ``consenter`` fixture overridden to a healthy 3-node Raft cluster.
+"""
 
 from dataclasses import replace
-from typing import List
-
-import pytest
 
 from repro.core.batch_cutter import BatchCutConfig
 from repro.fabric.config import FabricConfig
 from repro.fabric.metrics import TxOutcome
-from repro.fabric.orderer import OrderingService
 from repro.fabric.rwset import ReadWriteSet
 from repro.fabric.transaction import Proposal, Transaction
 from repro.ledger.state_db import Version
-from repro.sim.engine import Environment
-from repro.sim.resources import Resource
-
-
-class OrdererHarness:
-    """An ordering service with captured broadcasts and notifications."""
-
-    def __init__(self, config: FabricConfig):
-        self.env = Environment()
-        self.blocks: List = []
-        self.notifications = {}
-        self.orderer = OrderingService(
-            self.env,
-            "ch0",
-            config,
-            Resource(self.env, config.cores_per_peer),
-            broadcast=lambda channel, block: self.blocks.append(block),
-            notify=lambda tx_id, outcome: self.notifications.__setitem__(
-                tx_id, outcome
-            ),
-        )
-
-    def submit_all(self, transactions):
-        for tx in transactions:
-            self.orderer.submit(tx)
-        self.env.run()
 
 
 def make_tx(tx_id, reads=(), writes=(), version=Version(1, 0)):
@@ -59,8 +35,8 @@ def vanilla_config(**kwargs):
     return replace(FabricConfig(), batch=batch, **kwargs)
 
 
-def test_cut_by_count():
-    harness = OrdererHarness(vanilla_config())
+def test_cut_by_count(harness_for):
+    harness = harness_for(vanilla_config())
     harness.submit_all([make_tx(f"t{i}") for i in range(4)])
     assert len(harness.blocks) == 1
     assert [t.tx_id for t in harness.blocks[0].transactions] == [
@@ -68,16 +44,17 @@ def test_cut_by_count():
     ]
 
 
-def test_partial_batch_cut_by_timeout():
-    harness = OrdererHarness(vanilla_config())
+def test_partial_batch_cut_by_timeout(harness_for):
+    harness = harness_for(vanilla_config())
     harness.submit_all([make_tx("t0"), make_tx("t1")])
     assert len(harness.blocks) == 1  # timeout (1s) fired during run()
-    assert harness.env.now >= 1.0
+    assert harness.env.now >= harness.t0 + 1.0
+    assert harness.blocks[0].transactions[0].ordered_at >= harness.t0 + 1.0
     assert len(harness.blocks[0]) == 2
 
 
-def test_blocks_chain_hashes():
-    harness = OrdererHarness(vanilla_config())
+def test_blocks_chain_hashes(harness_for):
+    harness = harness_for(vanilla_config())
     harness.submit_all([make_tx(f"t{i}") for i in range(8)])
     assert len(harness.blocks) == 2
     first, second = harness.blocks
@@ -86,9 +63,9 @@ def test_blocks_chain_hashes():
     assert second.header.previous_hash == first.header.data_hash
 
 
-def test_vanilla_keeps_arrival_order():
+def test_vanilla_keeps_arrival_order(harness_for):
     """The vanilla orderer must not inspect transaction semantics."""
-    harness = OrdererHarness(vanilla_config())
+    harness = harness_for(vanilla_config())
     writer = make_tx("writer", writes=["k"])
     readers = [make_tx(f"r{i}", reads=["k"]) for i in range(3)]
     harness.submit_all([writer] + readers)
@@ -96,8 +73,8 @@ def test_vanilla_keeps_arrival_order():
     assert order == ["writer", "r0", "r1", "r2"]
 
 
-def test_reordering_places_readers_first():
-    harness = OrdererHarness(vanilla_config(reordering=True))
+def test_reordering_places_readers_first(harness_for):
+    harness = harness_for(vanilla_config(reordering=True))
     writer = make_tx("writer", writes=["k"])
     readers = [make_tx(f"r{i}", reads=["k"]) for i in range(3)]
     harness.submit_all([writer] + readers)
@@ -106,8 +83,8 @@ def test_reordering_places_readers_first():
     assert set(order[:3]) == {"r0", "r1", "r2"}
 
 
-def test_reordering_aborts_cycles_and_notifies():
-    harness = OrdererHarness(vanilla_config(reordering=True))
+def test_reordering_aborts_cycles_and_notifies(harness_for):
+    harness = harness_for(vanilla_config(reordering=True))
     a = make_tx("a", reads=["x"], writes=["y"])
     b = make_tx("b", reads=["y"], writes=["x"])
     filler = [make_tx(f"f{i}") for i in range(2)]
@@ -121,8 +98,8 @@ def test_reordering_aborts_cycles_and_notifies():
     assert len(block.early_aborted) == 1
 
 
-def test_version_mismatch_early_abort():
-    harness = OrdererHarness(vanilla_config(early_abort_ordering=True))
+def test_version_mismatch_early_abort(harness_for):
+    harness = harness_for(vanilla_config(early_abort_ordering=True))
     stale = make_tx("stale", reads=[("k", Version(1, 0))])
     fresh = make_tx("fresh", reads=[("k", Version(2, 0))])
     filler = [make_tx(f"f{i}") for i in range(2)]
@@ -132,8 +109,8 @@ def test_version_mismatch_early_abort():
     assert harness.notifications["stale"] is TxOutcome.EARLY_ABORT_VERSION
 
 
-def test_vanilla_never_notifies_or_drops():
-    harness = OrdererHarness(vanilla_config())
+def test_vanilla_never_notifies_or_drops(harness_for):
+    harness = harness_for(vanilla_config())
     stale = make_tx("stale", reads=[("k", Version(1, 0))])
     fresh = make_tx("fresh", reads=[("k", Version(2, 0))])
     a = make_tx("a", reads=["x"], writes=["y"])
@@ -143,19 +120,19 @@ def test_vanilla_never_notifies_or_drops():
     assert len(harness.blocks[0]) == 4
 
 
-def test_counters():
-    harness = OrdererHarness(vanilla_config())
+def test_counters(harness_for):
+    harness = harness_for(vanilla_config())
     harness.submit_all([make_tx(f"t{i}") for i in range(8)])
     assert harness.orderer.txs_received == 8
     assert harness.orderer.blocks_cut == 2
 
 
-def test_unique_keys_cut_with_reordering():
+def test_unique_keys_cut_with_reordering(harness_for):
     config = vanilla_config(
         reordering=True,
         batch=BatchCutConfig(max_transactions=100, max_unique_keys=4),
     )
-    harness = OrdererHarness(config)
+    harness = harness_for(config)
     txs = [make_tx(f"t{i}", reads=[f"k{2 * i}", f"k{2 * i + 1}"]) for i in range(4)]
     harness.submit_all(txs)
     # 2 keys per tx: the second tx reaches 4 unique keys -> cut.
@@ -163,13 +140,13 @@ def test_unique_keys_cut_with_reordering():
     assert len(harness.blocks[0]) == 2
 
 
-def test_empty_blocks_never_emitted():
+def test_empty_blocks_never_emitted(harness_for):
     """If every transaction of a batch is early-aborted, a (possibly
     empty) block is still cut but carries the aborts for the ledger."""
     config = vanilla_config(
         early_abort_ordering=True, batch=BatchCutConfig(max_transactions=2)
     )
-    harness = OrdererHarness(config)
+    harness = harness_for(config)
     stale = make_tx("stale", reads=[("k", Version(1, 0))])
     fresh = make_tx("fresh", reads=[("k", Version(2, 0))])
     harness.submit_all([stale, fresh])
@@ -177,8 +154,8 @@ def test_empty_blocks_never_emitted():
     assert [t.tx_id for t in harness.blocks[0].transactions] == ["fresh"]
 
 
-def test_flush_emits_pending():
-    harness = OrdererHarness(vanilla_config(batch=BatchCutConfig()))
+def test_flush_emits_pending(harness_for):
+    harness = harness_for(vanilla_config(batch=BatchCutConfig()))
     harness.orderer.submit(make_tx("t0"))
 
     def flusher():
@@ -186,7 +163,7 @@ def test_flush_emits_pending():
         yield from harness.orderer.flush()
 
     harness.env.process(flusher())
-    harness.env.run(until=0.5)  # before the 1s batch timeout
+    harness.env.run(until=harness.t0 + 0.5)  # before the 1s batch timeout
     assert len(harness.blocks) == 1
 
 
@@ -200,7 +177,7 @@ from repro.faults import StallWindow  # noqa: E402
 
 
 def submit_at(harness, at, transactions):
-    """Schedule transactions to arrive at simulated time ``at``."""
+    """Schedule transactions to arrive ``at`` seconds after ``t0``."""
 
     def arrival():
         yield harness.env.timeout(at)
@@ -210,28 +187,32 @@ def submit_at(harness, at, transactions):
     harness.env.process(arrival(), name=f"test/submit@{at}")
 
 
-def test_batch_timer_waits_out_stall():
-    harness = OrdererHarness(vanilla_config())
+def test_batch_timer_waits_out_stall(harness_for):
+    harness = harness_for(vanilla_config())
     # Stall covers the timer deadline (t=1.0): [0.5, 1.5).
-    harness.orderer.install_stalls((StallWindow(at=0.5, duration=1.0),))
+    harness.orderer.install_stalls(
+        (StallWindow(at=harness.t0 + 0.5, duration=1.0),)
+    )
     harness.submit_all([make_tx("t0")])
     assert len(harness.blocks) == 1
     (tx,) = harness.blocks[0].transactions
     # The cut happened after the stall cleared, not inside it.
-    assert tx.ordered_at >= 1.5
+    assert tx.ordered_at >= harness.t0 + 1.5
 
 
-def test_stale_timer_generation_cannot_cut_next_batch():
-    harness = OrdererHarness(vanilla_config())
+def test_stale_timer_generation_cannot_cut_next_batch(harness_for):
+    harness = harness_for(vanilla_config())
     # The stale timer (armed at t=0, deadline 1.0) wakes mid-stall and
     # resumes at t=1.15 — after the size cut bumped the generation. If
     # the generation check were missing it would cut t4's batch at 1.15,
     # half a second before its own timer.
-    harness.orderer.install_stalls((StallWindow(at=0.95, duration=0.2),))
+    harness.orderer.install_stalls(
+        (StallWindow(at=harness.t0 + 0.95, duration=0.2),)
+    )
     submit_at(harness, 0.0, [make_tx("t0")])
     submit_at(harness, 0.2, [make_tx(f"t{i}") for i in (1, 2, 3)])
     submit_at(harness, 0.5, [make_tx("t4")])
-    harness.env.run()
+    harness.run()
 
     assert len(harness.blocks) == 2
     first, second = harness.blocks
@@ -240,5 +221,5 @@ def test_stale_timer_generation_cannot_cut_next_batch():
     # First block cut by size just after t=0.2 (plus ordering CPU); the
     # second waits for its *own* timer deadline (0.5 + 1.0), untouched
     # by the stale timer's wakeup at 1.15.
-    assert 0.2 <= first.transactions[0].ordered_at < 0.5
-    assert second.transactions[0].ordered_at >= 1.5
+    assert 0.2 <= first.transactions[0].ordered_at - harness.t0 < 0.5
+    assert second.transactions[0].ordered_at >= harness.t0 + 1.5

@@ -1,16 +1,16 @@
-"""Ordering service behaviour across channels and under shared CPU."""
+"""Ordering service behaviour across channels and under shared CPU.
+
+Like ``test_orderer`` these build through ``harness_for``, so
+``test_orderer_raft`` re-runs them on a 3-node Raft cluster.
+"""
 
 from dataclasses import replace
-from typing import List
 
 from repro.core.batch_cutter import BatchCutConfig
 from repro.fabric.config import FabricConfig
-from repro.fabric.orderer import OrderingService
 from repro.fabric.rwset import ReadWriteSet
 from repro.fabric.transaction import Proposal, Transaction
 from repro.ledger.state_db import Version
-from repro.sim.engine import Environment
-from repro.sim.resources import Resource
 
 
 def make_tx(tx_id, pad_entries=0):
@@ -22,27 +22,21 @@ def make_tx(tx_id, pad_entries=0):
     return Transaction(tx_id, proposal, rwset, [])
 
 
-def build(env, cpu, channel, blocks, config=None):
+def build(harness_for, cores, config=None, **kwargs):
     config = config or replace(
         FabricConfig(), batch=BatchCutConfig(max_transactions=4)
     )
-    return OrderingService(
-        env, channel, config, cpu,
-        broadcast=lambda ch, block: blocks.append((ch, block)),
-        notify=lambda tx_id, outcome: None,
-    )
+    return harness_for(replace(config, cores_per_peer=cores), **kwargs)
 
 
-def test_two_channels_share_one_orderer_machine():
-    env = Environment()
-    cpu = Resource(env, capacity=2)
-    blocks: List = []
-    orderer_a = build(env, cpu, "ch0", blocks)
-    orderer_b = build(env, cpu, "ch1", blocks)
+def test_two_channels_share_one_orderer_machine(harness_for):
+    harness = build(harness_for, cores=2, channels=("ch0", "ch1"))
+    orderer_a, orderer_b = harness.orderers
     for i in range(4):
         orderer_a.submit(make_tx(f"a{i}"))
         orderer_b.submit(make_tx(f"b{i}"))
-    env.run()
+    harness.run()
+    blocks = harness.broadcasts
     channels = [ch for ch, _ in blocks]
     assert channels.count("ch0") == 1
     assert channels.count("ch1") == 1
@@ -53,41 +47,33 @@ def test_two_channels_share_one_orderer_machine():
     assert block_a.header.data_hash != block_b.header.data_hash
 
 
-def test_block_ids_monotonic_per_channel():
-    env = Environment()
-    cpu = Resource(env, capacity=1)
-    blocks: List = []
-    orderer = build(env, cpu, "ch0", blocks)
+def test_block_ids_monotonic_per_channel(harness_for):
+    harness = build(harness_for, cores=1)
     for i in range(12):
-        orderer.submit(make_tx(f"t{i}"))
-    env.run()
-    ids = [block.block_id for _, block in blocks]
+        harness.orderer.submit(make_tx(f"t{i}"))
+    harness.run()
+    ids = [block.block_id for block in harness.blocks]
     assert ids == [1, 2, 3]
 
 
-def test_cut_by_bytes_in_pipeline():
-    env = Environment()
-    cpu = Resource(env, capacity=1)
-    blocks: List = []
+def test_cut_by_bytes_in_pipeline(harness_for):
     config = replace(
         FabricConfig(),
         batch=BatchCutConfig(max_transactions=1000, max_bytes=9000),
     )
-    orderer = build(env, cpu, "ch0", blocks, config=config)
+    harness = build(harness_for, cores=1, config=config)
     for i in range(4):
-        orderer.submit(make_tx(f"t{i}", pad_entries=40))
-    env.run()
-    assert blocks, "byte criterion never cut"
-    first_block = blocks[0][1]
+        harness.orderer.submit(make_tx(f"t{i}", pad_entries=40))
+    harness.run()
+    assert harness.blocks, "byte criterion never cut"
+    first_block = harness.blocks[0]
     assert len(first_block) < 4
 
 
-def test_timer_respects_generation_across_cuts():
+def test_timer_respects_generation_across_cuts(harness_for):
     """A timer armed for batch N must not cut batch N+1 early."""
-    env = Environment()
-    cpu = Resource(env, capacity=1)
-    blocks: List = []
-    orderer = build(env, cpu, "ch0", blocks)
+    harness = build(harness_for, cores=1)
+    env, orderer = harness.env, harness.orderer
 
     def feed():
         # Fill batch 1 completely at t=0.2 (cut by count).
@@ -100,23 +86,21 @@ def test_timer_respects_generation_across_cuts():
         orderer.submit(make_tx("second0"))
 
     env.process(feed())
-    env.run()
-    assert len(blocks) == 2
-    second_cut_time = [block for _, block in blocks][1]
-    assert len(second_cut_time) == 1
+    harness.run()
+    assert len(harness.blocks) == 2
+    second_block = harness.blocks[1]
+    assert len(second_block) == 1
     # The run only ends once the second batch's timeout fired: at least
     # first-tx time (0.5) + max_batch_delay (1.0).
-    assert env.now >= 1.5
+    assert env.now >= harness.t0 + 1.5
+    assert second_block.transactions[0].ordered_at >= harness.t0 + 1.5
 
 
-def test_ordered_at_stamped_on_cut():
-    env = Environment()
-    cpu = Resource(env, capacity=1)
-    blocks: List = []
-    orderer = build(env, cpu, "ch0", blocks)
+def test_ordered_at_stamped_on_cut(harness_for):
+    harness = build(harness_for, cores=1)
     transactions = [make_tx(f"t{i}") for i in range(4)]
     for tx in transactions:
-        orderer.submit(tx)
-    env.run()
+        harness.orderer.submit(tx)
+    harness.run()
     assert all(tx.ordered_at is not None for tx in transactions)
-    assert all(tx.ordered_at <= env.now for tx in transactions)
+    assert all(tx.ordered_at <= harness.env.now for tx in transactions)

@@ -14,6 +14,7 @@ Two contracts, both load-bearing for the sweep engine's result cache:
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +24,13 @@ from repro.bench.spec import ExperimentSpec
 from repro.bench.sweep import run_sweep
 from repro.core.batch_cutter import BatchCutConfig
 from repro.fabric.config import FabricConfig
-from repro.faults import CrashWindow, FaultSchedule, StallWindow
+from repro.faults import (
+    CrashWindow,
+    FaultSchedule,
+    OrdererCrashWindow,
+    PartitionWindow,
+    StallWindow,
+)
 from repro.workloads.registry import WorkloadRef
 
 #: The metric fields hashed for the golden healthy-path check. They cover
@@ -147,3 +154,56 @@ def test_fault_schedule_changes_cache_fingerprint():
     healthy = golden_spec("vanilla")
     faulty = faulty_spec()
     assert spec_fingerprint(healthy) != spec_fingerprint(faulty)
+
+
+# -- replicated ordering (orderer_nodes >= 2) --------------------------------
+#
+# The golden spec on a 3-node Raft cluster, healthy and under a failover
+# schedule that crashes the first elected leader (node 0 at this seed) and
+# then partitions its successor (node 1) into a minority, so one proposed
+# entry is lost and its 64 transactions are re-proposed. Unlike the
+# field-subset hash above these pin the *whole* serialised metrics,
+# consensus counters and fault log included.
+
+#: SHA-256 of ``metrics_to_dict`` for the replicated golden spec, measured
+#: on the code base *before* the solo and the Raft-backed ordering
+#: services were merged into one skeleton + consenter.
+REPLICATED_GOLDEN_HASHES = {
+    ("vanilla", "healthy"): "7ca882ba032da32ef2aca1155c0bd7476a91522d06055e2795065fa0aa0c1a7e",
+    ("fabric++", "healthy"): "2a0d547f87548c498666a7cfb0816612c6e95f0bb29a4ab49d1bb54cf933298a",
+    ("vanilla", "failover"): "db778ced0f32095849d2f7bc47754027bfb041315b99b7f9d1a007cfab845697",
+    ("fabric++", "failover"): "4acc0989b9c0fde3d8aa331e9750ba62a552874193389a9adc6d92e6345bc060",
+}
+
+LEADER_CRASH_THEN_PARTITION = FaultSchedule(
+    orderer_crashes=(OrdererCrashWindow(node=0, at=0.4, duration=0.6),),
+    partitions=(PartitionWindow(at=1.2, duration=0.3, groups=((1,), (0, 2))),),
+)
+
+
+def replicated_golden_spec(system: str, schedule: str) -> ExperimentSpec:
+    spec = golden_spec(system)
+    faults = (
+        LEADER_CRASH_THEN_PARTITION if schedule == "failover" else FaultSchedule()
+    )
+    config = replace(spec.config, orderer_nodes=3, faults=faults)
+    return replace(spec, config=config, drain=4.0)
+
+
+@pytest.mark.parametrize("system,schedule", sorted(REPLICATED_GOLDEN_HASHES))
+def test_replicated_run_is_bit_identical_to_golden(system, schedule):
+    result = run_experiment(replicated_golden_spec(system, schedule))
+    consensus = result.metrics.consensus
+    if schedule == "failover":
+        # The schedule really exercises re-proposal, not just re-election.
+        assert consensus.leader_changes == 3
+        assert consensus.txs_reproposed == 64
+        assert consensus.entries_proposed == consensus.entries_committed + 1
+    else:
+        assert consensus.leader_changes == 1
+        assert consensus.txs_reproposed == 0
+    serialised = json.dumps(metrics_to_dict(result.metrics), sort_keys=True)
+    assert (
+        hashlib.sha256(serialised.encode()).hexdigest()
+        == REPLICATED_GOLDEN_HASHES[(system, schedule)]
+    )

@@ -10,11 +10,14 @@ from repro.bench.results import (
     metrics_from_dict,
     metrics_to_dict,
 )
+from repro.bench.harness import run_experiment_with_network
+from repro.chaos import _settle, check_invariants
 from repro.core.batch_cutter import BatchCutConfig
 from repro.errors import ConfigError
 from repro.fabric.config import BackpressureConfig, FabricConfig
 from repro.fabric.metrics import OverloadStats, TxOutcome
 from repro.fabric.network import FabricNetwork
+from repro.scenarios import get_scenario
 from repro.traffic import ArrivalProcess
 from repro.workloads.registry import make_workload
 
@@ -78,6 +81,24 @@ def test_delivery_credit_catches_fabric_plus_plus_overload():
     assert stats.orderer_rejections > 0
     assert metrics.outcomes.get(TxOutcome.OVERLOAD_REJECTED, 0) > 0
     assert metrics.resolved == metrics.fired
+
+
+@pytest.mark.parametrize("system", ["fabric", "fabric++"])
+def test_delivery_credit_reaches_the_replicated_orderer(system):
+    """``delivery_backlog_limit`` belongs to the ordering front, not to a
+    consenter: the ``overload-shed`` scenario on a 3-node Raft cluster
+    stalls on peer backlog just as it does solo."""
+    spec = get_scenario("overload-shed").spec(0, system=system)
+    spec = replace(spec, config=replace(spec.config, orderer_nodes=3))
+    result, network = run_experiment_with_network(spec)
+    metrics = result.metrics
+    assert metrics.overload.delivery_stall_seconds > 0.0
+    assert _settle(network, 40)
+    assert metrics.resolved == metrics.fired > 0
+    assert all(orderer.pending_count == 0 for orderer in network.orderers.values())
+    invariants, details = check_invariants(network)
+    assert all(invariants.values()), details
+    assert len(invariants) == 5
 
 
 def test_bounds_are_invisible_at_sustainable_load():

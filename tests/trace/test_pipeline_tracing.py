@@ -14,6 +14,8 @@ Two contracts:
    tracing on can never perturb an experiment it is observing.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.harness import run_experiment_with_network
@@ -39,20 +41,45 @@ EXPECTED_SPANS = (
 )
 
 
-@pytest.fixture(scope="module", params=["vanilla", "fabric++"])
+@pytest.fixture(
+    scope="module",
+    params=[
+        (system, orderer_nodes)
+        for orderer_nodes in (1, 3)
+        for system in ("vanilla", "fabric++")
+    ],
+    ids=lambda param: param[0] if param[1] == 1 else f"{param[0]}-raft{param[1]}",
+)
 def traced_run(request):
+    """One traced golden-spec run per system, solo and on a 3-node Raft
+    cluster: the ordering front emits the same spans behind either."""
+    system, orderer_nodes = request.param
     tracer = Tracer()
-    result, network = run_experiment_with_network(
-        golden_spec(request.param), tracer=tracer
-    )
-    return request.param, tracer, result, network
+    spec = golden_spec(system)
+    if orderer_nodes > 1:
+        spec = replace(
+            spec, config=replace(spec.config, orderer_nodes=orderer_nodes)
+        )
+    result, network = run_experiment_with_network(spec, tracer=tracer)
+    return system, tracer, result, network
 
 
 def test_all_pipeline_stages_traced(traced_run):
-    _system, tracer, _result, _network = traced_run
+    _system, tracer, _result, network = traced_run
     counts = tracer.span_counts()
     for name in EXPECTED_SPANS:
         assert counts.get(name, 0) > 0, f"no {name} spans recorded"
+    cuts = [span for span in tracer.spans() if span.name == "orderer.cut"]
+    if network.orderer_cluster is None:
+        assert "consensus.replicate" not in counts
+        assert all("block_id" in span.args for span in cuts)
+    else:
+        # One cut, one committed entry, one block; only the commit span
+        # can name the block.
+        assert counts["consensus.replicate"] == len(cuts)
+        assert not any("block_id" in span.args for span in cuts)
+    for span in cuts:
+        assert {"reason", "batch", "early_aborts", "cycles_found"} <= set(span.args)
     # Per-transaction span cardinalities line up: every endorsed
     # transaction was queued at the orderer and validated on both peers.
     assert counts["tx.validate"] >= counts["orderer.queue"]
