@@ -12,10 +12,21 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator
+from typing import TYPE_CHECKING, Deque, Dict, Iterator, Set, Tuple
 
 from repro.errors import CryptoError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.crypto.signing import Signature
+
+#: Capacity of :class:`IdentityRegistry`'s verified-signature cache. The
+#: peers of a network validate a given block within a few blocks of each
+#: other, so the cache only has to span a few blocks of endorsements
+#: (Table 5: 1024 transactions x 2 endorsements per block); a fixed
+#: bound keeps arbitrarily long runs flat in memory.
+VERIFIED_CACHE_SIZE = 8192
 
 
 @dataclass(frozen=True)
@@ -52,6 +63,14 @@ class IdentityRegistry:
 
     def __init__(self) -> None:
         self._members: Dict[str, Identity] = {}
+        #: ``(signer, signature bytes, payload)`` triples whose MAC some
+        #: validator of this run has already checked and found good,
+        #: oldest first in ``_verified_order``. Verification is a pure
+        #: function of the triple and the registered secret, so the
+        #: other peers need not redo the host-side HMAC (each is still
+        #: charged the simulated verify cost). Failures are never stored.
+        self._verified: Set[Tuple[str, bytes, bytes]] = set()
+        self._verified_order: Deque[Tuple[str, bytes, bytes]] = deque()
 
     def register(self, name: str, org: str) -> Identity:
         """Create and store the identity ``name`` belonging to ``org``."""
@@ -71,6 +90,19 @@ class IdentityRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._members
 
+    def is_verified(self, signature: "Signature", payload: bytes) -> bool:
+        """True if exactly this signature over ``payload`` verified before."""
+        return (signature.signer, signature.value, payload) in self._verified
+
+    def remember_verified(self, signature: "Signature", payload: bytes) -> None:
+        """Record a *successful* verification, evicting the oldest entry
+        once :data:`VERIFIED_CACHE_SIZE` is reached."""
+        if len(self._verified_order) >= VERIFIED_CACHE_SIZE:
+            self._verified.discard(self._verified_order.popleft())
+        triple = (signature.signer, signature.value, payload)
+        self._verified.add(triple)
+        self._verified_order.append(triple)
+
     def __iter__(self) -> Iterator[Identity]:
         return iter(self._members.values())
 
@@ -81,4 +113,4 @@ class IdentityRegistry:
 
 def mac(secret: bytes, payload: bytes) -> bytes:
     """Compute the keyed MAC at the core of our simulated signatures."""
-    return hmac.new(secret, payload, hashlib.sha256).digest()
+    return hmac.digest(secret, payload, "sha256")

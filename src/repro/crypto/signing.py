@@ -37,7 +37,7 @@ def set_trace_recorder(
     return previous
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     """A signature: the claimed signer's name plus the MAC bytes."""
 

@@ -32,7 +32,7 @@ from repro.fabric.metrics import PipelineMetrics, TxOutcome
 from repro.fabric.orderer import OrderingService
 from repro.fabric.peer import EndorseReply, Peer
 from repro.fabric.policy import EndorsementPolicy
-from repro.fabric.transaction import Proposal, Transaction
+from repro.fabric.transaction import Endorsement, Proposal, Transaction
 from repro.faults import FaultInjector, MisbehaviorSpec
 from repro.sim.distributions import Rng
 from repro.sim.engine import Environment, Event
@@ -253,23 +253,42 @@ class Client:
                 costs.client_verify_endorsement * len(replies),
                 count=len(replies),
             )
-        endorsements = [reply.endorsement for reply in replies]
+        transaction = self._assemble(
+            proposal, [reply.endorsement for reply in replies], retries
+        )
+        if transaction is not None:
+            yield from self._dispatch(
+                transaction, proposal, retries, overload_attempt
+            )
+
+    def _assemble(
+        self, proposal: Proposal, endorsements: List[Endorsement], retries: int
+    ) -> Optional[Transaction]:
+        """Form the transaction from agreeing endorsements, or resolve the
+        proposal as a mismatch and return None.
+
+        The endorsers' read/write sets have just been proven equal, so
+        the transaction keeps one of them: every endorsement is rebuilt
+        onto the reference rwset and the other copies are dropped.
+        """
         reference = endorsements[0].rwset
         if any(e.rwset != reference for e in endorsements[1:]):
             # Non-determinism or a tampering endorser: the read/write sets
             # disagree, so no transaction can be formed (Section 2.2.1).
             self.resolve(proposal, TxOutcome.ENDORSEMENT_MISMATCH, retries=retries)
-            return
-
-        rwset = self._maybe_oversize(reference, proposal)
-        transaction = Transaction(
+            return None
+        return Transaction(
             tx_id=proposal.proposal_id,
             proposal=proposal,
-            rwset=rwset,
-            endorsements=endorsements,
+            rwset=self._maybe_oversize(reference, proposal),
+            endorsements=[
+                e
+                if e.rwset is reference
+                else Endorsement(e.endorser, e.org, reference, e.signature)
+                for e in endorsements
+            ],
             assembled_at=self.env.now,
         )
-        yield from self._dispatch(transaction, proposal, retries, overload_attempt)
 
     # -- misbehavior ---------------------------------------------------------------
 
@@ -422,23 +441,11 @@ class Client:
                         costs.client_verify_endorsement * len(endorsements),
                         count=len(endorsements),
                     )
-                reference = endorsements[0].rwset
-                if any(e.rwset != reference for e in endorsements[1:]):
-                    self.resolve(
-                        proposal, TxOutcome.ENDORSEMENT_MISMATCH, retries=retries
+                transaction = self._assemble(proposal, endorsements, retries)
+                if transaction is not None:
+                    yield from self._dispatch(
+                        transaction, proposal, retries, overload_attempt
                     )
-                    return
-                rwset = self._maybe_oversize(reference, proposal)
-                transaction = Transaction(
-                    tx_id=proposal.proposal_id,
-                    proposal=proposal,
-                    rwset=rwset,
-                    endorsements=endorsements,
-                    assembled_at=self.env.now,
-                )
-                yield from self._dispatch(
-                    transaction, proposal, retries, overload_attempt
-                )
                 return
 
             if attempt < schedule.max_endorsement_retries:

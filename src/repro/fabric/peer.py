@@ -41,7 +41,7 @@ from repro.validation import VALIDATE_PRIORITY, VerifyWorkerPool, build_validato
 ENDORSE_PRIORITY = 10
 
 
-@dataclass
+@dataclass(slots=True)
 class EndorseReply:
     """An endorser's answer to a proposal."""
 
@@ -255,8 +255,11 @@ class Peer:
                     # and abort as soon as staleness is proven — the
                     # signing cost and the whole downstream pipeline are
                     # saved, and the client learns immediately.
+                    get_version = pcs.state.get_version
                     for key, version in stub.rwset.reads.items():
-                        if pcs.state.get_version(key) != version:
+                        current = get_version(key)
+                        # Usually the very object the read recorded.
+                        if current is not version and current != version:
                             if tracer is not None:
                                 tracer.span(
                                     "peer.endorse",
@@ -334,16 +337,24 @@ class Peer:
         policy = self._policies[channel]
         if not policy.satisfied_by(tx.endorsing_orgs):
             return False
+        registry = self.registry
         payload = endorsement_payload(tx.proposal, tx.rwset)
         for endorsement in tx.endorsements:
             # The signature must cover the rwset that travels with the
             # transaction; a client that swapped in another write set
             # fails here because the honest signature no longer matches.
-            if endorsement.rwset != tx.rwset:
+            # An honest client's endorsements hold ``tx.rwset`` itself.
+            if endorsement.rwset is not tx.rwset and endorsement.rwset != tx.rwset:
                 return False
-            if not verify(self.registry, endorsement.signature, payload):
-                return False
-            signer = self.registry.lookup(endorsement.signature.signer)
+            signature = endorsement.signature
+            # Host-side only: a signature the registry remembers as
+            # verified is not re-MACed by the next peer. The simulated
+            # verify cost is charged per peer regardless (``tx_cost``).
+            if not registry.is_verified(signature, payload):
+                if not verify(registry, signature, payload):
+                    return False
+                registry.remember_verified(signature, payload)
+            signer = registry.lookup(signature.signer)
             if signer.org != endorsement.org:
                 return False
         return True
@@ -365,7 +376,7 @@ class Peer:
             current = pending_writes.get(key)
             if current is None:
                 current = state.get_version(key)
-            if current != read_version:
+            if current is not read_version and current != read_version:
                 return False
         for range_read in tx.rwset.range_reads:
             if not self._range_read_current(state, pending_writes, range_read):

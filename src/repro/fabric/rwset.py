@@ -10,6 +10,7 @@ serializability check in the validation phase and Fabric++'s reordering.
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -56,14 +57,19 @@ class ReadWriteSet:
     )
 
     def record_read(self, key: str, version: Optional[Version]) -> None:
-        """Record that ``key`` was read at ``version`` (first read wins)."""
+        """Record that ``key`` was read at ``version`` (first read wins).
+
+        Keys are interned: every chaincode call mints its key strings
+        afresh, so without this each retained rwset keeps its own copy
+        of a key the state database and every other rwset already hold.
+        """
         if key not in self.reads:
-            self.reads[key] = version
+            self.reads[sys.intern(key)] = version
             self._canonical = None
 
     def record_write(self, key: str, value: object) -> None:
         """Record that ``key`` was written with ``value`` (last write wins)."""
-        self.writes[key] = value
+        self.writes[sys.intern(key)] = value
         self._canonical = None
 
     def record_range_read(self, range_read: RangeRead) -> None:
@@ -131,29 +137,32 @@ class ReadWriteSet:
         """
         if self._canonical is not None:
             return self._canonical
-        hasher = hashlib.sha256()
+        parts: List[bytes] = []
+        add = parts.append
         for key in sorted(self.reads):
             version = self.reads[key]
-            hasher.update(b"R")
-            hasher.update(key.encode())
+            add(b"R")
+            add(key.encode())
             if version is None:
-                hasher.update(b"\x00absent")
+                add(b"\x00absent")
             else:
-                hasher.update(version.block_id.to_bytes(8, "big"))
-                hasher.update(version.tx_id.to_bytes(8, "big"))
+                add(version.block_id.to_bytes(8, "big"))
+                add(version.tx_id.to_bytes(8, "big"))
         for range_read in self.range_reads:
-            hasher.update(b"Q")
-            hasher.update(range_read.start_key.encode())
-            hasher.update((range_read.end_key or "\x00<open>").encode())
+            add(b"Q")
+            add(range_read.start_key.encode())
+            add((range_read.end_key or "\x00<open>").encode())
             for key, version in range_read.results:
-                hasher.update(key.encode())
-                hasher.update(version.block_id.to_bytes(8, "big"))
-                hasher.update(version.tx_id.to_bytes(8, "big"))
+                add(key.encode())
+                add(version.block_id.to_bytes(8, "big"))
+                add(version.tx_id.to_bytes(8, "big"))
         for key in sorted(self.writes):
-            hasher.update(b"W")
-            hasher.update(key.encode())
-            hasher.update(repr(self.writes[key]).encode())
-        self._canonical = hasher.digest()
+            add(b"W")
+            add(key.encode())
+            add(repr(self.writes[key]).encode())
+        # One hash over the joined parts: the digest of a concatenation
+        # is the digest of the same bytes fed piecewise.
+        self._canonical = hashlib.sha256(b"".join(parts)).digest()
         return self._canonical
 
     def __eq__(self, other: object) -> bool:

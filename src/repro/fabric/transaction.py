@@ -15,14 +15,14 @@ The lifecycle (paper Section 2.2 and Appendix A):
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.crypto.signing import Signature
 from repro.fabric.rwset import ReadWriteSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proposal:
     """A client's request to execute a chaincode function."""
 
@@ -33,14 +33,23 @@ class Proposal:
     function: str
     args: Tuple
     submitted_at: float = 0.0
+    #: Memoised :meth:`payload_bytes` (the fields it covers are frozen).
+    _payload: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def payload_bytes(self) -> bytes:
         """Canonical bytes of the invocation request (part of signatures)."""
-        payload = f"{self.channel}|{self.chaincode}|{self.function}|{self.args!r}"
-        return payload.encode()
+        payload = self._payload
+        if payload is None:
+            payload = (
+                f"{self.channel}|{self.chaincode}|{self.function}|{self.args!r}"
+            ).encode()
+            object.__setattr__(self, "_payload", payload)
+        return payload
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Endorsement:
     """One endorser's simulation result: rwset + signature over it."""
 
@@ -65,9 +74,13 @@ def endorsement_payload(proposal: Proposal, rwset: ReadWriteSet) -> bytes:
     return proposal.payload_bytes() + b"#" + rwset.canonical_bytes()
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
-    """An endorsed transaction travelling through ordering and validation."""
+    """An endorsed transaction travelling through ordering and validation.
+
+    An honest client hands over endorsements that all hold :attr:`rwset`
+    itself — one read/write set per transaction, not one per endorser.
+    """
 
     tx_id: str
     proposal: Proposal
@@ -86,14 +99,17 @@ class Transaction:
     failure_reason: Optional[str] = None
 
     def digest(self) -> bytes:
-        """Canonical bytes identifying this transaction in block hashes."""
-        hasher = hashlib.sha256()
-        hasher.update(self.tx_id.encode())
-        hasher.update(self.rwset.canonical_bytes())
+        """Canonical bytes identifying this transaction in block hashes.
+
+        Recomputed on every call, never memoised: ``Ledger.append`` and
+        ``verify_chain`` call it to detect a transaction mutated in place.
+        """
+        parts = [self.tx_id.encode(), self.rwset.canonical_bytes()]
         for endorsement in self.endorsements:
-            hasher.update(endorsement.signature.signer.encode())
-            hasher.update(endorsement.signature.value)
-        return hasher.digest()
+            signature = endorsement.signature
+            parts.append(signature.signer.encode())
+            parts.append(signature.value)
+        return hashlib.sha256(b"".join(parts)).digest()
 
     @property
     def endorsing_orgs(self) -> frozenset:

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 from repro.errors import StateError
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Version:
     """A state version: the block and transaction of the last write.
 
@@ -43,7 +43,7 @@ class Version:
 GENESIS_VERSION = Version(block_id=0, tx_id=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VersionedValue:
     """A value together with the version of its last write."""
 
@@ -168,10 +168,11 @@ class StateDatabase:
                 f"block {block_id} already applied (last={self._last_block_id})"
             )
         for tx_id, write_set in writes:
+            version = Version(block_id, tx_id)
             for key, value in write_set.items():
                 if key not in self._data:
                     bisect.insort(self._sorted_keys, key)
-                self._data[key] = VersionedValue(value, Version(block_id, tx_id))
+                self._data[key] = VersionedValue(value, version)
         self._last_block_id = block_id
 
     def advance_block(self, block_id: int) -> None:

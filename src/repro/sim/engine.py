@@ -280,7 +280,9 @@ class Process(Event):
                 target = self._generator.throw(exception)
         except StopIteration as stop:
             self.succeed(stop.value)
-        except BaseException as error:
+        except Exception as error:
+            # KeyboardInterrupt / SystemExit are not process failures:
+            # they propagate out of ``run()``.
             self.fail(error)
         else:
             self._wait_on(target)
@@ -556,7 +558,9 @@ class Environment:
                     proc.triggered = True
                     proc._value = stop.value
                     append(proc)
-                except BaseException as error:
+                except Exception as error:
+                    # Not BaseException: a KeyboardInterrupt / SystemExit
+                    # raised in a process body must stop the run.
                     proc.fail(error)
                 else:
                     tcls = target.__class__
@@ -588,6 +592,14 @@ class Environment:
                         event._cbs = None
                         for cb in cbs:
                             cb(event)
+                elif (
+                    proc is None
+                    and event._exception is not None
+                    and event.__class__ is process_class
+                ):
+                    # A process died and nothing waits on it: nobody will
+                    # ever read the failure, so it must not be lost.
+                    raise event._exception
             if single:
                 return True
 

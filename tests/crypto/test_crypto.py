@@ -1,8 +1,12 @@
 """Unit tests for identities and simulated signatures."""
 
+import hashlib
+import hmac
+
 import pytest
 
-from repro.crypto.identity import Identity, IdentityRegistry, KeyPair
+from repro.crypto import identity as identity_module
+from repro.crypto.identity import Identity, IdentityRegistry, KeyPair, mac
 from repro.crypto.signing import Signature, sign, verify
 from repro.errors import CryptoError
 
@@ -90,3 +94,52 @@ def test_two_identities_sign_differently(registry):
     a = registry.lookup("peer0.OrgA")
     b = registry.lookup("peer0.OrgB")
     assert sign(a, b"same payload").value != sign(b, b"same payload").value
+
+
+def test_mac_is_hmac_sha256():
+    assert mac(b"secret", b"payload") == hmac.new(
+        b"secret", b"payload", hashlib.sha256
+    ).digest()
+    assert mac(b"", b"") == hmac.new(b"", b"", hashlib.sha256).digest()
+    assert mac(b"k" * 200, b"p" * 1000) == hmac.new(
+        b"k" * 200, b"p" * 1000, hashlib.sha256
+    ).digest()
+
+
+# -- the verified-signature cache ---------------------------------------------
+#
+# The registry only *remembers* what a caller tells it verified; these pin
+# that memory's key (the exact triple) and its bound. That nothing failing
+# ever reaches it is pinned where the one caller lives,
+# tests/fabric/test_peer.py.
+
+
+def test_verified_memory_is_keyed_on_the_exact_triple(registry):
+    signature = sign(registry.lookup("peer0.OrgA"), b"payload")
+    assert not registry.is_verified(signature, b"payload")
+    registry.remember_verified(signature, b"payload")
+    assert registry.is_verified(signature, b"payload")
+    assert registry.is_verified(Signature("peer0.OrgA", signature.value), b"payload")
+    # Any component off by anything is a miss.
+    assert not registry.is_verified(signature, b"payload2")
+    assert not registry.is_verified(Signature("peer0.OrgB", signature.value), b"payload")
+    flipped = bytes([signature.value[0] ^ 1]) + signature.value[1:]
+    assert not registry.is_verified(Signature("peer0.OrgA", flipped), b"payload")
+    # Per registry (per run), not per process.
+    assert not IdentityRegistry().is_verified(signature, b"payload")
+
+
+def test_verified_memory_evicts_oldest_first_at_capacity(registry, monkeypatch):
+    monkeypatch.setattr(identity_module, "VERIFIED_CACHE_SIZE", 3)
+    signer = registry.lookup("peer0.OrgA")
+    payloads = [f"payload-{index}".encode() for index in range(5)]
+    signatures = [sign(signer, payload) for payload in payloads]
+    for seen, (signature, payload) in enumerate(zip(signatures, payloads), 1):
+        registry.remember_verified(signature, payload)
+        assert len(registry._verified) == len(registry._verified_order) == min(seen, 3)
+    remembered = [
+        registry.is_verified(signature, payload)
+        for signature, payload in zip(signatures, payloads)
+    ]
+    assert remembered == [False, False, True, True, True]
+

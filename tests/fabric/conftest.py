@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 import pytest
 
 from repro.consensus import OrdererCluster, RaftConsenter
 from repro.crypto.identity import IdentityRegistry
-from repro.crypto.signing import sign
+from repro.crypto.signing import set_trace_recorder, sign
 from repro.fabric.chaincode import Chaincode, ChaincodeRegistry
 from repro.fabric.config import FabricConfig
 from repro.fabric.metrics import PipelineMetrics, TxOutcome
@@ -25,6 +26,23 @@ from repro.fabric.transaction import (
 )
 from repro.sim.engine import Environment
 from repro.sim.resources import Resource
+
+
+@contextmanager
+def real_crypto_calls() -> Iterator[Dict[str, int]]:
+    """Count the real ``sign`` / ``verify`` primitive calls made inside
+    the block (a verification answered from the registry's memory of
+    verified signatures is not one)."""
+    calls = {"sign": 0, "verify": 0}
+
+    def record(kind: str, _size: int) -> None:
+        calls[kind] += 1
+
+    previous = set_trace_recorder(record)
+    try:
+        yield calls
+    finally:
+        set_trace_recorder(previous)
 
 
 class CounterChaincode(Chaincode):

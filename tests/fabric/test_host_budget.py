@@ -1,0 +1,150 @@
+"""Exact host-work budgets of one small run of each system.
+
+``BENCHMARK.json`` tracks what the simulator costs the host
+(``peak_rss_mb``, ``run_s``, ``crypto.verify.calls``), but wall-clock and
+RSS are too noisy to gate on a shared runner. These are the noise-free
+companions, in the style of ``tests/sim/test_event_budget.py``: for a
+fixed seed they pin that every per-transaction datum exists once (one
+rwset per transaction, one string per key, no per-record ``__dict__``)
+and every pure per-transaction computation runs once (one real HMAC per
+distinct endorsement, however many peers validate it) — while the
+*simulated* verify cost stays charged per peer per endorsement.
+"""
+
+import sys
+from dataclasses import replace
+
+import pytest
+
+from repro.bench.spec import ExperimentSpec
+from repro.checkpoint import CheckpointOptions, run_with_checkpoints
+from repro.core.batch_cutter import BatchCutConfig
+from repro.crypto import identity as identity_module
+from repro.crypto.identity import IdentityRegistry
+from repro.crypto.signing import Signature
+from repro.fabric.config import FabricConfig
+from repro.fabric.network import FabricNetwork
+from repro.fabric.transaction import Endorsement
+from repro.ledger.state_db import Version, VersionedValue
+from repro.workloads.registry import WorkloadRef, make_workload
+from tests.fabric.conftest import real_crypto_calls
+
+SYSTEMS = ("fabric", "fabric++")
+
+
+@pytest.fixture(scope="module", params=SYSTEMS)
+def finished(request):
+    """(network, real sign calls, real verify calls) of one second of
+    contended Smallbank on the default 2 orgs x 2 peers."""
+    config = FabricConfig(seed=42)
+    if request.param == "fabric++":
+        config = config.with_fabric_plus_plus()
+    network = FabricNetwork(
+        config, make_workload("smallbank", seed=42, num_users=200, s_value=1.0)
+    )
+    with real_crypto_calls() as calls:
+        network.run(1.0, drain=3.0)
+    assert network.metrics.fired == network.metrics.resolved > 0
+    return network, calls
+
+
+def ledger_transactions(peer):
+    return [
+        tx for block in peer.channels["ch0"].ledger for tx in block.transactions
+    ]
+
+
+def test_one_real_verification_per_distinct_endorsement(finished):
+    network, calls = finished
+    delivered = ledger_transactions(network.reference_peer)
+    # Equal invocations simulated on equal state sign equal bytes, so
+    # "distinct" is by signature, not by transaction.
+    distinct = {
+        (e.signature.signer, e.signature.value)
+        for tx in delivered
+        for e in tx.endorsements
+    }
+    assert len(network.peers) == 4
+    assert 0 < len(distinct) < identity_module.VERIFIED_CACHE_SIZE
+    # Every peer validated every delivered transaction...
+    for peer in network.peers:
+        assert len(ledger_transactions(peer)) == len(delivered)
+    # ...and the host computed each distinct HMAC once, not once per peer.
+    assert calls["verify"] == len(distinct)
+    assert calls["verify"] <= calls["sign"]
+
+
+def test_honest_transactions_carry_one_rwset(finished):
+    network, _calls = finished
+    for tx in ledger_transactions(network.reference_peer):
+        assert all(e.rwset is tx.rwset for e in tx.endorsements)
+
+
+def test_every_retained_key_is_the_interned_string(finished):
+    network, _calls = finished
+    objects = {}
+    for tx in ledger_transactions(network.reference_peer):
+        for key in (*tx.rwset.reads, *tx.rwset.writes):
+            assert key is sys.intern(key)
+            objects.setdefault(key, set()).add(id(key))
+    assert len(objects) > 1
+    assert all(len(ids) == 1 for ids in objects.values())
+
+
+def test_per_key_and_per_transaction_records_have_no_instance_dict(finished):
+    network, _calls = finished
+    tx = ledger_transactions(network.reference_peer)[0]
+    entry = next(iter(network.reference_peer.channels["ch0"].state.items()))[1]
+    records = [
+        tx,
+        tx.proposal,
+        tx.endorsements[0],
+        tx.endorsements[0].signature,
+        entry,
+        entry.version,
+    ]
+    assert [type(r) for r in records[2:]] == [
+        Endorsement, Signature, VersionedValue, Version,
+    ]
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_verified_cache_stays_bounded_on_a_pruned_streaming_run(
+    system, monkeypatch
+):
+    capacity = 64
+    monkeypatch.setattr(identity_module, "VERIFIED_CACHE_SIZE", capacity)
+    sizes = []
+    remember = IdentityRegistry.remember_verified
+
+    def watched(self, signature, payload):
+        remember(self, signature, payload)
+        sizes.append((len(self._verified), len(self._verified_order)))
+
+    monkeypatch.setattr(IdentityRegistry, "remember_verified", watched)
+    config = replace(
+        FabricConfig(),
+        batch=BatchCutConfig(max_transactions=32),
+        clients_per_channel=2,
+        client_rate=150.0,
+        streaming_metrics=True,
+        seed=17,
+    )
+    if system == "fabric++":
+        config = config.with_fabric_plus_plus()
+    spec = ExperimentSpec(
+        config=config,
+        workload=WorkloadRef("smallbank", dict(num_users=500, s_value=1.0), 4),
+        duration=2.0,
+        drain=2.0,
+    )
+    result, _network, _checkpointer = run_with_checkpoints(
+        spec, CheckpointOptions(every=0.5, prune=True)
+    )
+    assert result.metrics.successful > 0
+    # Far more distinct endorsements went through than the cache holds...
+    assert len(sizes) > 4 * capacity
+    # ...and at no point did it hold more than its capacity.
+    assert max(sizes) == (capacity, capacity)

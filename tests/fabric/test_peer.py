@@ -2,13 +2,22 @@
 
 from dataclasses import replace
 
+import pytest
+
+from repro.core.batch_cutter import BatchCutConfig
+from repro.crypto import identity as identity_module
+from repro.crypto.signing import Signature, verify
 from repro.fabric.config import FabricConfig
 from repro.fabric.metrics import TxOutcome
+from repro.fabric.network import FabricNetwork
 from repro.fabric.rwset import ReadWriteSet
+from repro.fabric.transaction import Endorsement, Transaction
+from repro.faults import FaultSchedule, MisbehaviorSpec
 from repro.ledger.block import Block
 from repro.ledger.ledger import GENESIS_HASH
 from repro.ledger.state_db import Version
-from tests.fabric.conftest import TestBed
+from repro.workloads.registry import make_workload
+from tests.fabric.conftest import TestBed, real_crypto_calls
 
 
 # -- endorsement -------------------------------------------------------------------
@@ -174,8 +183,6 @@ def test_misattributed_org_fails_policy(testbed):
     proposal = testbed.proposal("p1")
     replies = testbed.endorse_everywhere(proposal)
     tx = testbed.make_transaction(proposal, replies)
-    from repro.fabric.transaction import Endorsement
-
     fake = tx.endorsements[1]
     tx.endorsements[1] = Endorsement(
         fake.endorser, "OrgB", fake.rwset, tx.endorsements[0].signature
@@ -243,3 +250,167 @@ def test_reference_peer_records_blocks(testbed):
     testbed.deliver(make_block(testbed, [tx]))
     assert testbed.metrics.blocks_committed == 1
     assert testbed.metrics.block_sizes == [1]
+
+
+# -- tamper matrix against a warm verified-signature cache -----------------------------
+#
+# The registry remembers signatures that verified, so the second peer (and
+# every later sight) skips the host-side HMAC. Each case below first lets
+# an honest transaction fill that cache, then shows that the tampered twin
+# of the *same* proposal still fails on every peer and leaves nothing
+# behind in the cache.
+
+
+@pytest.fixture
+def warm(testbed):
+    """A testbed on which an honest ``p1`` has committed on both peers."""
+    proposal = testbed.proposal("p1")
+    tx = testbed.make_transaction(proposal, testbed.endorse_everywhere(proposal))
+    with real_crypto_calls() as calls:
+        testbed.deliver(make_block(testbed, [tx]))
+    assert testbed.notifications["p1"] is TxOutcome.COMMITTED
+    # Two peers validated two endorsements; each HMAC was computed once.
+    assert calls["verify"] == 2 == len(testbed.registry._verified)
+    return testbed, tx
+
+
+def _flipped(signature):
+    value = bytes([signature.value[0] ^ 1]) + signature.value[1:]
+    return Signature(signature.signer, value)
+
+
+def _forged_rwset(tx):
+    forged = tx.rwset.copy()
+    forged.record_write("k", 1_000_000)
+    return replace(tx, rwset=forged)  # signatures still cover the honest one
+
+
+def _with_second(tx, **changes):
+    return replace(
+        tx, endorsements=[tx.endorsements[0], replace(tx.endorsements[1], **changes)]
+    )
+
+
+TAMPERINGS = {
+    "forged_rwset": _forged_rwset,
+    "flipped_signature_byte": lambda tx: _with_second(
+        tx, signature=_flipped(tx.endorsements[1].signature)
+    ),
+    "replayed_under_another_signer": lambda tx: _with_second(
+        tx, signature=Signature("peer0.OrgB", tx.endorsements[0].signature.value)
+    ),
+    "unknown_signer": lambda tx: _with_second(
+        tx, signature=Signature("mallory", tx.endorsements[1].signature.value)
+    ),
+    # A cached (valid) OrgA signature presented as OrgB's endorsement.
+    "endorser_org_mismatch": lambda tx: _with_second(
+        tx, signature=tx.endorsements[0].signature
+    ),
+}
+
+
+@pytest.mark.parametrize("tampering", sorted(TAMPERINGS))
+def test_tampering_fails_policy_against_a_warm_cache(warm, tampering):
+    testbed, honest = warm
+    cached = set(testbed.registry._verified)
+    tampered = replace(TAMPERINGS[tampering](honest), tx_id="p1-tampered")
+    for peer in testbed.peers:
+        assert peer._endorsements_valid("ch0", honest)  # control: all hits
+        assert not peer._endorsements_valid("ch0", tampered)
+    tip = testbed.peers[0].channels["ch0"].ledger.tip_hash
+    testbed.deliver(make_block(testbed, [tampered], block_id=2, previous=tip))
+    # ABORT_POLICY, not the ABORT_MVCC its stale read would earn it later.
+    assert testbed.notifications["p1-tampered"] is TxOutcome.ABORT_POLICY
+    for peer in testbed.peers:
+        assert peer.channels["ch0"].state.get_value("k") == 1
+    # A failed verification is never stored.
+    assert testbed.registry._verified == cached
+
+
+def test_evicted_signature_is_verified_for_real_again(testbed, monkeypatch):
+    monkeypatch.setattr(identity_module, "VERIFIED_CACHE_SIZE", 2)
+    registry, peer = testbed.registry, testbed.peers[0]
+    p1, p2 = testbed.proposal("p1", "x"), testbed.proposal("p2", "y")
+    tx1 = testbed.make_transaction(p1, testbed.endorse_everywhere(p1))
+    tx2 = testbed.make_transaction(p2, testbed.endorse_everywhere(p2))
+    with real_crypto_calls() as calls:
+        assert peer._endorsements_valid("ch0", tx1)
+        assert peer._endorsements_valid("ch0", tx1)
+        assert calls["verify"] == 2  # second sight: both cached
+        assert peer._endorsements_valid("ch0", tx2)  # evicts tx1's pair
+        assert calls["verify"] == 4
+        assert len(registry._verified) == len(registry._verified_order) == 2
+        assert peer._endorsements_valid("ch0", tx1)
+        assert calls["verify"] == 6  # recomputed, not trusted from memory
+        assert len(registry._verified) == len(registry._verified_order) == 2
+
+
+def _small_network(**config_overrides):
+    config = replace(
+        FabricConfig(),
+        batch=BatchCutConfig(max_transactions=32),
+        clients_per_channel=2,
+        client_rate=120.0,
+        seed=9,
+        **config_overrides,
+    )
+    workload = make_workload(
+        "smallbank", seed=9, num_users=300, prob_write=0.95, s_value=1.0
+    )
+    return FabricNetwork(config, workload)
+
+
+def _assert_cache_holds_only_valid_signatures(registry):
+    assert registry._verified
+    for signer, value, payload in registry._verified:
+        assert verify(registry, Signature(signer, value), payload)
+
+
+def test_oversizing_client_still_aborts_on_every_peer_end_to_end():
+    network = _small_network(
+        faults=FaultSchedule(
+            misbehaviors=(
+                MisbehaviorSpec(
+                    kind="oversized_rwset", fraction=0.5, rate=0.5, padding=16
+                ),
+            )
+        )
+    )
+    metrics = network.run(1.0, drain=3.0)
+    padded = metrics.fault_counters["oversized_rwsets"]
+    assert padded > 0 and metrics.successful > 0  # honest traffic warmed it
+    assert metrics.outcomes[TxOutcome.ABORT_POLICY] == padded
+    for peer in network.peers:
+        flags = [
+            block.is_valid(tx.tx_id)
+            for block in peer.channels["ch0"].ledger
+            for tx in block.transactions
+            if any(key.startswith("__pad/") for key in tx.rwset.writes)
+        ]
+        assert len(flags) == padded and not any(flags)
+        assert not any(
+            key.startswith("__pad/") for key in peer.channels["ch0"].state.keys()
+        )
+    _assert_cache_holds_only_valid_signatures(network.registry)
+
+
+def test_byzantine_endorser_still_mismatches_after_honest_traffic():
+    network = _small_network()
+    network.begin(duration=1.0)
+    network.env.run(until=0.5)
+    committed_honestly = network.metrics.successful
+    assert committed_honestly > 0
+
+    def corrupt(rwset):
+        bad = rwset.copy()
+        bad.record_write("evil", 666)
+        return bad
+
+    for peer in network.peers_by_org["OrgB"]:
+        peer.byzantine_rwset_hook = corrupt
+    network.env.run(until=4.0)
+    metrics = network.finish(1.0)
+    assert metrics.outcomes[TxOutcome.ENDORSEMENT_MISMATCH] > 0
+    for peer in network.peers:
+        assert "evil" not in peer.channels["ch0"].state
+    _assert_cache_holds_only_valid_signatures(network.registry)

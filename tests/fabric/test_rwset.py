@@ -1,6 +1,9 @@
 """Unit tests for read/write sets."""
 
-from repro.fabric.rwset import ReadWriteSet
+import hashlib
+import sys
+
+from repro.fabric.rwset import RangeRead, ReadWriteSet
 from repro.ledger.state_db import Version
 
 V1 = Version(1, 0)
@@ -131,3 +134,59 @@ def test_copy_is_independent():
     b.record_write("w", 1)
     assert "w" not in a.writes
     assert a.reads == b.reads
+
+
+def _piecewise_canonical(rwset):
+    """The encoding fed to the hasher field by field — the reference the
+    one-shot ``b"".join`` form must equal byte for byte."""
+    hasher = hashlib.sha256()
+    for key in sorted(rwset.reads):
+        version = rwset.reads[key]
+        hasher.update(b"R")
+        hasher.update(key.encode())
+        if version is None:
+            hasher.update(b"\x00absent")
+        else:
+            hasher.update(version.block_id.to_bytes(8, "big"))
+            hasher.update(version.tx_id.to_bytes(8, "big"))
+    for range_read in rwset.range_reads:
+        hasher.update(b"Q")
+        hasher.update(range_read.start_key.encode())
+        hasher.update((range_read.end_key or "\x00<open>").encode())
+        for key, version in range_read.results:
+            hasher.update(key.encode())
+            hasher.update(version.block_id.to_bytes(8, "big"))
+            hasher.update(version.tx_id.to_bytes(8, "big"))
+    for key in sorted(rwset.writes):
+        hasher.update(b"W")
+        hasher.update(key.encode())
+        hasher.update(repr(rwset.writes[key]).encode())
+    return hasher.digest()
+
+
+def test_canonical_bytes_equal_the_piecewise_reference():
+    rwset = ReadWriteSet()
+    assert rwset.canonical_bytes() == _piecewise_canonical(rwset)
+    rwset.record_read("b", V2)
+    rwset.record_read("a", None)
+    rwset.record_read("ü", V1)
+    rwset.record_range_read(RangeRead("a", None, (("a", V1), ("b", V2))))
+    rwset.record_range_read(RangeRead("a", "c", ()))
+    rwset.record_write("z", {"nested": [1, 2.5, "x"]})
+    rwset.record_write("a", None)
+    assert rwset.canonical_bytes() == _piecewise_canonical(rwset)
+    assert rwset.canonical_bytes().hex() == (
+        "b1942b00a836e6674321d0da6a2b72ca70d792c12681233ea414d98fe42a9d82"
+    )
+
+
+def test_recorded_keys_are_interned():
+    rwset, other = ReadWriteSet(), ReadWriteSet()
+    for target in (rwset, other):
+        index = 12345
+        target.record_read(f"acc_{index}", V1)  # minted afresh per call
+        target.record_write(f"acc_{index}", 1)
+    (read,), (write,) = rwset.reads, rwset.writes
+    assert read is write is sys.intern("acc_12345")
+    assert next(iter(other.reads)) is read
+    assert next(iter(rwset.copy().writes)) is read

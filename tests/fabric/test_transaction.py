@@ -1,5 +1,7 @@
 """Unit tests for proposals, endorsements, and transactions."""
 
+import hashlib
+
 from repro.crypto.identity import Identity
 from repro.crypto.signing import sign
 from repro.fabric.rwset import ReadWriteSet
@@ -104,3 +106,37 @@ def test_estimated_size_grows_with_endorsements():
     tx = make_transaction()
     one = Transaction("t2", tx.proposal, tx.rwset, tx.endorsements[:1])
     assert tx.estimated_size_bytes() > one.estimated_size_bytes()
+
+
+def test_transaction_digest_equals_the_piecewise_reference():
+    tx = make_transaction()
+    hasher = hashlib.sha256()
+    hasher.update(tx.tx_id.encode())
+    hasher.update(tx.rwset.canonical_bytes())
+    for endorsement in tx.endorsements:
+        hasher.update(endorsement.signature.signer.encode())
+        hasher.update(endorsement.signature.value)
+    assert tx.digest() == hasher.digest()
+    assert tx.digest().hex() == (
+        "c6efb1546db1fdf7fb08902d6e478f85637c6de0b56ef16277d8c5b4aea00703"
+    )
+
+
+def test_transaction_digest_is_recomputed_so_mutation_shows():
+    """``Ledger.append`` / ``verify_chain`` rely on this: no memo."""
+    tx = make_transaction()
+    before = tx.digest()
+    tx.endorsements = tx.endorsements[:1]
+    after_dropping_one = tx.digest()
+    assert after_dropping_one != before
+    tx.tx_id = "t2"
+    assert tx.digest() not in (before, after_dropping_one)
+
+
+def test_proposal_payload_bytes_is_memoised_per_proposal():
+    proposal = make_proposal()
+    first = proposal.payload_bytes()
+    assert first == b"ch0|cc|transfer|('a', 'b', 30)"
+    assert proposal.payload_bytes() is first
+    assert make_proposal().payload_bytes() == first
+    assert make_proposal() == proposal  # the memo does not compare

@@ -1,5 +1,7 @@
 """Tests for ledger export/import and catch-up state replay."""
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -46,6 +48,27 @@ def test_export_round_trip(finished_network):
     assert rebuilt.height == ledger.height
     assert rebuilt.tip_hash == ledger.tip_hash
     assert rebuilt.verify_chain()
+
+
+def test_export_and_catch_up_bytes_are_pinned(finished_network):
+    """The export is a function of the ledger alone: how the in-memory
+    records are laid out (slots, shared rwsets, interned keys) must never
+    show in it. Pinned from the tree before those records were slotted."""
+
+    def sha(ledger):
+        text = json.dumps(export_ledger(ledger), sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    pinned = "059009b9768522ed1717650640c92f83cc796721eab75f3c3538ca5509f6cb7c"
+    network, workload = finished_network
+    source = network.reference_peer.channels["ch0"].ledger
+    assert sha(source) == pinned
+    replica, state = Ledger(), StateDatabase()
+    state.populate(workload.initial_state())
+    assert catch_up_from(source, replica, state) == source.height == 10
+    assert sha(replica) == pinned
+    live = network.reference_peer.channels["ch0"].state
+    assert dict(state.items()) == dict(live.items())
 
 
 def test_export_preserves_validity_flags(finished_network):

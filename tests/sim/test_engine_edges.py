@@ -14,7 +14,9 @@ def test_process_yielding_non_event_fails_process():
         yield "not an event"  # bare numbers are sleeps; this is not one
 
     handle = env.process(bad())
-    env.run()
+    # Nothing waits on the process, so its failure surfaces from run().
+    with pytest.raises(SimulationError, match="non-event"):
+        env.run()
     assert handle.triggered
     assert handle._exception is not None
 
@@ -43,7 +45,8 @@ def test_negative_bare_delay_fails_process():
         yield -1.0
 
     handle = env.process(bad())
-    env.run()
+    with pytest.raises(SimulationError, match="negative sleep delay"):
+        env.run()
     assert handle.triggered
     assert isinstance(handle._exception, SimulationError)
 
@@ -83,7 +86,8 @@ def test_cross_environment_event_fails_process():
         yield gate
 
     handle = env_a.process(proc())
-    env_a.run()
+    with pytest.raises(SimulationError, match="different environment"):
+        env_a.run()
     assert handle.triggered
     assert isinstance(handle._exception, SimulationError)
 
@@ -308,3 +312,68 @@ def test_interrupt_cancels_sleep_entered_after_a_caught_misuse_error():
     # The cancelled sleep's heap entry (t=11) must surface as stale.
     assert log == [("interrupted", 2.0)]
     assert handle.is_alive
+
+
+def _dies(env):
+    yield 1.0
+    raise NameError("typo in a process body")
+
+
+@pytest.mark.parametrize("drive", ["run", "step"])
+def test_unobserved_process_failure_is_raised_not_dropped(drive):
+    env = Environment()
+    handle = env.process(_dies(env))
+    with pytest.raises(NameError, match="typo in a process body"):
+        if drive == "run":
+            env.run()
+        else:
+            while True:
+                env.step()
+    assert env.now == 1.0 and not handle.is_alive
+
+
+def test_observed_process_failure_goes_to_its_waiter_only():
+    env = Environment()
+    caught = []
+
+    def parent():
+        try:
+            yield env.process(_dies(env))
+        except NameError as error:
+            caught.append(str(error))
+
+    env.process(parent())
+    # A callback waiter (the join) observes a failure just as well.
+    joined = env.all_of([env.process(_dies(env))])
+    env.run()
+    assert caught == ["typo in a process body"]
+    assert isinstance(joined.exception, NameError)
+
+
+@pytest.mark.parametrize("stop", [KeyboardInterrupt, SystemExit])
+@pytest.mark.parametrize("resumed_by", ["loop", "callback"])
+def test_interpreter_exit_in_a_process_body_stops_the_run(stop, resumed_by):
+    env = Environment()
+    gate = env.event()
+    log = []
+
+    def body():
+        if resumed_by == "callback":
+            # Second waiter of a shared event: resumed through _advance.
+            yield gate
+        else:
+            yield 1.0
+        raise stop()
+
+    def bystander():
+        yield gate
+        yield 5.0
+        log.append("ran on")
+
+    env.process(bystander())
+    handle = env.process(body())
+    gate.succeed()
+    with pytest.raises(stop):
+        env.run()
+    # Not converted into a failed process, and the run did not carry on.
+    assert handle.is_alive and log == []
