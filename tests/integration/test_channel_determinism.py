@@ -10,8 +10,13 @@ Two contracts, mirroring the fault-layer golden tests:
    sweep produces identical fleet metrics (per-channel rows and saga
    stats included) whether it runs in-process or across ``--jobs N``
    worker processes.
+3. **The fleet merge is pinned.** Golden hashes of the *full* metrics
+   snapshot (optional blocks included) of sharded runs that exercise
+   every arm of the per-channel -> fleet merge.
 """
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -20,6 +25,8 @@ from repro.bench.harness import run_experiment
 from repro.bench.results import metrics_to_dict
 from repro.bench.spec import ExperimentSpec
 from repro.bench.sweep import run_sweep
+from repro.fabric.config import BackpressureConfig
+from repro.faults import CrashWindow, FaultSchedule, PartitionWindow
 
 from tests.integration.test_fault_determinism import (
     GOLDEN_HASHES,
@@ -78,3 +85,63 @@ def test_channel_sweep_parallel_matches_serial():
             assert fleet is not None
             assert len(fleet.per_channel) == left.params["channels"]
             assert fleet.saga.started > 0
+
+
+#: Sharded runs covering every arm of the fleet merge: sample lists and
+#: saga events (list mode), the bounded aggregates (streaming), and — in
+#: ``all-blocks`` — ``validation`` (two strategies, worker lanes),
+#: ``consensus`` and ``overload`` plus fault counters and
+#: channel-suffixed fault events.
+FLEET_CASES = {
+    "vanilla-list": dict(system="vanilla"),
+    "fabric++-list": dict(system="fabric++"),
+    "vanilla-streaming": dict(system="vanilla", streaming_metrics=True),
+    "fabric++-streaming": dict(system="fabric++", streaming_metrics=True),
+    "all-blocks": dict(
+        system="fabric++",
+        channels=2,
+        orderer_nodes=3,
+        cc_strategy="lockless",
+        channel_cc_strategies=("lockless", "dependency"),
+        validation_workers=2,
+        backpressure=BackpressureConfig(
+            orderer_queue_limit=48, endorse_queue_limit=24
+        ),
+        faults=FaultSchedule(
+            crashes=(CrashWindow(peer="peer1.OrgB.ch1", at=0.3, duration=0.3),),
+            partitions=(PartitionWindow(at=0.5, duration=0.3, channels=(0,)),),
+            endorsement_timeout=0.05,
+        ),
+        endorsement_policy="outof:1",
+    ),
+}
+
+#: SHA-256 of the full ``metrics_to_dict`` snapshot of each fleet case,
+#: captured on the code base *before* the fleet aggregation became
+#: ``PipelineMetrics.merge``.
+FLEET_GOLDEN_HASHES = {
+    "vanilla-list": "366c6214cffd3617bbba3e8ae9583d52c479b6f1bae35be019b11ece1818a9ec",
+    "fabric++-list": "55d6ee3cd2cd48c853ddbc771f2e114cf3c25ad6199eaaec24b7824c2f9848b0",
+    "vanilla-streaming": "9f2b1d1129eaa66950b44fbd44a177208102ff7adc70ba061c6bf74d0ce8d78b",
+    "fabric++-streaming": "8714fdf020dc003378cf07df4286a4582b6030eb3266ea4de8a11cfbfb39e3ba",
+    "all-blocks": "988d15003d359fc02feeb8e84a6398b10ed4cc828c5d9ca13addd4d20687262b",
+}
+
+
+def fleet_spec(name: str) -> ExperimentSpec:
+    overrides = dict(FLEET_CASES[name])
+    base = golden_spec(overrides.pop("system"))
+    overrides.setdefault("channels", 3)
+    config = replace(base.config, cross_channel_fraction=0.25, **overrides)
+    return replace(base, config=config, duration=1.5, label=name)
+
+
+def full_metrics_hash(metrics) -> str:
+    snapshot = json.dumps(metrics_to_dict(metrics), sort_keys=True)
+    return hashlib.sha256(snapshot.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(FLEET_CASES))
+def test_fleet_merge_is_bit_identical_to_golden(name):
+    metrics = run_experiment(fleet_spec(name)).metrics
+    assert full_metrics_hash(metrics) == FLEET_GOLDEN_HASHES[name]
