@@ -4,11 +4,9 @@ Mirrors the paper's framework (Section 6.2.1): fire proposals uniformly at
 a specified rate from multiple clients in multiple channels and report the
 throughput of successful and aborted transactions per second.
 
-The canonical entry point is ``run_experiment(spec)`` with a single
-:class:`ExperimentSpec`; the historical
-``run_experiment(config, workload, duration, label, params)`` signature
-still works and is converted to a spec internally. Grids of specs run
-through :func:`repro.bench.sweep.run_sweep`, in parallel and cached.
+The entry point is ``run_experiment(spec)`` with a single
+:class:`ExperimentSpec`. Grids of specs run through
+:func:`repro.bench.sweep.run_sweep`, in parallel and cached.
 """
 
 from __future__ import annotations
@@ -22,39 +20,9 @@ from repro.fabric.network import FabricNetwork, WorkloadSpec
 from repro.workloads.registry import WorkloadRef
 
 
-def run_experiment(
-    spec: Union[ExperimentSpec, FabricConfig],
-    workload: Optional[WorkloadSpec] = None,
-    duration: Optional[float] = None,
-    label: str = "",
-    params: Optional[Dict[str, object]] = None,
-    drain: Optional[float] = None,
-) -> ExperimentResult:
-    """Build a network, run the workload, and collect metrics.
-
-    Preferred form: ``run_experiment(spec)`` with everything described by
-    one :class:`ExperimentSpec`. The legacy positional form builds the
-    spec on the fly from a config plus a workload (instance, per-channel
-    factory, or :class:`WorkloadRef`).
-    """
-    if isinstance(spec, ExperimentSpec):
-        if workload is not None:
-            raise TypeError(
-                "run_experiment(spec) takes no separate workload argument"
-            )
-        experiment = spec
-    else:
-        if workload is None:
-            raise TypeError("run_experiment(config, workload, ...) needs a workload")
-        experiment = ExperimentSpec(
-            config=spec,
-            workload=workload,
-            duration=DEFAULT_DURATION if duration is None else duration,
-            label=label,
-            params=dict(params or {}),
-            drain=DEFAULT_DRAIN if drain is None else drain,
-        )
-    result, _network = run_experiment_with_network(experiment)
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
+    """Build a network, run the workload, and collect metrics."""
+    result, _network = run_experiment_with_network(spec)
     return result
 
 
@@ -66,7 +34,7 @@ def run_experiment_with_network(
     Sharded specs (``config.channels >= 2``) return a
     :class:`repro.channels.ShardedNetwork` instead of a
     :class:`FabricNetwork`; both expose ``peers``/``orderers``/
-    ``channels``, and the sharded fleet adds ``runtimes``.
+    ``channels``/``runtimes`` (a single network is a fleet of one).
 
     The network gives callers post-run access to the peers — for ledger
     export (``repro-bench run --export-ledger``), crash-recovery oracle

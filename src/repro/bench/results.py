@@ -24,7 +24,7 @@ from repro.fabric.config import (
     FabricConfig,
     PopulationConfig,
 )
-from repro.fabric.metrics import PipelineMetrics, TxOutcome
+from repro.fabric.metrics import PipelineMetrics
 from repro.faults import schedule_from_dict
 from repro.traffic import ArrivalProcess
 
@@ -111,83 +111,17 @@ def config_from_dict(data: Dict[str, object]) -> FabricConfig:
 def metrics_to_dict(metrics: PipelineMetrics) -> Dict[str, object]:
     """Full snapshot of one run's metrics (counters and samples).
 
-    The ``cost_breakdown`` key appears only when a traced run attached
-    one, so snapshots of untraced runs are byte-identical to those of
-    pre-trace builds (golden-hash discipline).
+    Optional blocks (``cost_breakdown``, ``validation``, ...) appear only
+    when the run attached them, so snapshots of default runs are
+    byte-identical to those of builds that predate the block
+    (golden-hash discipline). The field list is the metrics' own.
     """
-    snapshot = {
-        "outcomes": {
-            outcome.value: count
-            for outcome, count in metrics.outcomes.items()
-            if count
-        },
-        "commit_latencies": list(metrics.commit_latencies),
-        "outcome_times": [[time, outcome.value] for time, outcome in metrics.outcome_times],
-        "phase_latencies": [list(sample) for sample in metrics.phase_latencies],
-        "fired": metrics.fired,
-        "blocks_committed": metrics.blocks_committed,
-        "block_sizes": list(metrics.block_sizes),
-        "duration": metrics.duration,
-        "fault_counters": dict(metrics.fault_counters),
-        "fault_events": [list(event) for event in metrics.fault_events],
-    }
-    if metrics.cost_breakdown is not None:
-        snapshot["cost_breakdown"] = metrics.cost_breakdown.to_dict()
-    if metrics.validation is not None:
-        snapshot["validation"] = metrics.validation.to_dict()
-    if metrics.consensus is not None:
-        snapshot["consensus"] = metrics.consensus.to_dict()
-    if metrics.overload is not None:
-        snapshot["overload"] = metrics.overload.to_dict()
-    if metrics.channels is not None:
-        snapshot["channels"] = metrics.channels.to_dict()
-    if metrics.streaming is not None:
-        snapshot["streaming"] = metrics.streaming.to_dict()
-    return snapshot
+    return metrics.to_dict()
 
 
 def metrics_from_dict(data: Dict[str, object]) -> PipelineMetrics:
     """Rebuild :class:`PipelineMetrics` from :func:`metrics_to_dict` output."""
-    metrics = PipelineMetrics()
-    for value, count in data["outcomes"].items():
-        metrics.outcomes[TxOutcome(value)] = count
-    metrics.commit_latencies = list(data["commit_latencies"])
-    metrics.outcome_times = [
-        (time, TxOutcome(value)) for time, value in data["outcome_times"]
-    ]
-    metrics.phase_latencies = [tuple(sample) for sample in data["phase_latencies"]]
-    metrics.fired = data["fired"]
-    metrics.blocks_committed = data["blocks_committed"]
-    metrics.block_sizes = list(data["block_sizes"])
-    metrics.duration = data["duration"]
-    # Absent in pre-fault snapshots (and cache entries written by them).
-    metrics.fault_counters = dict(data.get("fault_counters", {}))
-    metrics.fault_events = [tuple(event) for event in data.get("fault_events", [])]
-    if "cost_breakdown" in data:
-        from repro.trace.cost import CostBreakdown
-
-        metrics.cost_breakdown = CostBreakdown.from_dict(data["cost_breakdown"])
-    if "validation" in data:
-        from repro.fabric.metrics import ValidationStats
-
-        metrics.validation = ValidationStats.from_dict(data["validation"])
-    if "consensus" in data:
-        from repro.fabric.metrics import ConsensusStats
-
-        metrics.consensus = ConsensusStats.from_dict(data["consensus"])
-    if "overload" in data:
-        from repro.fabric.metrics import OverloadStats
-
-        metrics.overload = OverloadStats.from_dict(data["overload"])
-    if "channels" in data:
-        from repro.fabric.metrics import ChannelFleetStats
-
-        metrics.channels = ChannelFleetStats.from_dict(data["channels"])
-    if "streaming" in data:
-        from repro.fabric.metrics import StreamingMetrics
-
-        metrics.streaming = StreamingMetrics.from_dict(data["streaming"])
-    return metrics
+    return PipelineMetrics.from_dict(data)
 
 
 def result_to_dict(result: ExperimentResult) -> Dict[str, object]:
@@ -289,31 +223,11 @@ class ResultSet:
         aggregate, with the saga counters inlined) followed by its
         per-channel rows; single-runtime results contribute nothing.
         """
-        rows: List[Dict[str, object]] = []
-        for result in self.results:
-            fleet = result.metrics.channels
-            if fleet is None:
-                continue
-            rows.append(
-                {
-                    "label": result.label,
-                    **result.params,
-                    "channel": "fleet",
-                    "fired": result.metrics.fired,
-                    "successful": result.metrics.successful,
-                    "failed": result.metrics.failed,
-                    "successful_tps": round(result.metrics.successful_tps(), 2),
-                    "failed_tps": round(result.metrics.failed_tps(), 2),
-                    "blocks": result.metrics.blocks_committed,
-                    **{
-                        f"saga_{key}": value
-                        for key, value in fleet.saga.summary().items()
-                    },
-                }
-            )
-            for row in fleet.per_channel:
-                rows.append({"label": result.label, **result.params, **row})
-        return rows
+        return [
+            {"label": result.label, **result.params, **row}
+            for result in self.results
+            for row in result.metrics.channel_rows()
+        ]
 
     def to_json(self) -> str:
         """Serialise every result (full metrics) to a JSON document."""

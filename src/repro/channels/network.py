@@ -41,12 +41,8 @@ from repro.fabric.config import (
 from repro.fabric.metrics import (
     STREAMING_SEED_SALT,
     ChannelFleetStats,
-    ConsensusStats,
-    OverloadStats,
     PipelineMetrics,
     SagaStats,
-    TxOutcome,
-    ValidationStats,
 )
 from repro.fabric.network import FabricNetwork, WorkloadSpec
 from repro.fabric.policy import EndorsementPolicy
@@ -56,7 +52,7 @@ from repro.channels.saga import SagaRouter
 from repro.channels.topology import ChannelTopology
 from repro.sim.distributions import mix_seed
 from repro.sim.engine import Environment
-from repro.trace.tracer import Tracer
+from repro.trace.tracer import Tracer, crypto_recording
 
 
 def route_faults(
@@ -223,13 +219,15 @@ class ShardedNetwork:
             raise ConfigError("duration must be > 0")
         for runtime in self.runtimes:
             runtime.begin(duration)
+        if self.saga is not None:
+            self.saga.metrics.set_window(duration)
 
     def finish(self, duration: float) -> PipelineMetrics:
         """Finalise per-runtime and fleet metrics after the environment
         has been run (split out of :meth:`run` for external drivers)."""
         for runtime in self.runtimes:
             runtime.metrics.duration = duration
-        self.metrics = self._aggregate(duration)
+        self.metrics = self._aggregate()
         if self.tracer is not None:
             self.metrics.cost_breakdown = self.tracer.breakdown
         return self.metrics
@@ -244,71 +242,42 @@ class ShardedNetwork:
         available as ``network.runtimes[i].metrics``.
         """
         self.begin(duration)
-        if self.tracer is not None:
-            from repro.crypto import signing
-
-            previous = signing.set_trace_recorder(self.tracer.record_crypto_op)
-            try:
-                self.env.run(until=duration + drain)
-            finally:
-                signing.set_trace_recorder(previous)
-        else:
+        with crypto_recording(self.tracer):
             self.env.run(until=duration + drain)
         return self.finish(duration)
 
     # -- aggregation ----------------------------------------------------------
 
-    def _aggregate(self, duration: float) -> PipelineMetrics:
+    def _aggregate(self) -> PipelineMetrics:
         """Fold the per-channel metrics into one fleet-level object.
 
-        Scalar counters sum; sample lists concatenate in channel order;
-        timestamped series merge by time (stable sort, so simultaneous
-        events keep channel order). Saga half-commits are added on top of
-        the per-leg outcomes — the fleet's ``resolved`` can therefore
-        exceed ``fired``, which is the honest reading: one saga is one
-        intent with three terminal facts (two legs + the saga itself).
+        The fleet total is a merge (:meth:`PipelineMetrics.merge`) of
+        every runtime in channel order, fault events qualified with the
+        channel they happened on. Saga half-commits merge in last, on
+        top of the per-leg outcomes — the fleet's ``resolved`` can
+        therefore exceed ``fired``, which is the honest reading: one
+        saga is one intent with three terminal facts (two legs + the
+        saga itself).
         """
-        fleet = PipelineMetrics()
-        fleet.duration = duration
-        if self.config.streaming_metrics:
-            # Streaming fleets merge bounded aggregates instead of
-            # concatenating per-transaction rows: the fleet object holds
-            # O(1) state regardless of run length or channel count. The
-            # merge is deterministic (order statistics, no RNG draws),
-            # so the fleet seed only names the — never-drawn-from —
-            # replacement stream.
-            fleet.enable_streaming(
-                mix_seed(self.config.seed, STREAMING_SEED_SALT)
-            )
-            fleet.streaming.set_window(duration)
+        # Merging draws no randomness, so under streaming metrics the
+        # fleet seed only names the — never-drawn-from — replacement
+        # stream of the fleet's own reservoir.
+        fleet = self.runtimes[0].metrics.empty_like(
+            mix_seed(self.config.seed, STREAMING_SEED_SALT)
+        )
         per_channel: List[Dict[str, object]] = []
         for channel, runtime in enumerate(self.runtimes):
             metrics = runtime.metrics
-            for outcome, count in metrics.outcomes.items():
-                fleet.outcomes[outcome] += count
-            if fleet.streaming is not None and metrics.streaming is not None:
-                fleet.streaming.merge(metrics.streaming)
-            fleet.commit_latencies.extend(metrics.commit_latencies)
-            fleet.phase_latencies.extend(metrics.phase_latencies)
-            fleet.block_sizes.extend(metrics.block_sizes)
-            fleet.fired += metrics.fired
-            fleet.blocks_committed += metrics.blocks_committed
-            for counter, amount in metrics.fault_counters.items():
-                fleet.record_fault(counter, amount)
             name = runtime.channels[0]
-            for time, kind, subject in metrics.fault_events:
-                if name not in subject:
-                    subject = f"{subject}.{name}"
-                fleet.fault_events.append((time, kind, subject))
+            qualified = [
+                (time, kind, subject if name in subject else f"{subject}.{name}")
+                for time, kind, subject in metrics.fault_events
+            ]
+            fleet.merge(replace(metrics, fault_events=qualified))
             row: Dict[str, object] = {
                 "channel": name,
                 "cc_strategy": runtime.config.cc_strategy,
-                "fired": metrics.fired,
-                "successful": metrics.successful,
-                "failed": metrics.failed,
-                "successful_tps": round(metrics.successful_tps(), 2),
-                "failed_tps": round(metrics.failed_tps(), 2),
-                "blocks": metrics.blocks_committed,
+                **metrics.counts_row(),
             }
             if self.population is not None:
                 row["affinity"] = round(
@@ -316,111 +285,14 @@ class ShardedNetwork:
                 )
                 row["accounts"] = self.population.channel_accounts(channel)
             per_channel.append(row)
-
-        times = [
-            event
-            for runtime in self.runtimes
-            for event in runtime.metrics.outcome_times
-        ]
         if self.saga is not None:
-            fleet.outcomes[TxOutcome.SAGA_HALF_COMMITTED] += (
-                self.saga.stats.half_committed
-            )
-            if fleet.streaming is not None:
-                # Per-runtime streams already counted each leg; the saga
-                # outcomes (all non-success) fold in on top, matching
-                # the list-mode merge below.
-                for time, outcome in self.saga.events:
-                    fleet.streaming.window.observe(time, outcome.is_success)
-            else:
-                times.extend(self.saga.events)
-        times.sort(key=lambda event: event[0])
-        fleet.outcome_times = times
-        fleet.fault_events.sort(key=lambda event: event[0])
-
-        fleet.validation = self._merge_validation()
-        fleet.consensus = self._merge_consensus()
-        fleet.overload = self._merge_overload()
+            fleet.merge(self.saga.metrics)
         fleet.channels = ChannelFleetStats(
             channels=len(self.runtimes),
             per_channel=per_channel,
             saga=self.saga.stats if self.saga is not None else SagaStats(),
         )
         return fleet
-
-    def _merge_validation(self) -> Optional[ValidationStats]:
-        stats = [
-            runtime.metrics.validation
-            for runtime in self.runtimes
-            if runtime.metrics.validation is not None
-        ]
-        if not stats:
-            return None
-        first = stats[0]
-        merged = ValidationStats(
-            workers=first.workers,
-            scheduler=first.scheduler,
-            pipeline_depth=first.pipeline_depth,
-            strategy=first.strategy,
-        )
-        for entry in stats:
-            merged.blocks += entry.blocks
-            merged.txs += entry.txs
-            merged.critical_path_total += entry.critical_path_total
-            merged.verify_tasks += entry.verify_tasks
-            merged.queue_delay_total += entry.queue_delay_total
-            merged.lane_busy.extend(entry.lane_busy)
-            merged.horizon = max(merged.horizon, entry.horizon)
-        return merged
-
-    def _merge_consensus(self) -> Optional[ConsensusStats]:
-        stats = [
-            runtime.metrics.consensus
-            for runtime in self.runtimes
-            if runtime.metrics.consensus is not None
-        ]
-        if not stats:
-            return None
-        merged = ConsensusStats(nodes=stats[0].nodes)
-        for entry in stats:
-            merged.elections_started += entry.elections_started
-            merged.leader_changes += entry.leader_changes
-            merged.max_term = max(merged.max_term, entry.max_term)
-            merged.messages_sent += entry.messages_sent
-            merged.messages_dropped += entry.messages_dropped
-            merged.entries_proposed += entry.entries_proposed
-            merged.entries_committed += entry.entries_committed
-            merged.txs_reproposed += entry.txs_reproposed
-            merged.duplicate_txs_suppressed += entry.duplicate_txs_suppressed
-        return merged
-
-    def _merge_overload(self) -> Optional[OverloadStats]:
-        stats = [
-            runtime.metrics.overload
-            for runtime in self.runtimes
-            if runtime.metrics.overload is not None
-        ]
-        if not stats:
-            return None
-        merged = OverloadStats(
-            orderer_queue_limit=stats[0].orderer_queue_limit,
-            endorse_queue_limit=stats[0].endorse_queue_limit,
-        )
-        for entry in stats:
-            merged.submissions += entry.submissions
-            merged.orderer_rejections += entry.orderer_rejections
-            merged.endorse_rejections += entry.endorse_rejections
-            merged.client_retries += entry.client_retries
-            merged.txs_shed += entry.txs_shed
-            merged.queue_depth_peak = max(
-                merged.queue_depth_peak, entry.queue_depth_peak
-            )
-            merged.queue_depth_sum += entry.queue_depth_sum
-            merged.endorse_inflight_peak = max(
-                merged.endorse_inflight_peak, entry.endorse_inflight_peak
-            )
-            merged.delivery_stall_seconds += entry.delivery_stall_seconds
-        return merged
 
 
 def build_network(

@@ -30,7 +30,7 @@ sagas never perturbs the workload streams of any client.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.fabric.config import SAGA_SEED_SALT
 from repro.fabric.metrics import SagaStats, TxOutcome
@@ -70,10 +70,11 @@ class SagaRouter:
         self.fraction = fraction
         self.runtimes = list(runtimes)
         self.stats = SagaStats()
-        #: Fleet-level terminal events for half-committed sagas:
-        #: ``(simulated time, TxOutcome.SAGA_HALF_COMMITTED)`` — merged
-        #: into the fleet outcome_times by the metrics aggregation.
-        self.events: List[Tuple[float, TxOutcome]] = []
+        #: Fleet-level terminal facts: one timestamped
+        #: ``TxOutcome.SAGA_HALF_COMMITTED`` per half-committed saga, in
+        #: the runtimes' kind of sample store — merged into the fleet
+        #: total after the per-channel metrics.
+        self.metrics = self.runtimes[0].metrics.empty_like()
         self._legs: Dict[str, _Saga] = {}
         self._streams: Dict[str, _ClientStreams] = {}
         for channel_index, runtime in enumerate(self.runtimes):
@@ -138,7 +139,7 @@ class SagaRouter:
             self.stats.committed += 1
         elif committed == 1:
             self.stats.half_committed += 1
-            self.events.append((now, TxOutcome.SAGA_HALF_COMMITTED))
+            self.metrics.record_outcome(TxOutcome.SAGA_HALF_COMMITTED, now=now)
         else:
             self.stats.aborted += 1
 

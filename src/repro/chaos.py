@@ -31,13 +31,13 @@ run and the same report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.core.batch_cutter import BatchCutConfig
 from repro.fabric.config import FabricConfig
-from repro.fabric.metrics import TxOutcome
+from repro.fabric.metrics import ConsensusStats, TxOutcome
 from repro.fabric.network import FabricNetwork
 from repro.faults import (
     FaultSchedule,
@@ -168,25 +168,7 @@ class ChaosReport:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable form for the chaos report artifact."""
-        return {
-            "seed": self.seed,
-            "passed": self.passed,
-            "faults": list(self.faults),
-            "invariants": dict(self.invariants),
-            "liveness": self.liveness,
-            "converged": self.converged,
-            "details": list(self.details),
-            "fired": self.fired,
-            "resolved": self.resolved,
-            "committed": self.committed,
-            "blocks": self.blocks,
-            "elections": self.elections,
-            "leader_changes": self.leader_changes,
-            "messages_dropped": self.messages_dropped,
-            "txs_reproposed": self.txs_reproposed,
-            "duplicates_suppressed": self.duplicates_suppressed,
-            "sim_time": self.sim_time,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def chaos_config(
@@ -225,25 +207,23 @@ def chaos_config(
 def _quiescent(network: FabricNetwork) -> bool:
     """True when nothing is pending and all live peers share the tip.
 
-    Accepts a sharded fleet (``repro.channels.ShardedNetwork``) too: the
-    fleet is quiescent when every channel runtime is.
+    A sharded fleet (``repro.channels.ShardedNetwork``) is quiescent
+    when every channel runtime is.
     """
-    runtimes = getattr(network, "runtimes", None)
-    if runtimes is not None:
-        return all(_quiescent(runtime) for runtime in runtimes)
     if network._pending:
         return False
     for orderer in network.orderers.values():
         if orderer.pending_count:
             return False
-    for channel in network.channels:
-        reference = network.reference_peer.channels[channel].ledger
-        for peer in network.peers:
-            if peer.crashed:
-                continue
-            ledger = peer.channels[channel].ledger
-            if ledger.tip_hash != reference.tip_hash:
-                return False
+    for runtime in network.runtimes:
+        for channel in runtime.channels:
+            reference = runtime.reference_peer.channels[channel].ledger
+            for peer in runtime.peers:
+                if peer.crashed:
+                    continue
+                ledger = peer.channels[channel].ledger
+                if ledger.tip_hash != reference.tip_hash:
+                    return False
     return True
 
 
@@ -275,20 +255,9 @@ def check_invariants(
     A sharded fleet is checked channel runtime by channel runtime — each
     channel is an independent chain, so every invariant must hold within
     every channel (cross-channel sagas change nothing here: each leg is
-    an ordinary transaction of its own channel). The per-runtime verdicts
-    are AND-ed; detail lines already carry the global channel name.
+    an ordinary transaction of its own channel). One runtime failing an
+    invariant fails it; detail lines carry the global channel name.
     """
-    runtimes = getattr(network, "runtimes", None)
-    if runtimes is not None:
-        invariants = {name: True for name in INVARIANT_NAMES}
-        details: List[str] = []
-        for runtime in runtimes:
-            runtime_invariants, runtime_details = check_invariants(runtime)
-            for name, held in runtime_invariants.items():
-                invariants[name] = invariants[name] and held
-            details.extend(runtime_details)
-        return invariants, details
-
     invariants = {name: True for name in INVARIANT_NAMES}
     details: List[str] = []
 
@@ -296,126 +265,121 @@ def check_invariants(
         invariants[name] = False
         details.append(f"{name}: {message}")
 
-    live = [peer for peer in network.peers if not peer.crashed]
-    committed_ledger_total = 0
-    for channel in network.channels:
-        ledgers = {peer.name: peer.channels[channel].ledger for peer in live}
-        reference_ledger = network.reference_peer.channels[channel].ledger
-        reference_hashes = {
-            block.block_id: block.header.data_hash
-            for block in reference_ledger
-        }
+    for runtime in network.runtimes:
+        live = [peer for peer in runtime.peers if not peer.crashed]
+        committed_ledger_total = 0
+        for channel in runtime.channels:
+            ledgers = {peer.name: peer.channels[channel].ledger for peer in live}
+            reference_ledger = runtime.reference_peer.channels[channel].ledger
+            reference_hashes = {
+                block.block_id: block.header.data_hash
+                for block in reference_ledger
+            }
 
-        tips = {ledger.tip_hash for ledger in ledgers.values()}
-        if len(tips) != 1:
-            fail(
-                "single_chain",
-                f"{channel}: live peers disagree on the tip "
-                f"({len(tips)} distinct hashes)",
-            )
+            tips = {ledger.tip_hash for ledger in ledgers.values()}
+            if len(tips) != 1:
+                fail(
+                    "single_chain",
+                    f"{channel}: live peers disagree on the tip "
+                    f"({len(tips)} distinct hashes)",
+                )
 
-        # Prefix consistency is checked over the retained heights every
-        # pair holds in common — pruned ledgers keep a verified
-        # continuity record below ``first_block_id``, and the hashes
-        # above it must still agree block for block.
-        for name, ledger in ledgers.items():
-            for block in ledger:
-                reference_hash = reference_hashes.get(block.block_id)
-                if (
-                    reference_hash is not None
-                    and block.header.data_hash != reference_hash
-                ):
+            # Prefix consistency is checked over the retained heights every
+            # pair holds in common — pruned ledgers keep a verified
+            # continuity record below ``first_block_id``, and the hashes
+            # above it must still agree block for block.
+            for name, ledger in ledgers.items():
+                for block in ledger:
+                    reference_hash = reference_hashes.get(block.block_id)
+                    if (
+                        reference_hash is not None
+                        and block.header.data_hash != reference_hash
+                    ):
+                        fail(
+                            "prefix_consistency",
+                            f"{channel}: {name} diverges from the reference "
+                            f"at block {block.block_id}",
+                        )
+                        break
+
+            for peer in live:
+                ledger = peer.channels[channel].ledger
+                ids = [block.block_id for block in ledger]
+                first = ledger.first_block_id
+                if ids != list(range(first, first + len(ids))):
                     fail(
-                        "prefix_consistency",
-                        f"{channel}: {name} diverges from the reference "
-                        f"at block {block.block_id}",
+                        "monotone_chain",
+                        f"{channel}: {peer.name} block ids not contiguous: {ids[:10]}",
                     )
-                    break
+                if not ledger.verify_chain():
+                    fail(
+                        "monotone_chain",
+                        f"{channel}: {peer.name} hash chain does not verify",
+                    )
 
-        for peer in live:
-            ledger = peer.channels[channel].ledger
-            ids = [block.block_id for block in ledger]
-            first = ledger.first_block_id
-            if ids != list(range(first, first + len(ids))):
+            seen: Dict[str, int] = {}
+            for block in reference_ledger:
+                for tx in list(block.transactions) + list(block.early_aborted):
+                    seen[tx.tx_id] = seen.get(tx.tx_id, 0) + 1
+            duplicated = [tx_id for tx_id, count in seen.items() if count > 1]
+            if duplicated:
                 fail(
-                    "monotone_chain",
-                    f"{channel}: {peer.name} block ids not contiguous: {ids[:10]}",
-                )
-            if not ledger.verify_chain():
-                fail(
-                    "monotone_chain",
-                    f"{channel}: {peer.name} hash chain does not verify",
+                    "exactly_once_commit",
+                    f"{channel}: {len(duplicated)} tx ids occupy multiple "
+                    f"ledger slots (e.g. {duplicated[0]})",
                 )
 
-        seen: Dict[str, int] = {}
-        for block in reference_ledger:
-            for tx in list(block.transactions) + list(block.early_aborted):
-                seen[tx.tx_id] = seen.get(tx.tx_id, 0) + 1
-        duplicated = [tx_id for tx_id, count in seen.items() if count > 1]
-        if duplicated:
-            fail(
-                "exactly_once_commit",
-                f"{channel}: {len(duplicated)} tx ids occupy multiple "
-                f"ledger slots (e.g. {duplicated[0]})",
+            committed_ledger_total += sum(
+                1
+                for block in reference_ledger
+                for valid in block.validity.values()
+                if valid
             )
+            # Valid transactions compacted below the prune point are
+            # accounted by the continuity record — committed work is never
+            # lost to pruning.
+            if reference_ledger.continuity is not None:
+                committed_ledger_total += reference_ledger.continuity.valid_txs
 
-        committed_ledger_total += sum(
-            1
-            for block in reference_ledger
-            for valid in block.validity.values()
-            if valid
-        )
-        # Valid transactions compacted below the prune point are
-        # accounted by the continuity record — committed work is never
-        # lost to pruning.
-        if reference_ledger.continuity is not None:
-            committed_ledger_total += reference_ledger.continuity.valid_txs
-
-    committed_reported = network.metrics.outcomes.get(TxOutcome.COMMITTED, 0)
-    if committed_reported != committed_ledger_total:
-        fail(
-            "no_committed_loss",
-            f"clients saw {committed_reported} commits but the reference "
-            f"ledger holds {committed_ledger_total} valid transactions",
-        )
+        committed_reported = runtime.metrics.outcomes.get(TxOutcome.COMMITTED, 0)
+        if committed_reported != committed_ledger_total:
+            fail(
+                "no_committed_loss",
+                f"clients saw {committed_reported} commits but the reference "
+                f"ledger holds {committed_ledger_total} valid transactions",
+            )
 
     return invariants, details
 
 
-def run_chaos(
-    seed: int,
-    duration: float = 1.5,
-    drain: float = 4.0,
-    orderer_nodes: int = 3,
-    fabric_plus_plus: bool = False,
-    max_convergence_rounds: int = 20,
-) -> ChaosReport:
-    """Execute one chaos run and check every invariant.
+def settle_and_check(
+    network: FabricNetwork, max_convergence_rounds: int
+) -> Tuple[Dict[str, bool], bool, bool, List[str]]:
+    """Hold a finished run to the safety invariants plus liveness.
 
-    Deterministic: the same arguments always yield the same report.
+    The one invariant-checked epilogue of every chaos run and scenario:
+    settle, evaluate :func:`check_invariants`, then demand the run
+    actually finished. Returns ``(invariants, liveness, converged,
+    details)``, ``details`` carrying one line per violation.
     """
-    schedule = generate_chaos_schedule(
-        seed, duration=duration, orderer_nodes=orderer_nodes
-    )
-    config = chaos_config(
-        seed,
-        duration=duration,
-        orderer_nodes=orderer_nodes,
-        schedule=schedule,
-        fabric_plus_plus=fabric_plus_plus,
-    )
-    workload = make_workload(
-        "smallbank",
-        seed=mix_seed(seed, CHAOS_SEED_SALT, 3),
-        num_users=200,
-        s_value=1.0,
-    )
-    network = FabricNetwork(config, workload)
-    metrics = network.run(duration, drain=drain)
     converged = _settle(network, max_convergence_rounds)
     invariants, details = check_invariants(network)
 
-    liveness = not network._pending and metrics.resolved == metrics.fired
+    # Liveness is judged runtime by runtime: on a sharded fleet the
+    # aggregate resolved count includes saga terminations (one intent,
+    # three terminal facts), so fleet resolved == fired would be the
+    # wrong test even on a perfectly live run.
+    liveness = True
+    for runtime in network.runtimes:
+        if runtime._pending:
+            liveness = False
+        if runtime.metrics.resolved != runtime.metrics.fired:
+            liveness = False
+            details.append(
+                f"liveness: {runtime.channels[0]} resolved "
+                f"{runtime.metrics.resolved} of {runtime.metrics.fired} "
+                "fired proposals"
+            )
     for channel, orderer in network.orderers.items():
         pending = orderer.pending_count
         if pending:
@@ -433,8 +397,32 @@ def run_chaos(
             "liveness: live peers did not converge on one tip within "
             f"{max_convergence_rounds} extra rounds"
         )
+    saga = network.saga
+    if saga is not None and (
+        saga.unresolved_legs or saga.stats.started != saga.stats.finished
+    ):
+        liveness = False
+        details.append(
+            f"liveness: {saga.unresolved_legs} saga legs unresolved "
+            f"({saga.stats.started} sagas started, "
+            f"{saga.stats.finished} finished)"
+        )
+    return invariants, liveness, converged, details
 
-    consensus = metrics.consensus
+
+def _chaos_report(
+    seed: int,
+    network: FabricNetwork,
+    max_convergence_rounds: int,
+    extra_faults: Sequence[str] = (),
+) -> ChaosReport:
+    """Check a finished chaos run and describe what it was put through."""
+    metrics = network.metrics
+    schedule = network.config.faults
+    invariants, liveness, converged, details = settle_and_check(
+        network, max_convergence_rounds
+    )
+    consensus = metrics.consensus or ConsensusStats()
     faults = [window.describe() for window in schedule.crashes]
     faults += [window.describe() for window in schedule.orderer_crashes]
     faults += [window.describe() for window in schedule.partitions]
@@ -442,6 +430,7 @@ def run_chaos(
         faults.append(f"drop {schedule.drop_probability:.0%} of messages")
     if schedule.jitter_mean:
         faults.append(f"jitter mean {schedule.jitter_mean * 1e3:.1f}ms")
+    faults.extend(extra_faults)
 
     return ChaosReport(
         seed=seed,
@@ -454,15 +443,42 @@ def run_chaos(
         resolved=metrics.resolved,
         committed=metrics.outcomes.get(TxOutcome.COMMITTED, 0),
         blocks=metrics.blocks_committed,
-        elections=consensus.elections_started if consensus else 0,
-        leader_changes=consensus.leader_changes if consensus else 0,
-        messages_dropped=consensus.messages_dropped if consensus else 0,
-        txs_reproposed=consensus.txs_reproposed if consensus else 0,
-        duplicates_suppressed=(
-            consensus.duplicate_txs_suppressed if consensus else 0
-        ),
+        elections=consensus.elections_started,
+        leader_changes=consensus.leader_changes,
+        messages_dropped=consensus.messages_dropped,
+        txs_reproposed=consensus.txs_reproposed,
+        duplicates_suppressed=consensus.duplicate_txs_suppressed,
         sim_time=network.env.now,
     )
+
+
+def run_chaos(
+    seed: int,
+    duration: float = 1.5,
+    drain: float = 4.0,
+    orderer_nodes: int = 3,
+    fabric_plus_plus: bool = False,
+    max_convergence_rounds: int = 20,
+) -> ChaosReport:
+    """Execute one chaos run and check every invariant.
+
+    Deterministic: the same arguments always yield the same report.
+    """
+    config = chaos_config(
+        seed,
+        duration=duration,
+        orderer_nodes=orderer_nodes,
+        fabric_plus_plus=fabric_plus_plus,
+    )
+    workload = make_workload(
+        "smallbank",
+        seed=mix_seed(seed, CHAOS_SEED_SALT, 3),
+        num_users=200,
+        s_value=1.0,
+    )
+    network = FabricNetwork(config, workload)
+    network.run(duration, drain=drain)
+    return _chaos_report(seed, network, max_convergence_rounds)
 
 
 def run_kill_resume_chaos(
@@ -497,14 +513,10 @@ def run_kill_resume_chaos(
     )
     from repro.workloads.registry import WorkloadRef
 
-    schedule = generate_chaos_schedule(
-        seed, duration=duration, orderer_nodes=orderer_nodes
-    )
     config = chaos_config(
         seed,
         duration=duration,
         orderer_nodes=orderer_nodes,
-        schedule=schedule,
         fabric_plus_plus=fabric_plus_plus,
     )
     spec = ExperimentSpec(
@@ -533,7 +545,7 @@ def run_kill_resume_chaos(
             f"{checkpoint_every}) fell outside the run; shrink "
             "checkpoint_every or kill_after"
         )
-    result, network, _ = resume_run(killed.latest)
+    _result, network, _ = resume_run(killed.latest)
 
     # The restore boundary must be invisible: the resumed run's final
     # state has to match the uninterrupted control bit for bit.
@@ -543,63 +555,12 @@ def run_kill_resume_chaos(
         capture_snapshot(network, horizon),
     )
 
-    metrics = result.metrics
-    converged = _settle(network, max_convergence_rounds)
-    invariants, details = check_invariants(network)
-
-    liveness = not network._pending and metrics.resolved == metrics.fired
-    for channel, orderer in network.orderers.items():
-        pending = orderer.pending_count
-        if pending:
-            liveness = False
-            details.append(
-                f"liveness: {pending} transactions still queued in the "
-                f"{channel} ordering service"
-            )
-    if network._pending:
-        details.append(
-            f"liveness: {len(network._pending)} proposals never resolved"
-        )
-    if not converged:
-        details.append(
-            "liveness: live peers did not converge on one tip within "
-            f"{max_convergence_rounds} extra rounds"
-        )
-
-    consensus = metrics.consensus
-    faults = [window.describe() for window in schedule.crashes]
-    faults += [window.describe() for window in schedule.orderer_crashes]
-    faults += [window.describe() for window in schedule.partitions]
-    if schedule.drop_probability:
-        faults.append(f"drop {schedule.drop_probability:.0%} of messages")
-    if schedule.jitter_mean:
-        faults.append(f"jitter mean {schedule.jitter_mean * 1e3:.1f}ms")
-    faults.append(
+    killed_note = (
         f"killed after checkpoint {kill_after} "
         f"(t={killed.latest['time']}), resumed"
         + (" with pruning" if prune else "")
     )
-
-    return ChaosReport(
-        seed=seed,
-        faults=faults,
-        invariants=invariants,
-        liveness=liveness,
-        converged=converged,
-        details=details,
-        fired=metrics.fired,
-        resolved=metrics.resolved,
-        committed=metrics.outcomes.get(TxOutcome.COMMITTED, 0),
-        blocks=metrics.blocks_committed,
-        elections=consensus.elections_started if consensus else 0,
-        leader_changes=consensus.leader_changes if consensus else 0,
-        messages_dropped=consensus.messages_dropped if consensus else 0,
-        txs_reproposed=consensus.txs_reproposed if consensus else 0,
-        duplicates_suppressed=(
-            consensus.duplicate_txs_suppressed if consensus else 0
-        ),
-        sim_time=network.env.now,
-    )
+    return _chaos_report(seed, network, max_convergence_rounds, [killed_note])
 
 
 def run_chaos_suite(

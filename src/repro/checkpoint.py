@@ -43,7 +43,6 @@ import os
 import pickle
 import types
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
@@ -58,6 +57,7 @@ from repro.ledger.state_db import StateDatabase
 from repro.sim.distributions import Rng
 from repro.sim.engine import Environment
 from repro.sim.resources import Resource
+from repro.trace.tracer import crypto_recording
 
 #: Bump when the checkpoint payload layout changes; old files are
 #: rejected with a clear error instead of mis-verifying.
@@ -301,10 +301,9 @@ def capture_snapshot(network, boundary: float) -> Dict[str, object]:
     Read-only: capturing a snapshot never perturbs the simulation, so a
     checkpointed run stays byte-identical to an uncheckpointed one.
     """
-    runtimes = list(getattr(network, "runtimes", None) or [network])
     channels: Dict[str, object] = {}
     pending = 0
-    for runtime in runtimes:
+    for runtime in network.runtimes:
         pending += len(runtime._pending)
         for channel in runtime.channels:
             peers: Dict[str, object] = {}
@@ -329,7 +328,9 @@ def capture_snapshot(network, boundary: float) -> Dict[str, object]:
         "time": boundary,
         "engine": engine_digest(network.env),
         "channels": channels,
-        "metrics": [metrics_digest(runtime.metrics) for runtime in runtimes],
+        "metrics": [
+            metrics_digest(runtime.metrics) for runtime in network.runtimes
+        ],
         "rng": rng_digest(network),
         "pending": pending,
     }
@@ -389,9 +390,8 @@ def prune_network(network) -> int:
     follower's next needed block is never folded away. Returns the total
     number of blocks pruned across the fleet.
     """
-    runtimes = list(getattr(network, "runtimes", None) or [network])
     pruned = 0
-    for runtime in runtimes:
+    for runtime in network.runtimes:
         for channel in runtime.channels:
             states = [
                 peer.channels[channel]
@@ -580,21 +580,6 @@ def spec_from_checkpoint(checkpoint: Dict[str, object]) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def _trace_recording(tracer):
-    """Replicate ``FabricNetwork.run``'s crypto-recorder wrap."""
-    if tracer is None:
-        yield
-        return
-    from repro.crypto import signing
-
-    previous = signing.set_trace_recorder(tracer.record_crypto_op)
-    try:
-        yield
-    finally:
-        signing.set_trace_recorder(previous)
-
-
 def _drive(network, spec, options, checkpointer, tracer, resume=None):
     """Run ``network`` through the segmented checkpoint loop.
 
@@ -608,7 +593,7 @@ def _drive(network, spec, options, checkpointer, tracer, resume=None):
     horizon = duration + spec.drain
     resume_index = int(resume["index"]) if resume is not None else 0
     network.begin(duration)
-    with _trace_recording(tracer):
+    with crypto_recording(tracer):
         written = 0
         for index, boundary in enumerate(checkpointer.boundaries(horizon), start=1):
             network.env.run(until=boundary)

@@ -42,12 +42,13 @@ import copy
 import itertools
 import sys
 from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.bench.cache import ResultCache
 from repro.bench.caliper import run_caliper
 from repro.bench.harness import compare_fabric_vs_fabricpp, run_experiment
 from repro.bench.report import format_table, improvement_factor
+from repro.bench.results import ResultSet
 from repro.bench.spec import ExperimentSpec
 from repro.bench.sweep import run_sweep
 from repro.core.batch_cutter import BatchCutConfig
@@ -174,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--json", metavar="PATH", default=None,
-            help="also save the run records to PATH as JSON",
+            help="also save the full results to PATH as JSON "
+                 "(reload with ResultSet.from_json)",
         )
         if name == "caliper":
             sub.add_argument(
@@ -742,9 +744,8 @@ def command_run(args: argparse.Namespace) -> int:
     if args.export_ledger:
         from repro.ledger.export import save_ledger
 
-        runtimes = getattr(network, "runtimes", None) or [network]
-        total = sum(len(runtime.channels) for runtime in runtimes)
-        for runtime in runtimes:
+        total = sum(len(runtime.channels) for runtime in network.runtimes)
+        for runtime in network.runtimes:
             for channel in runtime.channels:
                 path = (
                     args.export_ledger
@@ -755,7 +756,7 @@ def command_run(args: argparse.Namespace) -> int:
                     path, runtime.reference_peer.channels[channel].ledger
                 )
                 print(f"\nexported {channel} ledger to {path}")
-    _maybe_save(args, [result])
+    _maybe_save(args, ResultSet([result]))
     return 0
 
 
@@ -769,7 +770,7 @@ def command_compare(args: argparse.Namespace) -> int:
     print(format_table(results.rows(), title=f"Fabric vs Fabric++ / {args.workload}"))
     factor = results.improvement_factor()
     print(f"\nFabric++ successful-throughput improvement: {factor:.2f}x")
-    _maybe_save(args, results.values())
+    _maybe_save(args, results)
     return 0
 
 
@@ -866,7 +867,7 @@ def command_sweep(args: argparse.Namespace) -> int:
         print(_sweep_factor_table(results, group_size=len(systems)))
     if stats is not None:
         print(f"\n{stats.summary_line()}")
-    _maybe_save(args, results.values())
+    _maybe_save(args, results)
     return 0
 
 
@@ -946,7 +947,7 @@ def command_profile(args: argparse.Namespace) -> int:
 
 def command_chaos(args: argparse.Namespace) -> int:
     """Run randomized fault schedules and check consensus invariants."""
-    from repro.chaos import INVARIANT_NAMES, run_chaos
+    from repro.chaos import run_chaos
 
     reports = []
     for seed in range(args.seed_base, args.seed_base + args.seeds):
@@ -969,32 +970,13 @@ def command_chaos(args: argparse.Namespace) -> int:
         )
         for line in report.details:
             print(f"           {line}")
-    passed = sum(1 for report in reports if report.passed)
-    print(
-        f"\nchaos: {passed}/{len(reports)} seeds passed all "
-        f"{len(INVARIANT_NAMES)} invariants + liveness"
+    return _finish_invariant_runs(
+        "chaos", args, reports, {"orderer_nodes": args.orderer_nodes}
     )
-    if args.report:
-        import json
-
-        payload = {
-            "seeds": args.seeds,
-            "seed_base": args.seed_base,
-            "system": args.system,
-            "orderer_nodes": args.orderer_nodes,
-            "passed": passed,
-            "failed": len(reports) - passed,
-            "runs": [report.to_dict() for report in reports],
-        }
-        with open(args.report, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"wrote invariant report to {args.report}")
-    return 0 if passed == len(reports) else 1
 
 
 def command_scenario(args: argparse.Namespace) -> int:
     """Run named overload scenarios and check consensus invariants."""
-    from repro.chaos import INVARIANT_NAMES
     from repro.scenarios import get_scenario, run_scenario, scenario_names
 
     if args.list:
@@ -1021,16 +1003,26 @@ def command_scenario(args: argparse.Namespace) -> int:
             )
             for line in report.details:
                 print(f"           {line}")
+    return _finish_invariant_runs("scenario", args, reports, {"scenarios": names})
+
+
+def _finish_invariant_runs(
+    kind: str, args: argparse.Namespace, reports, header: Dict[str, object]
+) -> int:
+    """The shared tail of ``chaos`` and ``scenario``: print the verdict,
+    write the ``--report`` artifact, and pick the exit code."""
+    from repro.chaos import INVARIANT_NAMES
+
     passed = sum(1 for report in reports if report.passed)
     print(
-        f"\nscenario: {passed}/{len(reports)} seeds passed all "
+        f"\n{kind}: {passed}/{len(reports)} seeds passed all "
         f"{len(INVARIANT_NAMES)} invariants + liveness"
     )
     if args.report:
         import json
 
         payload = {
-            "scenarios": names,
+            **header,
             "seeds": args.seeds,
             "seed_base": args.seed_base,
             "system": args.system,
@@ -1082,19 +1074,14 @@ def command_verify_ledger(args: argparse.Namespace) -> int:
     return 0
 
 
-def _maybe_save(args: argparse.Namespace, results) -> None:
+def _maybe_save(args: argparse.Namespace, results: ResultSet) -> None:
     """Persist results when --json was given."""
     path = getattr(args, "json", None)
     if not path:
         return
-    from repro.analysis import record_from_result, save_records
-
-    records = [
-        record_from_result(result, workload=args.workload)
-        for result in results
-    ]
-    save_records(path, records)
-    print(f"\nsaved {len(records)} run record(s) to {path}")
+    with open(path, "w") as handle:
+        handle.write(results.to_json())
+    print(f"\nsaved {len(results)} result(s) to {path}")
 
 
 COMMANDS = {

@@ -5,15 +5,24 @@ transactions per second, with failed transactions reported alongside
 (Figures 7-11) and latency percentiles for the Caliper comparison
 (Table 8). :class:`PipelineMetrics` aggregates per-outcome counters and
 per-transaction latencies for one run.
+
+This module is the one place that knows what a metric is: every block
+below serialises itself (``to_dict``/``from_dict``) and says how two of
+it combine (``merge``), so snapshots (``repro.bench.results``) and the
+sharded fleet total (``repro.channels``) hold no field list of their own.
+The per-transaction samples sit behind one interface with two stores:
+:class:`ListSamples` (exact) and :class:`StreamingMetrics` (bounded).
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass, field
+from operator import itemgetter
+from typing import Dict, List, Optional, Union
 
 from repro.trace.cost import CostBreakdown
 
@@ -114,6 +123,157 @@ class LatencyStats:
         )
 
 
+class _FieldsSnapshot:
+    """Serialisation of the dataclasses below whose snapshot form is
+    exactly their fields (derived figures live in a ``summary``). How
+    two of them combine is *not* shared: each spells out its ``merge``."""
+
+    __slots__ = ()
+
+    def to_dict(self) -> Dict[str, object]:
+        """Plain-dict form for JSON round-tripping."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]):
+        """Rebuild from :meth:`to_dict` output. Keys a snapshot predates
+        take the field defaults."""
+        return cls(**data)
+
+
+def _throughput_rows(
+    successes: List[int], failures: List[int], width: float
+) -> List[Dict[str, object]]:
+    """Per-bucket throughput rows from per-bucket outcome counts."""
+    return [
+        {
+            "t": round((index + 1) * width, 3),
+            "successful_tps": successes[index] / width,
+            "failed_tps": failures[index] / width,
+        }
+        for index in range(len(successes))
+    ]
+
+
+@dataclass(slots=True)
+class ListSamples:
+    """The exact sample store: one list entry per transaction / block.
+
+    The default store of :class:`PipelineMetrics`. It and
+    :class:`StreamingMetrics` answer the same questions through the same
+    methods; this one keeps every sample, so every answer is exact.
+    """
+
+    #: Latencies (proposal submission -> commit) of successful txs.
+    commit_latencies: List[float] = field(default_factory=list)
+    #: Timestamped outcomes: (simulated time, outcome).
+    outcome_times: List[tuple] = field(default_factory=list)
+    #: Per-phase latencies (endorse, order, validate) of committed txs.
+    phase_latencies: List[tuple] = field(default_factory=list)
+    #: Histogram of block sizes (transactions per block) at commit.
+    block_sizes: List[int] = field(default_factory=list)
+
+    def outcome(
+        self, outcome: TxOutcome, latency: Optional[float], now: Optional[float]
+    ) -> None:
+        """Keep one terminal outcome's timestamp and commit latency."""
+        if now is not None:
+            self.outcome_times.append((now, outcome))
+        if outcome.is_success and latency is not None:
+            self.commit_latencies.append(latency)
+
+    def phases(self, endorse: float, order: float, validate: float) -> None:
+        """Keep one committed transaction's per-phase latencies."""
+        self.phase_latencies.append((endorse, order, validate))
+
+    def block(self, num_transactions: int) -> None:
+        """Keep one committed block's size."""
+        self.block_sizes.append(num_transactions)
+
+    def set_window(self, duration: float) -> None:
+        """Nothing to pin: exact samples are windowed at query time."""
+
+    def windowed(self, want_success: bool, duration: float) -> Optional[int]:
+        """Outcomes at simulated time <= ``duration``; None when no
+        outcome carried a timestamp."""
+        if not self.outcome_times:
+            return None
+        return sum(
+            1
+            for time, outcome in self.outcome_times
+            if time <= duration and outcome.is_success == want_success
+        )
+
+    def latency(self) -> Optional[LatencyStats]:
+        """Exact latency summary over committed transactions."""
+        return LatencyStats.from_samples(self.commit_latencies)
+
+    @property
+    def phase_count(self) -> int:
+        """Committed transactions with recorded phases."""
+        return len(self.phase_latencies)
+
+    @property
+    def phase_sums(self) -> List[float]:
+        """Total seconds per phase (endorse, order, validate)."""
+        return [sum(column) for column in zip(*self.phase_latencies)]
+
+    @property
+    def block_total(self) -> int:
+        """Transactions over all committed blocks."""
+        return sum(self.block_sizes)
+
+    def timeseries(
+        self, duration: float, bucket_seconds: float
+    ) -> List[Dict[str, object]]:
+        """Per-bucket throughput rows over ``[0, duration)``."""
+        bucket_count = max(1, int(round(duration / bucket_seconds)))
+        successes = [0] * bucket_count
+        failures = [0] * bucket_count
+        for time, outcome in self.outcome_times:
+            if time > duration:
+                continue
+            index = min(bucket_count - 1, int(time / bucket_seconds))
+            if outcome.is_success:
+                successes[index] += 1
+            else:
+                failures[index] += 1
+        return _throughput_rows(successes, failures, bucket_seconds)
+
+    def merge(self, other: "ListSamples") -> None:
+        """Fold another store in: sample lists concatenate in merge
+        order; the timestamped series merges by time (stable sort, so
+        simultaneous outcomes keep merge order)."""
+        self.commit_latencies.extend(other.commit_latencies)
+        self.phase_latencies.extend(other.phase_latencies)
+        self.block_sizes.extend(other.block_sizes)
+        self.outcome_times.extend(other.outcome_times)
+        self.outcome_times.sort(key=itemgetter(0))
+
+    def to_dict(self) -> Dict[str, object]:
+        """The sample keys of a metrics snapshot."""
+        return {
+            "commit_latencies": list(self.commit_latencies),
+            "outcome_times": [
+                [time, outcome.value] for time, outcome in self.outcome_times
+            ],
+            "phase_latencies": [list(sample) for sample in self.phase_latencies],
+            "block_sizes": list(self.block_sizes),
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "ListSamples":
+        """Rebuild from the sample keys of a snapshot."""
+        return cls(
+            commit_latencies=list(data["commit_latencies"]),
+            outcome_times=[
+                (time, TxOutcome(value)) for time, value in data["outcome_times"]
+            ],
+            phase_latencies=[tuple(sample) for sample in data["phase_latencies"]],
+            block_sizes=list(data["block_sizes"]),
+        )
+
+
 # -- streaming (O(1)-memory) aggregation ----------------------------------------
 #
 # Long-horizon runs cannot afford the per-transaction sample lists above:
@@ -136,7 +296,8 @@ STREAMING_BUCKET_LIMIT = 512
 STREAMING_SEED_SALT = 0x57E3
 
 
-class StreamingLatency:
+@dataclass
+class StreamingLatency(_FieldsSnapshot):
     """Online latency aggregation with a seeded bounded reservoir.
 
     Count, sum, minimum and maximum are exact; percentiles come from a
@@ -144,30 +305,21 @@ class StreamingLatency:
     so they are exact until ``capacity`` samples have been seen and
     approximate afterwards. The reservoir's replacement decisions use a
     private seeded stream, so identical runs produce identical summaries.
+    The snapshot form is summary-grade: that stream is reseeded on load,
+    so a deserialised aggregate reports identically but must not keep
+    recording.
     """
 
-    __slots__ = (
-        "seed",
-        "capacity",
-        "count",
-        "total",
-        "minimum",
-        "maximum",
-        "samples",
-        "_random",
-    )
+    seed: int
+    capacity: int = STREAMING_RESERVOIR_CAPACITY
+    count: int = 0
+    total: float = 0.0
+    minimum: Optional[float] = None
+    maximum: Optional[float] = None
+    samples: List[float] = field(default_factory=list)
 
-    def __init__(
-        self, seed: int, capacity: int = STREAMING_RESERVOIR_CAPACITY
-    ) -> None:
-        self.seed = seed
-        self.capacity = capacity
-        self.count = 0
-        self.total = 0.0
-        self.minimum: Optional[float] = None
-        self.maximum: Optional[float] = None
-        self.samples: List[float] = []
-        self._random = random.Random(seed)
+    def __post_init__(self) -> None:
+        self._random = random.Random(self.seed)
 
     def add(self, value: float) -> None:
         """Fold one latency sample into the aggregate."""
@@ -222,33 +374,9 @@ class StreamingLatency:
         stats.maximum = self.maximum
         return stats
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form for JSON round-tripping (summary-grade: the
-        replacement stream is reseeded on load, so a deserialised
-        aggregate reports identically but must not keep recording)."""
-        return {
-            "seed": self.seed,
-            "capacity": self.capacity,
-            "count": self.count,
-            "total": self.total,
-            "minimum": self.minimum,
-            "maximum": self.maximum,
-            "samples": list(self.samples),
-        }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "StreamingLatency":
-        """Rebuild from :meth:`to_dict` output."""
-        stream = cls(seed=data["seed"], capacity=data["capacity"])
-        stream.count = data["count"]
-        stream.total = data["total"]
-        stream.minimum = data["minimum"]
-        stream.maximum = data["maximum"]
-        stream.samples = list(data["samples"])
-        return stream
-
-
-class StreamingWindow:
+@dataclass(slots=True)
+class StreamingWindow(_FieldsSnapshot):
     """Bounded outcome-time aggregation: exact windowed counts plus a
     bucket histogram whose width doubles once the bucket budget is hit.
 
@@ -261,27 +389,14 @@ class StreamingWindow:
     degrades gracefully instead of memory growing with the horizon.
     """
 
-    __slots__ = (
-        "width",
-        "limit",
-        "window_end",
-        "windowed_success",
-        "windowed_fail",
-        "success",
-        "fail",
-    )
-
-    def __init__(
-        self, width: float = 1.0, limit: int = STREAMING_BUCKET_LIMIT
-    ) -> None:
-        self.width = width
-        self.limit = limit
-        #: Measurement window; set by the harness before traffic starts.
-        self.window_end: Optional[float] = None
-        self.windowed_success = 0
-        self.windowed_fail = 0
-        self.success: List[int] = []
-        self.fail: List[int] = []
+    width: float = 1.0
+    limit: int = STREAMING_BUCKET_LIMIT
+    #: Measurement window; set by the harness before traffic starts.
+    window_end: Optional[float] = None
+    windowed_success: int = 0
+    windowed_fail: int = 0
+    success: List[int] = field(default_factory=list)
+    fail: List[int] = field(default_factory=list)
 
     def observe(self, now: float, is_success: bool) -> None:
         """Fold one timestamped outcome into the aggregate."""
@@ -345,68 +460,77 @@ class StreamingWindow:
         if duration <= 0:
             return []
         count = max(1, math.ceil(round(duration / self.width, 9)))
-        rows = []
-        for index in range(count):
-            successes = self.success[index] if index < len(self.success) else 0
-            failures = self.fail[index] if index < len(self.fail) else 0
-            rows.append(
-                {
-                    "t": round((index + 1) * self.width, 3),
-                    "successful_tps": successes / self.width,
-                    "failed_tps": failures / self.width,
-                }
-            )
-        return rows
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form for JSON round-tripping."""
-        return {
-            "width": self.width,
-            "limit": self.limit,
-            "window_end": self.window_end,
-            "windowed_success": self.windowed_success,
-            "windowed_fail": self.windowed_fail,
-            "success": list(self.success),
-            "fail": list(self.fail),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "StreamingWindow":
-        """Rebuild from :meth:`to_dict` output."""
-        window = cls(width=data["width"], limit=data["limit"])
-        window.window_end = data["window_end"]
-        window.windowed_success = data["windowed_success"]
-        window.windowed_fail = data["windowed_fail"]
-        window.success = list(data["success"])
-        window.fail = list(data["fail"])
-        return window
+        padding = [0] * count
+        return _throughput_rows(
+            (self.success + padding)[:count],
+            (self.fail + padding)[:count],
+            self.width,
+        )
 
 
+@dataclass(slots=True)
 class StreamingMetrics:
     """The full O(1)-memory aggregate behind ``streaming_metrics``.
 
     Groups the latency reservoir, the windowed outcome counters and
     bucket histogram, the per-phase latency sums, and the block-size
-    total — everything :class:`PipelineMetrics` otherwise keeps as
-    unbounded per-transaction lists.
+    total — everything :class:`ListSamples` keeps as unbounded
+    per-transaction lists, behind the same methods.
     """
 
-    __slots__ = ("latency", "window", "phase_count", "phase_sums", "block_total")
+    reservoir: StreamingLatency
+    window: StreamingWindow = field(default_factory=StreamingWindow)
+    phase_count: int = 0
+    phase_sums: List[float] = field(default_factory=lambda: [0.0, 0.0, 0.0])
+    block_total: int = 0
 
-    def __init__(self, seed: int = 0) -> None:
-        self.latency = StreamingLatency(seed)
-        self.window = StreamingWindow()
-        self.phase_count = 0
-        self.phase_sums = [0.0, 0.0, 0.0]
-        self.block_total = 0
+    def outcome(
+        self, outcome: TxOutcome, latency: Optional[float], now: Optional[float]
+    ) -> None:
+        """Fold one terminal outcome into the window and the reservoir."""
+        if now is not None:
+            self.window.observe(now, outcome.is_success)
+        if outcome.is_success and latency is not None:
+            self.reservoir.add(latency)
+
+    def phases(self, endorse: float, order: float, validate: float) -> None:
+        """Fold one committed transaction's per-phase latencies in."""
+        self.phase_count += 1
+        sums = self.phase_sums
+        sums[0] += endorse
+        sums[1] += order
+        sums[2] += validate
+
+    def block(self, num_transactions: int) -> None:
+        """Fold one committed block's size in."""
+        self.block_total += num_transactions
 
     def set_window(self, duration: float) -> None:
         """Pin the measurement window (harness calls this at run start)."""
         self.window.window_end = duration
 
+    def windowed(self, want_success: bool, duration: float) -> Optional[int]:
+        """Exact outcomes inside the pinned window; None before it is
+        pinned."""
+        window = self.window
+        if window.window_end is None:
+            return None
+        return window.windowed_success if want_success else window.windowed_fail
+
+    def latency(self) -> Optional[LatencyStats]:
+        """Exact count/min/avg/max, reservoir-estimated percentiles."""
+        return self.reservoir.stats()
+
+    def timeseries(
+        self, duration: float, bucket_seconds: float
+    ) -> List[Dict[str, object]]:
+        """The bounded histogram at its native bucket width (which
+        doubles on very long horizons); ``bucket_seconds`` is ignored."""
+        return self.window.timeseries(duration)
+
     def merge(self, other: "StreamingMetrics") -> None:
         """Fold another channel's aggregate in (fleet aggregation)."""
-        self.latency.merge(other.latency)
+        self.reservoir.merge(other.reservoir)
         self.window.merge(other.window)
         self.phase_count += other.phase_count
         for index in range(3):
@@ -414,29 +538,27 @@ class StreamingMetrics:
         self.block_total += other.block_total
 
     def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form for JSON round-tripping."""
-        return {
-            "latency": self.latency.to_dict(),
-            "window": self.window.to_dict(),
-            "phase_count": self.phase_count,
-            "phase_sums": list(self.phase_sums),
-            "block_total": self.block_total,
-        }
+        """The sample keys of a metrics snapshot: the aggregate under
+        ``streaming``, beside the four list keys — present but empty,
+        the shape every streaming snapshot has had since the knob
+        existed (cache entries and pinned hashes depend on it)."""
+        aggregate = asdict(self)
+        aggregate["latency"] = aggregate.pop("reservoir")
+        return {**ListSamples().to_dict(), "streaming": aggregate}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "StreamingMetrics":
-        """Rebuild from :meth:`to_dict` output."""
-        streaming = cls()
-        streaming.latency = StreamingLatency.from_dict(data["latency"])
-        streaming.window = StreamingWindow.from_dict(data["window"])
-        streaming.phase_count = data["phase_count"]
-        streaming.phase_sums = list(data["phase_sums"])
-        streaming.block_total = data["block_total"]
-        return streaming
+        """Rebuild from the sample keys of a snapshot."""
+        aggregate = dict(data["streaming"])
+        return cls(
+            reservoir=StreamingLatency.from_dict(aggregate.pop("latency")),
+            window=StreamingWindow.from_dict(aggregate.pop("window")),
+            **aggregate,
+        )
 
 
 @dataclass
-class ValidationStats:
+class ValidationStats(_FieldsSnapshot):
     """Validation-pipeline counters collected at the reference peer.
 
     Only attached when the run uses a non-default concurrency-control
@@ -451,7 +573,7 @@ class ValidationStats:
     pipeline_depth: int
     #: Registry name of the CC strategy that collected the stats
     #: (``repro.validation.registry``). Empty in snapshots written
-    #: before the registry existed; :meth:`from_dict` then falls back to
+    #: before the registry existed; :meth:`summary` then falls back to
     #: ``scheduler``, which named the only strategies of that era.
     strategy: str = ""
     #: Blocks / transactions committed through the pipeline.
@@ -513,42 +635,21 @@ class ValidationStats:
             "worker_utilisation": round(self.worker_utilisation(duration), 4),
         }
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form for JSON round-tripping."""
-        return {
-            "workers": self.workers,
-            "scheduler": self.scheduler,
-            "pipeline_depth": self.pipeline_depth,
-            "strategy": self.strategy,
-            "blocks": self.blocks,
-            "txs": self.txs,
-            "critical_path_total": self.critical_path_total,
-            "verify_tasks": self.verify_tasks,
-            "queue_delay_total": self.queue_delay_total,
-            "lane_busy": list(self.lane_busy),
-            "horizon": self.horizon,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ValidationStats":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            workers=data["workers"],
-            scheduler=data["scheduler"],
-            pipeline_depth=data["pipeline_depth"],
-            strategy=data.get("strategy", data["scheduler"]),
-            blocks=data["blocks"],
-            txs=data["txs"],
-            critical_path_total=data["critical_path_total"],
-            verify_tasks=data["verify_tasks"],
-            queue_delay_total=data["queue_delay_total"],
-            lane_busy=list(data["lane_busy"]),
-            horizon=data.get("horizon", 0.0),
-        )
+    def merge(self, other: "ValidationStats") -> None:
+        """Fold another channel's pipeline in: counters sum, the lanes
+        line up side by side, the horizon is the longest; the
+        configuration stays the first channel's."""
+        self.blocks += other.blocks
+        self.txs += other.txs
+        self.critical_path_total += other.critical_path_total
+        self.verify_tasks += other.verify_tasks
+        self.queue_delay_total += other.queue_delay_total
+        self.lane_busy.extend(other.lane_busy)
+        self.horizon = max(self.horizon, other.horizon)
 
 
 @dataclass
-class ConsensusStats:
+class ConsensusStats(_FieldsSnapshot):
     """Ordering-cluster counters for one replicated run.
 
     Only attached when ``FabricConfig.orderer_nodes > 1``; single-orderer
@@ -576,33 +677,23 @@ class ConsensusStats:
     #: proposal) was suppressed by apply-time dedup.
     duplicate_txs_suppressed: int = 0
 
-    def summary(self) -> Dict[str, object]:
-        """Flat dict of the headline consensus numbers."""
-        return {
-            "nodes": self.nodes,
-            "elections_started": self.elections_started,
-            "leader_changes": self.leader_changes,
-            "max_term": self.max_term,
-            "messages_sent": self.messages_sent,
-            "messages_dropped": self.messages_dropped,
-            "entries_proposed": self.entries_proposed,
-            "entries_committed": self.entries_committed,
-            "txs_reproposed": self.txs_reproposed,
-            "duplicate_txs_suppressed": self.duplicate_txs_suppressed,
-        }
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form for JSON round-tripping."""
-        return self.summary()
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ConsensusStats":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(**data)
+    def merge(self, other: "ConsensusStats") -> None:
+        """Fold another channel's cluster in: counters sum, the term is
+        the highest any group reached; every cluster has the first
+        channel's node count."""
+        self.elections_started += other.elections_started
+        self.leader_changes += other.leader_changes
+        self.max_term = max(self.max_term, other.max_term)
+        self.messages_sent += other.messages_sent
+        self.messages_dropped += other.messages_dropped
+        self.entries_proposed += other.entries_proposed
+        self.entries_committed += other.entries_committed
+        self.txs_reproposed += other.txs_reproposed
+        self.duplicate_txs_suppressed += other.duplicate_txs_suppressed
 
 
 @dataclass
-class OverloadStats:
+class OverloadStats(_FieldsSnapshot):
     """Admission-control counters for one backpressure-enabled run.
 
     Only attached when a queue bound is configured
@@ -648,46 +739,33 @@ class OverloadStats:
         return self.queue_depth_sum / self.submissions
 
     def summary(self) -> Dict[str, object]:
-        """Flat dict of the headline overload numbers."""
-        return {
-            "orderer_queue_limit": self.orderer_queue_limit,
-            "endorse_queue_limit": self.endorse_queue_limit,
-            "submissions": self.submissions,
-            "orderer_rejections": self.orderer_rejections,
-            "endorse_rejections": self.endorse_rejections,
-            "client_retries": self.client_retries,
-            "txs_shed": self.txs_shed,
-            "rejection_rate": round(self.rejection_rate(), 4),
-            "queue_depth_peak": self.queue_depth_peak,
-            "avg_queue_depth": round(self.avg_queue_depth(), 2),
-            "endorse_inflight_peak": self.endorse_inflight_peak,
-            "delivery_stall_seconds": round(self.delivery_stall_seconds, 4),
-        }
+        """The counters plus the derived rates (the queue-depth sum
+        gives way to its average)."""
+        summary = self.to_dict()
+        del summary["queue_depth_sum"]
+        summary["delivery_stall_seconds"] = round(self.delivery_stall_seconds, 4)
+        summary["rejection_rate"] = round(self.rejection_rate(), 4)
+        summary["avg_queue_depth"] = round(self.avg_queue_depth(), 2)
+        return summary
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form for JSON round-tripping (raw counters only)."""
-        return {
-            "orderer_queue_limit": self.orderer_queue_limit,
-            "endorse_queue_limit": self.endorse_queue_limit,
-            "submissions": self.submissions,
-            "orderer_rejections": self.orderer_rejections,
-            "endorse_rejections": self.endorse_rejections,
-            "client_retries": self.client_retries,
-            "txs_shed": self.txs_shed,
-            "queue_depth_peak": self.queue_depth_peak,
-            "queue_depth_sum": self.queue_depth_sum,
-            "endorse_inflight_peak": self.endorse_inflight_peak,
-            "delivery_stall_seconds": self.delivery_stall_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "OverloadStats":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(**data)
+    def merge(self, other: "OverloadStats") -> None:
+        """Fold another channel's admission control in: counters sum,
+        peaks take the maximum; the bounds stay the first channel's."""
+        self.submissions += other.submissions
+        self.orderer_rejections += other.orderer_rejections
+        self.endorse_rejections += other.endorse_rejections
+        self.client_retries += other.client_retries
+        self.txs_shed += other.txs_shed
+        self.queue_depth_peak = max(self.queue_depth_peak, other.queue_depth_peak)
+        self.queue_depth_sum += other.queue_depth_sum
+        self.endorse_inflight_peak = max(
+            self.endorse_inflight_peak, other.endorse_inflight_peak
+        )
+        self.delivery_stall_seconds += other.delivery_stall_seconds
 
 
 @dataclass
-class SagaStats:
+class SagaStats(_FieldsSnapshot):
     """Cross-channel saga accounting for one sharded run.
 
     A saga is one business intent split into a home-channel leg and a
@@ -712,27 +790,16 @@ class SagaStats:
         """Sagas whose both legs reached a terminal outcome."""
         return self.committed + self.half_committed + self.aborted
 
-    def summary(self) -> Dict[str, object]:
-        """Flat dict of the saga counters."""
-        return {
-            "started": self.started,
-            "committed": self.committed,
-            "half_committed": self.half_committed,
-            "aborted": self.aborted,
-        }
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form for JSON round-tripping."""
-        return self.summary()
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SagaStats":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(**data)
+    def merge(self, other: "SagaStats") -> None:
+        """Fold another fleet's sagas in: every bucket sums."""
+        self.started += other.started
+        self.committed += other.committed
+        self.half_committed += other.half_committed
+        self.aborted += other.aborted
 
 
 @dataclass
-class ChannelFleetStats:
+class ChannelFleetStats(_FieldsSnapshot):
     """Per-channel breakdown of a sharded (``channels >= 2``) run.
 
     Only attached by ``repro.channels``; single-runtime runs leave
@@ -749,26 +816,29 @@ class ChannelFleetStats:
     #: Cross-channel saga accounting (all-zero when the run fired none).
     saga: SagaStats = field(default_factory=SagaStats)
 
-    def summary(self) -> Dict[str, object]:
-        """Flat dict of the headline fleet numbers."""
-        return {
-            "channels": self.channels,
-            "per_channel": [dict(row) for row in self.per_channel],
-            "saga": self.saga.summary(),
-        }
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form for JSON round-tripping."""
-        return self.summary()
+    def merge(self, other: "ChannelFleetStats") -> None:
+        """Fold another fleet in: its channels line up after ours."""
+        self.channels += other.channels
+        self.per_channel.extend(other.per_channel)
+        self.saga.merge(other.saga)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ChannelFleetStats":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            channels=data["channels"],
-            per_channel=[dict(row) for row in data["per_channel"]],
-            saga=SagaStats.from_dict(data["saga"]),
-        )
+        """Rebuild from :meth:`to_dict` output (``saga`` re-nested)."""
+        return cls(**{**data, "saga": SagaStats.from_dict(data["saga"])})
+
+
+#: The optional blocks of :class:`PipelineMetrics`: attribute (and
+#: snapshot key) -> class. A block a run did not use stays None and
+#: leaves no key in the snapshot, so default runs stay byte-identical to
+#: builds that predate the block.
+OPTIONAL_BLOCKS = {
+    "cost_breakdown": CostBreakdown,
+    "validation": ValidationStats,
+    "consensus": ConsensusStats,
+    "overload": OverloadStats,
+    "channels": ChannelFleetStats,
+}
 
 
 @dataclass
@@ -778,18 +848,17 @@ class PipelineMetrics:
     outcomes: Dict[TxOutcome, int] = field(
         default_factory=lambda: {outcome: 0 for outcome in TxOutcome}
     )
-    #: Latencies (proposal submission -> commit) of successful txs.
-    commit_latencies: List[float] = field(default_factory=list)
-    #: Timestamped outcomes: (simulated time, outcome).
-    outcome_times: List[tuple] = field(default_factory=list)
-    #: Per-phase latencies (endorse, order, validate) of committed txs.
-    phase_latencies: List[tuple] = field(default_factory=list)
+    #: The per-transaction samples: exact lists by default, the bounded
+    #: aggregates once :meth:`enable_streaming` swapped the store (set
+    #: only when the run enabled ``FabricConfig.streaming_metrics``, so
+    #: default snapshots stay byte-identical to pre-streaming builds).
+    samples: Union[ListSamples, StreamingMetrics] = field(
+        default_factory=ListSamples
+    )
     #: Number of proposals fired by clients.
     fired: int = 0
     #: Number of blocks committed (at the reference peer).
     blocks_committed: int = 0
-    #: Histogram of block sizes (transactions per block) at commit.
-    block_sizes: List[int] = field(default_factory=list)
     #: Measurement window in simulated seconds (set by the harness).
     #: Throughput counts only outcomes that occurred *inside* the window,
     #: so a backlog resolving during the post-run drain does not inflate
@@ -823,15 +892,8 @@ class PipelineMetrics:
     #: (``FabricConfig.channels >= 2``, ``repro.channels``); None (and
     #: absent from summaries) on single-runtime runs.
     channels: Optional[ChannelFleetStats] = None
-    #: O(1)-memory aggregates. Set only when the run enabled
-    #: ``FabricConfig.streaming_metrics``; None (and absent from metric
-    #: snapshots) otherwise, so default runs stay byte-identical to
-    #: pre-streaming builds. While set, the per-transaction lists above
-    #: (``commit_latencies``, ``outcome_times``, ``phase_latencies``,
-    #: ``block_sizes``) stay empty.
-    streaming: Optional[StreamingMetrics] = None
 
-    def enable_streaming(self, seed: int = 0) -> StreamingMetrics:
+    def enable_streaming(self, seed: int = 0) -> None:
         """Switch this metrics object to O(1)-memory streaming mode.
 
         Must happen before any sample is recorded; the seed feeds the
@@ -839,8 +901,21 @@ class PipelineMetrics:
         STREAMING_SEED_SALT, ...)`` so it is independent of simulation
         randomness).
         """
-        self.streaming = StreamingMetrics(seed)
-        return self.streaming
+        self.samples = StreamingMetrics(StreamingLatency(seed))
+
+    def empty_like(self, seed: int = 0) -> "PipelineMetrics":
+        """A fresh metrics object with this one's kind of sample store —
+        what a fleet total starts from before per-channel metrics
+        :meth:`merge` into it."""
+        fresh = PipelineMetrics()
+        if isinstance(self.samples, StreamingMetrics):
+            fresh.enable_streaming(seed)
+        return fresh
+
+    def set_window(self, duration: float) -> None:
+        """Pin the measurement window before traffic starts (bounded
+        stores must know it while recording)."""
+        self.samples.set_window(duration)
 
     def record_fired(self) -> None:
         """Count one fired proposal."""
@@ -854,31 +929,17 @@ class PipelineMetrics:
     ) -> None:
         """Count a terminal outcome, with latency for committed txs."""
         self.outcomes[outcome] += 1
-        streaming = self.streaming
-        if streaming is not None:
-            if now is not None:
-                streaming.window.observe(now, outcome.is_success)
-            if outcome.is_success and latency is not None:
-                streaming.latency.add(latency)
-            return
-        if now is not None:
-            self.outcome_times.append((now, outcome))
-        if outcome.is_success and latency is not None:
-            self.commit_latencies.append(latency)
+        self.samples.outcome(outcome, latency, now)
 
-    def _windowed(self, want_success: bool) -> int:
-        """Outcomes inside the measurement window (fallback: totals)."""
-        streaming = self.streaming
-        if streaming is not None and streaming.window.window_end is not None:
-            window = streaming.window
-            return window.windowed_success if want_success else window.windowed_fail
-        if not self.outcome_times:
-            return self.successful if want_success else self.failed
-        return sum(
-            1
-            for time, outcome in self.outcome_times
-            if time <= self.duration and outcome.is_success == want_success
-        )
+    def _windowed_tps(self, want_success: bool) -> float:
+        """Outcomes per second inside the measurement window (totals
+        when the store has no timestamps to window by)."""
+        if self.duration <= 0:
+            return 0.0
+        count = self.samples.windowed(want_success, self.duration)
+        if count is None:
+            count = self.successful if want_success else self.failed
+        return count / self.duration
 
     def record_fault(self, counter: str, amount: int = 1) -> None:
         """Bump one of the sparse fault counters."""
@@ -891,10 +952,7 @@ class PipelineMetrics:
     def record_block(self, num_transactions: int) -> None:
         """Count a committed block."""
         self.blocks_committed += 1
-        if self.streaming is not None:
-            self.streaming.block_total += num_transactions
-        else:
-            self.block_sizes.append(num_transactions)
+        self.samples.block(num_transactions)
 
     def record_phases(
         self, endorse: float, order: float, validate: float
@@ -905,15 +963,7 @@ class PipelineMetrics:
         ``order`` spans assembly to block cut; ``validate`` spans cut to
         commit at the reference peer.
         """
-        streaming = self.streaming
-        if streaming is not None:
-            streaming.phase_count += 1
-            sums = streaming.phase_sums
-            sums[0] += endorse
-            sums[1] += order
-            sums[2] += validate
-            return
-        self.phase_latencies.append((endorse, order, validate))
+        self.samples.phases(endorse, order, validate)
 
     def phase_breakdown(self) -> Optional[Dict[str, float]]:
         """Average seconds spent per pipeline phase (committed txs).
@@ -922,24 +972,81 @@ class PipelineMetrics:
         (Table 8) comes mostly out of the ordering + validation phases,
         which early abort keeps short.
         """
-        streaming = self.streaming
-        if streaming is not None:
-            if not streaming.phase_count:
-                return None
-            count = streaming.phase_count
-            return {
-                "endorse": streaming.phase_sums[0] / count,
-                "order": streaming.phase_sums[1] / count,
-                "validate": streaming.phase_sums[2] / count,
-            }
-        if not self.phase_latencies:
+        count = self.samples.phase_count
+        if not count:
             return None
-        count = len(self.phase_latencies)
+        sums = self.samples.phase_sums
         return {
-            "endorse": sum(sample[0] for sample in self.phase_latencies) / count,
-            "order": sum(sample[1] for sample in self.phase_latencies) / count,
-            "validate": sum(sample[2] for sample in self.phase_latencies) / count,
+            "endorse": sums[0] / count,
+            "order": sums[1] / count,
+            "validate": sums[2] / count,
         }
+
+    # -- combining and (de)serialising ---------------------------------------
+
+    def merge(self, other: "PipelineMetrics") -> None:
+        """Fold another run's metrics in (the sharded fleet total is the
+        merge of its channels): counters sum, samples combine as the
+        store defines, timestamped series merge by time with ties in
+        merge order, and an optional block this side lacks is copied
+        from the other. Samples move store to store, never through
+        ``record_*``."""
+        for outcome, count in other.outcomes.items():
+            self.outcomes[outcome] += count
+        self.samples.merge(other.samples)
+        self.fired += other.fired
+        self.blocks_committed += other.blocks_committed
+        self.duration = max(self.duration, other.duration)
+        for counter, amount in other.fault_counters.items():
+            self.record_fault(counter, amount)
+        self.fault_events.extend(other.fault_events)
+        self.fault_events.sort(key=itemgetter(0))
+        for name in OPTIONAL_BLOCKS:
+            theirs = getattr(other, name)
+            if theirs is None:
+                continue
+            mine = getattr(self, name)
+            if mine is None:
+                setattr(self, name, copy.deepcopy(theirs))
+            else:
+                mine.merge(theirs)
+
+    def to_dict(self) -> Dict[str, object]:
+        """Full snapshot of one run's metrics (counters and samples)."""
+        snapshot = {
+            "outcomes": self._outcome_counts(),
+            "fired": self.fired,
+            "blocks_committed": self.blocks_committed,
+            "duration": self.duration,
+            "fault_counters": dict(self.fault_counters),
+            "fault_events": [list(event) for event in self.fault_events],
+            **self.samples.to_dict(),
+        }
+        for name in OPTIONAL_BLOCKS:
+            block = getattr(self, name)
+            if block is not None:
+                snapshot[name] = block.to_dict()
+        return snapshot
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "PipelineMetrics":
+        """Rebuild from :meth:`to_dict` output."""
+        store = StreamingMetrics if "streaming" in data else ListSamples
+        metrics = cls(
+            samples=store.from_dict(data),
+            fired=data["fired"],
+            blocks_committed=data["blocks_committed"],
+            duration=data["duration"],
+            # Absent in pre-fault snapshots (and cache entries they wrote).
+            fault_counters=dict(data.get("fault_counters", {})),
+            fault_events=[tuple(event) for event in data.get("fault_events", [])],
+        )
+        for value, count in data["outcomes"].items():
+            metrics.outcomes[TxOutcome(value)] = count
+        for name, block in OPTIONAL_BLOCKS.items():
+            if name in data:
+                setattr(metrics, name, block.from_dict(data[name]))
+        return metrics
 
     # -- derived figures -----------------------------------------------------
 
@@ -957,6 +1064,14 @@ class PipelineMetrics:
             if not outcome.is_success
         )
 
+    def _outcome_counts(self) -> Dict[str, int]:
+        """Outcome name -> count, for the outcomes that occurred."""
+        return {
+            outcome.value: count
+            for outcome, count in self.outcomes.items()
+            if count
+        }
+
     @property
     def resolved(self) -> int:
         """Total proposals that reached any terminal state."""
@@ -964,15 +1079,11 @@ class PipelineMetrics:
 
     def successful_tps(self) -> float:
         """Average successful transactions per second over the window."""
-        if self.duration <= 0:
-            return 0.0
-        return self._windowed(want_success=True) / self.duration
+        return self._windowed_tps(want_success=True)
 
     def failed_tps(self) -> float:
         """Average failed transactions per second over the window."""
-        if self.duration <= 0:
-            return 0.0
-        return self._windowed(want_success=False) / self.duration
+        return self._windowed_tps(want_success=False)
 
     def total_tps(self) -> float:
         """Average resolved transactions per second over the window."""
@@ -984,19 +1095,13 @@ class PipelineMetrics:
         Streaming runs report exact count/min/avg/max and
         reservoir-estimated percentiles (see :class:`StreamingLatency`).
         """
-        if self.streaming is not None:
-            return self.streaming.latency.stats()
-        return LatencyStats.from_samples(self.commit_latencies)
+        return self.samples.latency()
 
     def average_block_size(self) -> float:
         """Mean transactions per committed block."""
-        if self.streaming is not None:
-            if not self.blocks_committed:
-                return 0.0
-            return self.streaming.block_total / self.blocks_committed
-        if not self.block_sizes:
+        if not self.blocks_committed:
             return 0.0
-        return sum(self.block_sizes) / len(self.block_sizes)
+        return self.samples.block_total / self.blocks_committed
 
     def throughput_timeseries(
         self, bucket_seconds: float = 1.0
@@ -1013,27 +1118,7 @@ class PipelineMetrics:
         """
         if self.duration <= 0 or bucket_seconds <= 0:
             return []
-        if self.streaming is not None:
-            return self.streaming.window.timeseries(self.duration)
-        bucket_count = max(1, int(round(self.duration / bucket_seconds)))
-        successes = [0] * bucket_count
-        failures = [0] * bucket_count
-        for time, outcome in self.outcome_times:
-            if time > self.duration:
-                continue
-            index = min(bucket_count - 1, int(time / bucket_seconds))
-            if outcome.is_success:
-                successes[index] += 1
-            else:
-                failures[index] += 1
-        return [
-            {
-                "t": round((index + 1) * bucket_seconds, 3),
-                "successful_tps": successes[index] / bucket_seconds,
-                "failed_tps": failures[index] / bucket_seconds,
-            }
-            for index in range(bucket_count)
-        ]
+        return self.samples.timeseries(self.duration, bucket_seconds)
 
     def commit_availability(self, bucket_seconds: float = 1.0) -> float:
         """Fraction of measurement-window buckets with >= 1 commit.
@@ -1062,6 +1147,32 @@ class PipelineMetrics:
         summary["commit_availability"] = round(self.commit_availability(), 3)
         return summary
 
+    def counts_row(self) -> Dict[str, object]:
+        """The compact row a channel (or the fleet) shows in per-channel
+        tables: counts, windowed TPS, blocks."""
+        return {
+            "fired": self.fired,
+            "successful": self.successful,
+            "failed": self.failed,
+            "successful_tps": round(self.successful_tps(), 2),
+            "failed_tps": round(self.failed_tps(), 2),
+            "blocks": self.blocks_committed,
+        }
+
+    def channel_rows(self) -> List[Dict[str, object]]:
+        """Per-channel breakdown of a sharded run: one ``channel="fleet"``
+        row (the aggregate, saga counters inlined) followed by the
+        per-channel rows; empty for single-runtime runs."""
+        if self.channels is None:
+            return []
+        saga = self.channels.saga.to_dict()
+        fleet = {
+            "channel": "fleet",
+            **self.counts_row(),
+            **{f"saga_{key}": value for key, value in saga.items()},
+        }
+        return [fleet, *self.channels.per_channel]
+
     def summary(self) -> Dict[str, object]:
         """A flat dict of the headline numbers (for reports and tests)."""
         latency = self.latency()
@@ -1077,26 +1188,22 @@ class PipelineMetrics:
             "latency_avg": round(latency.average, 4) if latency else None,
             "latency_min": round(latency.minimum, 4) if latency else None,
             "latency_max": round(latency.maximum, 4) if latency else None,
-            "outcomes": {
-                outcome.value: count
-                for outcome, count in self.outcomes.items()
-                if count
-            },
+            "outcomes": self._outcome_counts(),
         }
         faults = self.fault_summary()
         if faults:
             summary["faults"] = faults
         if self.cost_breakdown is not None:
             # Compact enough for a table cell; the full per-resource dict
-            # travels via results.metrics_to_dict instead.
+            # travels via to_dict instead.
             share = self.cost_breakdown.crypto_network_share()
             summary["crypto_network_share"] = round(share, 4)
         if self.validation is not None:
             summary["validation"] = self.validation.summary(self.duration)
         if self.consensus is not None:
-            summary["consensus"] = self.consensus.summary()
+            summary["consensus"] = self.consensus.to_dict()
         if self.overload is not None:
             summary["overload"] = self.overload.summary()
         if self.channels is not None:
-            summary["channels"] = self.channels.summary()
+            summary["channels"] = self.channels.to_dict()
         return summary

@@ -35,7 +35,7 @@ from repro.ledger.state_db import StateDatabase
 from repro.sim.distributions import Rng, mix_seed
 from repro.sim.engine import Environment
 from repro.sim.resources import Resource
-from repro.trace.tracer import Tracer
+from repro.trace.tracer import Tracer, crypto_recording
 from repro.workloads.base import Workload
 
 #: A workload shared by all channels, or a factory keyed by channel index.
@@ -160,6 +160,10 @@ class FabricNetwork:
         self.clients: List[Client] = []
         self.workloads: Dict[str, Workload] = {}
         self._pending: Dict[str, Tuple[Client, float, int]] = {}
+        #: The sharded-fleet view of this network (``repro.channels``): a
+        #: single runtime is a fleet of one that routes no sagas.
+        self.runtimes = [self]
+        self.saga = None
 
         if channel_names is not None:
             if len(channel_names) != config.num_channels:
@@ -480,8 +484,7 @@ class FabricNetwork:
         runtimes share one environment that is run exactly once."""
         if duration <= 0:
             raise ConfigError("duration must be > 0")
-        if self.metrics.streaming is not None:
-            self.metrics.streaming.set_window(duration)
+        self.metrics.set_window(duration)
         if self.faults is not None:
             self.faults.start(self)
         for client in self.clients:
@@ -516,14 +519,6 @@ class FabricNetwork:
         ``duration``.
         """
         self.begin(duration)
-        if self.tracer is not None:
-            from repro.crypto import signing
-
-            previous = signing.set_trace_recorder(self.tracer.record_crypto_op)
-            try:
-                self.env.run(until=duration + drain)
-            finally:
-                signing.set_trace_recorder(previous)
-        else:
+        with crypto_recording(self.tracer):
             self.env.run(until=duration + drain)
         return self.finish(duration)

@@ -23,12 +23,12 @@ The CLI front end is ``python -m repro scenario <name>`` (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from typing import Dict, List, Tuple
 
 from repro.bench.harness import run_experiment_with_network
 from repro.bench.spec import ExperimentSpec
-from repro.chaos import INVARIANT_NAMES, _settle, check_invariants
+from repro.chaos import settle_and_check
 from repro.core.batch_cutter import BatchCutConfig
 from repro.errors import ConfigError
 from repro.fabric.config import (
@@ -36,7 +36,7 @@ from repro.fabric.config import (
     FabricConfig,
     PopulationConfig,
 )
-from repro.fabric.metrics import TxOutcome
+from repro.fabric.metrics import OverloadStats, SagaStats, TxOutcome
 from repro.faults import FaultSchedule, MisbehaviorSpec
 from repro.sim.distributions import mix_seed
 from repro.traffic import ArrivalProcess
@@ -312,28 +312,7 @@ class ScenarioReport:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable form for the scenario report artifact."""
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "system": self.system,
-            "passed": self.passed,
-            "invariants": dict(self.invariants),
-            "liveness": self.liveness,
-            "converged": self.converged,
-            "details": list(self.details),
-            "fired": self.fired,
-            "resolved": self.resolved,
-            "committed": self.committed,
-            "shed": self.shed,
-            "blocks": self.blocks,
-            "client_retries": self.client_retries,
-            "endorse_rejections": self.endorse_rejections,
-            "orderer_rejections": self.orderer_rejections,
-            "queue_depth_peak": self.queue_depth_peak,
-            "saga_started": self.saga_started,
-            "saga_half_committed": self.saga_half_committed,
-            "sim_time": self.sim_time,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def run_scenario(
@@ -349,54 +328,11 @@ def run_scenario(
     spec = get_scenario(name).spec(seed, system=system)
     result, network = run_experiment_with_network(spec)
     metrics = result.metrics
-    converged = _settle(network, max_convergence_rounds)
-    invariants, details = check_invariants(network)
-
-    # Liveness is judged runtime by runtime: on a sharded fleet the
-    # aggregate resolved count includes saga terminations (one intent,
-    # three terminal facts), so fleet resolved == fired would be the
-    # wrong test even on a perfectly live run.
-    runtimes = getattr(network, "runtimes", None) or [network]
-    liveness = True
-    for runtime in runtimes:
-        if runtime._pending:
-            liveness = False
-        if runtime.metrics.resolved != runtime.metrics.fired:
-            liveness = False
-            details.append(
-                f"liveness: {runtime.channels[0]} resolved "
-                f"{runtime.metrics.resolved} of {runtime.metrics.fired} "
-                "fired proposals"
-            )
-    for channel, orderer in network.orderers.items():
-        pending = orderer.pending_count
-        if pending:
-            liveness = False
-            details.append(
-                f"liveness: {pending} transactions still queued in the "
-                f"{channel} ordering service"
-            )
-    if network._pending:
-        details.append(
-            f"liveness: {len(network._pending)} proposals never resolved"
-        )
-    if not converged:
-        details.append(
-            "liveness: live peers did not converge on one tip within "
-            f"{max_convergence_rounds} extra rounds"
-        )
-    saga = getattr(network, "saga", None)
-    if saga is not None and (
-        saga.unresolved_legs or saga.stats.started != saga.stats.finished
-    ):
-        liveness = False
-        details.append(
-            f"liveness: {saga.unresolved_legs} saga legs unresolved "
-            f"({saga.stats.started} sagas started, "
-            f"{saga.stats.finished} finished)"
-        )
-
-    overload = metrics.overload
+    invariants, liveness, converged, details = settle_and_check(
+        network, max_convergence_rounds
+    )
+    overload = metrics.overload or OverloadStats()
+    sagas = network.saga.stats if network.saga is not None else SagaStats()
     return ScenarioReport(
         scenario=name,
         seed=seed,
@@ -410,14 +346,12 @@ def run_scenario(
         committed=metrics.outcomes.get(TxOutcome.COMMITTED, 0),
         shed=metrics.outcomes.get(TxOutcome.OVERLOAD_REJECTED, 0),
         blocks=metrics.blocks_committed,
-        client_retries=overload.client_retries if overload else 0,
-        endorse_rejections=overload.endorse_rejections if overload else 0,
-        orderer_rejections=overload.orderer_rejections if overload else 0,
-        queue_depth_peak=overload.queue_depth_peak if overload else 0,
-        saga_started=saga.stats.started if saga is not None else 0,
-        saga_half_committed=(
-            saga.stats.half_committed if saga is not None else 0
-        ),
+        client_retries=overload.client_retries,
+        endorse_rejections=overload.endorse_rejections,
+        orderer_rejections=overload.orderer_rejections,
+        queue_depth_peak=overload.queue_depth_peak,
+        saga_started=sagas.started,
+        saga_half_committed=sagas.half_committed,
         sim_time=network.env.now,
     )
 

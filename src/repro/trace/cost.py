@@ -52,6 +52,11 @@ class CostBreakdown:
         self.seconds[resource] = self.seconds.get(resource, 0.0) + seconds
         self.operations[resource] = self.operations.get(resource, 0) + count
 
+    def merge(self, other: "CostBreakdown") -> None:
+        """Fold another breakdown's charges in, resource by resource."""
+        for resource, seconds in other.seconds.items():
+            self.charge(resource, seconds, other.operations.get(resource, 0))
+
     @property
     def total_seconds(self) -> float:
         """Total simulated seconds attributed across all resources."""

@@ -16,9 +16,11 @@ traced runs stay deterministic field-for-field.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.crypto import signing
 from repro.trace.cost import CostBreakdown
 
 #: Span rendering modes, mapped to Chrome trace_event phases by the
@@ -86,6 +88,21 @@ class TraceBuffer:
     def spans(self) -> List[Span]:
         """The retained spans, oldest first."""
         return self._items[self._cursor:] + self._items[: self._cursor]
+
+
+@contextmanager
+def crypto_recording(tracer: Optional["Tracer"]) -> Iterator[None]:
+    """Count sign/verify primitive calls on ``tracer`` while the block
+    runs (every driver wraps its ``env.run`` in this); does nothing for
+    an untraced run."""
+    if tracer is None:
+        yield
+        return
+    previous = signing.set_trace_recorder(tracer.record_crypto_op)
+    try:
+        yield
+    finally:
+        signing.set_trace_recorder(previous)
 
 
 class Tracer:

@@ -11,6 +11,7 @@ from repro.bench.harness import (
     run_experiment,
 )
 from repro.bench.report import format_series, format_table, improvement_factor
+from repro.bench.spec import ExperimentSpec
 from repro.core.batch_cutter import BatchCutConfig
 from repro.fabric.config import FabricConfig
 from repro.workloads.blank import BlankWorkload
@@ -35,7 +36,12 @@ def quick_workload():
 
 def test_run_experiment_returns_labelled_result():
     result = run_experiment(
-        quick_config(), BlankWorkload(), duration=0.5, params={"bs": 64}
+        ExperimentSpec(
+            config=quick_config(),
+            workload=BlankWorkload(),
+            duration=0.5,
+            params={"bs": 64},
+        )
     )
     assert isinstance(result, ExperimentResult)
     assert result.label == "Fabric"
@@ -46,7 +52,11 @@ def test_run_experiment_returns_labelled_result():
 
 def test_run_experiment_labels_fabricpp():
     result = run_experiment(
-        quick_config().with_fabric_plus_plus(), BlankWorkload(), duration=0.5
+        ExperimentSpec(
+            config=quick_config().with_fabric_plus_plus(),
+            workload=BlankWorkload(),
+            duration=0.5,
+        )
     )
     assert result.label == "Fabric++"
 

@@ -115,5 +115,4 @@ def test_result_round_trip_preserves_metrics():
     result = make_result("Fabric++", 5, 4, params={"k": "v"})
     clone = result_from_dict(result_to_dict(result))
     assert clone.row() == result.row()
-    assert clone.metrics.commit_latencies == result.metrics.commit_latencies
-    assert clone.metrics.outcome_times == result.metrics.outcome_times
+    assert clone.metrics == result.metrics

@@ -1,4 +1,4 @@
-"""Tests for ExperimentSpec and the run_experiment API (new + legacy)."""
+"""Tests for ExperimentSpec and the run_experiment API."""
 
 import pickle
 from dataclasses import replace
@@ -88,20 +88,14 @@ def test_is_cacheable_only_for_workload_refs():
                               workload=BlankWorkload()).is_cacheable
 
 
-def test_run_experiment_spec_and_legacy_agree():
-    config = small_config()
-    ref = WorkloadRef("blank")
-    spec_result = run_experiment(
-        ExperimentSpec(config=config, workload=ref, duration=1.0, label="x")
-    )
-    legacy_result = run_experiment(config, ref, 1.0, label="x")
-    assert spec_result.row() == legacy_result.row()
-
-
 def test_run_experiment_rejects_spec_plus_workload():
+    # One spec is the whole call: the positional (config, workload,
+    # duration) form is gone, not silently reinterpreted.
     spec = ExperimentSpec(config=small_config(), workload=WorkloadRef("blank"))
     with pytest.raises(TypeError):
         run_experiment(spec, WorkloadRef("blank"))
+    with pytest.raises(TypeError):
+        run_experiment(small_config(), WorkloadRef("blank"), 1.0)
 
 
 def test_drain_is_plumbed_through():

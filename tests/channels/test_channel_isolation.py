@@ -96,7 +96,7 @@ def test_isolated_channel_holds_invariants():
     def commits_during_window(runtime):
         return [
             time
-            for time, outcome in runtime.metrics.outcome_times
+            for time, outcome in runtime.metrics.samples.outcome_times
             if outcome is TxOutcome.COMMITTED and 0.6 <= time < 1.0
         ]
 

@@ -76,7 +76,7 @@ def test_aggregate_sums_and_per_channel_rows():
         assert row["fired"] == channel.metrics.fired
         assert row["successful"] == channel.metrics.successful
     # Outcome times merged in time order.
-    times = [time for time, _ in metrics.outcome_times]
+    times = [time for time, _ in metrics.samples.outcome_times]
     assert times == sorted(times)
 
 

@@ -24,12 +24,15 @@ from repro.checkpoint import (
 from repro.core.batch_cutter import BatchCutConfig
 from repro.errors import CheckpointError, ConfigError
 from repro.fabric.config import FabricConfig
+from repro.fabric.metrics import PipelineMetrics, StreamingLatency, StreamingMetrics
 from repro.workloads.registry import WorkloadRef
 
 WORKLOAD = WorkloadRef("smallbank", {"num_users": 60, "s_value": 1.0}, seed=3)
 
 
-def make_spec(seed: int, system: str, channels: int) -> ExperimentSpec:
+def make_spec(
+    seed: int, system: str, channels: int, streaming: bool = False
+) -> ExperimentSpec:
     config = replace(
         FabricConfig(),
         batch=BatchCutConfig(max_transactions=16),
@@ -37,6 +40,7 @@ def make_spec(seed: int, system: str, channels: int) -> ExperimentSpec:
         client_rate=90.0,
         channels=channels,
         cross_channel_fraction=0.1 if channels > 1 else 0.0,
+        streaming_metrics=streaming,
         seed=seed,
     )
     if system == "fabric++":
@@ -48,12 +52,11 @@ def make_spec(seed: int, system: str, channels: int) -> ExperimentSpec:
 
 def fingerprints(result, network):
     """(per-channel ledger digests, canonical metrics dict) of one run."""
-    runtimes = getattr(network, "runtimes", None) or [network]
     ledgers = {
         channel: ledger_digest(
             runtime.reference_peer.channels[channel].ledger
         )
-        for runtime in runtimes
+        for runtime in network.runtimes
         for channel in runtime.channels
     }
     return ledgers, metrics_to_dict(result.metrics)
@@ -107,6 +110,32 @@ def test_kill_and_resume_with_pruning(system):
     plain_result, _plain_network = run_experiment_with_network(spec)
     assert metrics_to_dict(resumed_result.metrics) == metrics_to_dict(
         plain_result.metrics
+    )
+
+
+def test_kill_and_resume_with_streaming_metrics(monkeypatch):
+    """The bounded sample store resumes too: the reservoir must overflow
+    so its replacement stream has been drawn from by the checkpoint —
+    the resume verifies that stream's state (``rng`` digest) and must
+    end on the control's exact snapshot, saga half-commits included."""
+    spec = make_spec(3, "fabric++", 2, streaming=True)
+
+    def small_reservoir(metrics, seed=0):
+        metrics.samples = StreamingMetrics(StreamingLatency(seed, capacity=16))
+
+    monkeypatch.setattr(PipelineMetrics, "enable_streaming", small_reservoir)
+    control_result, control_network, _ = run_with_checkpoints(
+        spec, CheckpointOptions(every=0.5)
+    )
+    killed_result, killed_network, killed = run_with_checkpoints(
+        spec, CheckpointOptions(every=0.5, stop_after=2)
+    )
+    assert killed_result is None
+    reservoir = killed_network.runtimes[0].metrics.samples.reservoir
+    assert reservoir.count > reservoir.capacity, "stream never drawn from"
+    resumed_result, resumed_network, _ = resume_run(killed.latest)
+    assert fingerprints(resumed_result, resumed_network) == fingerprints(
+        control_result, control_network
     )
 
 

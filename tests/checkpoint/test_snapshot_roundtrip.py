@@ -21,12 +21,13 @@ from repro.testing import snapshot_roundtrip
 from repro.workloads.registry import make_workload
 
 
-def build_network(seed, fabric_plus_plus, max_transactions, rate):
+def build_network(seed, fabric_plus_plus, max_transactions, rate, streaming=False):
     config = replace(
         FabricConfig(),
         batch=BatchCutConfig(max_transactions=max_transactions),
         clients_per_channel=2,
         client_rate=rate,
+        streaming_metrics=streaming,
         seed=seed,
     )
     if fabric_plus_plus:
@@ -44,11 +45,14 @@ def build_network(seed, fabric_plus_plus, max_transactions, rate):
     max_transactions=st.sampled_from([8, 16, 32]),
     rate=st.sampled_from([60.0, 90.0, 120.0]),
     boundary=st.floats(min_value=0.3, max_value=0.9),
+    streaming=st.booleans(),
 )
 def test_snapshot_roundtrip_mid_run(
-    seed, fabric_plus_plus, max_transactions, rate, boundary
+    seed, fabric_plus_plus, max_transactions, rate, boundary, streaming
 ):
-    network = build_network(seed, fabric_plus_plus, max_transactions, rate)
+    network = build_network(
+        seed, fabric_plus_plus, max_transactions, rate, streaming
+    )
     network.begin(duration=1.0)
     network.env.run(until=boundary)
     found = snapshot_roundtrip(network)
@@ -56,8 +60,9 @@ def test_snapshot_roundtrip_mid_run(
     # channel). The client and workload streams are reached only *through*
     # the engine's slots (_queue/_pending -> Process._generator -> generator
     # locals), so a renamed or dropped slot shrinks the count instead of
-    # silently shrinking rng_digest.
-    assert found["rng_streams"] == 4
+    # silently shrinking rng_digest. The streaming sample store adds its
+    # reservoir's replacement stream (metrics.samples.reservoir._random).
+    assert found["rng_streams"] == 4 + streaming
     assert found["resources"] == 6
 
 

@@ -1,10 +1,25 @@
 """Unit tests for configuration and pipeline metrics."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.fabric.config import CostModel, FabricConfig
-from repro.fabric.metrics import LatencyStats, PipelineMetrics, TxOutcome
+from repro.fabric.metrics import (
+    OPTIONAL_BLOCKS,
+    ChannelFleetStats,
+    ConsensusStats,
+    LatencyStats,
+    OverloadStats,
+    PipelineMetrics,
+    SagaStats,
+    TxOutcome,
+    ValidationStats,
+)
+from repro.trace.cost import CostBreakdown
 
 
 # -- FabricConfig ------------------------------------------------------------------
@@ -89,7 +104,7 @@ def test_record_outcomes():
     assert metrics.successful == 2
     assert metrics.failed == 1
     assert metrics.resolved == 3
-    assert metrics.commit_latencies == [0.5, 1.5]
+    assert metrics.samples.commit_latencies == [0.5, 1.5]
 
 
 def test_tps_computation():
@@ -185,3 +200,138 @@ def test_summary_contains_headline_fields():
     assert summary["successful_tps"] == 1.0
     assert summary["latency_avg"] == 0.3
     assert summary["outcomes"] == {"committed": 1}
+
+
+# -- merge and snapshot round trip ------------------------------------------------
+
+#: One part of a merge: terminal outcomes in time order, as (time,
+#: outcome, latency) with coarse times so ties across parts are common.
+_events = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=6).map(lambda tick: tick / 2.0),
+        st.sampled_from([TxOutcome.COMMITTED, TxOutcome.ABORT_MVCC]),
+        st.floats(min_value=0.01, max_value=2.0),
+    ),
+    max_size=12,
+).map(lambda events: sorted(events, key=lambda event: event[0]))
+
+
+def record_part(metrics, events):
+    for time, outcome, latency in events:
+        metrics.record_fired()
+        metrics.record_outcome(outcome, latency=latency, now=time)
+        if outcome.is_success:
+            metrics.record_phases(latency / 2, latency / 4, latency / 4)
+    if events:
+        metrics.record_block(len(events))
+        metrics.record_fault("crashes")
+        metrics.record_fault_event(events[-1][0], "crash", f"peer{len(events)}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=st.lists(_events, min_size=1, max_size=4), streaming=st.booleans())
+def test_merge_equals_recording_the_union(parts, streaming):
+    def fresh():
+        metrics = PipelineMetrics()
+        if streaming:
+            metrics.enable_streaming(seed=5)
+        metrics.set_window(2.0)
+        metrics.duration = 2.0
+        return metrics
+
+    merged, union = fresh(), fresh()
+    for events in parts:
+        part = fresh()
+        record_part(part, events)
+        merged.merge(part)
+        record_part(union, events)
+
+    assert merged.outcomes == union.outcomes
+    assert merged.fired == union.fired
+    assert merged.blocks_committed == union.blocks_committed
+    assert merged.fault_counters == union.fault_counters
+    by_time = lambda event: event[0]  # noqa: E731 - stable: ties keep merge order
+    assert merged.fault_events == sorted(union.fault_events, key=by_time)
+    assert merged.successful_tps() == union.successful_tps()
+    assert merged.failed_tps() == union.failed_tps()
+    assert merged.average_block_size() == union.average_block_size()
+    assert merged.throughput_timeseries() == union.throughput_timeseries()
+    if streaming:
+        got, want = merged.latency(), union.latency()
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got.count, got.minimum, got.maximum) == (
+                want.count, want.minimum, want.maximum,
+            )
+            assert got.average == pytest.approx(want.average)
+        return
+    assert merged.samples.commit_latencies == union.samples.commit_latencies
+    assert merged.samples.phase_latencies == union.samples.phase_latencies
+    assert merged.samples.block_sizes == union.samples.block_sizes
+    assert merged.samples.outcome_times == sorted(
+        union.samples.outcome_times, key=by_time
+    )
+
+
+def metrics_with_every_block():
+    metrics = PipelineMetrics(duration=2.0)
+    record_part(metrics, [(0.5, TxOutcome.COMMITTED, 0.2), (1.0, TxOutcome.ABORT_MVCC, 0.3)])
+    metrics.cost_breakdown = CostBreakdown()
+    metrics.cost_breakdown.charge("sign", 0.25, 3)
+    metrics.validation = ValidationStats(
+        workers=2, scheduler="dependency", pipeline_depth=2,
+        strategy="dependency", blocks=1, txs=2, lane_busy=[0.1, 0.2], horizon=1.5,
+    )
+    metrics.consensus = ConsensusStats(nodes=3, leader_changes=1, max_term=2)
+    metrics.overload = OverloadStats(orderer_queue_limit=8, submissions=2)
+    metrics.channels = ChannelFleetStats(
+        channels=2,
+        per_channel=[{"channel": "ch0", "fired": 1}, {"channel": "ch1", "fired": 1}],
+        saga=SagaStats(started=1, half_committed=1),
+    )
+    return metrics
+
+
+def test_snapshot_round_trip_with_every_optional_block():
+    metrics = metrics_with_every_block()
+    snapshot = metrics.to_dict()
+    assert set(OPTIONAL_BLOCKS) <= set(snapshot)
+    assert PipelineMetrics.from_dict(snapshot) == metrics
+    # ...and through JSON, which is how caches and --json carry it.
+    assert PipelineMetrics.from_dict(json.loads(json.dumps(snapshot))) == metrics
+
+
+def test_merge_takes_and_combines_optional_blocks():
+    fleet = PipelineMetrics()
+    fleet.merge(metrics_with_every_block())
+    fleet.merge(metrics_with_every_block())
+    single = metrics_with_every_block()
+    # Taken as a copy: the fleet never aliases a channel's block.
+    assert fleet.validation is not single.validation
+    assert fleet.validation.txs == 2 * single.validation.txs
+    assert fleet.validation.lane_busy == single.validation.lane_busy * 2
+    assert fleet.validation.workers == single.validation.workers  # keep-first
+    assert fleet.consensus.leader_changes == 2
+    assert fleet.consensus.max_term == single.consensus.max_term  # max
+    assert fleet.overload.submissions == 4
+    assert fleet.overload.orderer_queue_limit == 8  # keep-first
+    assert fleet.cost_breakdown.seconds == {"sign": 0.5}
+    assert fleet.cost_breakdown.operations == {"sign": 6}
+    assert fleet.channels.channels == 4
+    assert fleet.channels.saga.started == 2
+
+
+def test_old_snapshots_still_load():
+    """Keys a snapshot predates fall back to defaults: ``strategy`` and
+    ``horizon`` (validation), ``fault_counters``/``fault_events`` and the
+    optional blocks themselves."""
+    snapshot = metrics_with_every_block().to_dict()
+    for key in ("fault_counters", "fault_events", "consensus", "overload"):
+        del snapshot[key]
+    del snapshot["validation"]["strategy"]
+    del snapshot["validation"]["horizon"]
+    loaded = PipelineMetrics.from_dict(snapshot)
+    assert loaded.fault_counters == {} and loaded.fault_events == []
+    assert loaded.consensus is None and loaded.overload is None
+    assert loaded.validation.horizon == 0.0
+    assert loaded.summary()["validation"]["strategy"] == "dependency"

@@ -249,7 +249,7 @@ def test_reference_peer_records_blocks(testbed):
     tx = testbed.make_transaction(proposal, testbed.endorse_everywhere(proposal))
     testbed.deliver(make_block(testbed, [tx]))
     assert testbed.metrics.blocks_committed == 1
-    assert testbed.metrics.block_sizes == [1]
+    assert testbed.metrics.samples.block_sizes == [1]
 
 
 # -- tamper matrix against a warm verified-signature cache -----------------------------

@@ -12,14 +12,16 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.harness import run_experiment
+from repro.bench.harness import run_experiment, run_experiment_with_network
 from repro.bench.results import metrics_from_dict, metrics_to_dict
 from repro.bench.spec import ExperimentSpec
 from repro.core.batch_cutter import BatchCutConfig
 from repro.fabric.config import FabricConfig
 from repro.fabric.metrics import (
     STREAMING_RESERVOIR_CAPACITY,
+    ListSamples,
     StreamingLatency,
+    StreamingMetrics,
     StreamingWindow,
 )
 from repro.workloads.registry import WorkloadRef
@@ -27,7 +29,7 @@ from repro.workloads.registry import WorkloadRef
 WORKLOAD = WorkloadRef("smallbank", {"num_users": 60, "s_value": 1.0}, seed=3)
 
 
-def run_once(streaming: bool, channels: int = 1):
+def fleet_spec(streaming: bool, channels: int = 1):
     config = replace(
         FabricConfig(),
         batch=BatchCutConfig(max_transactions=16),
@@ -38,10 +40,13 @@ def run_once(streaming: bool, channels: int = 1):
         streaming_metrics=streaming,
         seed=9,
     )
-    spec = ExperimentSpec(
+    return ExperimentSpec(
         config=config, workload=WORKLOAD, duration=1.5, drain=1.0
     )
-    return run_experiment(spec).metrics
+
+
+def run_once(streaming: bool):
+    return run_experiment(fleet_spec(streaming)).metrics
 
 
 @pytest.fixture(scope="module")
@@ -52,19 +57,21 @@ def paired():
 def test_default_off_keeps_lists_and_snapshot_shape(paired):
     listed, _streamed = paired
     assert FabricConfig().streaming_metrics is False
-    assert listed.streaming is None
-    assert listed.commit_latencies, "list mode stopped recording latencies"
-    assert listed.outcome_times
+    assert isinstance(listed.samples, ListSamples)
+    assert listed.samples.commit_latencies, "list mode stopped recording latencies"
+    assert listed.samples.outcome_times
     assert "streaming" not in metrics_to_dict(listed)
 
 
 def test_streaming_mode_keeps_lists_empty(paired):
     _listed, streamed = paired
-    assert streamed.streaming is not None
-    assert streamed.commit_latencies == []
-    assert streamed.outcome_times == []
-    assert streamed.phase_latencies == []
-    assert streamed.block_sizes == []
+    assert isinstance(streamed.samples, StreamingMetrics)
+    # The list keys stay in the snapshot, present but empty.
+    snapshot = metrics_to_dict(streamed)
+    assert snapshot["commit_latencies"] == []
+    assert snapshot["outcome_times"] == []
+    assert snapshot["phase_latencies"] == []
+    assert snapshot["block_sizes"] == []
 
 
 def test_exact_aggregates_match_list_mode(paired):
@@ -102,8 +109,30 @@ def test_timeseries_matches_list_mode(paired):
 
 
 def test_fleet_merge_matches_list_mode():
-    listed = run_once(streaming=False, channels=4)
-    streamed = run_once(streaming=True, channels=4)
+    fleets = []
+    for streaming in (False, True):
+        result, network = run_experiment_with_network(
+            fleet_spec(streaming, channels=4)
+        )
+        fleet = result.metrics
+        # With either store the fleet total is the merge of its channels
+        # (plus the saga half-commits, which are nobody's leg).
+        parts = [runtime.metrics for runtime in network.runtimes]
+        assert type(fleet.samples) is type(parts[0].samples)
+        assert fleet.fired == sum(part.fired for part in parts)
+        assert fleet.successful == sum(part.successful for part in parts)
+        assert fleet.failed == fleet.channels.saga.half_committed + sum(
+            part.failed for part in parts
+        )
+        latencies = [part.latency() for part in parts]
+        assert fleet.latency().count == sum(stats.count for stats in latencies)
+        assert fleet.latency().minimum == min(stats.minimum for stats in latencies)
+        assert fleet.latency().maximum == max(stats.maximum for stats in latencies)
+        assert fleet.average_block_size() == pytest.approx(
+            sum(part.samples.block_total for part in parts) / fleet.blocks_committed
+        )
+        fleets.append(fleet)
+    listed, streamed = fleets
     assert streamed.outcomes == listed.outcomes
     assert streamed.successful_tps() == listed.successful_tps()
     assert streamed.failed_tps() == listed.failed_tps()
@@ -119,7 +148,7 @@ def test_snapshot_roundtrip_preserves_streaming(paired):
     snapshot = metrics_to_dict(streamed)
     assert "streaming" in snapshot
     rebuilt = metrics_from_dict(snapshot)
-    assert rebuilt.streaming is not None
+    assert rebuilt == streamed
     assert metrics_to_dict(rebuilt) == snapshot
     assert rebuilt.successful_tps() == streamed.successful_tps()
     assert rebuilt.latency().p95 == streamed.latency().p95

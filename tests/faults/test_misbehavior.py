@@ -173,4 +173,4 @@ def test_misbehavior_runs_are_deterministic():
     second = run_with(spec)
     assert first.outcomes == second.outcomes
     assert first.fault_counters == second.fault_counters
-    assert first.commit_latencies == second.commit_latencies
+    assert first.samples.commit_latencies == second.samples.commit_latencies

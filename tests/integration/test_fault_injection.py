@@ -109,7 +109,7 @@ def test_orderer_stall_pauses_then_resumes():
     # (blocks cut before the stall may still commit shortly after 0.8).
     commit_times = [
         time
-        for time, outcome in result.metrics.outcome_times
+        for time, outcome in result.metrics.samples.outcome_times
         if outcome is TxOutcome.COMMITTED
     ]
     assert any(time > 1.3 for time in commit_times), "pipeline resumed"

@@ -109,7 +109,7 @@ def test_bounds_are_invisible_at_sustainable_load():
     assert bounded.outcomes.get(TxOutcome.OVERLOAD_REJECTED, 0) == 0
     # Same simulation modulo the (idle) admission bookkeeping.
     assert bounded.outcomes == unbounded.outcomes
-    assert bounded.commit_latencies == unbounded.commit_latencies
+    assert bounded.samples.commit_latencies == unbounded.samples.commit_latencies
 
 
 def test_overloaded_runs_are_deterministic():

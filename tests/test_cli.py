@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.results import ResultSet
 from repro.cli import build_parser, config_from_args, main, workload_from_args
 from repro.errors import ConfigError
 from repro.workloads.blank import BlankWorkload
@@ -90,16 +91,21 @@ def test_run_command_end_to_end(capsys):
     assert "successful_tps" in output
 
 
-def test_compare_command_end_to_end(capsys):
+def test_compare_command_end_to_end(tmp_path, capsys):
+    saved = tmp_path / "compare.json"
     exit_code = main(
         ["compare", "--workload", "custom", "--accounts", "500",
          "--clients", "1", "--client-rate", "100", "--duration", "2",
-         "--block-size", "64"]
+         "--block-size", "64", "--json", str(saved)]
     )
     assert exit_code == 0
     output = capsys.readouterr().out
     assert "Fabric vs Fabric++" in output
     assert "improvement" in output
+    # --json is the full result set: it reloads and reports the same factor.
+    results = ResultSet.from_json(saved.read_text())
+    assert list(results) == ["Fabric", "Fabric++"]
+    assert f"improvement: {results.improvement_factor():.2f}x" in output
 
 
 def test_caliper_command_end_to_end(capsys):
