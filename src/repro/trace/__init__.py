@@ -13,15 +13,7 @@ from repro.trace.exporters import (
     write_chrome_trace,
     write_trace_csv,
 )
-from repro.trace.tracer import (
-    ASYNC,
-    INSTANT,
-    SYNC,
-    Span,
-    TraceBuffer,
-    Tracer,
-    crypto_recording,
-)
+from repro.trace.tracer import ASYNC, INSTANT, SYNC, Span, TraceBuffer, Tracer
 
 __all__ = [
     "ASYNC",
@@ -33,7 +25,6 @@ __all__ = [
     "TraceBuffer",
     "Tracer",
     "chrome_trace_document",
-    "crypto_recording",
     "chrome_trace_events",
     "trace_csv",
     "validate_chrome_trace",

@@ -1,6 +1,7 @@
 """Unit tests for configuration and pipeline metrics."""
 
 import json
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -250,7 +251,7 @@ def test_merge_equals_recording_the_union(parts, streaming):
     assert merged.fired == union.fired
     assert merged.blocks_committed == union.blocks_committed
     assert merged.fault_counters == union.fault_counters
-    by_time = lambda event: event[0]  # noqa: E731 - stable: ties keep merge order
+    by_time = itemgetter(0)  # sorted() is stable: ties keep merge order
     assert merged.fault_events == sorted(union.fault_events, key=by_time)
     assert merged.successful_tps() == union.successful_tps()
     assert merged.failed_tps() == union.failed_tps()
