@@ -241,8 +241,7 @@ def state_digest(state: StateDatabase) -> str:
     """Order-independent hash of a peer's versioned key-value store."""
     hasher = hashlib.sha256()
     hasher.update(repr(state.last_block_id).encode("utf-8"))
-    for key in state._sorted_keys:
-        entry = state._data[key]
+    for key, entry in state.range_scan(""):
         hasher.update(
             repr(
                 (key, entry.value, entry.version.block_id, entry.version.tx_id)

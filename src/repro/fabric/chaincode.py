@@ -8,9 +8,10 @@ which records every access into a read/write set instead of mutating state
 
 Two stub behaviours model the two systems:
 
-- **vanilla**: the stub reads a :class:`~repro.ledger.state_db.StateSnapshot`
-  taken under the peer's shared read lock — the simulation can never observe
-  a concurrent commit, but the whole snapshot may be stale by commit time.
+- **vanilla**: the stub reads the live store while the simulation holds the
+  peer's shared read lock — no block can commit meanwhile, so the simulation
+  never observes a concurrent commit, but its reads may be stale by commit
+  time.
 - **Fabric++**: the stub reads the *live* store while validation runs in
   parallel; every read compares the value's block id against the block
   height observed when simulation started and raises :class:`StaleRead` as
@@ -19,11 +20,11 @@ Two stub behaviours model the two systems:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.errors import ChaincodeError, ReproError
 from repro.fabric.rwset import ReadWriteSet
-from repro.ledger.state_db import StateDatabase, StateSnapshot
+from repro.ledger.state_db import StateDatabase
 
 
 class StaleRead(ReproError):
@@ -49,15 +50,15 @@ class ChaincodeStub:
 
     def __init__(
         self,
-        state: Union[StateDatabase, StateSnapshot],
+        state: StateDatabase,
         start_block_id: Optional[int] = None,
     ) -> None:
         """Create a stub over ``state``.
 
         ``start_block_id`` enables Fabric++'s per-read staleness check:
         pass the ledger height observed at simulation start. ``None``
-        (vanilla) disables the check — appropriate when ``state`` is an
-        isolated snapshot.
+        (vanilla) disables the check — appropriate when no commit can
+        interleave with the simulation (vanilla holds the read lock).
         """
         self._state = state
         self._start_block_id = start_block_id

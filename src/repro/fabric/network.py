@@ -187,7 +187,8 @@ class FabricNetwork:
 
         chaincodes = ChaincodeRegistry()
         chaincodes.install(instance.create_chaincode())
-        # The genesis store is built once; every peer starts from a copy.
+        # The genesis store is built once; every peer starts from a copy
+        # that shares its read-only genesis layer.
         initial_state = instance.initial_state()
         genesis = None
         if initial_state:

@@ -145,7 +145,8 @@ class Peer:
 
         ``initial_state`` is a key -> value mapping to load. ``genesis`` is
         an already populated store (built once per channel by the network)
-        that this peer starts from a copy of instead.
+        that this peer starts from a copy of instead; the copy shares the
+        genesis layer and keeps this peer's writes to itself.
         """
         if channel in self.channels:
             raise ConfigError(f"{self.name} already joined channel {channel!r}")

@@ -12,7 +12,7 @@ Fabric peers maintain two stores (paper Section 2.1):
 
 from repro.ledger.block import Block, BlockHeader, compute_block_hash
 from repro.ledger.ledger import Ledger
-from repro.ledger.state_db import StateDatabase, StateSnapshot, Version, VersionedValue
+from repro.ledger.state_db import StateDatabase, Version, VersionedValue
 
 __all__ = [
     "Block",
@@ -20,7 +20,6 @@ __all__ = [
     "compute_block_hash",
     "Ledger",
     "StateDatabase",
-    "StateSnapshot",
     "Version",
     "VersionedValue",
 ]

@@ -10,15 +10,21 @@ validation run in parallel.
 
 This module is the in-memory stand-in for Fabric's LevelDB current state.
 Durability is irrelevant to the reproduced behaviour (conflict detection and
-ordering), so values live in a plain dict; the version bookkeeping, atomic
-block application and snapshot semantics follow the paper exactly.
+ordering), so values live in a plain dict; the version bookkeeping and atomic
+block application follow the paper exactly.
+
+Every peer of a channel holds its own current state, as in Fabric, but on
+the host the channel's genesis state is one read-only layer shared by all
+of their stores: each store keeps only the entries written since genesis.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import StateError
 
@@ -51,6 +57,10 @@ class VersionedValue:
     version: Version
 
 
+#: Marks a key the genesis layer does not hold (genesis values may be None).
+_ABSENT = object()
+
+
 class StateDatabase:
     """Versioned key-value store representing a peer's current state.
 
@@ -60,17 +70,27 @@ class StateDatabase:
     ``last_block_id`` observed when the simulation started (paper
     Figure 6): a read that returns a version from a *newer* block proves
     the simulating transaction already operates on stale data.
+
+    The content is two layers. The *genesis layer* maps each key loaded by
+    :meth:`populate` to its plain value at the implied
+    :data:`GENESIS_VERSION`; it is never written after ``populate``, so
+    :meth:`copy` shares it instead of cloning it. Above it, ``_data`` holds
+    every entry this store wrote since, and shadows the layer.
     """
 
     def __init__(self) -> None:
+        #: Genesis layer: key -> value, read-only and shared by copies.
+        self._genesis: Dict[str, object] = {}
+        #: The genesis layer's keys in sorted order, shared by copies.
+        self._genesis_keys: Tuple[str, ...] = ()
+        #: Entries written since genesis; they take precedence.
         self._data: Dict[str, VersionedValue] = {}
+        #: Written keys the genesis layer lacks, sorted and maintained
+        #: incrementally on write (keys are never deleted — Fabric models
+        #: deletes as tombstone values). Range scans merge this index with
+        #: ``_genesis_keys`` instead of re-sorting the key space per scan.
+        self._new_keys: List[str] = []
         self._last_block_id = 0
-        #: Keys in sorted order, maintained incrementally on write (keys
-        #: are never deleted — Fabric models deletes as tombstone values).
-        #: Range scans bisect into this index instead of re-sorting the
-        #: whole key space per scan, which made every phantom check
-        #: O(n log n) in the store size.
-        self._sorted_keys: List[str] = []
 
     # -- reads -------------------------------------------------------------
 
@@ -81,31 +101,46 @@ class StateDatabase:
 
     def get(self, key: str) -> Optional[VersionedValue]:
         """Return the (value, version) pair for ``key`` or None if absent."""
-        return self._data.get(key)
+        entry = self._data.get(key)
+        if entry is None:
+            value = self._genesis.get(key, _ABSENT)
+            if value is not _ABSENT:
+                return VersionedValue(value, GENESIS_VERSION)
+        return entry
 
     def get_value(self, key: str, default: object = None) -> object:
         """Return only the value stored under ``key``."""
         entry = self._data.get(key)
-        return entry.value if entry is not None else default
+        if entry is not None:
+            return entry.value
+        return self._genesis.get(key, default)
 
     def get_version(self, key: str) -> Optional[Version]:
-        """Return only the version stored under ``key``."""
+        """Return only the version stored under ``key``.
+
+        An unwritten genesis key returns the :data:`GENESIS_VERSION`
+        object itself, so identity checks against a recorded read hold.
+        """
         entry = self._data.get(key)
-        return entry.version if entry is not None else None
+        if entry is not None:
+            return entry.version
+        return GENESIS_VERSION if key in self._genesis else None
 
     def __contains__(self, key: str) -> bool:
-        return key in self._data
+        return key in self._data or key in self._genesis
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._genesis_keys) + len(self._new_keys)
 
     def keys(self) -> Iterator[str]:
-        """Iterate over all keys currently present."""
-        return iter(self._data)
+        """Iterate over all keys: genesis keys first, then keys added since."""
+        genesis = self._genesis
+        return chain(genesis, (key for key in self._data if key not in genesis))
 
     def items(self) -> Iterator[Tuple[str, VersionedValue]]:
-        """Iterate over (key, VersionedValue) pairs."""
-        return iter(self._data.items())
+        """Iterate over (key, VersionedValue) pairs in :meth:`keys` order."""
+        get = self.get
+        return ((key, get(key)) for key in self.keys())
 
     def range_scan(
         self, start_key: str, end_key: Optional[str] = None
@@ -117,14 +152,11 @@ class StateDatabase:
         ``GetStateByRange``; tombstoned keys are skipped by the chaincode
         stub, not here.
         """
-        low = bisect.bisect_left(self._sorted_keys, start_key)
-        high = (
-            bisect.bisect_left(self._sorted_keys, end_key)
-            if end_key is not None
-            else len(self._sorted_keys)
-        )
-        for key in self._sorted_keys[low:high]:
-            yield key, self._data[key]
+        layer = _key_range(self._genesis_keys, start_key, end_key)
+        added = _key_range(self._new_keys, start_key, end_key)
+        get = self.get
+        for key in (heapq.merge(layer, added) if added else layer):
+            yield key, get(key)
 
     # -- writes ------------------------------------------------------------
 
@@ -132,22 +164,24 @@ class StateDatabase:
         """Load initial state (e.g. workload accounts) at the genesis version.
 
         Only permitted before any block has been applied, mirroring how a
-        Fabric chaincode ``Init`` seeds the state in block 0/1.
+        Fabric chaincode ``Init`` seeds the state in block 0/1. An empty
+        store adopts a private copy of ``initial`` as its genesis layer
+        (one dict copy and one sort, no per-key entry objects); a
+        non-empty one writes each key at :data:`GENESIS_VERSION` instead.
         """
         if self._last_block_id != 0:
             raise StateError("populate() is only allowed before the first block")
-        # Bulk load: one dict update and one sort instead of an O(n) list
-        # insert per key.
-        self._data.update(
-            (key, VersionedValue(value, GENESIS_VERSION))
-            for key, value in initial.items()
-        )
-        self._sorted_keys = sorted(self._data)
+        if self._genesis or self._data:
+            for key, value in initial.items():
+                self.apply_write(key, value, GENESIS_VERSION)
+            return
+        self._genesis = dict(initial)
+        self._genesis_keys = tuple(sorted(self._genesis))
 
     def apply_write(self, key: str, value: object, version: Version) -> None:
         """Apply a single validated write, stamping it with ``version``."""
-        if key not in self._data:
-            bisect.insort(self._sorted_keys, key)
+        if key not in self._data and key not in self._genesis:
+            bisect.insort(self._new_keys, key)
         self._data[key] = VersionedValue(value, version)
 
     def apply_block_writes(
@@ -167,12 +201,13 @@ class StateDatabase:
             raise StateError(
                 f"block {block_id} already applied (last={self._last_block_id})"
             )
+        data, genesis = self._data, self._genesis
         for tx_id, write_set in writes:
             version = Version(block_id, tx_id)
             for key, value in write_set.items():
-                if key not in self._data:
-                    bisect.insort(self._sorted_keys, key)
-                self._data[key] = VersionedValue(value, version)
+                if key not in data and key not in genesis:
+                    bisect.insort(self._new_keys, key)
+                data[key] = VersionedValue(value, version)
         self._last_block_id = block_id
 
     def advance_block(self, block_id: int) -> None:
@@ -189,59 +224,31 @@ class StateDatabase:
             )
         self._last_block_id = block_id
 
-    # -- validation helpers --------------------------------------------------
-
-    def read_is_current(self, key: str, version: Optional[Version]) -> bool:
-        """Return True if reading ``key`` at ``version`` is still up to date.
-
-        This is the serializability conflict check of the validation phase
-        (paper Section A.3.2): the version recorded in a transaction's read
-        set must equal the version in the current state. A read of an
-        absent key (``version is None``) is current only while the key is
-        still absent.
-        """
-        current = self.get_version(key)
-        return current == version
-
     def copy(self) -> "StateDatabase":
         """Return an independent store with the same content.
 
-        O(n): the dict and the sorted-key index are copied, the frozen
-        :class:`VersionedValue` entries are shared. Writes replace entries
-        and never mutate them, so neither store can observe the other's
-        later writes. This is how every peer of a channel starts from one
-        genesis state without each rebuilding it.
+        The genesis layer is shared, not copied: nothing writes it after
+        :meth:`populate`. Only the entries written since genesis are
+        copied (their frozen :class:`VersionedValue` objects shared;
+        writes replace entries and never mutate them), so neither store
+        can observe the other's later writes. This is how every peer of a
+        channel starts from one genesis state at a cost independent of
+        its size.
         """
         clone = StateDatabase()
+        clone._genesis = self._genesis
+        clone._genesis_keys = self._genesis_keys
         clone._data = dict(self._data)
-        clone._sorted_keys = list(self._sorted_keys)
+        clone._new_keys = list(self._new_keys)
         clone._last_block_id = self._last_block_id
         return clone
 
-    def snapshot(self) -> "StateSnapshot":
-        """Return an immutable snapshot of the current state.
 
-        Vanilla Fabric holds a shared read lock for the whole simulation
-        (paper Section 4.2.1), so a simulating chaincode observes a frozen
-        state; the snapshot models exactly that. Fabric++ instead reads the
-        live store and version-checks each read (see ``peer.py``).
-        """
-        return StateSnapshot(dict(self._data), self._last_block_id)
-
-
-class StateSnapshot:
-    """A frozen view of a :class:`StateDatabase` at one point in time."""
-
-    def __init__(self, data: Dict[str, VersionedValue], last_block_id: int) -> None:
-        self._data = data
-        self.last_block_id = last_block_id
-
-    def get(self, key: str) -> Optional[VersionedValue]:
-        """Return the (value, version) pair for ``key`` or None if absent."""
-        return self._data.get(key)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
+def _key_range(
+    sorted_keys: Sequence[str], start_key: str, end_key: Optional[str]
+) -> Sequence[str]:
+    """The slice of ``sorted_keys`` with start_key <= key < end_key."""
+    low = bisect.bisect_left(sorted_keys, start_key)
+    if end_key is None:
+        return sorted_keys[low:]
+    return sorted_keys[low:bisect.bisect_left(sorted_keys, end_key)]

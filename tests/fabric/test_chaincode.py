@@ -59,7 +59,7 @@ def test_reads_do_not_see_own_writes(state):
 
 
 def test_stub_over_snapshot(state):
-    snapshot = state.snapshot()
+    snapshot = state.copy()
     state.apply_block_writes(1, [(0, {"a": 99})])
     stub = ChaincodeStub(snapshot)
     assert stub.get_state("a") == 10  # frozen view

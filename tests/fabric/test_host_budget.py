@@ -8,10 +8,14 @@ fixed seed they pin that every per-transaction datum exists once (one
 rwset per transaction, one string per key, no per-record ``__dict__``)
 and every pure per-transaction computation runs once (one real HMAC per
 distinct endorsement, however many peers validate it) — while the
-*simulated* verify cost stays charged per peer per endorsement.
+*simulated* verify cost stays charged per peer per endorsement. The same
+holds for the genesis state: one read-only layer per channel, shared by
+every peer's store.
 """
 
+import gc
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -148,3 +152,28 @@ def test_verified_cache_stays_bounded_on_a_pruned_streaming_run(
     assert len(sizes) > 4 * capacity
     # ...and at no point did it hold more than its capacity.
     assert max(sizes) == (capacity, capacity)
+
+
+def traced_network_bytes(peers_per_org):
+    """Bytes still traced after building a 40k-key Smallbank network."""
+    config = replace(FabricConfig(seed=42), peers_per_org=peers_per_org)
+    workload = make_workload("smallbank", seed=42, num_users=20_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        network = FabricNetwork(config, workload)
+        gc.collect()
+        traced, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(network.peers) == 2 * peers_per_org
+    for peer in network.peers:
+        assert len(peer.channels["ch0"].state) == 40_000
+    return traced
+
+
+def test_extra_peers_share_the_genesis_state():
+    """Two more peers on a 40k-key genesis cost no copy of it: each holds
+    only its own (still empty) written entries over the shared layer."""
+    extra = traced_network_bytes(2) - traced_network_bytes(1)
+    assert extra < 64 * 1024

@@ -5,6 +5,8 @@ validation re-executes the scan and invalidates the transaction on any
 difference — updates, deletes, and phantom inserts alike.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import ChaincodeError
@@ -77,7 +79,8 @@ def test_stub_range_read_stale_check(state):
 
 
 def test_stub_range_over_snapshot_rejected(state):
-    stub = ChaincodeStub(state.snapshot())
+    """A point-read-only state view (no ``range_scan``) cannot serve scans."""
+    stub = ChaincodeStub(SimpleNamespace(get=state.get))
     with pytest.raises(ChaincodeError):
         stub.get_state_by_range("a", "z")
 

@@ -70,23 +70,22 @@ def test_later_tx_in_block_overwrites_earlier():
 def test_read_is_current_matches_version():
     db = StateDatabase()
     db.populate({"a": 1})
-    assert db.read_is_current("a", GENESIS_VERSION)
+    assert db.get_version("a") == GENESIS_VERSION
     db.apply_block_writes(1, [(0, {"a": 2})])
-    assert not db.read_is_current("a", GENESIS_VERSION)
-    assert db.read_is_current("a", Version(1, 0))
+    assert db.get_version("a") == Version(1, 0)
 
 
 def test_read_is_current_for_absent_key():
     db = StateDatabase()
-    assert db.read_is_current("ghost", None)
+    assert db.get_version("ghost") is None
     db.apply_block_writes(1, [(0, {"ghost": 1})])
-    assert not db.read_is_current("ghost", None)
+    assert db.get_version("ghost") is not None
 
 
 def test_snapshot_is_frozen():
     db = StateDatabase()
     db.populate({"a": 1})
-    snap = db.snapshot()
+    snap = db.copy()
     db.apply_block_writes(1, [(0, {"a": 2, "b": 3})])
     assert snap.get("a").value == 1
     assert "b" not in snap
@@ -97,7 +96,7 @@ def test_snapshot_is_frozen():
 def test_snapshot_length():
     db = StateDatabase()
     db.populate({"a": 1, "b": 2})
-    assert len(db.snapshot()) == 2
+    assert len(db.copy()) == 2
 
 
 def test_apply_write_single():
@@ -164,14 +163,15 @@ def test_populate_on_non_empty_store_overwrites_and_inserts():
 
 
 def test_copies_of_one_genesis_are_isolated():
-    """Peers start from copies of one genesis store that share its frozen
-    entries; no write on one may show anywhere else."""
+    """Peers start from copies of one genesis store that share its
+    read-only genesis layer; no write on one may show anywhere else."""
     genesis = StateDatabase()
     genesis.populate({"a": 1, "b": 2, "d": 4})
     before = observable(genesis)
     first, second = genesis.copy(), genesis.copy()
     assert observable(first) == observable(second) == before
-    assert first.get("a") is second.get("a")  # entries shared, not cloned
+    # Neither copy holds a per-store entry for a key it never wrote.
+    assert "a" not in first._data and "a" not in second._data
 
     first.apply_write("a", 10, Version(1, 0))
     first.apply_write("c", 30, Version(1, 1))  # brand-new key
@@ -195,7 +195,11 @@ def test_network_peers_share_no_state_container():
     network = FabricNetwork(config, workload)
     first, second = (peer.channels["ch0"].state for peer in network.peers)
     assert first is not second
+    # Every mutable container is the peer's own ...
     assert first._data is not second._data
-    assert first._sorted_keys is not second._sorted_keys
+    assert first._new_keys is not second._new_keys
+    # ... and the read-only genesis layer is one object for the channel.
+    assert first._genesis is second._genesis
+    assert first._genesis_keys is second._genesis_keys
     assert observable(first) == observable(second)
     assert len(first) == len(workload.initial_state()) > 0

