@@ -41,6 +41,7 @@ import inspect
 import json
 import os
 import pickle
+import sys
 import types
 from collections import deque
 from dataclasses import dataclass
@@ -61,7 +62,7 @@ from repro.trace.tracer import crypto_recording
 
 #: Bump when the checkpoint payload layout changes; old files are
 #: rejected with a clear error instead of mis-verifying.
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 
 #: File-name prefix for on-disk checkpoints (``checkpoint-000001.json``).
 CHECKPOINT_PREFIX = "checkpoint-"
@@ -540,8 +541,8 @@ def load_latest_checkpoint(target: Union[str, Path]) -> Dict[str, object]:
     """Load the newest readable checkpoint from a file or directory.
 
     Corrupt newer files (e.g. from a torn write on a filesystem without
-    atomic replace) are skipped with the error preserved in the final
-    message if nothing loads.
+    atomic replace) are skipped, each named with its reason on stderr and
+    in the final message if nothing loads.
     """
     target = Path(target)
     if target.is_file():
@@ -553,6 +554,7 @@ def load_latest_checkpoint(target: Union[str, Path]) -> Dict[str, object]:
         try:
             return load_checkpoint(path)
         except CheckpointError as error:
+            print(f"skipping checkpoint {path.name}: {error}", file=sys.stderr)
             errors.append(str(error))
     detail = f" ({'; '.join(errors)})" if errors else ""
     raise CheckpointError(f"no loadable checkpoint under {target}{detail}")

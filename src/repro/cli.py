@@ -1037,7 +1037,7 @@ def _finish_invariant_runs(
 
 
 def command_verify_ledger(args: argparse.Namespace) -> int:
-    from repro.errors import LedgerError, LedgerVerificationError
+    from repro.errors import LedgerVerificationError
     from repro.ledger.export import load_ledger
 
     try:
@@ -1050,21 +1050,10 @@ def command_verify_ledger(args: argparse.Namespace) -> int:
         )
         print(f"INVALID{where}: {error}")
         return 1
-    except LedgerError as error:
-        print(f"INVALID: {error}")
-        return 1
-    transactions = sum(len(block) for block in ledger)
-    valid = sum(
-        1
-        for block in ledger
-        for flag in block.validity.values()
-        if flag
-    )
+    transactions, valid = ledger.transaction_counts()
     pruned_note = ""
     if ledger.continuity is not None:
         record = ledger.continuity
-        transactions += record.txs
-        valid += record.valid_txs
         pruned_note = (
             f" ({record.blocks} blocks below height {ledger.first_block_id} "
             "compacted into a verified continuity record)"

@@ -17,6 +17,20 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.ledger.state_db import Version
 
 
+class ValueText(str):
+    """A written value known only by its ``repr`` text, as an export holds it.
+
+    ``repr`` returns the text itself, so a write set rebuilt from an export
+    re-encodes to the bytes :meth:`ReadWriteSet.canonical_bytes` produced
+    for the original value.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return str(self)
+
+
 @dataclass(frozen=True)
 class RangeRead:
     """A recorded range scan: bounds plus the exact (key, version) result.
@@ -164,6 +178,54 @@ class ReadWriteSet:
         # is the digest of the same bytes fed piecewise.
         self._canonical = hashlib.sha256(b"".join(parts)).digest()
         return self._canonical
+
+    def to_record(self) -> Dict[str, object]:
+        """JSON-ready form carrying exactly what :meth:`canonical_bytes` hashes.
+
+        Point reads map a key to ``[block, tx]`` (``None`` if the key was
+        absent), range reads keep their bounds and ``[key, block, tx]``
+        results, and writes keep each value's ``repr``.
+        """
+        return {
+            "reads": {
+                key: None if version is None else [version.block_id, version.tx_id]
+                for key, version in self.reads.items()
+            },
+            "range_reads": [
+                {
+                    "start": scan.start_key,
+                    "end": scan.end_key,
+                    "results": [
+                        [key, version.block_id, version.tx_id]
+                        for key, version in scan.results
+                    ],
+                }
+                for scan in self.range_reads
+            ],
+            "writes": {key: repr(value) for key, value in self.writes.items()},
+        }
+
+    @classmethod
+    def from_record(cls, record: Dict[str, object]) -> "ReadWriteSet":
+        """Inverse of :meth:`to_record`; values come back as :class:`ValueText`."""
+        return cls(
+            {
+                key: None if version is None else Version(*version)
+                for key, version in record["reads"].items()
+            },
+            {key: ValueText(text) for key, text in record["writes"].items()},
+            [
+                RangeRead(
+                    scan["start"],
+                    scan["end"],
+                    tuple(
+                        (key, Version(block, tx))
+                        for key, block, tx in scan["results"]
+                    ),
+                )
+                for scan in record["range_reads"]
+            ],
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ReadWriteSet):

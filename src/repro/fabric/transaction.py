@@ -83,7 +83,9 @@ class Transaction:
     """
 
     tx_id: str
-    proposal: Proposal
+    #: None on a transaction imported from a ledger export (the digest
+    #: does not cover the proposal, so exports leave it behind).
+    proposal: Optional[Proposal]
     rwset: ReadWriteSet
     endorsements: List[Endorsement]
     #: Simulated time at which the client assembled this transaction.

@@ -10,26 +10,21 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-
-def _tx_digest(transaction: object) -> bytes:
-    """Return canonical bytes identifying a transaction for hashing."""
-    digest = getattr(transaction, "digest", None)
-    if callable(digest):
-        return digest()
-    return repr(transaction).encode()
+if TYPE_CHECKING:
+    from repro.fabric.transaction import Transaction
 
 
 def compute_block_hash(
-    block_id: int, previous_hash: bytes, transactions: Sequence[object]
+    block_id: int, previous_hash: bytes, transactions: Sequence["Transaction"]
 ) -> bytes:
     """Compute the SHA-256 hash chaining a block to its predecessor."""
     hasher = hashlib.sha256()
     hasher.update(block_id.to_bytes(8, "big"))
     hasher.update(previous_hash)
     for transaction in transactions:
-        hasher.update(_tx_digest(transaction))
+        hasher.update(transaction.digest())
     return hasher.digest()
 
 
@@ -52,12 +47,12 @@ class Block:
     """
 
     header: BlockHeader
-    transactions: List[object]
+    transactions: List["Transaction"]
     validity: Dict[str, bool] = field(default_factory=dict)
     #: Transactions dropped by Fabric++'s orderer-side early abort; kept on
     #: the block for accounting (they never reach the peers' validators as
     #: candidates, but the ledger still records them as invalid).
-    early_aborted: List[object] = field(default_factory=list)
+    early_aborted: List["Transaction"] = field(default_factory=list)
 
     @property
     def block_id(self) -> int:
@@ -80,8 +75,8 @@ class Block:
         cls,
         block_id: int,
         previous_hash: bytes,
-        transactions: Sequence[object],
-        early_aborted: Sequence[object] = (),
+        transactions: Sequence["Transaction"],
+        early_aborted: Sequence["Transaction"] = (),
     ) -> "Block":
         """Build a block, computing its chained data hash."""
         data_hash = compute_block_hash(block_id, previous_hash, transactions)

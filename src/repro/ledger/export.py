@@ -4,15 +4,18 @@ A Fabric peer that joins (or recovers) late replays the ordered block
 stream to rebuild its state. This module provides the supporting pieces:
 
 - :func:`export_ledger` / :func:`import_ledger` — JSON round trip of a
-  ledger's chain, including per-transaction validity flags and write
-  sets, with full hash-chain verification on import;
+  ledger's chain, including per-transaction validity flags and each
+  block's early aborts, with every digest and block hash recomputed on
+  import;
 - :func:`replay_state` — rebuild the current-state database from an
   imported ledger by re-applying every valid transaction's writes, which
   must reproduce the live peers' state exactly (tested property).
 
-Only the data needed to rebuild state travels: proposals, endorsements
-and signatures are summarised by the transaction digest (the chain hash
-already commits to them).
+Each transaction travels as exactly the fields its digest covers — id,
+read/write set and endorsement signatures — plus its validity flag and
+the digest recorded at export time, which lets a mismatch name the
+transaction. The proposal, which the digest does not cover, stays
+behind: imported transactions carry ``proposal=None``.
 """
 
 from __future__ import annotations
@@ -21,55 +24,28 @@ import json
 from pathlib import Path
 from typing import Dict, List, Union
 
+from repro.crypto.signing import Signature
 from repro.errors import LedgerError, LedgerVerificationError
+from repro.fabric.rwset import ReadWriteSet
+from repro.fabric.transaction import Endorsement, Transaction
 from repro.ledger.block import Block, BlockHeader
 from repro.ledger.ledger import ContinuityRecord, Ledger
 from repro.ledger.state_db import StateDatabase
 
-SCHEMA_VERSION = 1
-
-
-class ExportedTransaction:
-    """A minimal transaction reconstructed from an export.
-
-    Carries exactly what block hashing and state replay need: the id, the
-    original digest, and the write set.
-    """
-
-    def __init__(self, tx_id: str, digest_hex: str, writes: Dict[str, object]):
-        self.tx_id = tx_id
-        self._digest = bytes.fromhex(digest_hex)
-        self.writes = writes
-
-    def digest(self) -> bytes:
-        """The digest recorded at export time (preserves chain hashes)."""
-        return self._digest
+SCHEMA_VERSION = 2
 
 
 def export_ledger(ledger: Ledger) -> Dict[str, object]:
     """Serialise ``ledger`` into a JSON-compatible dict."""
     blocks: List[Dict[str, object]] = []
     for block in ledger:
-        transactions = []
-        for tx in block.transactions:
-            writes = {}
-            rwset = getattr(tx, "rwset", None)
-            if rwset is not None:
-                writes = {key: repr(value) for key, value in rwset.writes.items()}
-            transactions.append(
-                {
-                    "tx_id": getattr(tx, "tx_id", None),
-                    "digest": _tx_digest_hex(tx),
-                    "valid": block.is_valid(getattr(tx, "tx_id", "")),
-                    "writes": writes,
-                }
-            )
         blocks.append(
             {
                 "block_id": block.block_id,
                 "previous_hash": block.header.previous_hash.hex(),
                 "data_hash": block.header.data_hash.hex(),
-                "transactions": transactions,
+                "transactions": [_tx_record(block, tx) for tx in block.transactions],
+                "early_aborted": [_tx_record(block, tx) for tx in block.early_aborted],
             }
         )
     payload: Dict[str, object] = {
@@ -78,8 +54,6 @@ def export_ledger(ledger: Ledger) -> Dict[str, object]:
     }
     record = ledger.continuity
     if record is not None:
-        # Only pruned ledgers carry the key, so unpruned exports stay
-        # byte-identical to every pre-pruning export.
         payload["continuity"] = {
             "height": record.height,
             "tip_hash": record.tip_hash.hex(),
@@ -90,27 +64,64 @@ def export_ledger(ledger: Ledger) -> Dict[str, object]:
     return payload
 
 
-def _tx_digest_hex(tx: object) -> str:
-    digest = getattr(tx, "digest", None)
-    if callable(digest):
-        return digest().hex()
-    return repr(tx).encode().hex()
+def _tx_record(block: Block, tx: Transaction) -> Dict[str, object]:
+    return {
+        "tx_id": tx.tx_id,
+        "valid": block.is_valid(tx.tx_id),
+        "digest": tx.digest().hex(),
+        "rwset": tx.rwset.to_record(),
+        "endorsements": [
+            {
+                "endorser": endorsement.endorser,
+                "org": endorsement.org,
+                "signer": endorsement.signature.signer,
+                "signature": endorsement.signature.value.hex(),
+            }
+            for endorsement in tx.endorsements
+        ],
+    }
+
+
+def _transaction(record: Dict[str, object]) -> Transaction:
+    """Rebuild one exported transaction and check its recorded digest."""
+    rwset = ReadWriteSet.from_record(record["rwset"])
+    endorsements = [
+        Endorsement(
+            entry["endorser"],
+            entry["org"],
+            rwset,
+            Signature(entry["signer"], bytes.fromhex(entry["signature"])),
+        )
+        for entry in record["endorsements"]
+    ]
+    tx = Transaction(
+        record["tx_id"], proposal=None, rwset=rwset, endorsements=endorsements
+    )
+    if tx.digest().hex() != record["digest"]:
+        raise LedgerError(
+            f"transaction {tx.tx_id} does not match its recorded digest"
+        )
+    return tx
 
 
 def import_ledger(payload: Dict[str, object]) -> Ledger:
     """Rebuild a verified ledger from :func:`export_ledger` output.
 
-    The hash chain is re-verified block by block; tampering with any
-    exported transaction digest or block linkage raises
-    :class:`LedgerError`.
+    Every transaction digest and block hash is recomputed from the
+    exported fields; tampering with any of them, or with block linkage,
+    raises :class:`LedgerVerificationError` naming the block index (and
+    the transaction, when one no longer matches its digest).
     """
     if not isinstance(payload, dict):
         raise LedgerVerificationError(
             f"ledger export must be a JSON object, got {type(payload).__name__}"
         )
-    if payload.get("schema_version") != SCHEMA_VERSION:
+    version = payload.get("schema_version")
+    if version != SCHEMA_VERSION:
         raise LedgerVerificationError(
-            f"unsupported ledger export schema {payload.get('schema_version')!r}"
+            f"unsupported ledger export schema {version!r}: this build reads "
+            f"schema {SCHEMA_VERSION}, whose transactions carry the read sets "
+            "and endorsements their digests are recomputed from"
         )
     entries = payload.get("blocks")
     if not isinstance(entries, list):
@@ -135,31 +146,30 @@ def import_ledger(payload: Dict[str, object]) -> Ledger:
             ) from error
     for index, entry in enumerate(entries):
         try:
-            transactions = [
-                ExportedTransaction(tx["tx_id"], tx["digest"], dict(tx["writes"]))
-                for tx in entry["transactions"]
-            ]
             header = BlockHeader(
                 block_id=entry["block_id"],
                 previous_hash=bytes.fromhex(entry["previous_hash"]),
                 data_hash=bytes.fromhex(entry["data_hash"]),
             )
-            block = Block(header, transactions)
-            for tx in entry["transactions"]:
+            block = Block(
+                header,
+                [_transaction(tx) for tx in entry["transactions"]],
+                early_aborted=[_transaction(tx) for tx in entry["early_aborted"]],
+            )
+            for tx in entry["transactions"] + entry["early_aborted"]:
                 if tx["valid"] is not None:
                     block.mark(tx["tx_id"], tx["valid"])
+            ledger.append(block)
+        except LedgerError as error:
+            raise LedgerVerificationError(
+                f"ledger verification failed at block index {index}: {error}",
+                block_index=index,
+            ) from error
         except (KeyError, TypeError, ValueError, AttributeError) as error:
             # Truncated or hand-edited exports surface as missing keys or
             # malformed hex; report the block, not the raw stack trace.
             raise LedgerVerificationError(
                 f"corrupt ledger export at block index {index}: {error!r}",
-                block_index=index,
-            ) from error
-        try:
-            ledger.append(block)
-        except LedgerError as error:
-            raise LedgerVerificationError(
-                f"ledger verification failed at block index {index}: {error}",
                 block_index=index,
             ) from error
     return ledger
@@ -188,8 +198,8 @@ def replay_state(
 
     This is how a late-joining peer catches up: apply, in block order,
     the write set of every transaction flagged valid. The result must be
-    identical (values as their ``repr`` for exported ledgers, versions
-    exactly) to the state of any peer that validated live.
+    identical (values as their ``repr`` text for exported ledgers,
+    versions exactly) to the state of any peer that validated live.
     """
     state = StateDatabase()
     state.populate(initial_state)
@@ -199,23 +209,12 @@ def replay_state(
 
 
 def _valid_writes(block: Block) -> List[tuple]:
-    """``(tx_index, write_set)`` pairs of a block's valid transactions.
-
-    Works for live :class:`~repro.fabric.transaction.Transaction` objects
-    (write sets live on ``tx.rwset``) and :class:`ExportedTransaction`
-    (write sets inlined by the export).
-    """
-    writes: List[tuple] = []
-    for index, tx in enumerate(block.transactions):
-        if not block.is_valid(getattr(tx, "tx_id", "")):
-            continue
-        if hasattr(tx, "writes"):
-            writes.append((index, tx.writes))
-        else:
-            rwset = getattr(tx, "rwset", None)
-            if rwset is not None:
-                writes.append((index, dict(rwset.writes)))
-    return writes
+    """``(tx_index, write_set)`` pairs of a block's valid transactions."""
+    return [
+        (index, tx.rwset.writes)
+        for index, tx in enumerate(block.transactions)
+        if block.is_valid(tx.tx_id)
+    ]
 
 
 def catch_up_from(source: Ledger, ledger: Ledger, state: StateDatabase) -> int:

@@ -17,7 +17,7 @@ block above the follower's tip (see ``docs/longruns.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import LedgerError, LedgerVerificationError
 from repro.ledger.block import Block, compute_block_hash
@@ -42,7 +42,7 @@ class ContinuityRecord:
     tip_hash: bytes
     #: Blocks compacted into this record.
     blocks: int
-    #: Transactions those blocks carried (valid and invalid alike).
+    #: Transactions those blocks carried (valid, invalid, early-aborted).
     txs: int
     #: Transactions marked valid at commit time.
     valid_txs: int
@@ -113,18 +113,7 @@ class Ledger:
 
     def append(self, block: Block) -> None:
         """Append ``block``, verifying id sequence and hash chain."""
-        expected_id = self.tip_block_id + 1
-        if block.block_id != expected_id:
-            raise LedgerError(
-                f"expected block {expected_id}, got {block.block_id}"
-            )
-        if block.header.previous_hash != self.tip_hash:
-            raise LedgerError(f"block {block.block_id} breaks the hash chain")
-        recomputed = compute_block_hash(
-            block.block_id, block.header.previous_hash, block.transactions
-        )
-        if recomputed != block.header.data_hash:
-            raise LedgerError(f"block {block.block_id} data hash mismatch")
+        _check_link(block, self.tip_block_id + 1, self.tip_hash)
         self._blocks.append(block)
 
     def prune_below(self, height: int) -> int:
@@ -143,20 +132,19 @@ class Ledger:
         cut = new_pruned - self.pruned_height
         pruned, self._blocks = self._blocks[:cut], self._blocks[cut:]
         previous = self._continuity
-        blocks = (previous.blocks if previous else 0) + len(pruned)
-        txs = previous.txs if previous else 0
-        valid = previous.valid_txs if previous else 0
-        for block in pruned:
-            txs += len(block.transactions) + len(block.early_aborted)
-            valid += sum(1 for ok in block.validity.values() if ok)
+        txs, valid = _tally(previous, pruned)
         self._continuity = ContinuityRecord(
             height=new_pruned,
             tip_hash=pruned[-1].header.data_hash,
-            blocks=blocks,
+            blocks=(previous.blocks if previous else 0) + len(pruned),
             txs=txs,
             valid_txs=valid,
         )
         return len(pruned)
+
+    def transaction_counts(self) -> Tuple[int, int]:
+        """``(transactions, valid)`` since genesis, pruned prefix included."""
+        return _tally(self._continuity, self._blocks)
 
     def block(self, block_id: int) -> Block:
         """Return the block with the given id (1-based).
@@ -179,28 +167,52 @@ class Ledger:
         """Locate ``tx_id`` among retained blocks; (block, tx) or None."""
         for block in self._blocks:
             for transaction in block.transactions:
-                if getattr(transaction, "tx_id", None) == tx_id:
+                if transaction.tx_id == tx_id:
                     return block, transaction
         return None
 
     def verify_chain(self) -> bool:
-        """Re-verify the retained hash chain; True iff intact.
+        """Re-verify the retained chain's ids and hashes; True iff intact.
 
         A pruned chain verifies from its continuity anchor: the oldest
         retained block must chain to the pruned tip's hash.
         """
         previous = self.anchor_hash
-        for expected_id, block in enumerate(
-            self._blocks, start=self.first_block_id
-        ):
-            if block.block_id != expected_id:
-                return False
-            if block.header.previous_hash != previous:
-                return False
-            recomputed = compute_block_hash(
-                block.block_id, previous, block.transactions
-            )
-            if recomputed != block.header.data_hash:
-                return False
-            previous = block.header.data_hash
+        try:
+            for expected_id, block in enumerate(
+                self._blocks, start=self.first_block_id
+            ):
+                _check_link(block, expected_id, previous)
+                previous = block.header.data_hash
+        except LedgerError:
+            return False
         return True
+
+
+def _check_link(block: Block, expected_id: int, previous_hash: bytes) -> None:
+    """Raise :class:`LedgerError` unless ``block`` is block ``expected_id``,
+    chains to ``previous_hash`` and carries the data hash of its content."""
+    if block.block_id != expected_id:
+        raise LedgerError(f"expected block {expected_id}, got {block.block_id}")
+    if block.header.previous_hash != previous_hash:
+        raise LedgerError(f"block {block.block_id} breaks the hash chain")
+    recomputed = compute_block_hash(
+        block.block_id, previous_hash, block.transactions
+    )
+    if recomputed != block.header.data_hash:
+        raise LedgerError(f"block {block.block_id} data hash mismatch")
+
+
+def _tally(
+    record: Optional[ContinuityRecord], blocks: Iterable[Block]
+) -> Tuple[int, int]:
+    """``(transactions, valid)`` of ``record``'s prefix plus ``blocks``.
+
+    Early-aborted transactions count: the ledger records them as invalid.
+    """
+    txs = record.txs if record else 0
+    valid = record.valid_txs if record else 0
+    for block in blocks:
+        txs += len(block.transactions) + len(block.early_aborted)
+        valid += sum(1 for ok in block.validity.values() if ok)
+    return txs, valid

@@ -79,6 +79,20 @@ def test_load_latest_skips_corrupt_newest_file(checkpoint_dir, tmp_path):
     assert payload["index"] == 3
 
 
+def test_load_latest_names_each_skipped_file_on_stderr(
+    checkpoint_dir, tmp_path, capsys
+):
+    for path in checkpoint_dir.iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    (tmp_path / "checkpoint-000004.json").write_text("{ torn write")
+    (tmp_path / "checkpoint-000003.json").write_text('{"schema": 1}')
+    assert load_latest_checkpoint(tmp_path)["index"] == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert "checkpoint-000004.json" in lines[0] and "cannot read" in lines[0]
+    assert "checkpoint-000003.json" in lines[1] and "schema 1" in lines[1]
+
+
 def test_load_latest_reports_every_failure(tmp_path):
     (tmp_path / "checkpoint-000001.json").write_text("not json")
     with pytest.raises(CheckpointError) as excinfo:

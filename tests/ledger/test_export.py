@@ -53,13 +53,15 @@ def test_export_round_trip(finished_network):
 def test_export_and_catch_up_bytes_are_pinned(finished_network):
     """The export is a function of the ledger alone: how the in-memory
     records are laid out (slots, shared rwsets, interned keys) must never
-    show in it. Pinned from the tree before those records were slotted."""
+    show in it. Pinned when the export became schema 2 (read sets and
+    endorsements); the schema-1 pin, from the tree before those records
+    were slotted, was 059009b9…f6cb7c."""
 
     def sha(ledger):
         text = json.dumps(export_ledger(ledger), sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()
 
-    pinned = "059009b9768522ed1717650640c92f83cc796721eab75f3c3538ca5509f6cb7c"
+    pinned = "31d02bf9409d7df740f2590e73fcadb737b0349c04005767043a57a293d781db"
     network, workload = finished_network
     source = network.reference_peer.channels["ch0"].ledger
     assert sha(source) == pinned
@@ -83,9 +85,11 @@ def test_import_detects_tampered_digest(finished_network):
     network, _workload = finished_network
     ledger = network.reference_peer.channels["ch0"].ledger
     payload = export_ledger(ledger)
-    payload["blocks"][0]["transactions"][0]["digest"] = "00" * 32
-    with pytest.raises(LedgerError):
+    record = payload["blocks"][0]["transactions"][0]
+    record["digest"] = "00" * 32
+    with pytest.raises(LedgerVerificationError) as excinfo:
         import_ledger(payload)
+    assert record["tx_id"] in str(excinfo.value)
 
 
 def test_import_detects_broken_chain(finished_network):
@@ -161,7 +165,7 @@ def test_import_reports_offending_block_index(finished_network):
     payload = export_ledger(network.reference_peer.channels["ch0"].ledger)
     if len(payload["blocks"]) < 2:
         pytest.skip("need at least two blocks")
-    del payload["blocks"][1]["transactions"][0]["digest"]
+    del payload["blocks"][1]["transactions"][0]["rwset"]
     with pytest.raises(LedgerVerificationError) as excinfo:
         import_ledger(payload)
     assert excinfo.value.block_index == 1

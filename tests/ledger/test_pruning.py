@@ -54,7 +54,7 @@ def pruned_ledger(request):
     full = import_ledger(export_ledger(ledger))  # unpruned copy
     prune_to = ledger.height // 2
     # Expected continuity counts, taken from the live blocks before the
-    # prune folds them away (exports do not carry early-aborted lists).
+    # prune folds them away.
     prefix = [ledger.block(i) for i in range(1, prune_to)]
     expected_counts = {
         "txs": sum(
@@ -172,7 +172,7 @@ def test_replay_state_over_retained_blocks(pruned_ledger):
             base.apply_block_writes(
                 block.block_id,
                 [
-                    (index, tx.writes)
+                    (index, tx.rwset.writes)
                     for index, tx in enumerate(block.transactions)
                     if block.is_valid(tx.tx_id)
                 ],
@@ -181,7 +181,7 @@ def test_replay_state_over_retained_blocks(pruned_ledger):
         base.apply_block_writes(
             block.block_id,
             [
-                (index, tx.writes)
+                (index, tx.rwset.writes)
                 for index, tx in enumerate(block.transactions)
                 if block.is_valid(tx.tx_id)
             ],

@@ -338,7 +338,7 @@ def test_verify_ledger_reports_block_index(tmp_path, capsys):
     capsys.readouterr()
     payload = json.loads(ledger_path.read_text())
     assert len(payload["blocks"]) >= 2
-    del payload["blocks"][1]["transactions"][0]["writes"]
+    del payload["blocks"][1]["transactions"][0]["rwset"]
     ledger_path.write_text(json.dumps(payload))
     assert main(["verify-ledger", str(ledger_path)]) == 1
     assert "block index 1" in capsys.readouterr().out
