@@ -13,11 +13,24 @@ Run with::
 """
 
 from repro import CustomWorkload, CustomWorkloadParams, FabricConfig, FabricNetwork
-from repro.bench.charts import sparkline
 from repro.bench.report import format_table
 from repro.sim.monitor import Sampler, attach_network_probes
 
 DURATION = 3.0
+
+
+def sparkline(values):
+    """Render a compact one-line trend of ``values``."""
+    if not values:
+        return ""
+    glyphs = " .:-=+*#%@"
+    low, high = min(values), max(values)
+    if high == low:
+        return glyphs[len(glyphs) // 2] * len(values)
+    span = high - low
+    return "".join(
+        glyphs[int((value - low) / span * (len(glyphs) - 1))] for value in values
+    )
 
 
 def analyse(label, config):

@@ -16,9 +16,22 @@ from repro import (
     SmallbankParams,
     SmallbankWorkload,
 )
-from repro.bench.charts import sparkline
 
 DURATION = 3.0  # simulated seconds
+
+
+def sparkline(values):
+    """Render a compact one-line trend of ``values``."""
+    if not values:
+        return ""
+    glyphs = " .:-=+*#%@"
+    low, high = min(values), max(values)
+    if high == low:
+        return glyphs[len(glyphs) // 2] * len(values)
+    span = high - low
+    return "".join(
+        glyphs[int((value - low) / span * (len(glyphs) - 1))] for value in values
+    )
 
 
 def run_system(label, config):

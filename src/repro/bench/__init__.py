@@ -15,7 +15,7 @@ picklable :class:`ExperimentSpec`:
 - :mod:`repro.bench.cache` — the ``.repro-cache/`` result store keyed by
   a stable hash of (config, workload, duration, package version);
 - :mod:`repro.bench.results` — the unified :class:`ResultSet` consumed by
-  reports, charts, and the CLI;
+  reports and the CLI;
 - :mod:`repro.bench.caliper` — a Caliper-style report (min/avg/max latency
   plus successful TPS, Table 8);
 - :mod:`repro.bench.report` — plain-text tables and series matching the

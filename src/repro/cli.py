@@ -41,58 +41,187 @@ import argparse
 import copy
 import itertools
 import sys
+import typing
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from functools import reduce
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.bench.cache import ResultCache
 from repro.bench.caliper import run_caliper
-from repro.bench.harness import compare_fabric_vs_fabricpp, run_experiment
+from repro.bench.harness import compare_fabric_vs_fabricpp
 from repro.bench.report import format_table, improvement_factor
 from repro.bench.results import ResultSet
 from repro.bench.spec import ExperimentSpec
 from repro.bench.sweep import run_sweep
-from repro.core.batch_cutter import BatchCutConfig
 from repro.errors import ConfigError, ReproError
 from repro.fabric.config import FabricConfig
 from repro.faults import CrashWindow, FaultSchedule, StallWindow
-from repro.traffic import ARRIVAL_KINDS, ArrivalProcess
+from repro.traffic import ARRIVAL_KINDS
 from repro.validation.registry import strategy_names
 from repro.workloads.base import Workload
 from repro.workloads.registry import WorkloadRef
 
+
+class Flag(NamedTuple):
+    """One experiment flag: its spelling, the knob it sets, its help.
+
+    A config row's ``target`` is a :class:`FabricConfig` field path such
+    as ``batch.max_transactions``; the flag takes its type, default and
+    ``None``-ness from that field's dataclass default. A workload row's
+    ``target`` is the parameter every workload in ``workloads`` takes,
+    and ``workloads`` maps each of them to the CLI default: the paper's
+    Table 6/7 values, which differ from the library's own defaults.
+    """
+
+    spelling: str
+    target: str
+    help: str
+    workloads: Optional[Dict[str, object]] = None
+    #: Config rows: parse to ``None`` when absent, so that an explicit
+    #: value is told apart from "unset" (which keeps the field default).
+    default_none: bool = False
+    metavar: Optional[str] = None
+    #: Allowed values, or a callable returning them when the parser is built.
+    choices: Union[Sequence[str], Callable[[], Sequence[str]], None] = None
+
+    @property
+    def key(self) -> str:
+        """The flag's ``sweep --sweep KEY=...`` axis name."""
+        return self.spelling[2:]
+
+    @property
+    def dest(self) -> str:
+        return self.key.replace("-", "_")
+
+
+#: Every experiment flag, declared once. Adding a knob costs its
+#: dataclass field plus one row here; the parser, ``SWEEPABLE`` and the
+#: args -> config/workload builders all derive from this table.
+FLAGS: Tuple[Flag, ...] = (
+    # Smallbank (paper Table 6), custom (Table 7) and YCSB knobs.
+    Flag("--users", "num_users", "number of users", {"smallbank": 20_000}),
+    Flag("--prob-write", "prob_write",
+         "probability of a modifying transaction", {"smallbank": 0.95}),
+    Flag("--s-value", "s_value",
+         "Zipf skew, 0 = uniform (default 0 for smallbank, 0.99 for ycsb)",
+         {"smallbank": 0.0, "ycsb": 0.99}),
+    Flag("--accounts", "num_accounts", "number of account balances (N)",
+         {"custom": 10_000}),
+    Flag("--rw", "reads_writes", "reads and writes per transaction",
+         {"custom": 8}),
+    Flag("--hr", "prob_hot_read", "probability of a hot read", {"custom": 0.40}),
+    Flag("--hw", "prob_hot_write", "probability of a hot write",
+         {"custom": 0.10}),
+    Flag("--hss", "hot_set_fraction", "hot account fraction", {"custom": 0.01}),
+    Flag("--ycsb-preset", "preset", "standard core workload mix",
+         {"ycsb": "a"}, choices=tuple("abcdef")),
+    Flag("--records", "num_records", "number of records", {"ycsb": 10_000}),
+    Flag("--hotspot-interval", "hotspot_interval",
+         "operations between hot-set rotations per request stream "
+         "(0 = static hot set)", {"ycsb": 0}),
+    Flag("--hot-set-drift", "hot_set_drift",
+         "keyspace fraction the hot set shifts at each rotation",
+         {"ycsb": 0.0}),
+    # Network knobs.
+    Flag("--block-size", "batch.max_transactions",
+         "max transactions per block (default 1024)"),
+    Flag("--clients", "clients_per_channel", "clients per channel"),
+    Flag("--channels", "channels",
+         "sharded channels: N>=2 builds N independent channel runtimes "
+         "(own orderer, peers, ledger) in one simulation (default 1 = "
+         "classic single runtime)"),
+    Flag("--cross-channel-fraction", "cross_channel_fraction",
+         "fraction of intents fired as two-channel sagas with no atomicity "
+         "guarantee; requires --channels >= 2 (default 0)", metavar="F"),
+    Flag("--population-accounts", "population.accounts",
+         "logical account population with Zipf channel affinity steering "
+         "per-channel client load; requires --channels >= 2 (default 0 = "
+         "off)", metavar="N"),
+    Flag("--population-zipf-s", "population.zipf_s",
+         "Zipf skew of the population's channel affinity (0 = uniform; "
+         "default 1.0)", metavar="S"),
+    Flag("--client-rate", "client_rate", "proposals per second per client"),
+    Flag("--policy", "endorsement_policy",
+         "endorsement policy: all, any, or outof:K (default: AND over every "
+         "org)", metavar="SPEC"),
+    Flag("--validation-workers", "validation_workers",
+         "modelled signature-verification lanes per peer (default 1 = "
+         "serial keeps the assumed worker pool)", metavar="N"),
+    Flag("--pipeline-depth", "pipeline_depth",
+         "blocks in flight per channel: K>1 overlaps verification of block "
+         "n+1 with the commit of block n (default 1)", metavar="K"),
+    Flag("--cc-strategy", "cc_strategy",
+         "concurrency-control strategy for validation/commit "
+         "(repro.validation.registry): serial (default), dependency waves, "
+         "lockless OCC, or dependency-aware dataflow execution",
+         choices=strategy_names),
+    Flag("--orderer-nodes", "orderer_nodes",
+         "ordering-service replicas: N>=2 enables the Raft-style replicated "
+         "orderer with leader election (default 1 = single orderer)",
+         metavar="N"),
+    Flag("--traffic", "traffic.kind",
+         "client arrival process: closed (default; paced 1/client-rate "
+         "loop) or an open-loop shape (poisson, diurnal, flash, heavy_tail)",
+         choices=ARRIVAL_KINDS),
+    Flag("--arrival-rate", "traffic.rate",
+         "open-loop mean arrivals per second per client (default: "
+         "--client-rate)", metavar="R"),
+    Flag("--orderer-queue-limit", "backpressure.orderer_queue_limit",
+         "bound the orderer inbound queue to N transactions; admission "
+         "rejects past the bound (default 0 = unbounded)", metavar="N"),
+    Flag("--endorse-queue-limit", "backpressure.endorse_queue_limit",
+         "bound concurrent endorsements per peer to N; excess proposals are "
+         "refused (default 0 = unbounded)", metavar="N"),
+    Flag("--delivery-backlog-limit", "backpressure.delivery_backlog_limit",
+         "pause block delivery while any peer holds N unvalidated blocks, "
+         "propagating validation backpressure to admission (default 0 = "
+         "unbounded)", metavar="N"),
+    Flag("--streaming-metrics", "streaming_metrics",
+         "aggregate metrics online (bounded reservoir percentiles, O(1) "
+         "memory in run length) instead of keeping per-transaction lists; "
+         "throughput and counts stay exact, percentiles are approximate "
+         "(default: off, bit-identical metrics)"),
+    # Inline fault flags, mutually exclusive with --faults-file.
+    Flag("--drop-rate", "faults.drop_probability",
+         "probability that a faulty-link message is lost (default 0)"),
+    Flag("--jitter", "faults.jitter_mean",
+         "mean exponential extra latency per faulty-link message (seconds, "
+         "default 0)"),
+    Flag("--endorse-timeout", "faults.endorsement_timeout",
+         "client endorsement deadline in simulated seconds (default 0.05 "
+         "when any fault flag is set, else disabled)", default_none=True),
+    Flag("--endorse-retries", "faults.max_endorsement_retries",
+         "endorsement rounds retried with backoff before giving up "
+         "(default 3)", default_none=True),
+)
+
+
+def _resolve(flag: Flag) -> Tuple[object, type]:
+    """A row's parser default and value type."""
+    if flag.workloads is not None:
+        defaults = list(flag.workloads.values())
+        # A flag shared by several workloads resolves its default per
+        # workload, so an explicit value is never mistaken for "unset".
+        return (defaults[0] if len(defaults) == 1 else None), type(defaults[0])
+    *parents, name = flag.target.split(".")
+    owner = reduce(getattr, parents, FabricConfig())
+    default = getattr(owner, name)
+    if default is None:  # Optional[X]: the type comes from the annotation.
+        kind = typing.get_args(typing.get_type_hints(type(owner))[name])[0]
+    else:
+        kind = type(default)
+    return (None if flag.default_none else default), kind
+
+
+#: (row, parser default, value type) for every table row.
+_ROWS = tuple((flag, *_resolve(flag)) for flag in FLAGS)
+
 #: Axes ``sweep --sweep KEY=V1,V2,...`` may vary: CLI key -> (dest, type).
-SWEEPABLE = {
-    "block-size": ("block_size", int),
-    "clients": ("clients", int),
-    "channels": ("channels", int),
-    "cross-channel-fraction": ("cross_channel_fraction", float),
-    "population-accounts": ("population_accounts", int),
-    "population-zipf-s": ("population_zipf_s", float),
-    "client-rate": ("client_rate", float),
+#: Every scalar table row, plus the seed and the firing duration.
+SWEEPABLE: Dict[str, Tuple[str, type]] = {
     "seed": ("seed", int),
     "duration": ("duration", float),
-    "users": ("users", int),
-    "prob-write": ("prob_write", float),
-    "s-value": ("s_value", float),
-    "accounts": ("accounts", int),
-    "rw": ("rw", int),
-    "hr": ("hr", float),
-    "hw": ("hw", float),
-    "hss": ("hss", float),
-    "records": ("records", int),
-    "hotspot-interval": ("hotspot_interval", int),
-    "hot-set-drift": ("hot_set_drift", float),
-    "drop-rate": ("drop_rate", float),
-    "jitter": ("jitter", float),
-    "validation-workers": ("validation_workers", int),
-    "pipeline-depth": ("pipeline_depth", int),
-    "cc-strategy": ("cc_strategy", str),
-    "orderer-nodes": ("orderer_nodes", int),
-    "traffic": ("traffic", str),
-    "arrival-rate": ("arrival_rate", float),
-    "orderer-queue-limit": ("orderer_queue_limit", int),
-    "endorse-queue-limit": ("endorse_queue_limit", int),
-    "delivery-backlog-limit": ("delivery_backlog_limit", int),
+    **{flag.key: (flag.dest, kind) for flag, _, kind in _ROWS if kind is not bool},
 }
 
 
@@ -112,9 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("profile", "trace both systems and attribute cost per resource"),
     ):
         sub = subcommands.add_parser(name, help=help_text)
-        _add_workload_arguments(sub)
-        _add_system_arguments(sub, with_system=(name == "run"))
-        _add_fault_arguments(sub)
+        _add_experiment_arguments(sub, with_system=(name == "run"))
         if name == "run":
             sub.add_argument(
                 "--export-ledger", metavar="PATH", default=None,
@@ -130,11 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--checkpoint-dir", default=None, metavar="DIR",
                 help="directory for checkpoint files (default "
-                     ".repro-checkpoints/ when --checkpoint-every is set)",
+                     ".repro-checkpoints/; requires --checkpoint-every)",
             )
             sub.add_argument(
                 "--checkpoint-keep", type=int, default=None, metavar="N",
-                help="retain only the newest N checkpoint files",
+                help="retain only the newest N checkpoint files (requires "
+                     "--checkpoint-every)",
             )
             sub.add_argument(
                 "--resume-from", default=None, metavar="PATH",
@@ -162,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--trace-ring", type=int, default=None, metavar="N",
                 help="span ring-buffer capacity (default 65536); when the "
                      "ring overflows, oldest spans are dropped and the "
-                     "drop count is reported",
+                     "drop count is reported"
+                     + (" (requires --trace)" if name == "run" else ""),
             )
         sub.add_argument(
             "--duration", type=float, default=3.0,
@@ -220,14 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="randomized fault schedules with consensus invariant checks",
     )
     chaos.add_argument(
-        "--seeds", type=int, default=20,
-        help="number of chaos seeds to run (default 20)",
-    )
-    chaos.add_argument(
-        "--seed-base", type=int, default=0,
-        help="first seed; seeds run [base, base+seeds) (default 0)",
-    )
-    chaos.add_argument(
         "--duration", type=float, default=1.5,
         help="simulated seconds to fire the workload per run (default 1.5)",
     )
@@ -238,14 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--orderer-nodes", type=int, default=3,
         help="ordering-service replicas under test (default 3)",
-    )
-    chaos.add_argument(
-        "--system", choices=("fabric", "fabric++"), default="fabric",
-        help="pipeline variant to stress (default fabric)",
-    )
-    chaos.add_argument(
-        "--report", metavar="PATH", default=None,
-        help="write the full invariant report to PATH as JSON",
     )
 
     scenario = subcommands.add_parser(
@@ -261,150 +374,52 @@ def build_parser() -> argparse.ArgumentParser:
         "--list", action="store_true",
         help="list the registered scenarios and exit",
     )
-    scenario.add_argument(
-        "--seeds", type=int, default=10,
-        help="number of seeds to run per scenario (default 10)",
-    )
-    scenario.add_argument(
-        "--seed-base", type=int, default=0,
-        help="first seed; seeds run [base, base+seeds) (default 0)",
-    )
-    scenario.add_argument(
-        "--system", choices=("fabric", "fabric++"), default="fabric",
-        help="pipeline variant to stress (default fabric)",
-    )
-    scenario.add_argument(
-        "--report", metavar="PATH", default=None,
-        help="write the full invariant report to PATH as JSON",
-    )
+
+    for sub, seeds, what in (
+        (chaos, 20, "chaos seeds to run"),
+        (scenario, 10, "seeds to run per scenario"),
+    ):
+        sub.add_argument(
+            "--seeds", type=int, default=seeds,
+            help=f"number of {what} (default {seeds})",
+        )
+        sub.add_argument(
+            "--seed-base", type=int, default=0,
+            help="first seed; seeds run [base, base+seeds) (default 0)",
+        )
+        sub.add_argument(
+            "--system", choices=("fabric", "fabric++"), default="fabric",
+            help="pipeline variant to stress (default fabric)",
+        )
+        sub.add_argument(
+            "--report", metavar="PATH", default=None,
+            help="write the full invariant report to PATH as JSON",
+        )
     return parser
 
 
-def _add_workload_arguments(sub: argparse.ArgumentParser) -> None:
+def _add_experiment_arguments(
+    sub: argparse.ArgumentParser, with_system: bool
+) -> None:
+    """The hand-written input flags, then one argument per table row."""
     sub.add_argument(
         "--workload", choices=("smallbank", "custom", "blank", "ycsb"),
         default="smallbank",
     )
     sub.add_argument("--seed", type=int, default=42)
-    # Smallbank knobs (paper Table 6).
-    sub.add_argument("--users", type=int, default=20_000,
-                     help="smallbank: number of users")
-    sub.add_argument("--prob-write", type=float, default=0.95,
-                     help="smallbank: probability of a modifying transaction")
-    sub.add_argument("--s-value", type=float, default=0.0,
-                     help="smallbank: Zipf skew (0 = uniform)")
-    # Custom workload knobs (paper Table 7).
-    sub.add_argument("--accounts", type=int, default=10_000,
-                     help="custom: number of account balances (N)")
-    sub.add_argument("--rw", type=int, default=8,
-                     help="custom: reads and writes per transaction")
-    sub.add_argument("--hr", type=float, default=0.40,
-                     help="custom: probability of a hot read")
-    sub.add_argument("--hw", type=float, default=0.10,
-                     help="custom: probability of a hot write")
-    sub.add_argument("--hss", type=float, default=0.01,
-                     help="custom: hot account fraction")
-    # YCSB knobs.
-    sub.add_argument("--ycsb-preset", choices=tuple("abcdef"), default="a",
-                     help="ycsb: standard core workload mix")
-    sub.add_argument("--records", type=int, default=10_000,
-                     help="ycsb: number of records")
-    sub.add_argument("--hotspot-interval", type=int, default=0,
-                     help="ycsb: operations between hot-set rotations per "
-                          "request stream (0 = static hot set)")
-    sub.add_argument("--hot-set-drift", type=float, default=0.0,
-                     help="ycsb: keyspace fraction the hot set shifts at "
-                          "each rotation")
-
-
-def _add_system_arguments(sub: argparse.ArgumentParser, with_system: bool) -> None:
     if with_system:
         sub.add_argument(
             "--system", choices=("fabric", "fabric++"), default="fabric",
         )
-    sub.add_argument("--block-size", type=int, default=1024)
-    sub.add_argument("--clients", type=int, default=4,
-                     help="clients per channel")
-    sub.add_argument("--channels", type=int, default=1,
-                     help="sharded channels: N>=2 builds N independent "
-                          "channel runtimes (own orderer, peers, ledger) in "
-                          "one simulation (default 1 = classic single "
-                          "runtime)")
-    sub.add_argument("--cross-channel-fraction", type=float, default=0.0,
-                     metavar="F",
-                     help="fraction of intents fired as two-channel sagas "
-                          "with no atomicity guarantee; requires "
-                          "--channels >= 2 (default 0)")
-    sub.add_argument("--population-accounts", type=int, default=0,
-                     metavar="N",
-                     help="logical account population with Zipf channel "
-                          "affinity steering per-channel client load; "
-                          "requires --channels >= 2 (default 0 = off)")
-    sub.add_argument("--population-zipf-s", type=float, default=1.0,
-                     metavar="S",
-                     help="Zipf skew of the population's channel affinity "
-                          "(0 = uniform; default 1.0)")
-    sub.add_argument("--client-rate", type=float, default=512.0,
-                     help="proposals per second per client")
-    sub.add_argument("--policy", default=None, metavar="SPEC",
-                     help="endorsement policy: all, any, or outof:K "
-                          "(default: AND over every org)")
     sub.add_argument("--max-resubmits", type=int, default=None, metavar="N",
                      help="cap on resubmissions per failed business intent; "
                           "negative = retry forever (default 16)")
-    sub.add_argument("--validation-workers", type=int, default=1, metavar="N",
-                     help="modelled signature-verification lanes per peer "
-                          "(default 1 = serial keeps the assumed worker pool)")
-    sub.add_argument("--pipeline-depth", type=int, default=1, metavar="K",
-                     help="blocks in flight per channel: K>1 overlaps "
-                          "verification of block n+1 with the commit of "
-                          "block n (default 1)")
-    sub.add_argument("--cc-strategy", choices=strategy_names(),
-                     default="serial",
-                     help="concurrency-control strategy for validation/"
-                          "commit (repro.validation.registry): serial "
-                          "(default), dependency waves, lockless OCC, or "
-                          "dependency-aware dataflow execution")
-    sub.add_argument("--orderer-nodes", type=int, default=1, metavar="N",
-                     help="ordering-service replicas: N>=2 enables the "
-                          "Raft-style replicated orderer with leader "
-                          "election (default 1 = single orderer)")
-    sub.add_argument("--traffic", choices=ARRIVAL_KINDS, default="closed",
-                     help="client arrival process: closed (default; paced "
-                          "1/client-rate loop) or an open-loop shape "
-                          "(poisson, diurnal, flash, heavy_tail)")
-    sub.add_argument("--arrival-rate", type=float, default=None, metavar="R",
-                     help="open-loop mean arrivals per second per client "
-                          "(default: --client-rate)")
-    sub.add_argument("--orderer-queue-limit", type=int, default=0, metavar="N",
-                     help="bound the orderer inbound queue to N transactions; "
-                          "admission rejects past the bound (default 0 = "
-                          "unbounded)")
-    sub.add_argument("--endorse-queue-limit", type=int, default=0, metavar="N",
-                     help="bound concurrent endorsements per peer to N; "
-                          "excess proposals are refused (default 0 = "
-                          "unbounded)")
-    sub.add_argument("--delivery-backlog-limit", type=int, default=0,
-                     metavar="N",
-                     help="pause block delivery while any peer holds N "
-                          "unvalidated blocks, propagating validation "
-                          "backpressure to admission (default 0 = unbounded)")
-    sub.add_argument("--streaming-metrics", action="store_true",
-                     help="aggregate metrics online (bounded reservoir "
-                          "percentiles, O(1) memory in run length) instead "
-                          "of keeping per-transaction lists; throughput "
-                          "and counts stay exact, percentiles are "
-                          "approximate (default: off, bit-identical "
-                          "metrics)")
-
-
-def _add_fault_arguments(sub: argparse.ArgumentParser) -> None:
-    """Deterministic fault-injection knobs (default: inject nothing)."""
     sub.add_argument(
         "--faults-file", metavar="PATH", default=None,
         help="load a complete fault schedule from a JSON file (the "
              "FaultSchedule.to_dict layout); mutually exclusive with the "
-             "inline fault flags below",
+             "inline fault flags (--crash, --stall, --drop-rate, --jitter, "
+             "--endorse-timeout, --endorse-retries)",
     )
     sub.add_argument(
         "--crash", action="append", default=None, metavar="PEER@AT+DUR",
@@ -415,25 +430,19 @@ def _add_fault_arguments(sub: argparse.ArgumentParser) -> None:
         "--stall", action="append", default=None, metavar="AT+DUR",
         help="stall the ordering service at AT for DUR seconds; repeatable",
     )
-    sub.add_argument(
-        "--drop-rate", type=float, default=0.0,
-        help="probability that a faulty-link message is lost (default 0)",
-    )
-    sub.add_argument(
-        "--jitter", type=float, default=0.0,
-        help="mean exponential extra latency per faulty-link message "
-             "(seconds, default 0)",
-    )
-    sub.add_argument(
-        "--endorse-timeout", type=float, default=None,
-        help="client endorsement deadline in simulated seconds (default "
-             "0.05 when any fault flag is set, else disabled)",
-    )
-    sub.add_argument(
-        "--endorse-retries", type=int, default=3,
-        help="endorsement rounds retried with backoff before giving up "
-             "(default 3)",
-    )
+    for flag, default, kind in _ROWS:
+        help_text = (
+            flag.help if flag.workloads is None
+            else f"{'/'.join(flag.workloads)}: {flag.help}"
+        )
+        if kind is bool:
+            sub.add_argument(flag.spelling, action="store_true", help=help_text)
+            continue
+        choices = flag.choices() if callable(flag.choices) else flag.choices
+        sub.add_argument(
+            flag.spelling, type=kind, default=default, choices=choices,
+            metavar=flag.metavar, help=help_text,
+        )
 
 
 def _parse_crash_window(text: str) -> CrashWindow:
@@ -492,82 +501,80 @@ def _load_faults_file(path: str) -> FaultSchedule:
     return schedule
 
 
+def _given(args: argparse.Namespace) -> List[Tuple[Flag, object]]:
+    """Each config row the arguments set away from its parser default."""
+    return [
+        (flag, value)
+        for flag, default, _ in _ROWS
+        if flag.workloads is None
+        and (value := getattr(args, flag.dest, default)) != default
+    ]
+
+
+def _replaced(obj, given: Dict[str, object]):
+    """``obj`` with every dotted field path in ``given`` replaced."""
+    nested: Dict[str, Dict[str, object]] = {}
+    changes: Dict[str, object] = {}
+    for path, value in given.items():
+        head, _, rest = path.partition(".")
+        if rest:
+            nested.setdefault(head, {})[rest] = value
+        else:
+            changes[head] = value
+    for head, inner in nested.items():
+        changes[head] = _replaced(getattr(obj, head), inner)
+    return replace(obj, **changes)
+
+
 def faults_from_args(args: argparse.Namespace) -> FaultSchedule:
     """Build the fault schedule the arguments describe (all-zero default)."""
-    faults_file = getattr(args, "faults_file", None)
-    inline_flags = (
-        bool(getattr(args, "crash", None))
-        or bool(getattr(args, "stall", None))
-        or bool(getattr(args, "drop_rate", 0.0))
-        or bool(getattr(args, "jitter", 0.0))
-        or getattr(args, "endorse_timeout", None) is not None
-    )
-    if faults_file:
-        if inline_flags:
-            raise ConfigError(
-                "--faults-file cannot be combined with inline fault flags "
-                "(--crash/--stall/--drop-rate/--jitter/--endorse-timeout)"
-            )
-        return _load_faults_file(faults_file)
     crashes = tuple(
         _parse_crash_window(text) for text in getattr(args, "crash", None) or []
     )
     stalls = tuple(
         _parse_stall_window(text) for text in getattr(args, "stall", None) or []
     )
-    drop_rate = getattr(args, "drop_rate", 0.0)
-    jitter = getattr(args, "jitter", 0.0)
-    timeout = getattr(args, "endorse_timeout", None)
-    if timeout is None:
-        # Any injected fault needs a client-side deadline to stay live.
-        timeout = 0.05 if (crashes or stalls or drop_rate or jitter) else 0.0
-    return FaultSchedule(
-        crashes=crashes,
-        stalls=stalls,
-        drop_probability=drop_rate,
-        jitter_mean=jitter,
-        endorsement_timeout=timeout,
-        max_endorsement_retries=getattr(args, "endorse_retries", 3),
+    inline = [
+        (flag, value) for flag, value in _given(args)
+        if flag.target.startswith("faults.")
+    ]
+    faults_file = getattr(args, "faults_file", None)
+    if faults_file:
+        named = [
+            name for name, windows in (("--crash", crashes), ("--stall", stalls))
+            if windows
+        ] + [flag.spelling for flag, _ in inline]
+        if named:
+            raise ConfigError(
+                "--faults-file cannot be combined with inline fault flags "
+                f"({', '.join(named)})"
+            )
+        return _load_faults_file(faults_file)
+    schedule = _replaced(
+        FaultSchedule(crashes=crashes, stalls=stalls),
+        {flag.target.partition(".")[2]: value for flag, value in inline},
     )
+    if getattr(args, "endorse_timeout", None) is None and (
+        crashes or stalls or schedule.drop_probability or schedule.jitter_mean
+    ):
+        # Any injected fault needs a client-side deadline to stay live.
+        schedule = replace(schedule, endorsement_timeout=0.05)
+    return schedule
 
 
 def workload_ref_from_args(args: argparse.Namespace) -> WorkloadRef:
     """Build the picklable workload reference the arguments describe."""
-    if args.workload == "smallbank":
-        return WorkloadRef(
-            "smallbank",
-            {
-                "num_users": args.users,
-                "prob_write": args.prob_write,
-                "s_value": args.s_value,
-            },
-            seed=args.seed,
-        )
-    if args.workload == "custom":
-        return WorkloadRef(
-            "custom",
-            {
-                "num_accounts": args.accounts,
-                "reads_writes": args.rw,
-                "prob_hot_read": args.hr,
-                "prob_hot_write": args.hw,
-                "hot_set_fraction": args.hss,
-            },
-            seed=args.seed,
-        )
-    if args.workload == "ycsb":
-        return WorkloadRef(
-            "ycsb",
-            {
-                "preset": args.ycsb_preset,
-                "num_records": args.records,
-                "s_value": args.s_value or 0.99,
-                "hotspot_interval": args.hotspot_interval,
-                "hot_set_drift": args.hot_set_drift,
-            },
-            seed=args.seed,
-        )
-    return WorkloadRef("blank")
+    params = {}
+    for flag in FLAGS:
+        if flag.workloads is not None and args.workload in flag.workloads:
+            value = getattr(args, flag.dest, None)
+            params[flag.target] = (
+                flag.workloads[args.workload] if value is None else value
+            )
+    if not params:
+        # A workload without parameters (blank) draws nothing at random.
+        return WorkloadRef(args.workload)
+    return WorkloadRef(args.workload, params, seed=args.seed)
 
 
 def workload_from_args(args: argparse.Namespace) -> Workload:
@@ -575,59 +582,18 @@ def workload_from_args(args: argparse.Namespace) -> Workload:
     return workload_ref_from_args(args).build()
 
 
-def traffic_from_args(args: argparse.Namespace) -> ArrivalProcess:
-    """Build the arrival process the arguments describe (closed default)."""
-    kind = getattr(args, "traffic", "closed")
-    rate = getattr(args, "arrival_rate", None)
-    if kind == "closed" and rate is not None:
-        raise ConfigError("--arrival-rate needs an open-loop --traffic shape")
-    if kind == "closed":
-        return ArrivalProcess()
-    return ArrivalProcess(kind=kind, rate=rate)
-
-
-def backpressure_from_args(args: argparse.Namespace):
-    """Build the backpressure configuration the arguments describe."""
-    from repro.fabric.config import BackpressureConfig
-
-    return BackpressureConfig(
-        orderer_queue_limit=getattr(args, "orderer_queue_limit", 0),
-        endorse_queue_limit=getattr(args, "endorse_queue_limit", 0),
-        delivery_backlog_limit=getattr(args, "delivery_backlog_limit", 0),
-    )
-
-
-def population_from_args(args: argparse.Namespace):
-    """Build the population configuration the arguments describe."""
-    from repro.fabric.config import PopulationConfig
-
-    return PopulationConfig(
-        accounts=getattr(args, "population_accounts", 0),
-        zipf_s=getattr(args, "population_zipf_s", 1.0),
-    )
-
-
 def config_from_args(args: argparse.Namespace) -> FabricConfig:
     """Build the network configuration the arguments describe."""
+    # The fault rows are applied here too, but faults_from_args owns the
+    # schedule: it adds --crash/--stall windows and the derived deadline,
+    # or loads --faults-file.
     config = replace(
-        FabricConfig(),
-        batch=BatchCutConfig(max_transactions=args.block_size),
-        clients_per_channel=args.clients,
-        channels=args.channels,
-        cross_channel_fraction=getattr(args, "cross_channel_fraction", 0.0),
-        population=population_from_args(args),
-        client_rate=args.client_rate,
+        _replaced(FabricConfig(), {flag.target: value for flag, value in _given(args)}),
         seed=args.seed,
-        endorsement_policy=getattr(args, "policy", None),
         faults=faults_from_args(args),
-        validation_workers=getattr(args, "validation_workers", 1),
-        pipeline_depth=getattr(args, "pipeline_depth", 1),
-        cc_strategy=getattr(args, "cc_strategy", "serial"),
-        orderer_nodes=getattr(args, "orderer_nodes", 1),
-        traffic=traffic_from_args(args),
-        backpressure=backpressure_from_args(args),
-        streaming_metrics=getattr(args, "streaming_metrics", False),
     )
+    if config.traffic.is_closed and config.traffic.rate is not None:
+        raise ConfigError("--arrival-rate needs an open-loop --traffic shape")
     max_resubmits = getattr(args, "max_resubmits", None)
     if max_resubmits is not None:
         config = replace(
@@ -651,11 +617,13 @@ def config_from_args(args: argparse.Namespace) -> FabricConfig:
 
 def _tracer_from_args(args: argparse.Namespace):
     """Build the run's tracer, honouring ``--trace-ring`` (or None)."""
+    ring = getattr(args, "trace_ring", None)
     if not getattr(args, "trace", None):
+        if ring is not None:
+            raise ConfigError("--trace-ring requires --trace")
         return None
     from repro.trace import Tracer
 
-    ring = getattr(args, "trace_ring", None)
     return Tracer() if ring is None else Tracer(capacity=ring)
 
 
@@ -691,8 +659,14 @@ def command_run(args: argparse.Namespace) -> int:
         result, network, checkpointer = resume_run(args.resume_from, tracer=tracer)
         print("checkpoint digests verified; run completed\n")
     else:
-        if getattr(args, "prune", False) and not getattr(args, "checkpoint_every", None):
-            raise ConfigError("--prune requires --checkpoint-every")
+        if not getattr(args, "checkpoint_every", None):
+            for name, value in (
+                ("--prune", getattr(args, "prune", False) or None),
+                ("--checkpoint-dir", getattr(args, "checkpoint_dir", None)),
+                ("--checkpoint-keep", getattr(args, "checkpoint_keep", None)),
+            ):
+                if value is not None:
+                    raise ConfigError(f"{name} requires --checkpoint-every")
         spec = ExperimentSpec(
             config=config_from_args(args),
             workload=workload_ref_from_args(args),

@@ -1,64 +1,15 @@
-"""Tests for ASCII charts, the any_of combinator, and replicated runs."""
+"""Tests for the any_of combinator and replicated runs."""
 
 from dataclasses import replace
 
 import pytest
 
-from repro.bench.charts import bar_chart, sparkline
 from repro.bench.harness import run_replicated
 from repro.core.batch_cutter import BatchCutConfig
 from repro.fabric.config import FabricConfig
 from repro.sim.engine import Environment
 from repro.errors import SimulationError
 from repro.workloads.custom import CustomWorkload, CustomWorkloadParams
-
-
-# -- bar charts -----------------------------------------------------------------
-
-
-def test_bar_chart_renders_all_series():
-    text = bar_chart(
-        "bs", [16, 64],
-        {"Fabric": [100.0, 200.0], "Fabric++": [150.0, 300.0]},
-        title="demo",
-    )
-    assert "demo" in text
-    assert "bs=16" in text
-    assert "Fabric++" in text
-    assert "300.0" in text
-
-
-def test_bar_chart_lengths_proportional():
-    text = bar_chart("x", [1], {"a": [10.0], "b": [40.0]}, width=40)
-    lines = [line for line in text.splitlines() if "|" in line]
-    bars = [line.split("|")[1] for line in lines]
-    assert bars[0].count("#") * 4 == bars[1].count("#")
-    assert bars[1].count("#") == 40  # peak fills the width
-
-
-def test_bar_chart_all_zero():
-    text = bar_chart("x", [1], {"a": [0.0]})
-    assert "0.0" in text
-    assert "#" not in text
-
-
-def test_bar_chart_invalid_width():
-    with pytest.raises(ValueError):
-        bar_chart("x", [1], {"a": [1.0]}, width=0)
-
-
-def test_sparkline_trend():
-    line = sparkline([0, 1, 2, 3, 4])
-    assert len(line) == 5
-    assert line[0] == " "
-    assert line[-1] == "@"
-
-
-def test_sparkline_flat_and_empty():
-    assert sparkline([]) == ""
-    flat = sparkline([5, 5, 5])
-    assert len(flat) == 3
-    assert len(set(flat)) == 1
 
 
 # -- any_of ----------------------------------------------------------------------
