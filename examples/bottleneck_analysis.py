@@ -1,11 +1,12 @@
-"""Bottleneck analysis: observe where the pipeline saturates.
+"""Bottleneck analysis: observe where the pipeline spends its time.
 
-Attaches a sampler to a running network and reports CPU occupancy and
-queue build-up across peers, the orderer, and the validators — first for
-vanilla Fabric, then for Fabric++. This shows the paper's Figure 1
-claim *from the inside*: the endorsers' CPUs (cryptography) and the
-validator pipeline carry the load, while transaction logic is negligible;
-and it shows how Fabric++'s early aborts relieve the validation stage.
+Runs a traced network and reports, for vanilla Fabric and then Fabric++,
+how busy each peer's CPU was, how long committed transactions spent in
+each pipeline phase, and which resource the simulated seconds were
+charged to. This shows the paper's Figure 1 claim *from the inside*:
+cryptography and networking carry the cost while transaction logic is a
+small slice; and it shows how Fabric++'s early aborts shorten the
+ordering and validation phases.
 
 Run with::
 
@@ -14,7 +15,7 @@ Run with::
 
 from repro import CustomWorkload, CustomWorkloadParams, FabricConfig, FabricNetwork
 from repro.bench.report import format_table
-from repro.sim.monitor import Sampler, attach_network_probes
+from repro.trace import Tracer
 
 DURATION = 3.0
 
@@ -44,21 +45,32 @@ def analyse(label, config):
         ),
         seed=23,
     )
-    network = FabricNetwork(config, workload)
-    sampler = Sampler(network.env, interval=0.05)
-    attach_network_probes(sampler, network)
-    sampler.start()
+    tracer = Tracer()
+    network = FabricNetwork(config, workload, tracer=tracer)
     metrics = network.run(duration=DURATION)
+    horizon = network.env.now
 
     print(f"\n=== {label} ===")
     print(f"successful tps: {metrics.successful_tps():.1f}   "
           f"failed tps: {metrics.failed_tps():.1f}")
-    print(format_table(sampler.summary()[:6], title="hottest probes (avg/peak)"))
-    reference = network.reference_peer.name
-    print(f"\n{reference} CPU busy over time: "
-          f"{sparkline(sampler.series(f'{reference}.cpu_busy'))}")
-    print(f"orderer pending batch:      "
-          f"{sparkline(sampler.series('orderer.ch0.batch'))}")
+    cpu_rows = []
+    for peer in network.peers:
+        cores_busy = peer.cpu.busy_time() / horizon
+        cpu_rows.append({
+            "peer": peer.name,
+            "cores busy": round(cores_busy, 2),
+            "utilisation": f"{cores_busy / peer.cpu.capacity:.1%}",
+        })
+    print(format_table(
+        cpu_rows, title=f"peer CPU over {horizon:.1f} simulated seconds"
+    ))
+    phases = metrics.phase_breakdown() or {}
+    print(format_table(
+        [{"phase": phase, "avg ms": round(seconds * 1e3, 2)}
+         for phase, seconds in phases.items()],
+        title="committed-transaction phase breakdown",
+    ))
+    print(tracer.breakdown.table(title="cost-resource shares (simulated seconds)"))
     timeseries = metrics.throughput_timeseries(bucket_seconds=0.5)
     print(f"successful tps (0.5s buckets): "
           f"{sparkline([b['successful_tps'] for b in timeseries])}")

@@ -21,7 +21,7 @@ paper presents Fabric++ as a set of modifications to Fabric 1.2.
 
 from repro.fabric.config import CostModel, FabricConfig
 from repro.fabric.chaincode import Chaincode, ChaincodeStub
-from repro.fabric.network import FabricNetwork, NetworkTopology
+from repro.fabric.network import FabricNetwork
 from repro.fabric.policy import AllOrgs, AnyOrg, OutOf, RequireOrg
 from repro.fabric.rwset import ReadWriteSet
 from repro.fabric.transaction import Endorsement, Proposal, Transaction
@@ -32,7 +32,6 @@ __all__ = [
     "Chaincode",
     "ChaincodeStub",
     "FabricNetwork",
-    "NetworkTopology",
     "AllOrgs",
     "AnyOrg",
     "OutOf",

@@ -9,7 +9,6 @@ time and returns the collected :class:`PipelineMetrics`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.identity import IdentityRegistry
@@ -40,16 +39,6 @@ from repro.workloads.base import Workload
 
 #: A workload shared by all channels, or a factory keyed by channel index.
 WorkloadSpec = Union[Workload, Callable[[int], Workload]]
-
-
-@dataclass
-class NetworkTopology:
-    """Static facts about a built network (handy for tests and reports)."""
-
-    orgs: List[str]
-    peer_names: List[str]
-    channels: List[str]
-    clients_per_channel: int
 
 
 class FabricNetwork:
@@ -321,37 +310,15 @@ class FabricNetwork:
         gossip_hop = self.config.costs.gossip_hop
 
         tracer = self.tracer
-
-        def deliver(peer: Peer, delay: float):
-            yield delay  # bare-delay sleep
-            if tracer is not None:
-                tracer.charge("network", delay)
-                tracer.instant(
-                    "block.deliver",
-                    cat="net",
-                    track="net/blocks",
-                    block_id=block.block_id,
-                    peer=peer.name,
-                )
-            peer.deliver_block(channel, block)
-
-        if self.faults is None:
-            for org_peers in self.peers_by_org.values():
-                for position, peer in enumerate(org_peers):
-                    delay = base_delay if position == 0 else base_delay + gossip_hop
-                    self.env.process(
-                        deliver(peer, delay), name=f"deliver/{channel}/{peer.name}"
-                    )
-            return
-
+        faults = self.faults
         redelivery = self.config.faults.block_redelivery_interval
 
-        def deliver_faulty(peer: Peer, base: float):
-            # Gossip redelivers dropped blocks until the peer has them
-            # (Fabric's anti-entropy pull); a crashed peer ignores the
-            # delivery and catches up from a neighbour on recovery.
+        def deliver(peer: Peer, base: float):
+            # With faults, gossip redelivers dropped blocks until the peer
+            # has them (Fabric's anti-entropy pull); a crashed peer ignores
+            # the delivery and catches up from a neighbour on recovery.
             while True:
-                delay = self.faults.message_delay(base)
+                delay = base if faults is None else faults.message_delay(base)
                 if delay is not None:
                     yield delay  # bare-delay sleep
                     if tracer is not None:
@@ -371,8 +338,7 @@ class FabricNetwork:
             for position, peer in enumerate(org_peers):
                 base = base_delay if position == 0 else base_delay + gossip_hop
                 self.env.process(
-                    deliver_faulty(peer, base),
-                    name=f"deliver/{channel}/{peer.name}",
+                    deliver(peer, base), name=f"deliver/{channel}/{peer.name}"
                 )
 
     # -- fault hooks -----------------------------------------------------------------
@@ -469,15 +435,6 @@ class FabricNetwork:
         )
 
     # -- running ---------------------------------------------------------------------
-
-    def topology(self) -> NetworkTopology:
-        """Describe the built network."""
-        return NetworkTopology(
-            orgs=list(self.orgs),
-            peer_names=[peer.name for peer in self.peers],
-            channels=list(self.channels),
-            clients_per_channel=self.config.clients_per_channel,
-        )
 
     def begin(self, duration: float) -> None:
         """Launch fault processes and client firing without running the

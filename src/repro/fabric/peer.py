@@ -113,10 +113,10 @@ class Peer:
         self._notify: Optional[Callable[[str, TxOutcome], None]] = None
         self._metrics: Optional[PipelineMetrics] = None
         self._policies: Dict[str, EndorsementPolicy] = {}
-        #: Backpressure: concurrent endorsement requests, checked against
-        #: ``config.backpressure.endorse_queue_limit`` when that bound is
-        #: set. ``overload`` is the shared OverloadStats, attached by the
-        #: network on backpressure runs.
+        #: Backpressure: concurrent endorsement requests, always counted
+        #: and checked against ``config.backpressure.endorse_queue_limit``
+        #: when that bound is set. ``overload`` is the shared
+        #: OverloadStats, attached by the network on backpressure runs.
         self._endorse_inflight = 0
         self.overload = None
         self._verify_pool: Optional[VerifyWorkerPool] = None
@@ -183,18 +183,18 @@ class Peer:
 
     def _endorse_process(self, channel: str, proposal: Proposal) -> Generator:
         limit = self.config.backpressure.endorse_queue_limit
-        if limit <= 0:
-            # No bound configured: the historical path, untouched.
-            return (yield from self._endorse_inner(channel, proposal))
-        if self._endorse_inflight >= limit:
+        if limit > 0 and self._endorse_inflight >= limit:
             # Admission control: shed the proposal instead of queueing it
             # on the peer CPU behind an unbounded backlog.
             if self.overload is not None:
                 self.overload.endorse_rejections += 1
             return EndorseReply(None, rejected=True)
         self._endorse_inflight += 1
+        # The peak is an endorse-bound statistic: a run that bounds only
+        # the orderer queue also carries OverloadStats, and keeps it at 0.
         if (
-            self.overload is not None
+            limit > 0
+            and self.overload is not None
             and self._endorse_inflight > self.overload.endorse_inflight_peak
         ):
             self.overload.endorse_inflight_peak = self._endorse_inflight

@@ -261,6 +261,10 @@ class Process(Event):
         """Callback form of a resume: for a process that found the
         event's ``_proc`` slot taken, and for interrupt delivery."""
         self._waiting_on = None
+        # An interrupt sent before the process started is delivered after
+        # its bootstrap, which may have entered a bare-delay sleep: that
+        # sleep is cancelled like any other the interrupt lands in.
+        self._wake = None
         self._advance(event._value, event._exception)
 
     def _advance(self, value: object, exception: Optional[BaseException]) -> None:

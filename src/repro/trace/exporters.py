@@ -12,9 +12,8 @@ unit). Three span modes map onto trace phases:
   endorsements, queued ordering) renders on its own id-grouped track,
 - instants -> ``"i"`` marks (outcomes, fault events).
 
-Counter samples (from :class:`repro.sim.monitor.Sampler`) become ``"C"``
-counter events on the same timeline, so queue depths line up under the
-spans that caused them.
+Where the system as a whole spends its time is not a timeline track: it
+is the tracer's :class:`~repro.trace.cost.CostBreakdown`.
 """
 
 from __future__ import annotations
@@ -110,17 +109,6 @@ def chrome_trace_events(tracer: Tracer) -> List[dict]:
                     "args": args,
                 }
             )
-    for t, name, value in tracer.counters:
-        events.append(
-            {
-                "ph": "C",
-                "name": name,
-                "pid": TRACE_PID,
-                "tid": 0,
-                "ts": _microseconds(t),
-                "args": {"value": value},
-            }
-        )
     return events
 
 
@@ -191,7 +179,7 @@ def validate_chrome_trace(document: dict) -> Dict[str, int]:
     async_depth: Dict[tuple, int] = {}
     for index, event in enumerate(events):
         phase = event.get("ph")
-        if phase not in ("M", "X", "b", "e", "i", "C"):
+        if phase not in ("M", "X", "b", "e", "i"):
             raise ReproError(f"event {index}: unknown phase {phase!r}")
         counts[phase] = counts.get(phase, 0) + 1
         if phase == "M":

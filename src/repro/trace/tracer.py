@@ -1,4 +1,4 @@
-"""The tracer: spans, ring buffer, counters, and cost charges.
+"""The tracer: spans, ring buffer, and cost charges.
 
 An opt-in, zero-cost-when-off observability layer. A :class:`Tracer` is
 created by the caller (harness, CLI, or test), handed to
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.crypto import signing
 from repro.trace.cost import CostBreakdown
@@ -106,18 +106,19 @@ def crypto_recording(tracer: Optional["Tracer"]) -> Iterator[None]:
 
 
 class Tracer:
-    """Collects spans, counter samples, and per-resource cost charges.
+    """Collects spans and per-resource cost charges.
 
-    Every hook is cheap plain-Python bookkeeping: no simulation events
-    are scheduled and no randomness is drawn, so a traced run commits the
-    exact same ledger as an untraced one.
+    Spans say where one transaction spends its simulated time; the
+    :class:`~repro.trace.cost.CostBreakdown` says where the whole system
+    spends it (the paper's Figure 1 view). Every hook is cheap
+    plain-Python bookkeeping: no simulation events are scheduled and no
+    randomness is drawn, so a traced run commits the exact same ledger
+    as an untraced one.
     """
 
     def __init__(self, capacity: int = 65536) -> None:
         self.buffer = TraceBuffer(capacity)
         self.breakdown = CostBreakdown()
-        #: Counter samples: (simulated time, counter name, value).
-        self.counters: List[Tuple[float, str, float]] = []
         #: Crypto primitive invocations observed via the signing hooks.
         self.crypto_ops: Dict[str, int] = {}
         #: Events processed by the sim engine while attached (clock hook).
@@ -188,12 +189,6 @@ class Tracer:
         """Attribute ``seconds`` of simulated time to ``resource``."""
         self.breakdown.charge(resource, seconds, count)
 
-    # -- counter timeline (Sampler integration) ------------------------------
-
-    def counter(self, name: str, value: float, t: Optional[float] = None) -> None:
-        """Record one counter sample on the trace timeline."""
-        self.counters.append((self.now if t is None else t, name, float(value)))
-
     # -- crypto hooks --------------------------------------------------------
 
     def record_crypto_op(self, kind: str, payload_size: int) -> None:
@@ -218,7 +213,6 @@ class Tracer:
         return {
             "spans": len(self.buffer),
             "spans_dropped": self.buffer.dropped,
-            "counter_samples": len(self.counters),
             "engine_events": self.engine_events,
             "crypto_ops": dict(sorted(self.crypto_ops.items())),
             "attributed_seconds": round(self.breakdown.total_seconds, 4),

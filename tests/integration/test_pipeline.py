@@ -192,11 +192,10 @@ def test_policy_must_reference_known_orgs():
 
 def test_topology_report():
     network = FabricNetwork(small_config(), BlankWorkload())
-    topology = network.topology()
-    assert topology.orgs == ["OrgA", "OrgB"]
-    assert len(topology.peer_names) == 4
-    assert topology.channels == ["ch0"]
-    assert topology.clients_per_channel == 2
+    assert network.orgs == ["OrgA", "OrgB"]
+    assert len(network.peers) == 4
+    assert network.channels == ["ch0"]
+    assert len(network.clients) == 2
 
 
 def test_zero_duration_rejected():

@@ -314,6 +314,45 @@ def test_interrupt_cancels_sleep_entered_after_a_caught_misuse_error():
     assert handle.is_alive
 
 
+@pytest.mark.parametrize("after", ["returns", "waits"])
+def test_interrupt_before_start_cancels_the_sleep_entered_at_bootstrap(after):
+    env = Environment()
+    log = []
+    gate = env.event()
+
+    def victim():
+        try:
+            yield 5.0  # entered at bootstrap, after the interrupt was sent
+        except Interrupt:
+            log.append(("interrupted", env.now))
+        if after == "waits":
+            log.append(((yield gate), env.now))
+        return "done"
+
+    handle = env.process(victim())
+    handle.interrupt()  # not started yet: still in the bootstrap deque
+    entries = []
+    env.set_trace_hook(
+        lambda time, event: entries.append(time) if event is handle else None
+    )
+
+    def opener():
+        yield 8.0
+        gate.succeed("opened")
+
+    env.process(opener())
+    env.run()
+    # The bootstrap sleep's heap entry (t=5) must surface as stale: it
+    # neither resumes the victim early nor completes it a second time.
+    if after == "returns":
+        assert log == [("interrupted", 0.0)]
+        assert entries == [0.0, 0.0]  # bootstrap, completion
+    else:
+        assert log == [("interrupted", 0.0), ("opened", 8.0)]
+        assert entries == [0.0, 8.0]
+    assert handle.value == "done" and not handle.is_alive
+
+
 def _dies(env):
     yield 1.0
     raise NameError("typo in a process body")

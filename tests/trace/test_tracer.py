@@ -101,7 +101,6 @@ def test_span_counts_and_summary():
     tracer.span("a", cat="c", track="t", start=0.0, end=1.0)
     tracer.span("a", cat="c", track="t", start=1.0, end=2.0, mode=ASYNC)
     tracer.span("b", cat="c", track="t", start=0.0, end=0.5)
-    tracer.counter("queue", 4.0, t=0.25)
     tracer.charge("sign", 0.5, count=2)
     tracer.record_crypto_op("sign", 100)
     tracer.record_crypto_op("verify", 64)
@@ -110,7 +109,6 @@ def test_span_counts_and_summary():
     summary = tracer.summary()
     assert summary["spans"] == 3
     assert summary["spans_dropped"] == 0
-    assert summary["counter_samples"] == 1
     assert summary["crypto_ops"] == {"sign": 1, "verify": 2}
     assert summary["attributed_seconds"] == pytest.approx(0.5)
 
