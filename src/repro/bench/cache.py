@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from pathlib import Path
 from typing import Optional, Union
 
@@ -35,6 +36,7 @@ from repro.bench.results import (
     metrics_to_dict,
 )
 from repro.bench.spec import ExperimentSpec
+from repro.ledger.export import _publish
 
 #: Bump when the stored payload layout changes; invalidates old entries.
 #: 2: metrics snapshots may carry a "validation" key (pipeline stats),
@@ -130,7 +132,8 @@ class ResultCache:
         """The cached result for ``spec``, or None on a miss.
 
         Corrupt or unreadable entries count as misses (and are removed),
-        so a damaged cache degrades to recomputation, never to an error.
+        so a damaged cache degrades to recomputation, never to an error;
+        each one is named on stderr with its reason.
         """
         key = self.key(spec)
         if key is None:
@@ -143,7 +146,13 @@ class ResultCache:
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError):
+        except (
+            OSError, json.JSONDecodeError, KeyError, ValueError, TypeError
+        ) as error:
+            print(
+                f"recomputing corrupt cache entry {path}: {error!r}",
+                file=sys.stderr,
+            )
             try:
                 path.unlink()
             except OSError:
@@ -171,11 +180,7 @@ class ResultCache:
             "fingerprint": key,
             "metrics": metrics_to_dict(result.metrics),
         }
-        path = self._path(key)
-        # Atomic publish: never leave a half-written entry behind.
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, path)
+        _publish(self._path(key), json.dumps(payload, sort_keys=True))
         return True
 
     def clear(self) -> int:

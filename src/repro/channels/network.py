@@ -174,11 +174,18 @@ class ShardedNetwork:
                 channel_names=(self.topology.channel_names[channel],),
             )
             self.runtimes.append(runtime)
+        #: The fleet's seeded streams in construction order: every
+        #: runtime's, then the saga router's, then (once :meth:`finish`
+        #: built it) the fleet total's reservoir.
+        self.rng_streams = [
+            stream for runtime in self.runtimes for stream in runtime.rng_streams
+        ]
         self.saga: Optional[SagaRouter] = None
         if config.cross_channel_fraction > 0:
             self.saga = SagaRouter(
                 config.cross_channel_fraction, config.seed, self.runtimes
             )
+            self.rng_streams += self.saga.rng_streams
         self.metrics = PipelineMetrics()
 
     # -- facade over the runtimes ---------------------------------------------
@@ -265,6 +272,7 @@ class ShardedNetwork:
         fleet = self.runtimes[0].metrics.empty_like(
             mix_seed(self.config.seed, STREAMING_SEED_SALT)
         )
+        self.rng_streams += fleet.seeded_streams()
         per_channel: List[Dict[str, object]] = []
         for channel, runtime in enumerate(self.runtimes):
             metrics = runtime.metrics

@@ -75,11 +75,14 @@ class SagaRouter:
         #: the runtimes' kind of sample store — merged into the fleet
         #: total after the per-channel metrics.
         self.metrics = self.runtimes[0].metrics.empty_like()
+        #: This router's seeded streams, in construction order (the
+        #: fleet's checkpoint RNG digest covers them).
+        self.rng_streams = self.metrics.seeded_streams()
         self._legs: Dict[str, _Saga] = {}
         self._streams: Dict[str, _ClientStreams] = {}
         for channel_index, runtime in enumerate(self.runtimes):
             for client_index, client in enumerate(runtime.clients):
-                self._streams[client.identity.name] = _ClientStreams(
+                streams = _ClientStreams(
                     decision=Rng(
                         mix_seed(
                             seed, SAGA_SEED_SALT, channel_index, client_index, 0
@@ -92,6 +95,8 @@ class SagaRouter:
                     ),
                     channel=channel_index,
                 )
+                self._streams[client.identity.name] = streams
+                self.rng_streams += [streams.decision, streams.legs]
                 client.saga_router = self
 
     # -- client hooks --------------------------------------------------------

@@ -5,11 +5,16 @@ A discrete-event simulation cannot be pickled mid-run: every in-flight
 process is a live Python generator. Instead of freezing the process
 graph, a checkpoint stores the *recipe* (the pickled
 :class:`~repro.bench.spec.ExperimentSpec`) together with a dense set of
-**verification digests** taken at an exact event boundary: per-channel
-ledger export hashes, per-peer state-database digests, the engine clock,
-sequence counter and event-heap digest, a digest over every seeded RNG
-stream reachable from the network, and the canonical metrics snapshot
-hash.
+**verification digests** taken at an exact event boundary (schema 3).
+Each hashes state the runtime already keeps, so a snapshot costs what
+changed, not the size of the world: per channel the reference ledger,
+block by block with each transaction's recomputed digest and validity
+flag (:func:`ledger_digest`, one SHA-256 per retained transaction); per
+peer the genesis layer's digest, hashed once per channel and run, plus
+the writes since genesis (:func:`state_digest`, O(writes)); the
+registered seeded streams (:func:`rng_digest`, O(streams)); the engine
+clock, sequence and event heap (:func:`engine_digest`); and each
+runtime's canonical metrics snapshot (:func:`metrics_digest`).
 
 Resume rebuilds the network from the embedded spec and *replays* from
 ``t = 0`` up to the checkpoint boundary — the simulation is
@@ -37,50 +42,29 @@ including crashed ones — can still catch up from any other.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
-import os
 import pickle
 import sys
-import types
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from random import Random
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.bench.results import ExperimentResult, metrics_to_dict
 from repro.bench.spec import ExperimentSpec
 from repro.errors import CheckpointError, ConfigError
-from repro.ledger.export import export_ledger
+from repro.ledger.export import _publish
 from repro.ledger.ledger import Ledger
-from repro.ledger.state_db import StateDatabase
-from repro.sim.distributions import Rng
+from repro.ledger.state_db import GENESIS_VERSION, StateDatabase
 from repro.sim.engine import Environment
-from repro.sim.resources import Resource
 from repro.trace.tracer import crypto_recording
 
 #: Bump when the checkpoint payload layout changes; old files are
 #: rejected with a clear error instead of mis-verifying.
-CHECKPOINT_SCHEMA = 2
+CHECKPOINT_SCHEMA = 3
 
 #: File-name prefix for on-disk checkpoints (``checkpoint-000001.json``).
 CHECKPOINT_PREFIX = "checkpoint-"
-
-#: Safety valve for the object-graph walk — far above any real network.
-_WALK_NODE_LIMIT = 5_000_000
-
-#: Leaf types the graph walk never descends into.
-_TERMINAL_TYPES = (
-    str,
-    bytes,
-    bytearray,
-    bool,
-    int,
-    float,
-    complex,
-    type(None),
-)
 
 
 def _canonical_json(payload: object) -> str:
@@ -94,161 +78,75 @@ def _digest(payload: object) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Object-graph walkers
-# ---------------------------------------------------------------------------
-
-
-def _slot_names(cls: type) -> List[str]:
-    names: List[str] = []
-    for klass in reversed(cls.__mro__):
-        slots = klass.__dict__.get("__slots__")
-        if slots is None:
-            continue
-        if isinstance(slots, str):
-            slots = (slots,)
-        names.extend(slots)
-    return names
-
-
-def _is_repro_object(obj: object) -> bool:
-    module = getattr(type(obj), "__module__", "") or ""
-    return module == "repro" or module.startswith("repro.")
-
-
-def _children(obj: object) -> Iterator[Tuple[str, object]]:
-    """Deterministic (label, child) pairs of one node in the walk.
-
-    Sets and frozensets are deliberately *not* traversed: their
-    iteration order depends on ``PYTHONHASHSEED``, and a resume may run
-    in a different interpreter process than the run that wrote the
-    checkpoint. Nothing checkpoint-relevant (RNG streams, resources)
-    lives inside a set.
-    """
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            label = f"[{key!r}]" if isinstance(key, _TERMINAL_TYPES) else "[?]"
-            if not isinstance(key, _TERMINAL_TYPES):
-                yield f"{label}#key", key
-            yield label, value
-        return
-    if isinstance(obj, (list, tuple, deque)):
-        for index, value in enumerate(obj):
-            yield f"[{index}]", value
-        return
-    if isinstance(obj, types.GeneratorType):
-        # Suspended workload/client coroutines keep RNGs in locals.
-        try:
-            frame_locals = inspect.getgeneratorlocals(obj)
-        except Exception:
-            return
-        for name, value in frame_locals.items():
-            yield f".<locals>.{name}", value
-        return
-    if not _is_repro_object(obj):
-        return
-    instance_dict = getattr(obj, "__dict__", None)
-    if instance_dict is not None:
-        for name, value in instance_dict.items():
-            yield f".{name}", value
-    for name in _slot_names(type(obj)):
-        try:
-            value = getattr(obj, name)
-        except AttributeError:
-            continue
-        yield f".{name}", value
-
-
-def walk_objects(root: object) -> Iterator[Tuple[str, object]]:
-    """Deterministic pre-order walk of the object graph under ``root``.
-
-    Yields ``(path, obj)`` for every reachable node. The order depends
-    only on the program's own construction order (dict insertion order,
-    attribute definition order), never on hashing, so two identical runs
-    — even in different interpreter processes — walk identically.
-    """
-    stack: List[Tuple[str, object]] = [("root", root)]
-    visited: set = set()
-    nodes = 0
-    while stack:
-        path, obj = stack.pop()
-        if isinstance(obj, _TERMINAL_TYPES):
-            continue
-        marker = id(obj)
-        if marker in visited:
-            continue
-        visited.add(marker)
-        nodes += 1
-        if nodes > _WALK_NODE_LIMIT:
-            raise CheckpointError(
-                f"object-graph walk exceeded {_WALK_NODE_LIMIT} nodes; "
-                "the network graph is unexpectedly unbounded"
-            )
-        yield path, obj
-        children = list(_children(obj))
-        for label, child in reversed(children):
-            stack.append((path + label, child))
-
-
-def iter_rng_streams(root: object) -> List[Tuple[str, object]]:
-    """Every seeded RNG reachable from ``root``, in deterministic order.
-
-    Collects both :class:`~repro.sim.distributions.Rng` wrappers and
-    bare :class:`random.Random` instances (the streaming-metrics
-    reservoir keeps one of the latter).
-    """
-    streams: List[Tuple[str, object]] = []
-    for path, obj in walk_objects(root):
-        if isinstance(obj, (Rng, Random)):
-            streams.append((path, obj))
-    return streams
-
-
-def iter_resources(root: object) -> List[Tuple[str, Resource]]:
-    """Every simulation :class:`Resource` reachable from ``root``."""
-    found: List[Tuple[str, Resource]] = []
-    for path, obj in walk_objects(root):
-        if isinstance(obj, Resource):
-            found.append((path, obj))
-    return found
-
-
-def resource_state(resource: Resource) -> Dict[str, object]:
-    """A plain, picklable summary of a resource's bookkeeping state.
-
-    Resources themselves hold waiter events whose callbacks close over
-    live generators, so they cannot be pickled wholesale; this captures
-    the observable counters instead.
-    """
-    return {
-        "capacity": resource.capacity,
-        "in_use": resource._in_use,
-        "queue_length": len(resource._waiters),
-        "sequence": resource._sequence,
-        "busy_time": resource.busy_time(),
-    }
-
-
-# ---------------------------------------------------------------------------
 # Digests
 # ---------------------------------------------------------------------------
 
 
 def ledger_digest(ledger: Ledger) -> str:
-    """Hash of the ledger's canonical export (continuity record included)."""
-    return _digest(export_ledger(ledger))
+    """Hash of the chain: the continuity record (``None`` when unpruned),
+    then per retained block its id, ``previous_hash`` and ``data_hash``,
+    and each transaction's — then each early abort's — recomputed
+    :meth:`~repro.fabric.transaction.Transaction.digest` and validity
+    flag. That digest covers every field a ledger export carries, so
+    this is as strong as hashing the export, without building it."""
+    hasher = hashlib.sha256(repr(ledger.continuity).encode("utf-8"))
+    for block in ledger:
+        header = block.header
+        hasher.update(
+            f"|{block.block_id}|{header.previous_hash.hex()}"
+            f"|{header.data_hash.hex()}|{len(block.transactions)}"
+            f"|{len(block.early_aborted)}".encode("utf-8")
+        )
+        for tx in chain(block.transactions, block.early_aborted):
+            hasher.update(tx.digest())
+            hasher.update(repr(block.is_valid(tx.tx_id)).encode("utf-8"))
+    return hasher.hexdigest()
+
+
+def _layer_digest(layer: Dict[str, object], keys: Iterable[str]) -> str:
+    """SHA-256 over a genesis layer's ``(key, value)`` rows in ``keys`` order."""
+    hasher = hashlib.sha256()
+    for key in keys:
+        hasher.update(repr((key, layer[key])).encode("utf-8"))
+    return hasher.hexdigest()
 
 
 def state_digest(state: StateDatabase) -> str:
-    """Order-independent hash of a peer's versioned key-value store."""
+    """Hash of a peer's versioned store: H(genesis-layer digest, the
+    entries written since genesis in key order, ``last_block_id``).
+
+    The layer digest is memoised in a cell the store's copies share, so
+    a channel's peers hash their layer once per run. Entries written at
+    ``GENESIS_VERSION`` (``populate`` on a non-empty store) count as
+    layer content, so where a genesis entry lives never matters. Stores
+    compare exactly when their layers hold the same content, as a
+    channel's peers, and a run and its replay, do.
+    """
+    written = state._data
+    folded: Dict[str, object] = {}
     hasher = hashlib.sha256()
-    hasher.update(repr(state.last_block_id).encode("utf-8"))
-    for key, entry in state.range_scan(""):
+    for key in sorted(written):
+        entry = written[key]
+        version = entry.version
+        if version.block_id == 0 and version == GENESIS_VERSION:
+            folded[key] = entry.value
+            continue
         hasher.update(
-            repr(
-                (key, entry.value, entry.version.block_id, entry.version.tx_id)
-            ).encode("utf-8")
+            repr((key, entry.value, version.block_id, version.tx_id)).encode(
+                "utf-8"
+            )
         )
-    return hasher.hexdigest()
+    if folded:
+        layer = {**state._genesis, **folded}
+        genesis = _layer_digest(layer, sorted(layer))
+    else:
+        memo = state._genesis_memo
+        if memo[0] is None:
+            memo[0] = _layer_digest(state._genesis, state._genesis_keys)
+        genesis = memo[0]
+    return hashlib.sha256(
+        f"{genesis}|{hasher.hexdigest()}|{state.last_block_id}".encode("utf-8")
+    ).hexdigest()
 
 
 def metrics_digest(metrics) -> str:
@@ -279,20 +177,18 @@ def engine_digest(env: Environment) -> Dict[str, object]:
     }
 
 
-def rng_digest(root: object) -> Dict[str, object]:
-    """Aggregate digest over every reachable RNG stream's exact state.
+def rng_digest(network) -> Dict[str, object]:
+    """Aggregate digest over every seeded stream's exact state.
 
-    Hashes the states in walk order but *not* the paths: paths can embed
-    ``id()``-keyed dict keys (e.g. workload sampler caches), which are
-    memory addresses and differ between the original process and a
-    resume. Walk order itself is insertion-order deterministic.
+    Iterates ``network.rng_streams``: each runtime appends a stream
+    where it builds it (a sharded fleet's list adds the saga router's
+    and its total's), so the order is construction order, identical in
+    a run and in its replay.
     """
     hasher = hashlib.sha256()
-    count = 0
-    for _path, stream in iter_rng_streams(root):
+    for stream in network.rng_streams:
         hasher.update(repr(stream.getstate()).encode("utf-8"))
-        count += 1
-    return {"streams": count, "digest": hasher.hexdigest()}
+    return {"streams": len(network.rng_streams), "digest": hasher.hexdigest()}
 
 
 def capture_snapshot(network, boundary: float) -> Dict[str, object]:
@@ -490,9 +386,10 @@ class Checkpointer:
     def write(self, checkpoint: Dict[str, object]) -> Optional[Path]:
         """Persist one checkpoint; returns its path (None in-memory).
 
-        Files are published atomically (temp file + ``os.replace``) so a
-        kill mid-write never leaves a torn checkpoint — at worst the
-        previous checkpoint stays the newest loadable one.
+        Files are published atomically (temp file + ``os.replace``; the
+        temp file is removed if the write is interrupted) so a kill
+        mid-write never leaves a torn checkpoint — at worst the previous
+        checkpoint stays the newest loadable one.
         """
         self.checkpoints.append(checkpoint)
         if self.options.directory is None:
@@ -500,9 +397,7 @@ class Checkpointer:
         directory = Path(self.options.directory)
         directory.mkdir(parents=True, exist_ok=True)
         path = directory / f"{CHECKPOINT_PREFIX}{checkpoint['index']:06d}.json"
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(checkpoint, sort_keys=True))
-        os.replace(tmp, path)
+        _publish(path, json.dumps(checkpoint, sort_keys=True))
         if self.options.keep is not None:
             files = sorted(directory.glob(f"{CHECKPOINT_PREFIX}*.json"))
             for stale in files[: -self.options.keep]:

@@ -912,6 +912,13 @@ class PipelineMetrics:
             fresh.enable_streaming(seed)
         return fresh
 
+    def seeded_streams(self) -> List[random.Random]:
+        """The seeded streams this object draws from: the streaming
+        reservoir's replacement stream, if any (for checkpoint digests)."""
+        if isinstance(self.samples, StreamingMetrics):
+            return [self.samples.reservoir._random]
+        return []
+
     def set_window(self, duration: float) -> None:
         """Pin the measurement window before traffic starts (bounded
         stores must know it while recording)."""

@@ -9,6 +9,7 @@ time and returns the collected :class:`PipelineMetrics`.
 
 from __future__ import annotations
 
+from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.identity import IdentityRegistry
@@ -60,6 +61,10 @@ class FabricNetwork:
         self.config = config
         self.env = env if env is not None else Environment()
         self.registry = IdentityRegistry()
+        #: Every seeded stream this runtime draws from, in construction
+        #: order, appended where each is built: what checkpoint RNG
+        #: digests hash (``repro.checkpoint.rng_digest``).
+        self.rng_streams: List[Union[Rng, Random]] = []
         self.metrics = PipelineMetrics()
         if config.streaming_metrics:
             # The reservoir's replacement stream is salted off the run
@@ -68,6 +73,7 @@ class FabricNetwork:
             self.metrics.enable_streaming(
                 mix_seed(config.seed, STREAMING_SEED_SALT)
             )
+            self.rng_streams.extend(self.metrics.seeded_streams())
         # The tracer is a runtime-only argument — never part of the
         # config — so cache fingerprints and result rows are unaffected
         # by whether a run was observed.
@@ -118,6 +124,7 @@ class FabricNetwork:
             self.faults = FaultInjector(
                 self.env, config.faults, config.seed, self.metrics
             )
+            self.rng_streams.append(self.faults._message_rng)
 
         # One ordering-service machine and one client machine, shared by
         # every channel (Section 6.1's single orderer / single client host).
@@ -202,6 +209,10 @@ class FabricNetwork:
             consenter=consenter,
         )
         self.orderers[channel] = orderer
+        if consenter is not None:
+            self.rng_streams.extend(
+                replica.rng for replica in consenter.group.replicas
+            )
         orderer.overload = self.overload
         if self.config.backpressure.delivery_backlog_limit > 0:
             peers = list(self.peers)
@@ -232,19 +243,18 @@ class FabricNetwork:
                 if self.faults is not None
                 else None
             )
-            arrival = None
+            arrival = arrival_rng = None
             if not self.config.traffic.is_closed:
+                arrival_rng = Rng(
+                    mix_seed(
+                        self.config.seed,
+                        TRAFFIC_SEED_SALT,
+                        channel_index,
+                        client_index,
+                    )
+                )
                 arrival = ArrivalSampler(
-                    self.config.traffic,
-                    self.config.client_rate,
-                    Rng(
-                        mix_seed(
-                            self.config.seed,
-                            TRAFFIC_SEED_SALT,
-                            channel_index,
-                            client_index,
-                        )
-                    ),
+                    self.config.traffic, self.config.client_rate, arrival_rng
                 )
             misbehavior = misbehaviors.get(client_index)
             misbehavior_rng = None
@@ -268,6 +278,8 @@ class FabricNetwork:
                         client_index,
                     )
                 )
+            streams = (rng, fault_rng, arrival_rng, misbehavior_rng, overload_rng)
+            self.rng_streams += [stream for stream in streams if stream is not None]
             client = Client(
                 self.env,
                 identity,

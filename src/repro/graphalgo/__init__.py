@@ -14,14 +14,13 @@ substrate is self-contained.
 
 from repro.graphalgo.digraph import DiGraph
 from repro.graphalgo.johnson import simple_cycles
-from repro.graphalgo.tarjan import condensation, strongly_connected_components
+from repro.graphalgo.tarjan import strongly_connected_components
 from repro.graphalgo.toposort import is_acyclic, topological_sort
 
 __all__ = [
     "DiGraph",
     "simple_cycles",
     "strongly_connected_components",
-    "condensation",
     "topological_sort",
     "is_acyclic",
 ]

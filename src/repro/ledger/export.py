@@ -21,6 +21,7 @@ behind: imported transactions carry ``proposal=None``.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Dict, List, Union
 
@@ -176,8 +177,25 @@ def import_ledger(payload: Dict[str, object]) -> Ledger:
 
 
 def save_ledger(path: Union[str, Path], ledger: Ledger) -> None:
-    """Export ``ledger`` to ``path`` as JSON."""
-    Path(path).write_text(json.dumps(export_ledger(ledger), indent=2))
+    """Export ``ledger`` to ``path`` as JSON, published atomically."""
+    _publish(Path(path), json.dumps(export_ledger(ledger), indent=2))
+
+
+def _publish(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file and ``os.replace``.
+
+    Readers see the old file or the whole new one, never a torn one. Any
+    exception mid-write, ``KeyboardInterrupt`` included, removes the
+    temp file before it propagates. Shared by every file the package
+    publishes: ledger exports, checkpoints and result-cache entries.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_ledger(path: Union[str, Path]) -> Ledger:

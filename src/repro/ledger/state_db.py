@@ -83,6 +83,9 @@ class StateDatabase:
         self._genesis: Dict[str, object] = {}
         #: The genesis layer's keys in sorted order, shared by copies.
         self._genesis_keys: Tuple[str, ...] = ()
+        #: One slot for the layer's digest, filled on first use by
+        #: ``repro.checkpoint.state_digest`` and shared by copies.
+        self._genesis_memo: List[Optional[str]] = [None]
         #: Entries written since genesis; they take precedence.
         self._data: Dict[str, VersionedValue] = {}
         #: Written keys the genesis layer lacks, sorted and maintained
@@ -177,6 +180,7 @@ class StateDatabase:
             return
         self._genesis = dict(initial)
         self._genesis_keys = tuple(sorted(self._genesis))
+        self._genesis_memo = [None]
 
     def apply_write(self, key: str, value: object, version: Version) -> None:
         """Apply a single validated write, stamping it with ``version``."""
@@ -238,6 +242,7 @@ class StateDatabase:
         clone = StateDatabase()
         clone._genesis = self._genesis
         clone._genesis_keys = self._genesis_keys
+        clone._genesis_memo = self._genesis_memo
         clone._data = dict(self._data)
         clone._new_keys = list(self._new_keys)
         clone._last_block_id = self._last_block_id

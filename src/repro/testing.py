@@ -79,54 +79,6 @@ def paper_table1_rwsets() -> List[ReadWriteSet]:
     return [t1, t2, t3, t4]
 
 
-def snapshot_roundtrip(network) -> Dict[str, int]:
-    """Assert every RNG stream and resource snapshot restores exactly.
-
-    The checkpoint subsystem's correctness rests on two properties this
-    helper probes directly on a live network:
-
-    * every seeded RNG stream reachable from the network pickles, and a
-      restored clone produces the same next draws as a second clone —
-      without advancing the original stream;
-    * every :class:`~repro.sim.resources.Resource`'s observable state
-      (:func:`repro.checkpoint.resource_state`) pickle-roundtrips to an
-      equal dict.
-
-    Returns ``{"rng_streams": N, "resources": M}`` so callers can assert
-    the walk actually found something. Raises ``AssertionError`` with
-    the offending object's path otherwise.
-    """
-    import pickle
-
-    from repro.checkpoint import iter_resources, iter_rng_streams, resource_state
-
-    streams = iter_rng_streams(network)
-    for path, stream in streams:
-        state = stream.getstate()
-        restored = pickle.loads(pickle.dumps(state))
-        import random as _random
-
-        clone_a, clone_b = _random.Random(), _random.Random()
-        clone_a.setstate(restored)
-        clone_b.setstate(state)
-        draws_a = [clone_a.random() for _ in range(4)]
-        draws_b = [clone_b.random() for _ in range(4)]
-        assert draws_a == draws_b, (
-            f"RNG at {path} diverged after pickle roundtrip"
-        )
-        assert stream.getstate() == state, (
-            f"RNG at {path} was advanced by snapshotting"
-        )
-    resources = iter_resources(network)
-    for path, resource in resources:
-        snapshot = resource_state(resource)
-        restored = pickle.loads(pickle.dumps(snapshot))
-        assert restored == snapshot, (
-            f"resource state at {path} changed across pickle roundtrip"
-        )
-    return {"rng_streams": len(streams), "resources": len(resources)}
-
-
 def count_valid_in_order(
     rwsets: Sequence[ReadWriteSet],
     order: Sequence[int],

@@ -110,6 +110,21 @@ def test_corrupt_entry_degrades_to_miss(tmp_path):
     assert not entry.exists()  # the damaged file was removed
 
 
+def test_truncated_entry_is_recomputed_and_named(tmp_path, capsys):
+    cache = ResultCache(tmp_path)
+    spec = small_spec()
+    result = run_experiment(spec)
+    cache.put(spec, result)
+    entry = next(tmp_path.glob("*.json"))
+    entry.write_text(entry.read_text()[:100])
+    assert cache.get(spec) is None
+    stderr = capsys.readouterr().err
+    assert str(entry) in stderr and "JSONDecodeError" in stderr
+    cache.put(spec, run_experiment(spec))
+    hit = cache.get(spec)
+    assert hit is not None and hit.metrics.summary() == result.metrics.summary()
+
+
 def test_clear_removes_everything(tmp_path):
     cache = ResultCache(tmp_path)
     spec = small_spec()

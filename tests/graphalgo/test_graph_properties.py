@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from repro.graphalgo import (
     DiGraph,
-    condensation,
     is_acyclic,
     simple_cycles,
     strongly_connected_components,
     topological_sort,
 )
+from tests.graphalgo.condensation import condensation
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Unit tests for Tarjan's strongly-connected-components algorithm."""
 
-from repro.graphalgo import DiGraph, condensation, strongly_connected_components
+from repro.graphalgo import DiGraph, strongly_connected_components
+from tests.graphalgo.condensation import condensation
 
 
 def components_as_sets(graph):

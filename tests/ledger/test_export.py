@@ -3,9 +3,14 @@
 import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from repro.bench.cache import ResultCache
+from repro.bench.harness import run_experiment
+from repro.bench.spec import ExperimentSpec
+from repro.checkpoint import Checkpointer, CheckpointOptions
 from repro.core.batch_cutter import BatchCutConfig
 from repro.errors import LedgerError, LedgerVerificationError
 from repro.fabric.config import FabricConfig
@@ -21,6 +26,7 @@ from repro.ledger.export import (
 from repro.ledger.ledger import Ledger
 from repro.ledger.state_db import StateDatabase
 from repro.workloads.custom import CustomWorkload, CustomWorkloadParams
+from repro.workloads.registry import WorkloadRef
 
 
 @pytest.fixture(scope="module")
@@ -235,3 +241,46 @@ def test_catch_up_from_is_idempotent(finished_network):
     # A second pull finds nothing new.
     assert catch_up_from(source.ledger, ledger, state) == 0
     assert ledger.tip_hash == source.ledger.tip_hash
+
+
+def _publishers(directory, ledger):
+    """One write through each atomic publisher: ledger export,
+    checkpoint file, result-cache entry."""
+    spec = ExperimentSpec(
+        config=replace(FabricConfig(), clients_per_channel=1, client_rate=50.0),
+        workload=WorkloadRef("blank"),
+        duration=0.2,
+    )
+    checkpointer = Checkpointer(
+        spec, CheckpointOptions(every=0.1, directory=directory)
+    )
+    result = run_experiment(spec)
+    return {
+        "save_ledger": lambda: save_ledger(directory / "ledger.json", ledger),
+        "checkpoint": lambda: checkpointer.write(
+            checkpointer.build(1, 0.1, {})
+        ),
+        "cache": lambda: ResultCache(directory).put(spec, result),
+    }
+
+
+@pytest.mark.parametrize("publisher", ["save_ledger", "checkpoint", "cache"])
+def test_interrupted_publish_leaves_no_temp_file(
+    tmp_path, monkeypatch, finished_network, publisher
+):
+    """A Ctrl-C inside the write removes the half-written temp file and
+    publishes nothing."""
+    network, _workload = finished_network
+    write = _publishers(
+        tmp_path, network.reference_peer.channels["ch0"].ledger
+    )[publisher]
+    real_write_text = Path.write_text
+
+    def interrupted(path, text, *args, **kwargs):
+        real_write_text(path, text[: len(text) // 2], *args, **kwargs)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Path, "write_text", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write()
+    assert list(tmp_path.iterdir()) == []

@@ -15,8 +15,14 @@ fault-injection layer leans on:
 - out-of-order block application is always rejected;
 - the run starts from a non-empty genesis, and ``fork`` takes copies that
   share its read-only layer; later writes (new keys and tombstones
-  included) land on either side and must stay there.
+  included) land on either side and must stay there;
+- the checkpoint's ``state_digest``, which hashes the genesis layer once
+  and then only the writes, tells the stores apart exactly when a full
+  scan of every key does.
 """
+
+import hashlib
+from itertools import combinations
 
 import pytest
 from hypothesis import settings
@@ -29,6 +35,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.checkpoint import state_digest
 from repro.errors import StateError
 from repro.fabric.chaincode import Tombstone
 from repro.ledger.state_db import GENESIS_VERSION, StateDatabase, Version
@@ -78,6 +85,20 @@ def assert_matches(db, model, block_id):
     assert [key for key, _entry in scanned] == sorted(model)
     assert {key: (entry.value, entry.version) for key, entry in scanned} == model
     assert db.last_block_id == block_id
+
+
+def full_scan_digest(db):
+    """The reference state digest: every key of both layers, in key order."""
+    hasher = hashlib.sha256()
+    hasher.update(repr(db.last_block_id).encode("utf-8"))
+    for key, entry in db.range_scan(""):
+        version = entry.version
+        hasher.update(
+            repr((key, entry.value, version.block_id, version.tx_id)).encode(
+                "utf-8"
+            )
+        )
+    return hasher.hexdigest()
 
 
 class VersionedStateMachine(RuleBasedStateMachine):
@@ -153,6 +174,14 @@ class VersionedStateMachine(RuleBasedStateMachine):
         """Re-applying the current (or any older) block must fail."""
         with pytest.raises(StateError):
             self.db.apply_block_writes(self.block_id, list(enumerate(block)))
+
+    @invariant()
+    def digests_agree_with_the_full_scan(self):
+        stores = [self.db, self.replica] + [fork[0] for fork in self.forks]
+        for left, right in combinations(stores, 2):
+            assert (state_digest(left) == state_digest(right)) == (
+                full_scan_digest(left) == full_scan_digest(right)
+            )
 
     @invariant()
     def every_store_matches_its_model(self):

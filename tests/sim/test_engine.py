@@ -293,9 +293,10 @@ def test_immediate_process_without_yield():
 
 
 def test_environment_and_process_are_slots_only():
-    # repro.checkpoint reaches the client RNG streams through these
-    # objects' slots; no instance __dict__ keeps that walk, and its
-    # order, spelled out in __slots__.
+    # One Process per simulated process and one Environment per run:
+    # slots keep them small and their attribute loads fast. The walk
+    # behind the RNG-registry oracle (tests/checkpoint/walk.py) reaches
+    # client streams through these slots, in __slots__ order.
     env = Environment()
     proc = env.process(_ for _ in ())
     assert not hasattr(env, "__dict__") and not hasattr(proc, "__dict__")

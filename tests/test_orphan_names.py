@@ -53,14 +53,9 @@ ORPHANS = {
     "repro.checkpoint:CHECKPOINT_PREFIX",
     "repro.checkpoint:CHECKPOINT_SCHEMA",
     "repro.checkpoint:Checkpointer",
-    "repro.checkpoint:ledger_digest",
     "repro.checkpoint:load_checkpoint",
-    "repro.checkpoint:metrics_digest",
     "repro.checkpoint:prune_network",
-    "repro.checkpoint:rng_digest",
     "repro.checkpoint:spec_from_checkpoint",
-    "repro.checkpoint:state_digest",
-    "repro.checkpoint:walk_objects",
     "repro.cli:workload_from_args",
     "repro.consensus.raft:CANDIDATE",
     "repro.consensus.raft:FOLLOWER",
@@ -83,7 +78,6 @@ ORPHANS = {
     "repro.fabric.policy:RequireOrg",
     "repro.faults:FAULT_SEED_SALT",
     "repro.faults:MISBEHAVIOR_KINDS",
-    "repro.graphalgo.tarjan:condensation",
     "repro.graphalgo.toposort:topological_sort",
     "repro.ledger.export:SCHEMA_VERSION",
     "repro.ledger.export:replay_state",
@@ -92,7 +86,6 @@ ORPHANS = {
     "repro.scenarios:run_scenario_suite",
     "repro.testing:V1",
     "repro.testing:V2",
-    "repro.testing:snapshot_roundtrip",
     "repro.trace.cost:RESOURCES",
     "repro.trace.exporters:CSV_COLUMNS",
     "repro.trace.exporters:TRACE_PID",
