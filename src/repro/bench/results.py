@@ -124,7 +124,7 @@ def metrics_from_dict(data: Dict[str, object]) -> PipelineMetrics:
     return PipelineMetrics.from_dict(data)
 
 
-def result_to_dict(result: ExperimentResult) -> Dict[str, object]:
+def _result_to_dict(result: ExperimentResult) -> Dict[str, object]:
     """Plain-dict form of one result, suitable for JSON."""
     return {
         "label": result.label,
@@ -135,8 +135,8 @@ def result_to_dict(result: ExperimentResult) -> Dict[str, object]:
     }
 
 
-def result_from_dict(data: Dict[str, object]) -> ExperimentResult:
-    """Rebuild an :class:`ExperimentResult` from :func:`result_to_dict`."""
+def _result_from_dict(data: Dict[str, object]) -> ExperimentResult:
+    """Rebuild an :class:`ExperimentResult` from :func:`_result_to_dict`."""
     return ExperimentResult(
         label=data["label"],
         config=config_from_dict(data["config"]),
@@ -233,7 +233,7 @@ class ResultSet:
         """Serialise every result (full metrics) to a JSON document."""
         payload = {
             "schema_version": RESULTSET_SCHEMA,
-            "results": [result_to_dict(result) for result in self.results],
+            "results": [_result_to_dict(result) for result in self.results],
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -248,7 +248,7 @@ class ResultSet:
             raise ReproError(
                 f"unsupported result-set schema {payload.get('schema_version')!r}"
             )
-        return cls(result_from_dict(entry) for entry in payload["results"])
+        return cls(_result_from_dict(entry) for entry in payload["results"])
 
     def improvement_factor(
         self, baseline: str = "Fabric", improved: str = "Fabric++"

@@ -165,6 +165,7 @@ def _break_cycles(cycles: List[Set[int]]) -> Set[int]:
         if counts[tx] == 0:
             continue
         aborted.add(tx)
+        touched: Set[int] = set()
         for cycle_index in membership.get(tx, ()):
             if cleared[cycle_index]:
                 continue
@@ -173,7 +174,11 @@ def _break_cycles(cycles: List[Set[int]]) -> Set[int]:
             for member in cycles[cycle_index]:
                 if member != tx and member not in aborted:
                     counts[member] -= 1
-                    heapq.heappush(heap, (-counts[member], member))
+                    touched.add(member)
+        # One fresh entry per touched member, at its final count; the
+        # older ones are stale and skipped above.
+        for member in touched:
+            heapq.heappush(heap, (-counts[member], member))
         counts[tx] = 0
     return aborted
 
@@ -214,6 +219,16 @@ def _abort_residual_cycles(graph: DiGraph, surviving: List[int]) -> Set[int]:
             if source in successors:
                 successors[source].discard(node)
 
+    def degree(node: int) -> int:
+        return len(successors[node]) + len(predecessors[node])
+
+    # Lazy max-heap keyed (-degree, node): degrees only fall, so an
+    # entry's degree bounds its node's from above. A popped entry whose
+    # degree is out of date goes back in at the current one; the first
+    # that is up to date is the highest-degree node, ties to the
+    # smallest index.
+    by_degree = [(-degree(n), n) for n in successors]
+    heapq.heapify(by_degree)
     trim = [
         n
         for n in successors
@@ -233,10 +248,14 @@ def _abort_residual_cycles(graph: DiGraph, surviving: List[int]) -> Set[int]:
                     trim.append(neighbour)
         if not successors:
             break
-        victim = max(
-            successors,
-            key=lambda n: (len(successors[n]) + len(predecessors[n]), -n),
-        )
+        while True:
+            negative_degree, victim = heapq.heappop(by_degree)
+            if victim not in successors:
+                continue
+            current = degree(victim)
+            if current == -negative_degree:
+                break
+            heapq.heappush(by_degree, (-current, victim))
         extra.add(victim)
         neighbours = successors[victim] | predecessors[victim]
         detach(victim)

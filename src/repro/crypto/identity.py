@@ -21,12 +21,17 @@ from repro.errors import CryptoError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.crypto.signing import Signature
 
-#: Capacity of :class:`IdentityRegistry`'s verified-signature cache. The
-#: peers of a network validate a given block within a few blocks of each
-#: other, so the cache only has to span a few blocks of endorsements
-#: (Table 5: 1024 transactions x 2 endorsements per block); a fixed
-#: bound keeps arbitrarily long runs flat in memory.
-VERIFIED_CACHE_SIZE = 8192
+#: Blocks of endorsements :class:`IdentityRegistry`'s verified-signature
+#: cache spans. The peers of a network validate a given block within a
+#: few blocks of each other, so the cache only has to span a few blocks;
+#: a bound keeps arbitrarily long runs flat in memory.
+#: ``FabricNetwork`` sizes its registry from its own blocks: this many
+#: times the block size times the endorsing orgs.
+VERIFIED_CACHE_BLOCKS = 4
+
+#: Capacity of a registry built without one: :data:`VERIFIED_CACHE_BLOCKS`
+#: Table 5 blocks (1024 transactions x 2 endorsements).
+_DEFAULT_VERIFIED_CAPACITY = VERIFIED_CACHE_BLOCKS * 1024 * 2
 
 
 @dataclass(frozen=True)
@@ -61,8 +66,10 @@ class Identity:
 class IdentityRegistry:
     """The trusted directory of all network identities (MSP stand-in)."""
 
-    def __init__(self) -> None:
+    def __init__(self, verified_capacity: int = _DEFAULT_VERIFIED_CAPACITY) -> None:
         self._members: Dict[str, Identity] = {}
+        #: Most verified triples remembered at once.
+        self.verified_capacity = verified_capacity
         #: ``(signer, signature bytes, payload)`` triples whose MAC some
         #: validator of this run has already checked and found good,
         #: oldest first in ``_verified_order``. Verification is a pure
@@ -96,8 +103,8 @@ class IdentityRegistry:
 
     def remember_verified(self, signature: "Signature", payload: bytes) -> None:
         """Record a *successful* verification, evicting the oldest entry
-        once :data:`VERIFIED_CACHE_SIZE` is reached."""
-        if len(self._verified_order) >= VERIFIED_CACHE_SIZE:
+        once :attr:`verified_capacity` is reached."""
+        if len(self._verified_order) >= self.verified_capacity:
             self._verified.discard(self._verified_order.popleft())
         triple = (signature.signer, signature.value, payload)
         self._verified.add(triple)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.crypto.identity import IdentityRegistry
+from repro.crypto.identity import VERIFIED_CACHE_BLOCKS, IdentityRegistry
 from repro.errors import ConfigError
 from repro.fabric.chaincode import ChaincodeRegistry
 from repro.fabric.client import Client
@@ -60,7 +60,6 @@ class FabricNetwork:
         config.validate()
         self.config = config
         self.env = env if env is not None else Environment()
-        self.registry = IdentityRegistry()
         #: Every seeded stream this runtime draws from, in construction
         #: order, appended where each is built: what checkpoint RNG
         #: digests hash (``repro.checkpoint.rng_digest``).
@@ -88,6 +87,14 @@ class FabricNetwork:
         unknown = self.policy.mentioned_orgs() - set(self.orgs)
         if unknown:
             raise ConfigError(f"policy references unknown orgs: {sorted(unknown)}")
+        # The verified-signature cache spans a few of this network's own
+        # blocks, each carrying at most one endorsement per org the
+        # policy mentions.
+        self.registry = IdentityRegistry(
+            VERIFIED_CACHE_BLOCKS
+            * config.batch.max_transactions
+            * len(self.policy.mentioned_orgs())
+        )
 
         # Peers (the paper uses four: two orgs with two peers each).
         self.peers: List[Peer] = []

@@ -36,7 +36,7 @@ from repro.trace.tracer import ASYNC, Tracer
 
 #: Seconds between delivery-credit backlog polls (only scheduled when a
 #: ``delivery_backlog_limit`` is configured; never in default runs).
-DELIVERY_POLL_INTERVAL = 0.002
+_DELIVERY_POLL_INTERVAL = 0.002
 
 
 class SoloConsenter:
@@ -319,7 +319,7 @@ class OrderingService:
         stall_start = self.env.now
         while self.peer_backlog() >= limit:
             yield from self._maybe_stall()
-            yield DELIVERY_POLL_INTERVAL
+            yield _DELIVERY_POLL_INTERVAL
         if self.overload is not None and self.env.now > stall_start:
             self.overload.delivery_stall_seconds += self.env.now - stall_start
 

@@ -42,6 +42,9 @@ ordering. ``docs/engine.md`` has the full contract; in short:
 - **Trace hook.** When no hook is installed the loop pays a single
   ``is not None`` test per entry; installing one never changes the
   schedule (observation only).
+- **No cyclic collection inside ``run()``.** A run makes no cyclic
+  garbage, so ``run()`` suspends the collector for its loop and puts
+  the caller's setting back afterwards.
 
 Scheduling-order invariants (the golden hashes pin them):
 ``succeed``/``fail`` always *schedule* the event at the current instant
@@ -61,6 +64,7 @@ rule is applied per entry, so ``run()`` and ``step()`` agree on it.
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from heapq import heappop, heappush
 from typing import Callable, Generator, Iterable, List, Optional
@@ -625,15 +629,33 @@ class Environment:
         events scheduled exactly *at* ``until`` are processed — including
         ones first scheduled while handling that instant — and the clock
         ends at ``until`` even if the queue drained earlier.
+
+        Automatic cyclic garbage collection is off while the loop runs
+        and is put back as the caller had it on the way out, whether the
+        loop returns or raises (``docs/engine.md``, "A run suspends the
+        cyclic collector"). A simulation makes no cyclic garbage
+        (``tests/sim/test_no_cyclic_garbage.py``): reference counting
+        frees everything a run drops, so the collector's passes would
+        find nothing, while each full pass walks everything the run has
+        kept so far. Code running inside a simulation must not rely on
+        cyclic collection. :meth:`step` leaves the collector alone.
         """
         if until is None:
             # +inf keeps the horizon test a single float compare.
-            self._loop(float("inf"), False)
-            return
-        if until < self.now:
+            horizon = float("inf")
+        elif until < self.now:
             raise SimulationError("cannot run into the past")
-        self._loop(until, False)
-        self.now = until
+        else:
+            horizon = until
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self._loop(horizon, False)
+        finally:
+            if collecting:
+                gc.enable()
+        if until is not None:
+            self.now = until
 
     def peek(self) -> float:
         """Time of the next event, or +inf if the queue is empty."""

@@ -9,8 +9,8 @@ from repro.bench.results import (
     ResultSet,
     config_from_dict,
     config_to_dict,
-    result_from_dict,
-    result_to_dict,
+    _result_from_dict,
+    _result_to_dict,
 )
 from repro.errors import ReproError
 from repro.fabric.config import FabricConfig
@@ -113,6 +113,6 @@ def test_config_round_trip_preserves_nested_dataclasses():
 
 def test_result_round_trip_preserves_metrics():
     result = make_result("Fabric++", 5, 4, params={"k": "v"})
-    clone = result_from_dict(result_to_dict(result))
+    clone = _result_from_dict(_result_to_dict(result))
     assert clone.row() == result.row()
     assert clone.metrics == result.metrics

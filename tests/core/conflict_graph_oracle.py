@@ -7,20 +7,19 @@ keys, one bitwise AND per ordered pair. Quadratic, so it lives here as the
 thing the production builder is compared against, not under ``src/``.
 :func:`reorder_rebuilding_survivors` is the matching reference for
 ``reorder``: the driver as it was when it built the survivors' graph a
-second time from their rwsets instead of taking the induced subgraph.
+second time from their rwsets instead of taking the induced subgraph,
+and breaking cycles with :func:`break_cycles_pushing_per_cycle` and
+:func:`abort_residual_cycles_scanning`, the greedy and the truncation
+fallback before they kept lazy heaps.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+import heapq
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.conflict_graph import KeyUniverse
-from repro.core.reorder import (
-    ReorderResult,
-    _abort_residual_cycles,
-    _break_cycles,
-    _build_schedule,
-)
+from repro.core.reorder import ReorderResult, _build_schedule
 from repro.fabric.rwset import ReadWriteSet
 from repro.graphalgo.digraph import DiGraph
 from repro.graphalgo.johnson import simple_cycles
@@ -88,13 +87,128 @@ def reorder_rebuilding_survivors(
         if budget is not None and found >= budget:
             truncated = True
 
-    aborted = _break_cycles(cycles)
+    aborted = break_cycles_pushing_per_cycle(cycles)
     surviving = [i for i in range(len(rwsets)) if i not in aborted]
     if truncated:
-        aborted |= _abort_residual_cycles(graph, surviving)
+        aborted |= abort_residual_cycles_scanning(graph, surviving)
         surviving = [i for i in range(len(rwsets)) if i not in aborted]
 
     reduced = build_conflict_graph_all_pairs([rwsets[i] for i in surviving])
     schedule = [surviving[local] for local in _build_schedule(reduced)]
     return ReorderResult(schedule, sorted(aborted), len(cycles))
 
+
+def break_cycles_pushing_per_cycle(cycles: List[Set[int]]) -> Set[int]:
+    """``_break_cycles`` as it was: one heap push per member per cleared
+    cycle, rather than one per member per victim.
+
+    Implements the max-heap strategy of Algorithm 1 (lines 23-42): pop the
+    transaction participating in the most cycles, clear those cycles, and
+    decrement the counts of their other members. Ties break toward the
+    smaller transaction index so the result is deterministic.
+    """
+    counts: Dict[int, int] = {}
+    membership: Dict[int, List[int]] = {}
+    for cycle_index, cycle in enumerate(cycles):
+        for tx in cycle:
+            counts[tx] = counts.get(tx, 0) + 1
+            membership.setdefault(tx, []).append(cycle_index)
+
+    # Lazy-deletion max-heap keyed by (-count, tx index).
+    heap = [(-count, tx) for tx, count in counts.items()]
+    heapq.heapify(heap)
+    alive_cycles = len(cycles)
+    cleared = [False] * len(cycles)
+    aborted: Set[int] = set()
+
+    while alive_cycles > 0:
+        negative_count, tx = heapq.heappop(heap)
+        if tx in aborted or counts.get(tx, 0) != -negative_count:
+            continue  # stale heap entry
+        if counts[tx] == 0:
+            continue
+        aborted.add(tx)
+        for cycle_index in membership.get(tx, ()):
+            if cleared[cycle_index]:
+                continue
+            cleared[cycle_index] = True
+            alive_cycles -= 1
+            for member in cycles[cycle_index]:
+                if member != tx and member not in aborted:
+                    counts[member] -= 1
+                    heapq.heappush(heap, (-counts[member], member))
+        counts[tx] = 0
+    return aborted
+
+
+def abort_residual_cycles_scanning(
+    graph: DiGraph, surviving: List[int]
+) -> Set[int]:
+    """``_abort_residual_cycles`` as it was: each victim is a ``max``
+    over every remaining node, not a pop from a lazy degree heap.
+
+    A feedback-vertex-set heuristic with O(E) bookkeeping: repeatedly trim
+    nodes that cannot be on a cycle (in-degree or out-degree zero), then
+    remove the highest-degree remaining node, until nothing is left. The
+    removed high-degree nodes are the extra aborts. Runs only when the
+    ``max_cycles`` cap fired on a dense block.
+    """
+    keep = set(surviving)
+    successors: Dict[int, Set[int]] = {}
+    predecessors: Dict[int, Set[int]] = {}
+    extra: Set[int] = set()
+    for node in surviving:
+        succ = {t for t in graph.successors(node) if t in keep and t != node}
+        pred = {s for s in graph.predecessors(node) if s in keep and s != node}
+        if graph.has_edge(node, node):
+            # A self-conflict cannot occur (i != j in the builder), but
+            # guard anyway: a self-loop is an unbreakable cycle.
+            extra.add(node)
+            continue
+        successors[node] = succ
+        predecessors[node] = pred
+    for node in extra:
+        for other in successors:
+            successors[other].discard(node)
+            predecessors[other].discard(node)
+
+    def detach(node: int) -> None:
+        for target in successors.pop(node):
+            if target in predecessors:
+                predecessors[target].discard(node)
+        for source in predecessors.pop(node):
+            if source in successors:
+                successors[source].discard(node)
+
+    trim = [
+        n
+        for n in successors
+        if not successors[n] or not predecessors[n]
+    ]
+    while successors:
+        while trim:
+            node = trim.pop()
+            if node not in successors:
+                continue
+            neighbours = successors[node] | predecessors[node]
+            detach(node)
+            for neighbour in neighbours:
+                if neighbour in successors and (
+                    not successors[neighbour] or not predecessors[neighbour]
+                ):
+                    trim.append(neighbour)
+        if not successors:
+            break
+        victim = max(
+            successors,
+            key=lambda n: (len(successors[n]) + len(predecessors[n]), -n),
+        )
+        extra.add(victim)
+        neighbours = successors[victim] | predecessors[victim]
+        detach(victim)
+        for neighbour in neighbours:
+            if neighbour in successors and (
+                not successors[neighbour] or not predecessors[neighbour]
+            ):
+                trim.append(neighbour)
+    return extra

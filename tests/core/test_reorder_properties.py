@@ -5,12 +5,17 @@ from hypothesis import strategies as st
 
 from repro.core.conflict_graph import build_conflict_graph, schedule_is_serializable
 from repro.core.early_abort import filter_stale_within_block
-from repro.core.reorder import reorder
+from repro.core.reorder import _abort_residual_cycles, _break_cycles, reorder
 from repro.fabric.rwset import ReadWriteSet
 from repro.graphalgo import is_acyclic
+from repro.graphalgo.digraph import DiGraph
 from repro.ledger.state_db import Version
 from tests.conftest import count_valid_in_order
-from tests.core.conflict_graph_oracle import reorder_rebuilding_survivors
+from tests.core.conflict_graph_oracle import (
+    abort_residual_cycles_scanning,
+    break_cycles_pushing_per_cycle,
+    reorder_rebuilding_survivors,
+)
 
 KEYS = [f"k{i}" for i in range(8)]
 
@@ -144,6 +149,65 @@ def test_reorder_equals_reference_rebuilding_survivor_graph(block, cap, node_cap
     assert reorder(block, cap, node_cap) == reorder_rebuilding_survivors(
         block, cap, node_cap
     )
+
+
+@st.composite
+def dense_rwset(draw):
+    """Reads and writes over three keys: blocks full of long cycles."""
+    result = ReadWriteSet()
+    for key in draw(st.lists(st.sampled_from(KEYS[:3]), min_size=1, unique=True)):
+        result.record_read(key, Version(1, 0))
+    for key in draw(st.lists(st.sampled_from(KEYS[:3]), min_size=1, unique=True)):
+        result.record_write(key, f"v-{key}")
+    return result
+
+
+@given(
+    st.lists(dense_rwset(), min_size=6, max_size=18),
+    st.integers(min_value=1, max_value=3),
+)
+@settings(deadline=None)
+def test_truncated_reorder_equals_the_scanning_fallback(block, cap):
+    """A cap of a few cycles on a dense block always truncates
+    enumeration, so the residual-cycle fallback decides most aborts;
+    the lazy degree heap picks the same victims as a scan would."""
+    assert reorder(block, max_cycles=cap) == reorder_rebuilding_survivors(
+        block, max_cycles=cap
+    )
+
+
+@st.composite
+def random_digraph(draw):
+    nodes = range(draw(st.integers(min_value=1, max_value=24)))
+    graph = DiGraph(nodes)
+    node = st.sampled_from(nodes)
+    for source, target in draw(st.lists(st.tuples(node, node))):
+        if source != target:
+            graph.add_edge(source, target)
+    return graph, sorted(draw(st.lists(node, unique=True)))
+
+
+@given(random_digraph())
+@settings(deadline=None)
+def test_residual_cycle_fallback_equals_the_scanning_oracle(drawn):
+    graph, surviving = drawn
+    extra = _abort_residual_cycles(graph, surviving)
+    assert extra == abort_residual_cycles_scanning(graph, surviving)
+    left = set(surviving) - extra
+    assert is_acyclic(graph.subgraph(left))
+
+
+@given(
+    st.lists(
+        st.sets(st.integers(min_value=0, max_value=15), min_size=2, max_size=6),
+        max_size=30,
+    )
+)
+@settings(deadline=None)
+def test_greedy_cycle_breaking_equals_the_per_cycle_push_oracle(cycles):
+    aborted = _break_cycles(cycles)
+    assert aborted == break_cycles_pushing_per_cycle(cycles)
+    assert all(cycle & aborted for cycle in cycles)
 
 
 @given(random_block, st.integers(min_value=1, max_value=5))

@@ -5,7 +5,6 @@ import hmac
 
 import pytest
 
-from repro.crypto import identity as identity_module
 from repro.crypto.identity import Identity, IdentityRegistry, KeyPair, mac
 from repro.crypto.signing import Signature, sign, verify
 from repro.errors import CryptoError
@@ -129,8 +128,8 @@ def test_verified_memory_is_keyed_on_the_exact_triple(registry):
     assert not IdentityRegistry().is_verified(signature, b"payload")
 
 
-def test_verified_memory_evicts_oldest_first_at_capacity(registry, monkeypatch):
-    monkeypatch.setattr(identity_module, "VERIFIED_CACHE_SIZE", 3)
+def test_verified_memory_evicts_oldest_first_at_capacity(registry):
+    registry.verified_capacity = 3
     signer = registry.lookup("peer0.OrgA")
     payloads = [f"payload-{index}".encode() for index in range(5)]
     signatures = [sign(signer, payload) for payload in payloads]

@@ -23,9 +23,9 @@ import pytest
 from repro.bench.spec import ExperimentSpec
 from repro.checkpoint import CheckpointOptions, run_with_checkpoints
 from repro.core.batch_cutter import BatchCutConfig
-from repro.crypto import identity as identity_module
 from repro.crypto.identity import IdentityRegistry
 from repro.crypto.signing import Signature
+from repro.fabric import network as network_module
 from repro.fabric.config import FabricConfig
 from repro.fabric.network import FabricNetwork
 from repro.fabric.transaction import Endorsement
@@ -69,7 +69,7 @@ def test_one_real_verification_per_distinct_endorsement(finished):
         for e in tx.endorsements
     }
     assert len(network.peers) == 4
-    assert 0 < len(distinct) < identity_module.VERIFIED_CACHE_SIZE
+    assert 0 < len(distinct) < network.registry.verified_capacity
     # Every peer validated every delivered transaction...
     for peer in network.peers:
         assert len(ledger_transactions(peer)) == len(delivered)
@@ -119,7 +119,8 @@ def test_verified_cache_stays_bounded_on_a_pruned_streaming_run(
     system, monkeypatch
 ):
     capacity = 64
-    monkeypatch.setattr(identity_module, "VERIFIED_CACHE_SIZE", capacity)
+    # One block of 32 transactions x 2 endorsements, not four.
+    monkeypatch.setattr(network_module, "VERIFIED_CACHE_BLOCKS", 1)
     sizes = []
     remember = IdentityRegistry.remember_verified
 
@@ -152,6 +153,25 @@ def test_verified_cache_stays_bounded_on_a_pruned_streaming_run(
     assert len(sizes) > 4 * capacity
     # ...and at no point did it hold more than its capacity.
     assert max(sizes) == (capacity, capacity)
+
+
+@pytest.mark.parametrize(
+    "block_size, num_orgs, capacity",
+    [(1024, 2, 8192), (32, 2, 256), (16, 3, 192)],
+)
+def test_verified_cache_spans_four_of_the_networks_own_blocks(
+    block_size, num_orgs, capacity
+):
+    # Each transaction carries at most one endorsement per org: a
+    # small-block network gets a small cache, so a long run of small
+    # blocks stays flat long before a Table 5 sized cache would fill.
+    config = replace(
+        FabricConfig(),
+        batch=BatchCutConfig(max_transactions=block_size),
+        num_orgs=num_orgs,
+    )
+    network = FabricNetwork(config, make_workload("blank", seed=1))
+    assert network.registry.verified_capacity == capacity
 
 
 def traced_network_bytes(peers_per_org):

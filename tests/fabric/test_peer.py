@@ -5,7 +5,6 @@ from dataclasses import replace
 import pytest
 
 from repro.core.batch_cutter import BatchCutConfig
-from repro.crypto import identity as identity_module
 from repro.crypto.signing import Signature, verify
 from repro.fabric.config import FabricConfig
 from repro.fabric.metrics import TxOutcome
@@ -327,9 +326,9 @@ def test_tampering_fails_policy_against_a_warm_cache(warm, tampering):
     assert testbed.registry._verified == cached
 
 
-def test_evicted_signature_is_verified_for_real_again(testbed, monkeypatch):
-    monkeypatch.setattr(identity_module, "VERIFIED_CACHE_SIZE", 2)
+def test_evicted_signature_is_verified_for_real_again(testbed):
     registry, peer = testbed.registry, testbed.peers[0]
+    registry.verified_capacity = 2
     p1, p2 = testbed.proposal("p1", "x"), testbed.proposal("p2", "y")
     tx1 = testbed.make_transaction(p1, testbed.endorse_everywhere(p1))
     tx2 = testbed.make_transaction(p2, testbed.endorse_everywhere(p2))

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import gc
+
 import pytest
 
 from repro.errors import SimulationError
@@ -300,3 +302,72 @@ def test_environment_and_process_are_slots_only():
     env = Environment()
     proc = env.process(_ for _ in ())
     assert not hasattr(env, "__dict__") and not hasattr(proc, "__dict__")
+
+
+def set_collector(enabled):
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.fixture
+def collector_state():
+    """Yield a setter for the collector's state; put the original back."""
+    enabled = gc.isenabled()
+    yield set_collector
+    set_collector(enabled)
+
+
+def _collector_probe(env, seen, fail=False):
+    def proc():
+        seen.append(gc.isenabled())
+        yield 1.0
+        seen.append(gc.isenabled())
+        if fail:
+            raise ValueError("boom")
+
+    env.process(proc())
+
+
+@pytest.mark.parametrize("until", [None, 5.0])
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_run_suspends_the_collector_and_restores_the_callers_state(
+    collector_state, enabled, until
+):
+    collector_state(enabled)
+    env = Environment()
+    seen = []
+    _collector_probe(env, seen)
+    env.run(until)
+    assert seen == [False, False]
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_run_restores_the_collector_when_the_run_raises(collector_state, enabled):
+    collector_state(enabled)
+    env = Environment()
+    seen = []
+    _collector_probe(env, seen, fail=True)
+    with pytest.raises(ValueError, match="boom"):
+        env.run()
+    assert seen == [False, False]
+    assert gc.isenabled() is enabled
+
+
+def test_run_into_the_past_leaves_the_collector_alone(collector_state):
+    collector_state(True)
+    env = Environment()
+    env.run(until=2.0)
+    with pytest.raises(SimulationError):
+        env.run(until=1.0)
+    assert gc.isenabled()
+
+
+def test_step_leaves_the_collector_alone(collector_state):
+    collector_state(True)
+    env = Environment()
+    seen = []
+    _collector_probe(env, seen)
+    env.step()
+    env.step()
+    assert seen == [True, True]
+    assert gc.isenabled()

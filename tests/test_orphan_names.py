@@ -38,8 +38,6 @@ ORPHANS = {
     "repro.bench.cache:DEFAULT_CACHE_DIR",
     "repro.bench.caliper:CaliperReport",
     "repro.bench.results:RESULTSET_SCHEMA",
-    "repro.bench.results:result_from_dict",
-    "repro.bench.results:result_to_dict",
     "repro.bench.sweep:PROGRESS_ENV",
     "repro.bench.sweep:SweepProgress",
     "repro.bench.sweep:SweepStats",
@@ -70,7 +68,6 @@ ORPHANS = {
     "repro.fabric.metrics:STREAMING_RESERVOIR_CAPACITY",
     "repro.fabric.metrics:StreamingLatency",
     "repro.fabric.metrics:StreamingWindow",
-    "repro.fabric.orderer:DELIVERY_POLL_INTERVAL",
     "repro.fabric.peer:ENDORSE_PRIORITY",
     "repro.fabric.peer:PeerChannelState",
     "repro.fabric.policy:AnyOrg",
