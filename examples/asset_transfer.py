@@ -15,6 +15,8 @@ Run with::
     python examples/asset_transfer.py
 """
 
+from dataclasses import replace
+
 from repro import Chaincode, FabricConfig, TxOutcome
 from repro.crypto.identity import IdentityRegistry
 from repro.fabric.chaincode import ChaincodeRegistry
@@ -71,7 +73,7 @@ def endorse(env, peers, proposal):
     handles = [peer.endorse("ch0", proposal) for peer in peers]
     env.run()
     replies = [handle.value for handle in handles]
-    endorsements = [reply.endorsement for reply in replies]
+    endorsements = tuple(reply.endorsement for reply in replies)
     return Transaction(
         tx_id=proposal.proposal_id,
         proposal=proposal,
@@ -99,10 +101,10 @@ def main():
           f"writes={t7.rwset.writes}")
 
     # T8: the client packs a forged write set (Appendix A.3.1).
-    t8 = endorse(env, peers, proposal(env, "T8", 70))
-    forged = t8.rwset.copy()
+    honest_t8 = endorse(env, peers, proposal(env, "T8", 70))
+    forged = honest_t8.rwset.copy()
     forged.record_write("BalA", 100)  # "keep my balance, thanks"
-    t8.rwset = forged
+    t8 = replace(honest_t8, rwset=forged)
     print(f"T8 forged write set: {t8.rwset.writes} "
           "(signatures still cover the honest one)")
 

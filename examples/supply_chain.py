@@ -113,7 +113,7 @@ def submit(env, peers, tx_id, function, args):
     )
     handles = [peer.endorse("ch0", proposal) for peer in peers]
     env.run()
-    endorsements = [handle.value.endorsement for handle in handles]
+    endorsements = tuple(handle.value.endorsement for handle in handles)
     return Transaction(tx_id, proposal, endorsements[0].rwset, endorsements)
 
 

@@ -125,7 +125,7 @@ class RaftConsenter:
         stamped an abort reason the fresh cut will recompute against the
         new batch composition."""
         for transaction in transactions:
-            transaction.failure_reason = None
+            transaction._stamp("failure_reason", None)
             self._unproposed.add(transaction.tx_id)
             self.service.incoming.put(transaction)
 

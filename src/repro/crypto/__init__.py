@@ -14,13 +14,12 @@ depend on:
   structure (crypto-bound pipeline) matches the paper's observation.
 """
 
-from repro.crypto.identity import Identity, IdentityRegistry, KeyPair
+from repro.crypto.identity import Identity, IdentityRegistry
 from repro.crypto.signing import Signature, sign, verify
 
 __all__ = [
     "Identity",
     "IdentityRegistry",
-    "KeyPair",
     "Signature",
     "sign",
     "verify",

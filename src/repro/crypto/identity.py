@@ -35,14 +35,14 @@ _DEFAULT_VERIFIED_CAPACITY = VERIFIED_CACHE_BLOCKS * 1024 * 2
 
 
 @dataclass(frozen=True)
-class KeyPair:
+class _KeyPair:
     """A signing secret and its derived verification token."""
 
     secret: bytes
     verify_token: bytes
 
     @classmethod
-    def generate(cls, seed: bytes) -> "KeyPair":
+    def generate(cls, seed: bytes) -> "_KeyPair":
         """Derive a deterministic key pair from ``seed``."""
         secret = hashlib.sha256(b"secret:" + seed).digest()
         verify_token = hashlib.sha256(b"verify:" + secret).digest()
@@ -55,12 +55,12 @@ class Identity:
 
     name: str
     org: str
-    keypair: KeyPair = field(repr=False, compare=False, hash=False)
+    keypair: _KeyPair = field(repr=False, compare=False, hash=False)
 
     @classmethod
     def create(cls, name: str, org: str) -> "Identity":
         """Mint an identity with a key pair derived from its name."""
-        return cls(name, org, KeyPair.generate(f"{org}/{name}".encode()))
+        return cls(name, org, _KeyPair.generate(f"{org}/{name}".encode()))
 
 
 class IdentityRegistry:

@@ -281,12 +281,12 @@ class Client:
             tx_id=proposal.proposal_id,
             proposal=proposal,
             rwset=self._maybe_oversize(reference, proposal),
-            endorsements=[
+            endorsements=tuple(
                 e
                 if e.rwset is reference
                 else Endorsement(e.endorser, e.org, reference, e.signature)
                 for e in endorsements
-            ],
+            ),
             assembled_at=self.env.now,
         )
 
@@ -310,6 +310,7 @@ class Client:
         padded = reference.copy()
         for index in range(spec.padding):
             padded.record_write(f"__pad/{proposal.proposal_id}/{index}", index)
+        padded.seal()
         return padded
 
     def _dispatch(

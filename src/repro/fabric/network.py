@@ -95,6 +95,9 @@ class FabricNetwork:
             * config.batch.max_transactions
             * len(self.policy.mentioned_orgs())
         )
+        #: Shared by every peer of every channel: an endorsement verdict
+        #: computed on one of them holds on all (``Peer.join_channel``).
+        self._verdict_key = (self.policy, self.registry)
 
         # Peers (the paper uses four: two orgs with two peers each).
         self.peers: List[Peer] = []
@@ -198,7 +201,13 @@ class FabricNetwork:
             genesis = StateDatabase()
             genesis.populate(initial_state)
         for peer in self.peers:
-            peer.join_channel(channel, chaincodes, self.policy, genesis=genesis)
+            peer.join_channel(
+                channel,
+                chaincodes,
+                self.policy,
+                genesis=genesis,
+                verdict_key=self._verdict_key,
+            )
 
         # One ordering front either way; a cluster only swaps the consenter
         # (None = solo, charging the shared orderer machine).

@@ -153,7 +153,7 @@ class OrderingService:
             if depth > stats.queue_depth_peak:
                 stats.queue_depth_peak = depth
         if self.tracer is not None:
-            transaction.orderer_arrival = self.env.now
+            transaction._stamp("orderer_arrival", self.env.now)
         self.txs_received += 1
         self._consenter.accepted(transaction)
         self.incoming.put(transaction)
@@ -244,7 +244,7 @@ class OrderingService:
             reorder_wall_seconds = result.elapsed_seconds
             for index in result.aborted:
                 tx = batch[index]
-                tx.failure_reason = TxOutcome.EARLY_ABORT_CYCLE.value
+                tx._stamp("failure_reason", TxOutcome.EARLY_ABORT_CYCLE.value)
                 self._consenter.abort_decided(tx.tx_id, TxOutcome.EARLY_ABORT_CYCLE)
                 early_aborted.append(tx)
             batch = [batch[index] for index in result.schedule]
@@ -281,7 +281,7 @@ class OrderingService:
         """
         self.txs_early_aborted += len(early_aborted)
         for tx in batch:
-            tx.ordered_at = self.env.now
+            tx._stamp("ordered_at", self.env.now)
         block = Block.create(
             self._next_block_id, self._tip_hash, batch, early_aborted=early_aborted
         )
@@ -331,7 +331,7 @@ class OrderingService:
         aborted: List[Transaction] = []
         for index in aborted_indices:
             tx = batch[index]
-            tx.failure_reason = TxOutcome.EARLY_ABORT_VERSION.value
+            tx._stamp("failure_reason", TxOutcome.EARLY_ABORT_VERSION.value)
             self._consenter.abort_decided(tx.tx_id, TxOutcome.EARLY_ABORT_VERSION)
             aborted.append(tx)
         return [batch[index] for index in kept_indices], aborted

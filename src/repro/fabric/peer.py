@@ -38,7 +38,7 @@ from repro.validation import VALIDATE_PRIORITY, VerifyWorkerPool, build_validato
 
 #: CPU scheduling bands within a peer: validation (``VALIDATE_PRIORITY``)
 #: preempts endorsement.
-ENDORSE_PRIORITY = 10
+_ENDORSE_PRIORITY = 10
 
 
 @dataclass(slots=True)
@@ -112,7 +112,12 @@ class Peer:
         self.is_reference = False
         self._notify: Optional[Callable[[str, TxOutcome], None]] = None
         self._metrics: Optional[PipelineMetrics] = None
-        self._policies: Dict[str, EndorsementPolicy] = {}
+        #: Per channel, the ``(policy, registry)`` verdict key: the
+        #: endorsement policy to check, and the object a passing verdict
+        #: is memoised under (see :meth:`join_channel`).
+        self._verdict_keys: Dict[
+            str, Tuple[EndorsementPolicy, IdentityRegistry]
+        ] = {}
         #: Backpressure: concurrent endorsement requests, always counted
         #: and checked against ``config.backpressure.endorse_queue_limit``
         #: when that bound is set. ``overload`` is the shared
@@ -140,6 +145,7 @@ class Peer:
         policy: EndorsementPolicy,
         initial_state: Optional[Mapping[str, object]] = None,
         genesis: Optional[StateDatabase] = None,
+        verdict_key: Optional[Tuple[EndorsementPolicy, IdentityRegistry]] = None,
     ) -> None:
         """Join ``channel``, installing chaincodes and seeding state.
 
@@ -147,16 +153,30 @@ class Peer:
         an already populated store (built once per channel by the network)
         that this peer starts from a copy of instead; the copy shares the
         genesis layer and keeps this peer's writes to itself.
+
+        ``verdict_key`` is the ``(policy, registry)`` pair the network
+        builds once and hands to every peer of the channel. The endorsement
+        verdict is a pure function of the transaction and that pair, so a
+        transaction that passed on one peer passes on every peer holding
+        the same key object, and the host evaluates it once. Without one,
+        this peer gets a key of its own and shares no verdicts.
         """
         if channel in self.channels:
             raise ConfigError(f"{self.name} already joined channel {channel!r}")
+        if verdict_key is None:
+            verdict_key = (policy, self.registry)
+        elif verdict_key[0] is not policy or verdict_key[1] is not self.registry:
+            raise ConfigError(
+                f"{self.name}: verdict key of channel {channel!r} names "
+                "another policy or registry"
+            )
         state = PeerChannelState(self.env, chaincodes)
         if genesis is not None:
             state.state = genesis.copy()
         elif initial_state:
             state.state.populate(initial_state)
         self.channels[channel] = state
-        self._policies[channel] = policy
+        self._verdict_keys[channel] = verdict_key
         self.env.process(
             build_validator(self, channel),
             name=f"{self.name}/{channel}/validator",
@@ -229,7 +249,7 @@ class Peer:
         try:
             # Endorsement runs in the peer's low-priority worker band so a
             # proposal flood cannot starve block validation.
-            yield self.cpu.request(priority=ENDORSE_PRIORITY)
+            yield self.cpu.request(priority=_ENDORSE_PRIORITY)
             try:
                 if self.crashed:
                     # The peer died while this request queued for its
@@ -290,6 +310,7 @@ class Peer:
             if holds_read_lock:
                 pcs.lock.release_read()
 
+        rwset.seal()
         signature = sign(self.identity, endorsement_payload(proposal, rwset))
         endorsement = Endorsement(self.name, self.org, rwset, signature)
         if tracer is not None:
@@ -334,11 +355,19 @@ class Peer:
         return self._verify_pool
 
     def _endorsements_valid(self, channel: str, tx: Transaction) -> bool:
-        """Endorsement-policy evaluation (paper Appendix A.3.1)."""
-        policy = self._policies[channel]
+        """Endorsement-policy evaluation (paper Appendix A.3.1).
+
+        Host-side only: a passing verdict is memoised on the transaction
+        under the channel's verdict key, so the next peer sharing that key
+        returns at once. A failing one is never kept. The simulated cost
+        of the check is charged per peer regardless (``tx_cost``).
+        """
+        key = self._verdict_keys[channel]
+        if tx._endorsed_under is key:
+            return True
+        policy, registry = key
         if not policy.satisfied_by(tx.endorsing_orgs):
             return False
-        registry = self.registry
         payload = endorsement_payload(tx.proposal, tx.rwset)
         for endorsement in tx.endorsements:
             # The signature must cover the rwset that travels with the
@@ -349,8 +378,7 @@ class Peer:
                 return False
             signature = endorsement.signature
             # Host-side only: a signature the registry remembers as
-            # verified is not re-MACed by the next peer. The simulated
-            # verify cost is charged per peer regardless (``tx_cost``).
+            # verified (another transaction carried it) is not re-MACed.
             if not registry.is_verified(signature, payload):
                 if not verify(registry, signature, payload):
                     return False
@@ -358,6 +386,7 @@ class Peer:
             signer = registry.lookup(signature.signer)
             if signer.org != endorsement.org:
                 return False
+        object.__setattr__(tx, "_endorsed_under", key)
         return True
 
     def _reads_current(
@@ -413,7 +442,7 @@ class Peer:
 
     def _report(self, tx: Transaction, outcome: TxOutcome) -> None:
         """Reference-peer accounting: notify the client of the outcome."""
-        tx.committed_at = self.env.now
+        tx._stamp("committed_at", self.env.now)
         if (
             outcome.is_success
             and self._metrics is not None
@@ -452,7 +481,7 @@ class Peer:
 
         Uses the ledger-export replay semantics (state transfer, the way
         a real peer fetches missing blocks from a gossip neighbour):
-        append each missing block — hash chain verified by the ledger —
+        append each missing block — its link checked by the ledger —
         and apply the write sets of its transactions already flagged
         valid. Returns the number of blocks replayed; 0 while the local
         validator is mid-block (the caller polls again later).

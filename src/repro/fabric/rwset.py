@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from repro.errors import StateError
 from repro.ledger.state_db import Version
 
 
@@ -59,6 +60,11 @@ class ReadWriteSet:
     then requires the key to still be absent. Within one simulation only
     the *first* read of a key is recorded (later reads return the same
     state), and only the *last* write of a key survives, matching Fabric.
+
+    The endorser seals the set it signs (:meth:`seal`); from then on the
+    ``record_*`` methods raise, so the bytes a signature (and a block
+    hash) covers cannot be changed through them. :meth:`copy` returns an
+    unsealed copy.
     """
 
     reads: Dict[str, Optional[Version]] = field(default_factory=dict)
@@ -69,6 +75,16 @@ class ReadWriteSet:
     _canonical: Optional[bytes] = field(
         default=None, repr=False, compare=False
     )
+    #: Set by :meth:`seal`; the ``record_*`` methods refuse to run.
+    _sealed: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def seal(self) -> None:
+        """Freeze this set: it is about to be signed."""
+        self._sealed = True
+
+    def _check_unsealed(self) -> None:
+        if self._sealed:
+            raise StateError("read/write set is sealed: it was signed")
 
     def record_read(self, key: str, version: Optional[Version]) -> None:
         """Record that ``key`` was read at ``version`` (first read wins).
@@ -77,17 +93,20 @@ class ReadWriteSet:
         afresh, so without this each retained rwset keeps its own copy
         of a key the state database and every other rwset already hold.
         """
+        self._check_unsealed()
         if key not in self.reads:
             self.reads[sys.intern(key)] = version
             self._canonical = None
 
     def record_write(self, key: str, value: object) -> None:
         """Record that ``key`` was written with ``value`` (last write wins)."""
+        self._check_unsealed()
         self.writes[sys.intern(key)] = value
         self._canonical = None
 
     def record_range_read(self, range_read: RangeRead) -> None:
         """Record a range scan together with its observed result."""
+        self._check_unsealed()
         self.range_reads.append(range_read)
         self._canonical = None
 
@@ -237,7 +256,7 @@ class ReadWriteSet:
         )
 
     def copy(self) -> "ReadWriteSet":
-        """Return an independent copy."""
+        """Return an independent, unsealed copy."""
         return ReadWriteSet(
             dict(self.reads), dict(self.writes), list(self.range_reads)
         )

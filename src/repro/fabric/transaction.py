@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.crypto.signing import Signature
 from repro.fabric.rwset import ReadWriteSet
@@ -74,12 +74,17 @@ def endorsement_payload(proposal: Proposal, rwset: ReadWriteSet) -> bytes:
     return proposal.payload_bytes() + b"#" + rwset.canonical_bytes()
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """An endorsed transaction travelling through ordering and validation.
 
     An honest client hands over endorsements that all hold :attr:`rwset`
     itself — one read/write set per transaction, not one per endorser.
+
+    Frozen: what the endorsement verdict and the block hash cover cannot
+    change once the client assembled it (and the endorser sealed the
+    rwset it signed). Only the four lifecycle stamps below are written
+    later, each through :meth:`_stamp`; none of them is hashed.
     """
 
     tx_id: str
@@ -87,7 +92,7 @@ class Transaction:
     #: does not cover the proposal, so exports leave it behind).
     proposal: Optional[Proposal]
     rwset: ReadWriteSet
-    endorsements: List[Endorsement]
+    endorsements: Tuple[Endorsement, ...]
     #: Simulated time at which the client assembled this transaction.
     assembled_at: float = 0.0
     #: Simulated time at which the ordering service cut it into a block.
@@ -99,12 +104,25 @@ class Transaction:
     committed_at: Optional[float] = None
     #: Why the transaction failed, if it did (validation code or early abort).
     failure_reason: Optional[str] = None
+    #: The verdict key (see ``Peer.join_channel``) under which the
+    #: endorsement check last passed, or None. Only a passing verdict is
+    #: kept; ``dataclasses.replace`` starts the copy without one.
+    _endorsed_under: Optional[object] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def _stamp(self, name: str, value: object) -> None:
+        """Write one lifecycle stamp: ``ordered_at``, ``orderer_arrival``,
+        ``committed_at`` or ``failure_reason``."""
+        object.__setattr__(self, name, value)
 
     def digest(self) -> bytes:
         """Canonical bytes identifying this transaction in block hashes.
 
-        Recomputed on every call, never memoised: ``Ledger.append`` and
-        ``verify_chain`` call it to detect a transaction mutated in place.
+        Covers the id, the rwset's canonical bytes and every endorsement's
+        signer and signature. Not memoised: the orderer hashes a block
+        once, when it cuts it, and ``verify_chain`` and ledger import
+        recompute it from the fields on purpose.
         """
         parts = [self.tx_id.encode(), self.rwset.canonical_bytes()]
         for endorsement in self.endorsements:

@@ -15,12 +15,11 @@ substrate is self-contained.
 from repro.graphalgo.digraph import DiGraph
 from repro.graphalgo.johnson import simple_cycles
 from repro.graphalgo.tarjan import strongly_connected_components
-from repro.graphalgo.toposort import is_acyclic, topological_sort
+from repro.graphalgo.toposort import is_acyclic
 
 __all__ = [
     "DiGraph",
     "simple_cycles",
     "strongly_connected_components",
-    "topological_sort",
     "is_acyclic",
 ]

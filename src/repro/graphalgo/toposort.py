@@ -14,7 +14,7 @@ from typing import Hashable, List
 from repro.graphalgo.digraph import DiGraph
 
 
-def topological_sort(graph: DiGraph) -> List[Hashable]:
+def _topological_sort(graph: DiGraph) -> List[Hashable]:
     """Return a topological ordering of ``graph`` (Kahn's algorithm).
 
     Raises ``ValueError`` if the graph contains a cycle.
@@ -37,7 +37,7 @@ def topological_sort(graph: DiGraph) -> List[Hashable]:
 def is_acyclic(graph: DiGraph) -> bool:
     """Return True if ``graph`` contains no directed cycle."""
     try:
-        topological_sort(graph)
+        _topological_sort(graph)
     except ValueError:
         return False
     return True

@@ -1,6 +1,6 @@
 """Blocks: the unit of ordering, distribution, validation, and commit.
 
-A block carries an ordered list of transactions plus, after validation, a
+A block carries an ordered tuple of transactions plus, after validation, a
 per-transaction validity flag — Fabric appends *all* transactions to the
 ledger, valid and invalid alike (paper Section 2.2.4), and marks the invalid
 ones. Blocks are hash-chained through their headers.
@@ -9,8 +9,8 @@ ones. Blocks are hash-chained through their headers.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.fabric.transaction import Transaction
@@ -37,22 +37,25 @@ class BlockHeader:
     data_hash: bytes
 
 
-@dataclass
+@dataclass(init=False)
 class Block:
     """An ordered batch of transactions cut by the ordering service.
 
-    ``validity`` is filled in by the validation phase: it maps each
-    transaction id to True (valid, effects committed) or False (invalid,
-    effects discarded). Until validation it is empty.
+    Built only by :meth:`create`, which derives the header from the
+    content, so a block's ``data_hash`` is computed once, when the block
+    is cut, and every peer shares it. ``validity`` is filled in by the
+    validation phase: it maps each transaction id to True (valid, effects
+    committed) or False (invalid, effects discarded). Until validation it
+    is empty.
     """
 
     header: BlockHeader
-    transactions: List["Transaction"]
-    validity: Dict[str, bool] = field(default_factory=dict)
+    transactions: Tuple["Transaction", ...]
+    validity: Dict[str, bool]
     #: Transactions dropped by Fabric++'s orderer-side early abort; kept on
     #: the block for accounting (they never reach the peers' validators as
     #: candidates, but the ledger still records them as invalid).
-    early_aborted: List["Transaction"] = field(default_factory=list)
+    early_aborted: Tuple["Transaction", ...]
 
     @property
     def block_id(self) -> int:
@@ -78,7 +81,18 @@ class Block:
         transactions: Sequence["Transaction"],
         early_aborted: Sequence["Transaction"] = (),
     ) -> "Block":
-        """Build a block, computing its chained data hash."""
-        data_hash = compute_block_hash(block_id, previous_hash, transactions)
-        header = BlockHeader(block_id, previous_hash, data_hash)
-        return cls(header, list(transactions), early_aborted=list(early_aborted))
+        """Build a block, computing its chained data hash.
+
+        The only constructor (``Block(...)`` takes no arguments): no block
+        carries a header that was not derived from its own content.
+        """
+        block = cls()
+        block.transactions = tuple(transactions)
+        block.early_aborted = tuple(early_aborted)
+        block.header = BlockHeader(
+            block_id,
+            previous_hash,
+            compute_block_hash(block_id, previous_hash, block.transactions),
+        )
+        block.validity = {}
+        return block

@@ -29,7 +29,7 @@ from repro.crypto.signing import Signature
 from repro.errors import LedgerError, LedgerVerificationError
 from repro.fabric.rwset import ReadWriteSet
 from repro.fabric.transaction import Endorsement, Transaction
-from repro.ledger.block import Block, BlockHeader
+from repro.ledger.block import Block
 from repro.ledger.ledger import ContinuityRecord, Ledger
 from repro.ledger.state_db import StateDatabase
 
@@ -86,7 +86,7 @@ def _tx_record(block: Block, tx: Transaction) -> Dict[str, object]:
 def _transaction(record: Dict[str, object]) -> Transaction:
     """Rebuild one exported transaction and check its recorded digest."""
     rwset = ReadWriteSet.from_record(record["rwset"])
-    endorsements = [
+    endorsements = tuple(
         Endorsement(
             entry["endorser"],
             entry["org"],
@@ -94,7 +94,7 @@ def _transaction(record: Dict[str, object]) -> Transaction:
             Signature(entry["signer"], bytes.fromhex(entry["signature"])),
         )
         for entry in record["endorsements"]
-    ]
+    )
     tx = Transaction(
         record["tx_id"], proposal=None, rwset=rwset, endorsements=endorsements
     )
@@ -109,9 +109,12 @@ def import_ledger(payload: Dict[str, object]) -> Ledger:
     """Rebuild a verified ledger from :func:`export_ledger` output.
 
     Every transaction digest and block hash is recomputed from the
-    exported fields; tampering with any of them, or with block linkage,
-    raises :class:`LedgerVerificationError` naming the block index (and
-    the transaction, when one no longer matches its digest).
+    exported fields and compared with the recorded one; tampering with
+    any of them, or with block linkage, raises
+    :class:`LedgerVerificationError` naming the block index (and the
+    transaction, when one no longer matches its digest). The block hash
+    check is explicit: ``Ledger.append`` only checks linkage, and no
+    later block links to the tip.
     """
     if not isinstance(payload, dict):
         raise LedgerVerificationError(
@@ -147,13 +150,9 @@ def import_ledger(payload: Dict[str, object]) -> Ledger:
             ) from error
     for index, entry in enumerate(entries):
         try:
-            header = BlockHeader(
-                block_id=entry["block_id"],
-                previous_hash=bytes.fromhex(entry["previous_hash"]),
-                data_hash=bytes.fromhex(entry["data_hash"]),
-            )
-            block = Block(
-                header,
+            block = Block.create(
+                entry["block_id"],
+                bytes.fromhex(entry["previous_hash"]),
                 [_transaction(tx) for tx in entry["transactions"]],
                 early_aborted=[_transaction(tx) for tx in entry["early_aborted"]],
             )
@@ -161,6 +160,11 @@ def import_ledger(payload: Dict[str, object]) -> Ledger:
                 if tx["valid"] is not None:
                     block.mark(tx["tx_id"], tx["valid"])
             ledger.append(block)
+            if block.header.data_hash != bytes.fromhex(entry["data_hash"]):
+                raise LedgerError(
+                    f"block {block.block_id} does not match its recorded "
+                    "data hash"
+                )
         except LedgerError as error:
             raise LedgerVerificationError(
                 f"ledger verification failed at block index {index}: {error}",
@@ -227,11 +231,12 @@ def replay_state(
 
 
 def _valid_writes(block: Block) -> List[tuple]:
-    """``(tx_index, write_set)`` pairs of a block's valid transactions."""
+    """``(tx_index, write_set)`` pairs of a block's valid transactions
+    that write something."""
     return [
         (index, tx.rwset.writes)
         for index, tx in enumerate(block.transactions)
-        if block.is_valid(tx.tx_id)
+        if tx.rwset.writes and block.is_valid(tx.tx_id)
     ]
 
 
@@ -239,8 +244,8 @@ def catch_up_from(source: Ledger, ledger: Ledger, state: StateDatabase) -> int:
     """Replay onto ``ledger``/``state`` every block they miss from ``source``.
 
     This is the crash-recovery path: a recovered peer pulls the blocks it
-    lost from a healthy neighbour (state transfer), verifying the hash
-    chain on append and applying the write sets of the transactions the
+    lost from a healthy neighbour (state transfer), checking each block's
+    link on append and applying the write sets of the transactions the
     network already validated — exactly the :func:`replay_state`
     semantics, but incremental over a live store. The write versions are
     ``Version(block_id, tx_index)``, identical to what live validation

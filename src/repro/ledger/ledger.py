@@ -2,7 +2,11 @@
 
 The ledger contains the ordered sequence of *all* transactions that went
 through the system — valid and invalid (paper Section 2.1). Appending
-verifies the hash chain, so a tampered or out-of-order block is rejected.
+checks the block id and the link to the tip, so an out-of-order or
+foreign block is rejected. The data hash itself was derived from the
+content when the block was cut (:meth:`Block.create`) and the content
+is immutable, so appending does not recompute it; :meth:`Ledger.verify_chain`
+and ledger import do, explicitly.
 
 Long-horizon runs prune: :meth:`Ledger.prune_below` compacts every block
 below a height into a :class:`ContinuityRecord` — the pruned tip's
@@ -112,7 +116,7 @@ class Ledger:
         return self._blocks[-1].block_id
 
     def append(self, block: Block) -> None:
-        """Append ``block``, verifying id sequence and hash chain."""
+        """Append ``block``, verifying its id and its link to the tip."""
         _check_link(block, self.tip_block_id + 1, self.tip_hash)
         self._blocks.append(block)
 
@@ -174,8 +178,10 @@ class Ledger:
     def verify_chain(self) -> bool:
         """Re-verify the retained chain's ids and hashes; True iff intact.
 
-        A pruned chain verifies from its continuity anchor: the oldest
-        retained block must chain to the pruned tip's hash.
+        Every transaction digest and block hash is recomputed from the
+        fields, so a transaction changed behind the ledger's back shows
+        here. A pruned chain verifies from its continuity anchor: the
+        oldest retained block must chain to the pruned tip's hash.
         """
         previous = self.anchor_hash
         try:
@@ -183,24 +189,24 @@ class Ledger:
                 self._blocks, start=self.first_block_id
             ):
                 _check_link(block, expected_id, previous)
-                previous = block.header.data_hash
+                recomputed = compute_block_hash(
+                    expected_id, previous, block.transactions
+                )
+                if recomputed != block.header.data_hash:
+                    return False
+                previous = recomputed
         except LedgerError:
             return False
         return True
 
 
 def _check_link(block: Block, expected_id: int, previous_hash: bytes) -> None:
-    """Raise :class:`LedgerError` unless ``block`` is block ``expected_id``,
-    chains to ``previous_hash`` and carries the data hash of its content."""
+    """Raise :class:`LedgerError` unless ``block`` is block ``expected_id``
+    and chains to ``previous_hash``."""
     if block.block_id != expected_id:
         raise LedgerError(f"expected block {expected_id}, got {block.block_id}")
     if block.header.previous_hash != previous_hash:
         raise LedgerError(f"block {block.block_id} breaks the hash chain")
-    recomputed = compute_block_hash(
-        block.block_id, previous_hash, block.transactions
-    )
-    if recomputed != block.header.data_hash:
-        raise LedgerError(f"block {block.block_id} data hash mismatch")
 
 
 def _tally(

@@ -170,12 +170,13 @@ def occ_block_snapshot(
     outcomes: List[TxOutcome] = []
     for index, tx in enumerate(block.transactions):
         outcome = fabric_rule(index, tx)
-        if outcome is TxOutcome.COMMITTED:
-            if any(key in winner_writes for key in tx.rwset.writes):
+        writes = tx.rwset.writes
+        if outcome is TxOutcome.COMMITTED and writes:
+            if any(key in winner_writes for key in writes):
                 outcome = TxOutcome.ABORT_OCC_WW
             else:
                 version = Version(block.block_id, index)
-                for key in tx.rwset.writes:
+                for key in writes:
                     winner_writes[key] = version
         outcomes.append(outcome)
     return lambda index, tx: outcomes[index]

@@ -230,25 +230,28 @@ class BlockValidator:
                     )
                 if valid:
                     committed += 1
-                    version = Version(block_id, index)
-                    if locks:
+                    writes = tx.rwset.writes
+                    # A transaction that writes nothing needs no version.
+                    if writes and locks:
                         # Nobody can read under the write lock: the
                         # block's writes apply in one batch at the tail.
-                        for key in tx.rwset.writes:
+                        version = Version(block_id, index)
+                        for key in writes:
                             pending_writes[key] = version
-                        valid_writes.append((index, tx.rwset.writes))
-                    else:
+                        valid_writes.append((index, writes))
+                    elif writes:
                         # Fine-grained commit: each winner's writes apply
                         # atomically right away, visible to chaincodes
                         # simulating in parallel (Section 5.2.1's "apply
                         # their updates in an atomic fashion while T5 is
                         # simulating").
-                        for key, value in tx.rwset.writes.items():
+                        version = Version(block_id, index)
+                        for key, value in writes.items():
                             apply_write(key, value, version)
                 else:
                     if outcome is TxOutcome.ABORT_OCC_WW:
                         ww_aborts += 1
-                    tx.failure_reason = outcome.value
+                    tx._stamp("failure_reason", outcome.value)
                 if report is not None:
                     report(tx, outcome)
 

@@ -24,10 +24,11 @@ from repro.sim.engine import Environment, Event
 from repro.sim.resources import Resource
 from repro.trace.tracer import Tracer
 
-#: The peer CPU's scheduling band for validation work, ahead of
-#: ``repro.fabric.peer.ENDORSE_PRIORITY`` so that an endorsement flood
-#: cannot starve block validation. The one definition: the peer, the
-#: block validator and the schedule policies all import it from here.
+#: The peer CPU's scheduling band for validation work, ahead of the
+#: endorsement band (``_ENDORSE_PRIORITY`` in :mod:`repro.fabric.peer`)
+#: so that an endorsement flood cannot starve block validation. The one
+#: definition: the peer, the block validator and the schedule policies
+#: all import it from here.
 VALIDATE_PRIORITY = 0
 
 

@@ -5,7 +5,8 @@ import hmac
 
 import pytest
 
-from repro.crypto.identity import Identity, IdentityRegistry, KeyPair, mac
+from repro.crypto.identity import Identity, IdentityRegistry, mac
+from repro.crypto.identity import _KeyPair as KeyPair
 from repro.crypto.signing import Signature, sign, verify
 from repro.errors import CryptoError
 

@@ -69,6 +69,8 @@ class TestBed:
         self.env = Environment()
         self.registry = IdentityRegistry()
         self.policy = AllOrgs("OrgA", "OrgB")
+        #: One verdict key for both peers, as ``FabricNetwork`` builds it.
+        self.verdict_key = (self.policy, self.registry)
         self.metrics = PipelineMetrics()
         self.notifications: Dict[str, TxOutcome] = {}
         self.chaincodes = ChaincodeRegistry()
@@ -78,7 +80,11 @@ class TestBed:
             identity = self.registry.register(f"peer0.{org}", org)
             peer = Peer(self.env, identity, self.config, self.registry)
             peer.join_channel(
-                "ch0", self.chaincodes, self.policy, initial_state=initial or {}
+                "ch0",
+                self.chaincodes,
+                self.policy,
+                initial_state=initial or {},
+                verdict_key=self.verdict_key,
             )
             self.peers.append(peer)
         self.peers[0].attach_reference_hooks(self._notify, self.metrics)
@@ -99,7 +105,7 @@ class TestBed:
         return [handle.value for handle in handles]
 
     def make_transaction(self, proposal: Proposal, replies) -> Transaction:
-        endorsements = [reply.endorsement for reply in replies]
+        endorsements = tuple(reply.endorsement for reply in replies)
         return Transaction(
             tx_id=proposal.proposal_id,
             proposal=proposal,

@@ -7,15 +7,17 @@ companions, in the style of ``tests/sim/test_event_budget.py``: for a
 fixed seed they pin that every per-transaction datum exists once (one
 rwset per transaction, one string per key, no per-record ``__dict__``)
 and every pure per-transaction computation runs once (one real HMAC per
-distinct endorsement, however many peers validate it) — while the
-*simulated* verify cost stays charged per peer per endorsement. The same
-holds for the genesis state: one read-only layer per channel, shared by
-every peer's store.
+distinct endorsement, however many peers validate it; one endorsement
+verdict per transaction per channel; one hash per ordered transaction)
+— while the *simulated* verify cost stays charged per peer per
+endorsement. The same holds for the genesis state: one read-only layer
+per channel, shared by every peer's store.
 """
 
 import gc
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -28,7 +30,7 @@ from repro.crypto.signing import Signature
 from repro.fabric import network as network_module
 from repro.fabric.config import FabricConfig
 from repro.fabric.network import FabricNetwork
-from repro.fabric.transaction import Endorsement
+from repro.fabric.transaction import Endorsement, Transaction
 from repro.ledger.state_db import Version, VersionedValue
 from repro.workloads.registry import WorkloadRef, make_workload
 from tests.fabric.conftest import real_crypto_calls
@@ -52,9 +54,9 @@ def finished(request):
     return network, calls
 
 
-def ledger_transactions(peer):
+def ledger_transactions(peer, channel="ch0"):
     return [
-        tx for block in peer.channels["ch0"].ledger for tx in block.transactions
+        tx for block in peer.channels[channel].ledger for tx in block.transactions
     ]
 
 
@@ -112,6 +114,79 @@ def test_per_key_and_per_transaction_records_have_no_instance_dict(finished):
     ]
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+#: Real HMAC verifications inside ``network.run`` of the ``counted`` run
+#: before verdicts were memoised: the memo may only ever lower them.
+VERIFIES_BEFORE_THE_VERDICT_MEMO = {"fabric": 7964, "fabric++": 5952}
+
+
+@pytest.fixture(scope="module", params=SYSTEMS)
+def counted(request):
+    """(system, network, counts, real crypto calls) of one second of
+    contended Smallbank on two channels, counting inside ``network.run``
+    the ``Transaction.digest`` calls and, per channel, the endorsement
+    verdicts computed (each computation starts by reading
+    ``endorsing_orgs``; a memoised verdict does not)."""
+    config = replace(
+        FabricConfig(seed=7),
+        num_channels=2,
+        batch=BatchCutConfig(max_transactions=64),
+    )
+    if request.param == "fabric++":
+        config = config.with_fabric_plus_plus()
+    network = FabricNetwork(
+        config, make_workload("smallbank", seed=7, num_users=200, s_value=1.0)
+    )
+    counts = Counter()
+    digest, endorsing_orgs = Transaction.digest, Transaction.endorsing_orgs
+
+    def counted_digest(tx):
+        counts["digest"] += 1
+        return digest(tx)
+
+    def counted_endorsing_orgs(tx):
+        counts["verdict", tx.proposal.channel] += 1
+        return endorsing_orgs.fget(tx)
+
+    Transaction.digest = counted_digest
+    Transaction.endorsing_orgs = property(counted_endorsing_orgs)
+    try:
+        with real_crypto_calls() as calls:
+            network.run(1.0, drain=3.0)
+    finally:
+        Transaction.digest = digest
+        Transaction.endorsing_orgs = endorsing_orgs
+    assert network.metrics.fired == network.metrics.resolved > 0
+    for peer in network.peers:
+        for channel in network.channels:
+            assert len(ledger_transactions(peer, channel)) == len(
+                ledger_transactions(network.reference_peer, channel)
+            )
+    return request.param, network, counts, calls
+
+
+def test_each_ordered_transaction_is_hashed_once(counted):
+    _system, network, counts, _calls = counted
+    ordered = sum(
+        len(ledger_transactions(network.reference_peer, channel))
+        for channel in network.channels
+    )
+    # Once, when the orderer cuts the block; no peer's append rehashes.
+    assert counts["digest"] == ordered > 0
+
+
+def test_one_verdict_computation_per_delivered_transaction_per_channel(counted):
+    _system, network, counts, _calls = counted
+    assert len(network.peers) == 4 and len(network.channels) == 2
+    for channel in network.channels:
+        delivered = len(ledger_transactions(network.reference_peer, channel))
+        assert counts["verdict", channel] == delivered > 0
+
+
+def test_real_verifications_do_not_exceed_those_before_the_memo(counted):
+    system, _network, _counts, calls = counted
+    assert 0 < calls["verify"] <= VERIFIES_BEFORE_THE_VERDICT_MEMO[system]
 
 
 @pytest.mark.parametrize("system", SYSTEMS)

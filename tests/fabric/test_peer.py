@@ -6,15 +6,18 @@ import pytest
 
 from repro.core.batch_cutter import BatchCutConfig
 from repro.crypto.signing import Signature, verify
+from repro.errors import ConfigError
 from repro.fabric.config import FabricConfig
 from repro.fabric.metrics import TxOutcome
 from repro.fabric.network import FabricNetwork
+from repro.fabric.policy import AllOrgs
 from repro.fabric.rwset import ReadWriteSet
 from repro.fabric.transaction import Endorsement, Transaction
 from repro.faults import FaultSchedule, MisbehaviorSpec
 from repro.ledger.block import Block
 from repro.ledger.ledger import GENESIS_HASH
 from repro.ledger.state_db import Version
+from repro.validation.policies import mvcc_live_state
 from repro.workloads.registry import make_workload
 from tests.fabric.conftest import TestBed, real_crypto_calls
 
@@ -75,18 +78,22 @@ def test_valid_transaction_commits(testbed):
         assert peer.channels["ch0"].ledger.height == 1
 
 
+def stale_transaction(testbed, proposal):
+    """An increment of ``k`` that pretends its simulation saw a newer
+    version, signed by both peers so the policy check passes and only
+    MVCC fails."""
+    stale = ReadWriteSet()
+    stale.record_read("k", Version(7, 0))
+    stale.record_write("k", 1)
+    endorsements = tuple(
+        testbed.forge_endorsement(proposal, stale, peer) for peer in testbed.peers
+    )
+    return Transaction(proposal.proposal_id, proposal, stale, endorsements)
+
+
 def test_invalid_transaction_effects_discarded(testbed):
     proposal = testbed.proposal("p1")
-    tx = testbed.make_transaction(proposal, testbed.endorse_everywhere(proposal))
-    # Fake a stale read: pretend the simulation saw a newer version.
-    tx.rwset.reads["k"] = Version(7, 0)
-    for endorsement in tx.endorsements:
-        endorsement.rwset.reads["k"] = Version(7, 0)
-    # Re-sign so the policy check passes and only MVCC fails.
-    tx.endorsements = [
-        testbed.forge_endorsement(proposal, tx.rwset, peer)
-        for peer in testbed.peers
-    ]
+    tx = stale_transaction(testbed, proposal)
     testbed.deliver(make_block(testbed, [tx]))
     assert testbed.notifications["p1"] is TxOutcome.ABORT_MVCC
     assert testbed.peers[0].channels["ch0"].state.get_value("k") == 0
@@ -94,12 +101,7 @@ def test_invalid_transaction_effects_discarded(testbed):
 
 def test_invalid_transaction_stays_in_block_marked(testbed):
     proposal = testbed.proposal("p1")
-    tx = testbed.make_transaction(proposal, testbed.endorse_everywhere(proposal))
-    tx.rwset.reads["k"] = Version(7, 0)
-    tx.endorsements = [
-        testbed.forge_endorsement(proposal, tx.rwset, peer)
-        for peer in testbed.peers
-    ]
+    tx = stale_transaction(testbed, proposal)
     block = make_block(testbed, [tx])
     testbed.deliver(block)
     assert block.is_valid("p1") is False
@@ -162,8 +164,8 @@ def test_tampered_write_set_fails_policy(testbed):
     honest = replies[0].endorsement.rwset
     forged = honest.copy()
     forged.record_write("k", 1_000_000)  # the malicious write set
-    tx = testbed.make_transaction(proposal, replies)
-    tx.rwset = forged  # signatures still cover the honest rwset
+    # The signatures still cover the honest rwset.
+    tx = replace(testbed.make_transaction(proposal, replies), rwset=forged)
     testbed.deliver(make_block(testbed, [tx]))
     assert testbed.notifications["p1"] is TxOutcome.ABORT_POLICY
     assert testbed.peers[0].channels["ch0"].state.get_value("k") == 0
@@ -181,10 +183,16 @@ def test_misattributed_org_fails_policy(testbed):
     """An endorsement claiming the wrong org is rejected."""
     proposal = testbed.proposal("p1")
     replies = testbed.endorse_everywhere(proposal)
-    tx = testbed.make_transaction(proposal, replies)
-    fake = tx.endorsements[1]
-    tx.endorsements[1] = Endorsement(
-        fake.endorser, "OrgB", fake.rwset, tx.endorsements[0].signature
+    honest = testbed.make_transaction(proposal, replies)
+    fake = honest.endorsements[1]
+    tx = replace(
+        honest,
+        endorsements=(
+            honest.endorsements[0],
+            Endorsement(
+                fake.endorser, "OrgB", fake.rwset, honest.endorsements[0].signature
+            ),
+        ),
     )
     testbed.deliver(make_block(testbed, [tx]))
     assert testbed.notifications["p1"] is TxOutcome.ABORT_POLICY
@@ -253,11 +261,12 @@ def test_reference_peer_records_blocks(testbed):
 
 # -- tamper matrix against a warm verified-signature cache -----------------------------
 #
-# The registry remembers signatures that verified, so the second peer (and
-# every later sight) skips the host-side HMAC. Each case below first lets
-# an honest transaction fill that cache, then shows that the tampered twin
-# of the *same* proposal still fails on every peer and leaves nothing
-# behind in the cache.
+# The registry remembers signatures that verified, and a passing verdict
+# is memoised on the transaction under the channel's shared key, so the
+# second peer (and every later sight) skips the host-side work. Each case
+# below first lets an honest transaction fill both, then shows that the
+# tampered twin of the *same* proposal still fails on every peer and
+# leaves nothing behind in either.
 
 
 @pytest.fixture
@@ -286,7 +295,7 @@ def _forged_rwset(tx):
 
 def _with_second(tx, **changes):
     return replace(
-        tx, endorsements=[tx.endorsements[0], replace(tx.endorsements[1], **changes)]
+        tx, endorsements=(tx.endorsements[0], replace(tx.endorsements[1], **changes))
     )
 
 
@@ -326,20 +335,77 @@ def test_tampering_fails_policy_against_a_warm_cache(warm, tampering):
     assert testbed.registry._verified == cached
 
 
+@pytest.mark.parametrize("tampering", sorted(TAMPERINGS))
+def test_tampering_fails_policy_against_a_warm_verdict_memo(warm, tampering):
+    """The honest verdict is memoised under the channel's shared key; a
+    ``replace``d twin starts without it and fails on every peer."""
+    testbed, honest = warm
+    assert honest._endorsed_under is testbed.verdict_key
+    tampered = replace(TAMPERINGS[tampering](honest), tx_id="p1-tampered")
+    assert tampered._endorsed_under is None
+    with real_crypto_calls() as calls:
+        for peer in testbed.peers:
+            assert peer._endorsements_valid("ch0", honest)
+    assert calls["verify"] == 0  # answered by the memo on every peer
+    block = make_block(
+        testbed,
+        [tampered],
+        block_id=2,
+        previous=testbed.peers[0].channels["ch0"].ledger.tip_hash,
+    )
+    for peer in testbed.peers:
+        decide = mvcc_live_state(peer, "ch0", block, {})
+        assert decide(0, tampered) is TxOutcome.ABORT_POLICY
+        assert tampered._endorsed_under is None  # a failure is never kept
+    testbed.deliver(block)
+    assert testbed.notifications["p1-tampered"] is TxOutcome.ABORT_POLICY
+    assert block.is_valid("p1-tampered") is False
+
+
+def test_verdict_under_one_key_is_reevaluated_under_another(testbed):
+    proposal = testbed.proposal("p1")
+    tx = testbed.make_transaction(proposal, testbed.endorse_everywhere(proposal))
+    peer = testbed.peers[0]
+    assert peer._endorsements_valid("ch0", tx)
+    assert tx._endorsed_under is testbed.verdict_key
+    # A stricter policy object: the memo from ch0 must not answer for it.
+    peer.join_channel("ch1", testbed.chaincodes, AllOrgs("OrgA", "OrgB", "OrgC"))
+    assert not peer._endorsements_valid("ch1", tx)
+    assert tx._endorsed_under is testbed.verdict_key
+    # An equal policy, but another object: evaluated again, then memoised.
+    peer.join_channel("ch2", testbed.chaincodes, AllOrgs("OrgA", "OrgB"))
+    assert peer._endorsements_valid("ch2", tx)
+    assert tx._endorsed_under is peer._verdict_keys["ch2"]
+    assert tx._endorsed_under is not testbed.verdict_key
+
+
+def test_join_channel_refuses_a_verdict_key_for_another_policy(testbed):
+    peer = testbed.peers[0]
+    with pytest.raises(ConfigError, match="verdict key"):
+        peer.join_channel(
+            "ch1",
+            testbed.chaincodes,
+            AllOrgs("OrgA"),
+            verdict_key=testbed.verdict_key,
+        )
+
+
 def test_evicted_signature_is_verified_for_real_again(testbed):
     registry, peer = testbed.registry, testbed.peers[0]
     registry.verified_capacity = 2
     p1, p2 = testbed.proposal("p1", "x"), testbed.proposal("p2", "y")
     tx1 = testbed.make_transaction(p1, testbed.endorse_everywhere(p1))
     tx2 = testbed.make_transaction(p2, testbed.endorse_everywhere(p2))
+    # ``replace`` builds a fresh transaction with the same endorsements
+    # and no verdict memo: only the registry can spare its HMACs.
     with real_crypto_calls() as calls:
         assert peer._endorsements_valid("ch0", tx1)
-        assert peer._endorsements_valid("ch0", tx1)
+        assert peer._endorsements_valid("ch0", replace(tx1))
         assert calls["verify"] == 2  # second sight: both cached
         assert peer._endorsements_valid("ch0", tx2)  # evicts tx1's pair
         assert calls["verify"] == 4
         assert len(registry._verified) == len(registry._verified_order) == 2
-        assert peer._endorsements_valid("ch0", tx1)
+        assert peer._endorsements_valid("ch0", replace(tx1))
         assert calls["verify"] == 6  # recomputed, not trusted from memory
         assert len(registry._verified) == len(registry._verified_order) == 2
 

@@ -1,10 +1,14 @@
 """Unit tests for proposals, endorsements, and transactions."""
 
 import hashlib
+from dataclasses import FrozenInstanceError, replace
+
+import pytest
 
 from repro.crypto.identity import Identity
 from repro.crypto.signing import sign
-from repro.fabric.rwset import ReadWriteSet
+from repro.errors import StateError
+from repro.fabric.rwset import RangeRead, ReadWriteSet
 from repro.fabric.transaction import (
     Endorsement,
     Proposal,
@@ -71,10 +75,10 @@ def make_transaction():
     proposal = make_proposal()
     rwset = make_rwset()
     payload = endorsement_payload(proposal, rwset)
-    endorsements = [
+    endorsements = (
         Endorsement("peer0.OrgA", "OrgA", rwset, sign(identity_a, payload)),
         Endorsement("peer0.OrgB", "OrgB", rwset, sign(identity_b, payload)),
-    ]
+    )
     return Transaction("t1", proposal, rwset, endorsements)
 
 
@@ -84,9 +88,21 @@ def test_transaction_digest_stable():
 
 def test_transaction_digest_changes_with_rwset():
     tx = make_transaction()
-    before = tx.digest()
-    tx.rwset.record_write("BalB", 80)
-    assert tx.digest() != before
+    tx.rwset.seal()  # as the endorser does before it signs
+    with pytest.raises(StateError, match="sealed"):
+        tx.rwset.record_write("BalB", 80)
+    with pytest.raises(StateError, match="sealed"):
+        tx.rwset.record_read("BalB", Version(3, 1))
+    with pytest.raises(StateError, match="sealed"):
+        tx.rwset.record_range_read(RangeRead("Bal", None, ()))
+    assert tx.digest() == make_transaction().digest()
+    other = tx.rwset.copy()  # unsealed
+    other.record_write("BalB", 80)
+    assert replace(tx, rwset=other).digest() != tx.digest()
+    assert replace(tx, endorsements=tx.endorsements[:1]).digest() != tx.digest()
+    assert (
+        replace(tx, endorsements=tx.endorsements[::-1]).digest() != tx.digest()
+    )
 
 
 def test_endorsing_orgs():
@@ -123,14 +139,33 @@ def test_transaction_digest_equals_the_piecewise_reference():
 
 
 def test_transaction_digest_is_recomputed_so_mutation_shows():
-    """``Ledger.append`` / ``verify_chain`` rely on this: no memo."""
+    """``verify_chain`` and ledger import rely on this: no memo. A field
+    can only change behind the frozen dataclass's back."""
     tx = make_transaction()
+    with pytest.raises(FrozenInstanceError):
+        tx.endorsements = tx.endorsements[:1]
     before = tx.digest()
-    tx.endorsements = tx.endorsements[:1]
+    object.__setattr__(tx, "endorsements", tx.endorsements[:1])
     after_dropping_one = tx.digest()
     assert after_dropping_one != before
-    tx.tx_id = "t2"
+    object.__setattr__(tx, "tx_id", "t2")
     assert tx.digest() not in (before, after_dropping_one)
+
+
+def test_lifecycle_stamps_are_the_writable_fields():
+    tx = make_transaction()
+    digest = tx.digest()
+    for name, value in (
+        ("ordered_at", 1.0),
+        ("orderer_arrival", 0.5),
+        ("committed_at", 2.0),
+        ("failure_reason", "abort_mvcc"),
+    ):
+        with pytest.raises(FrozenInstanceError):
+            setattr(tx, name, value)
+        tx._stamp(name, value)
+        assert getattr(tx, name) == value
+    assert tx.digest() == digest  # no stamp is hashed
 
 
 def test_proposal_payload_bytes_is_memoised_per_proposal():

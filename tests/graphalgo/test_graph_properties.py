@@ -8,8 +8,8 @@ from repro.graphalgo import (
     is_acyclic,
     simple_cycles,
     strongly_connected_components,
-    topological_sort,
 )
+from repro.graphalgo.toposort import _topological_sort as topological_sort
 from tests.graphalgo.condensation import condensation
 
 

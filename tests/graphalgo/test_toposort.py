@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.graphalgo import DiGraph, is_acyclic, topological_sort
+from repro.graphalgo import DiGraph, is_acyclic
+from repro.graphalgo.toposort import _topological_sort as topological_sort
 
 
 def test_empty_graph():

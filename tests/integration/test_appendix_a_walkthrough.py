@@ -95,8 +95,7 @@ def test_malicious_t8_detected_by_signature_check(bed):
     # The malicious client/peer pair swap in WS = {BalA: 100, BalB: 120}.
     forged = honest_rwset.copy()
     forged.record_write("BalA", 100)
-    tx = bed.make_transaction(proposal, replies)
-    tx.rwset = forged
+    tx = replace(bed.make_transaction(proposal, replies), rwset=forged)
     block = Block.create(1, GENESIS_HASH, [tx])
     bed.deliver(block)
     assert bed.notifications["T8"] is TxOutcome.ABORT_POLICY

@@ -1,8 +1,12 @@
 """Unit tests for blocks and the hash-chained ledger."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.errors import LedgerError
+from repro.fabric.rwset import ReadWriteSet
+from repro.fabric.transaction import Transaction
 from repro.ledger.block import Block, compute_block_hash
 from repro.ledger.ledger import GENESIS_HASH, Ledger
 
@@ -77,12 +81,28 @@ def test_ledger_rejects_broken_chain():
         ledger.append(make_block(2, b"\x00" * 32, ["b"]))
 
 
+def real_tx(tx_id):
+    return Transaction(tx_id, None, ReadWriteSet(), ())
+
+
 def test_ledger_rejects_tampered_content():
+    block = Block.create(1, GENESIS_HASH, [real_tx("a")])
+    # A created block's content cannot be changed...
+    with pytest.raises(AttributeError):
+        block.transactions.append(real_tx("sneaky"))
+    with pytest.raises(TypeError):
+        block.transactions[0] = real_tx("sneaky")
+    with pytest.raises(FrozenInstanceError):
+        block.transactions[0].tx_id = "sneaky"
+    # ...nor a block be built around a header of someone else's.
+    with pytest.raises(TypeError):
+        Block(block.header, (real_tx("sneaky"),))
     ledger = Ledger()
-    block = make_block(1, GENESIS_HASH, ["a"])
-    block.transactions.append(FakeTx("sneaky"))  # content no longer matches hash
-    with pytest.raises(LedgerError):
-        ledger.append(block)
+    ledger.append(block)
+    assert ledger.verify_chain()
+    # Changed behind the ledger's back, the content no longer matches.
+    object.__setattr__(block.transactions[0], "tx_id", "sneaky")
+    assert not ledger.verify_chain()
 
 
 def test_ledger_block_lookup():
@@ -110,11 +130,12 @@ def test_find_transaction():
 
 def test_verify_chain_detects_mutation():
     ledger = Ledger()
-    ledger.append(make_block(1, ledger.tip_hash, ["a"]))
-    ledger.append(make_block(2, ledger.tip_hash, ["b"]))
+    ledger.append(Block.create(1, ledger.tip_hash, [real_tx("a")]))
+    ledger.append(Block.create(2, ledger.tip_hash, [real_tx("b")]))
     assert ledger.verify_chain()
-    # Mutate a committed transaction behind the ledger's back.
-    ledger.block(1).transactions[0].tx_id = "tampered"
+    # Mutate a committed transaction behind the ledger's back: the tip
+    # too, which no later block links to.
+    object.__setattr__(ledger.block(2).transactions[0], "tx_id", "tampered")
     assert not ledger.verify_chain()
 
 

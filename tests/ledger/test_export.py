@@ -109,6 +109,20 @@ def test_import_detects_broken_chain(finished_network):
         import_ledger(payload)
 
 
+def test_import_detects_a_tampered_tip_data_hash(finished_network):
+    """No later block links to the tip, so only import's explicit
+    recompute of each block hash can catch an edit of the tip's."""
+    network, _workload = finished_network
+    payload = export_ledger(network.reference_peer.channels["ch0"].ledger)
+    tip = len(payload["blocks"]) - 1
+    entry = payload["blocks"][tip]
+    entry["data_hash"] = "22" * 32
+    with pytest.raises(LedgerVerificationError) as excinfo:
+        import_ledger(payload)
+    assert excinfo.value.block_index == tip
+    assert f"block {entry['block_id']} does not match" in str(excinfo.value)
+
+
 def test_import_rejects_wrong_schema():
     with pytest.raises(LedgerError):
         import_ledger({"schema_version": 99, "blocks": []})

@@ -58,7 +58,6 @@ ORPHANS = {
     "repro.consensus.raft:CANDIDATE",
     "repro.consensus.raft:FOLLOWER",
     "repro.core.conflict_graph:schedule_is_serializable",
-    "repro.crypto.identity:KeyPair",
     "repro.fabric.chaincode:StaleRead",
     "repro.fabric.chaincode:Tombstone",
     "repro.fabric.config:PAPER_DEFAULTS",
@@ -68,14 +67,12 @@ ORPHANS = {
     "repro.fabric.metrics:STREAMING_RESERVOIR_CAPACITY",
     "repro.fabric.metrics:StreamingLatency",
     "repro.fabric.metrics:StreamingWindow",
-    "repro.fabric.peer:ENDORSE_PRIORITY",
     "repro.fabric.peer:PeerChannelState",
     "repro.fabric.policy:AnyOrg",
     "repro.fabric.policy:OutOf",
     "repro.fabric.policy:RequireOrg",
     "repro.faults:FAULT_SEED_SALT",
     "repro.faults:MISBEHAVIOR_KINDS",
-    "repro.graphalgo.toposort:topological_sort",
     "repro.ledger.export:SCHEMA_VERSION",
     "repro.ledger.export:replay_state",
     "repro.ledger.state_db:VersionedValue",

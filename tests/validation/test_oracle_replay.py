@@ -74,7 +74,7 @@ def strip(block):
     block = deepcopy(block)
     block.validity.clear()
     for tx in block.transactions:
-        tx.failure_reason = None
+        tx._stamp("failure_reason", None)
     return block
 
 

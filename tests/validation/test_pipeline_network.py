@@ -98,7 +98,7 @@ def test_pipeline_depth_overlaps_verify_with_commit():
     for block in blocks:
         block.validity.clear()
         for tx in block.transactions:
-            tx.failure_reason = None
+            tx._stamp("failure_reason", None)
         peer.deliver_block(CHANNEL, block)
     network.env.run()
     verifies = {}
