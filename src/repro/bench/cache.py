@@ -160,13 +160,7 @@ class ResultCache:
             self.misses += 1
             return None
         self.hits += 1
-        return ExperimentResult(
-            label=spec.resolved_label(),
-            config=spec.resolved_config(),
-            metrics=metrics,
-            duration=spec.duration,
-            params=dict(spec.params),
-        )
+        return spec.result(metrics)
 
     def put(self, spec: ExperimentSpec, result: ExperimentResult) -> bool:
         """Store ``result`` under the spec's key; False if not cacheable."""

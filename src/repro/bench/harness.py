@@ -45,20 +45,8 @@ def run_experiment_with_network(
     observability layer; it is runtime-only and never part of the spec,
     so cache fingerprints are unaffected.
     """
-    config = spec.resolved_config()
-    # Imported here: repro.channels sits above the fabric layer, and the
-    # bench package is imported by modules repro.channels depends on.
-    from repro.channels import build_network
-
-    network = build_network(config, spec.build_workload(), tracer=tracer)
-    metrics = network.run(duration=spec.duration, drain=spec.drain)
-    result = ExperimentResult(
-        label=spec.resolved_label(),
-        config=config,
-        metrics=metrics,
-        duration=spec.duration,
-        params=dict(spec.params),
-    )
+    network = spec.build_network(tracer)
+    result = spec.result(network.run(duration=spec.duration, drain=spec.drain))
     return result, network
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Union
 
+from repro.bench.results import ExperimentResult
 from repro.fabric.config import FabricConfig
 from repro.workloads.base import Workload
 from repro.workloads.registry import WorkloadRef
@@ -78,6 +79,27 @@ class ExperimentSpec:
         if isinstance(self.workload, WorkloadRef):
             return self.workload.build()
         return self.workload
+
+    def build_network(self, tracer=None):
+        """A fresh, not yet run network for this spec: a sharded fleet
+        when ``config.channels >= 2``, else one :class:`FabricNetwork`."""
+        # Imported here: repro.channels sits above the fabric layer, and
+        # the bench package is imported by modules repro.channels depends on.
+        from repro.channels import build_network
+
+        return build_network(
+            self.resolved_config(), self.build_workload(), tracer=tracer
+        )
+
+    def result(self, metrics) -> ExperimentResult:
+        """The result row this spec's run yields, given its metrics."""
+        return ExperimentResult(
+            label=self.resolved_label(),
+            config=self.resolved_config(),
+            metrics=metrics,
+            duration=self.duration,
+            params=dict(self.params),
+        )
 
     def describe(self) -> str:
         """Short human-readable form for progress lines."""

@@ -3,10 +3,10 @@
 ``generate_chaos_schedule`` expands one integer seed into a randomized —
 but fully deterministic — :class:`~repro.faults.FaultSchedule` mixing
 peer crashes, orderer-node crashes, ordering-cluster partitions and a
-lossy network. ``run_chaos`` executes a replicated-ordering experiment
-under that schedule and then asserts the safety invariants a
-crash-fault-tolerant ordering service must preserve no matter what the
-schedule did:
+lossy network. ``chaos_spec`` is the replicated-ordering experiment
+under that schedule; ``run_chaos`` runs it through the bench harness and
+then asserts the safety invariants a crash-fault-tolerant ordering
+service must preserve no matter what the schedule did:
 
 ``single_chain``
     Every live peer reports the same tip hash — leader failover and
@@ -26,13 +26,14 @@ A separate *liveness* check demands the run actually finished: every
 fired proposal resolved and no transaction is still queued inside the
 ordering service. Because the whole stack is a discrete-event
 simulation, the same seed always produces the same schedule, the same
-run and the same report.
+run and the same report. :meth:`InvariantReport.from_network` is the
+one epilogue of chaos, kill-and-resume and scenario runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.core.batch_cutter import BatchCutConfig
@@ -46,7 +47,10 @@ from repro.faults import (
     crash_schedule,
 )
 from repro.sim.distributions import Rng, mix_seed
-from repro.workloads.registry import make_workload
+from repro.workloads.registry import WorkloadRef
+
+if TYPE_CHECKING:
+    from repro.bench.spec import ExperimentSpec
 
 #: Salt separating chaos randomness from every other seeded stream.
 CHAOS_SEED_SALT = 0xC4A0
@@ -140,12 +144,17 @@ def generate_chaos_schedule(
     )
 
 
-@dataclass
-class ChaosReport:
-    """The outcome of one chaos run: invariants, liveness and counters."""
+@dataclass(kw_only=True)
+class InvariantReport:
+    """The outcome of one invariant-checked run: the five safety
+    invariants, liveness and the counters every kind of run shares.
+
+    Chaos runs (:class:`ChaosReport`) and scenario runs
+    (:class:`repro.scenarios.ScenarioReport`) add their own counters;
+    :meth:`from_network` is the one place either is filled.
+    """
 
     seed: int
-    faults: List[str]
     invariants: Dict[str, bool]
     liveness: bool
     converged: bool
@@ -154,11 +163,6 @@ class ChaosReport:
     resolved: int = 0
     committed: int = 0
     blocks: int = 0
-    elections: int = 0
-    leader_changes: int = 0
-    messages_dropped: int = 0
-    txs_reproposed: int = 0
-    duplicates_suppressed: int = 0
     sim_time: float = 0.0
 
     @property
@@ -167,41 +171,124 @@ class ChaosReport:
         return self.liveness and self.converged and all(self.invariants.values())
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable form for the chaos report artifact."""
+        """JSON-serialisable form for the invariant report artifact."""
         return {**asdict(self), "passed": self.passed}
 
+    @classmethod
+    def _counters(cls, network: FabricNetwork) -> Dict[str, object]:
+        """This kind's own counters, read from a settled network."""
+        return {}
 
-def chaos_config(
+    @classmethod
+    def from_network(
+        cls,
+        network: FabricNetwork,
+        seed: int,
+        max_convergence_rounds: int,
+        **fields: object,
+    ) -> "InvariantReport":
+        """Settle and check a finished run, then describe it.
+
+        :func:`settle_and_check` runs first, so every counter is read
+        from the settled network; ``fields`` are the caller's own
+        (what the run was put through, its name, its system).
+        """
+        invariants, liveness, converged, details = settle_and_check(
+            network, max_convergence_rounds
+        )
+        metrics = network.metrics
+        return cls(
+            seed=seed,
+            invariants=invariants,
+            liveness=liveness,
+            converged=converged,
+            details=details,
+            fired=metrics.fired,
+            resolved=metrics.resolved,
+            committed=metrics.outcomes.get(TxOutcome.COMMITTED, 0),
+            blocks=metrics.blocks_committed,
+            sim_time=network.env.now,
+            **cls._counters(network),
+            **fields,
+        )
+
+
+@dataclass(kw_only=True)
+class ChaosReport(InvariantReport):
+    """A chaos run's report: its faults and what consensus did about them."""
+
+    faults: List[str]
+    elections: int = 0
+    leader_changes: int = 0
+    messages_dropped: int = 0
+    txs_reproposed: int = 0
+    duplicates_suppressed: int = 0
+
+    @classmethod
+    def _counters(cls, network: FabricNetwork) -> Dict[str, object]:
+        consensus = network.metrics.consensus or ConsensusStats()
+        return {
+            "elections": consensus.elections_started,
+            "leader_changes": consensus.leader_changes,
+            "messages_dropped": consensus.messages_dropped,
+            "txs_reproposed": consensus.txs_reproposed,
+            "duplicates_suppressed": consensus.duplicate_txs_suppressed,
+        }
+
+
+def chaos_spec(
     seed: int,
     duration: float = 1.5,
+    drain: float = 4.0,
     orderer_nodes: int = 3,
-    schedule: Optional[FaultSchedule] = None,
     fabric_plus_plus: bool = False,
-) -> FabricConfig:
-    """The network configuration one chaos run executes under.
+) -> "ExperimentSpec":
+    """The experiment one chaos run executes.
 
     Small blocks and a moderate rate keep runs fast while still cutting
-    enough blocks for failover to land mid-stream. The simulation seed
-    is derived from the chaos seed, so workload, client, fault and
-    consensus randomness all follow it — but through independent
-    streams.
+    enough blocks for failover to land mid-stream. The fault schedule is
+    :func:`generate_chaos_schedule` of ``seed``, and the simulation and
+    Smallbank workload seeds are derived from it too, so workload,
+    client, fault and consensus randomness all follow the chaos seed —
+    but through independent streams.
     """
-    if schedule is None:
-        schedule = generate_chaos_schedule(
-            seed, duration=duration, orderer_nodes=orderer_nodes
-        )
+    from repro.bench.spec import ExperimentSpec
+
     config = FabricConfig(
         batch=BatchCutConfig(max_transactions=32),
         clients_per_channel=2,
         client_rate=80.0,
         seed=mix_seed(seed, CHAOS_SEED_SALT, 2),
         orderer_nodes=orderer_nodes,
-        faults=schedule,
+        faults=generate_chaos_schedule(
+            seed, duration=duration, orderer_nodes=orderer_nodes
+        ),
         endorsement_policy="outof:1",
     )
     if fabric_plus_plus:
         config = config.with_fabric_plus_plus()
-    return config
+    return ExperimentSpec(
+        config=config,
+        workload=WorkloadRef(
+            "smallbank",
+            {"num_users": 200, "s_value": 1.0},
+            seed=mix_seed(seed, CHAOS_SEED_SALT, 3),
+        ),
+        duration=duration,
+        drain=drain,
+    )
+
+
+def _describe_faults(schedule: FaultSchedule) -> List[str]:
+    """One line per fault a chaos schedule injects, in report order."""
+    faults = [window.describe() for window in schedule.crashes]
+    faults += [window.describe() for window in schedule.orderer_crashes]
+    faults += [window.describe() for window in schedule.partitions]
+    if schedule.drop_probability:
+        faults.append(f"drop {schedule.drop_probability:.0%} of messages")
+    if schedule.jitter_mean:
+        faults.append(f"jitter mean {schedule.jitter_mean * 1e3:.1f}ms")
+    return faults
 
 
 def _quiescent(network: FabricNetwork) -> bool:
@@ -395,48 +482,6 @@ def settle_and_check(
     return invariants, liveness, converged, details
 
 
-def _chaos_report(
-    seed: int,
-    network: FabricNetwork,
-    max_convergence_rounds: int,
-    extra_faults: Sequence[str] = (),
-) -> ChaosReport:
-    """Check a finished chaos run and describe what it was put through."""
-    metrics = network.metrics
-    schedule = network.config.faults
-    invariants, liveness, converged, details = settle_and_check(
-        network, max_convergence_rounds
-    )
-    consensus = metrics.consensus or ConsensusStats()
-    faults = [window.describe() for window in schedule.crashes]
-    faults += [window.describe() for window in schedule.orderer_crashes]
-    faults += [window.describe() for window in schedule.partitions]
-    if schedule.drop_probability:
-        faults.append(f"drop {schedule.drop_probability:.0%} of messages")
-    if schedule.jitter_mean:
-        faults.append(f"jitter mean {schedule.jitter_mean * 1e3:.1f}ms")
-    faults.extend(extra_faults)
-
-    return ChaosReport(
-        seed=seed,
-        faults=faults,
-        invariants=invariants,
-        liveness=liveness,
-        converged=converged,
-        details=details,
-        fired=metrics.fired,
-        resolved=metrics.resolved,
-        committed=metrics.outcomes.get(TxOutcome.COMMITTED, 0),
-        blocks=metrics.blocks_committed,
-        elections=consensus.elections_started,
-        leader_changes=consensus.leader_changes,
-        messages_dropped=consensus.messages_dropped,
-        txs_reproposed=consensus.txs_reproposed,
-        duplicates_suppressed=consensus.duplicate_txs_suppressed,
-        sim_time=network.env.now,
-    )
-
-
 def run_chaos(
     seed: int,
     duration: float = 1.5,
@@ -449,21 +494,22 @@ def run_chaos(
 
     Deterministic: the same arguments always yield the same report.
     """
-    config = chaos_config(
+    from repro.bench.harness import run_experiment_with_network
+
+    spec = chaos_spec(
         seed,
         duration=duration,
+        drain=drain,
         orderer_nodes=orderer_nodes,
         fabric_plus_plus=fabric_plus_plus,
     )
-    workload = make_workload(
-        "smallbank",
-        seed=mix_seed(seed, CHAOS_SEED_SALT, 3),
-        num_users=200,
-        s_value=1.0,
+    _result, network = run_experiment_with_network(spec)
+    return ChaosReport.from_network(
+        network,
+        seed,
+        max_convergence_rounds,
+        faults=_describe_faults(spec.config.faults),
     )
-    network = FabricNetwork(config, workload)
-    network.run(duration, drain=drain)
-    return _chaos_report(seed, network, max_convergence_rounds)
 
 
 def run_kill_resume_chaos(
@@ -488,7 +534,6 @@ def run_kill_resume_chaos(
     five safety invariants plus liveness on the resumed network — the
     restore boundary must be invisible to every consistency guarantee.
     """
-    from repro.bench.spec import ExperimentSpec
     from repro.checkpoint import (
         CheckpointOptions,
         capture_snapshot,
@@ -496,25 +541,14 @@ def run_kill_resume_chaos(
         run_with_checkpoints,
         verify_snapshot,
     )
-    from repro.workloads.registry import WorkloadRef
 
-    config = chaos_config(
+    spec = chaos_spec(
         seed,
         duration=duration,
+        drain=drain,
         orderer_nodes=orderer_nodes,
         fabric_plus_plus=fabric_plus_plus,
     )
-    spec = ExperimentSpec(
-        config=config,
-        workload=WorkloadRef(
-            "smallbank",
-            {"num_users": 200, "s_value": 1.0},
-            seed=mix_seed(seed, CHAOS_SEED_SALT, 3),
-        ),
-        duration=duration,
-        drain=drain,
-    )
-
     _control_result, control_network, _ = run_with_checkpoints(
         spec, CheckpointOptions(every=checkpoint_every, prune=prune)
     )
@@ -545,24 +579,9 @@ def run_kill_resume_chaos(
         f"(t={killed.latest['time']}), resumed"
         + (" with pruning" if prune else "")
     )
-    return _chaos_report(seed, network, max_convergence_rounds, [killed_note])
-
-
-def run_chaos_suite(
-    seeds: Sequence[int],
-    duration: float = 1.5,
-    drain: float = 4.0,
-    orderer_nodes: int = 3,
-    fabric_plus_plus: bool = False,
-) -> List[ChaosReport]:
-    """Run :func:`run_chaos` for every seed, in order."""
-    return [
-        run_chaos(
-            seed,
-            duration=duration,
-            drain=drain,
-            orderer_nodes=orderer_nodes,
-            fabric_plus_plus=fabric_plus_plus,
-        )
-        for seed in seeds
-    ]
+    return ChaosReport.from_network(
+        network,
+        seed,
+        max_convergence_rounds,
+        faults=_describe_faults(spec.config.faults) + [killed_note],
+    )

@@ -50,7 +50,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
-from repro.bench.results import ExperimentResult, metrics_to_dict
+from repro.bench.results import metrics_to_dict
 from repro.bench.spec import ExperimentSpec
 from repro.errors import CheckpointError, ConfigError
 from repro.ledger.export import _publish
@@ -509,25 +509,6 @@ def _drive(network, spec, options, checkpointer, tracer, resume=None):
     return network.finish(duration)
 
 
-def _build_network(spec: ExperimentSpec, tracer):
-    config = spec.resolved_config()
-    # Imported here for the same layering reason as in the bench harness:
-    # repro.channels sits above both the fabric layer and this module.
-    from repro.channels import build_network
-
-    return build_network(config, spec.build_workload(), tracer=tracer)
-
-
-def _result(spec: ExperimentSpec, metrics) -> ExperimentResult:
-    return ExperimentResult(
-        label=spec.resolved_label(),
-        config=spec.resolved_config(),
-        metrics=metrics,
-        duration=spec.duration,
-        params=dict(spec.params),
-    )
-
-
 def run_with_checkpoints(
     spec: ExperimentSpec,
     options: CheckpointOptions,
@@ -539,12 +520,12 @@ def run_with_checkpoints(
     when ``options.stop_after`` killed the run early — resume from
     ``checkpointer.latest`` (in-memory) or the checkpoint directory.
     """
-    network = _build_network(spec, tracer)
+    network = spec.build_network(tracer)
     checkpointer = Checkpointer(spec, options)
     metrics = _drive(network, spec, options, checkpointer, tracer)
     if metrics is None:
         return None, network, checkpointer
-    return _result(spec, metrics), network, checkpointer
+    return spec.result(metrics), network, checkpointer
 
 
 def resume_run(
@@ -572,7 +553,7 @@ def resume_run(
         directory=directory,
         prune=bool(checkpoint["prune"]),
     )
-    network = _build_network(spec, tracer)
+    network = spec.build_network(tracer)
     checkpointer = Checkpointer(spec, options)
     metrics = _drive(network, spec, options, checkpointer, tracer, resume=checkpoint)
-    return _result(spec, metrics), network, checkpointer
+    return spec.result(metrics), network, checkpointer

@@ -43,7 +43,7 @@ import itertools
 import sys
 import typing
 from dataclasses import replace
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.bench.cache import ResultCache
@@ -56,9 +56,9 @@ from repro.bench.sweep import run_sweep
 from repro.errors import ConfigError, ReproError
 from repro.fabric.config import FabricConfig
 from repro.faults import CrashWindow, FaultSchedule, StallWindow
+from repro.ledger.export import _publish
 from repro.traffic import ARRIVAL_KINDS
 from repro.validation.registry import strategy_names
-from repro.workloads.base import Workload
 from repro.workloads.registry import WorkloadRef
 
 
@@ -577,11 +577,6 @@ def workload_ref_from_args(args: argparse.Namespace) -> WorkloadRef:
     return WorkloadRef(args.workload, params, seed=args.seed)
 
 
-def workload_from_args(args: argparse.Namespace) -> Workload:
-    """Build the workload instance the arguments describe."""
-    return workload_ref_from_args(args).build()
-
-
 def config_from_args(args: argparse.Namespace) -> FabricConfig:
     """Build the network configuration the arguments describe."""
     # The fault rows are applied here too, but faults_from_args owns the
@@ -923,29 +918,26 @@ def command_chaos(args: argparse.Namespace) -> int:
     """Run randomized fault schedules and check consensus invariants."""
     from repro.chaos import run_chaos
 
-    reports = []
-    for seed in range(args.seed_base, args.seed_base + args.seeds):
-        report = run_chaos(
-            seed,
-            duration=args.duration,
-            drain=args.drain,
-            orderer_nodes=args.orderer_nodes,
-            fabric_plus_plus=(args.system == "fabric++"),
-        )
-        reports.append(report)
-        status = "PASS" if report.passed else "FAIL"
-        print(
-            f"seed {report.seed:>4d}  {status}  "
+    run = partial(
+        run_chaos,
+        duration=args.duration,
+        drain=args.drain,
+        orderer_nodes=args.orderer_nodes,
+        fabric_plus_plus=(args.system == "fabric++"),
+    )
+
+    def columns(report) -> str:
+        return (
             f"committed={report.committed:>5d}  blocks={report.blocks:>3d}  "
             f"leader_changes={report.leader_changes}  "
             f"reproposed={report.txs_reproposed}  "
             f"dropped={report.messages_dropped}  "
             f"faults={len(report.faults)}"
         )
-        for line in report.details:
-            print(f"           {line}")
-    return _finish_invariant_runs(
-        "chaos", args, reports, {"orderer_nodes": args.orderer_nodes}
+
+    return _invariant_runs(
+        "chaos", args, [("", run)], columns,
+        {"orderer_nodes": args.orderer_nodes},
     )
 
 
@@ -961,30 +953,48 @@ def command_scenario(args: argparse.Namespace) -> int:
     for name in names:
         get_scenario(name)  # fail fast on a typo, before any simulation
 
+    def columns(report) -> str:
+        return (
+            f"fired={report.fired:>5d}  committed={report.committed:>5d}  "
+            f"shed={report.shed:>5d}  retries={report.client_retries:>5d}  "
+            f"blocks={report.blocks:>3d}"
+        )
+
+    runs = [
+        (f"{name:<22s} ", partial(run_scenario, name, system=args.system))
+        for name in names
+    ]
+    return _invariant_runs("scenario", args, runs, columns, {"scenarios": names})
+
+
+def _invariant_runs(
+    kind: str,
+    args: argparse.Namespace,
+    runs: Sequence[Tuple[str, Callable[[int], object]]],
+    columns: Callable[[object], str],
+    header: Dict[str, object],
+) -> int:
+    """The seed loop of ``chaos`` and ``scenario``: run every seed of
+    every ``(line prefix, seed -> report)`` pair in ``runs``, print one
+    verdict line per run (its kind's ``columns`` after the status) and
+    any violations, then :func:`_finish_invariant_runs`."""
     reports = []
-    for name in names:
+    for prefix, run in runs:
         for seed in range(args.seed_base, args.seed_base + args.seeds):
-            report = run_scenario(
-                name, seed, system=args.system
-            )
+            report = run(seed)
             reports.append(report)
             status = "PASS" if report.passed else "FAIL"
-            print(
-                f"{name:<22s} seed {report.seed:>4d}  {status}  "
-                f"fired={report.fired:>5d}  committed={report.committed:>5d}  "
-                f"shed={report.shed:>5d}  retries={report.client_retries:>5d}  "
-                f"blocks={report.blocks:>3d}"
-            )
+            print(f"{prefix}seed {report.seed:>4d}  {status}  {columns(report)}")
             for line in report.details:
                 print(f"           {line}")
-    return _finish_invariant_runs("scenario", args, reports, {"scenarios": names})
+    return _finish_invariant_runs(kind, args, reports, header)
 
 
 def _finish_invariant_runs(
     kind: str, args: argparse.Namespace, reports, header: Dict[str, object]
 ) -> int:
     """The shared tail of ``chaos`` and ``scenario``: print the verdict,
-    write the ``--report`` artifact, and pick the exit code."""
+    publish the ``--report`` artifact, and pick the exit code."""
     from repro.chaos import INVARIANT_NAMES
 
     passed = sum(1 for report in reports if report.passed)
@@ -1004,8 +1014,7 @@ def _finish_invariant_runs(
             "failed": len(reports) - passed,
             "runs": [report.to_dict() for report in reports],
         }
-        with open(args.report, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+        _publish(args.report, json.dumps(payload, indent=2, sort_keys=True))
         print(f"wrote invariant report to {args.report}")
     return 0 if passed == len(reports) else 1
 
@@ -1042,8 +1051,7 @@ def _maybe_save(args: argparse.Namespace, results: ResultSet) -> None:
     path = getattr(args, "json", None)
     if not path:
         return
-    with open(path, "w") as handle:
-        handle.write(results.to_json())
+    _publish(path, results.to_json())
     print(f"\nsaved {len(results)} result(s) to {path}")
 
 

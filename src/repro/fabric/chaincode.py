@@ -6,62 +6,35 @@ simulation phase. It interacts with the current state only through the
 which records every access into a read/write set instead of mutating state
 (paper Section 2.2.1).
 
-Two stub behaviours model the two systems:
+The stub is the same in both systems; what differs is what the endorsing
+peer does around it (:meth:`repro.fabric.peer.Peer.endorse`):
 
-- **vanilla**: the stub reads the live store while the simulation holds the
-  peer's shared read lock — no block can commit meanwhile, so the simulation
-  never observes a concurrent commit, but its reads may be stale by commit
-  time.
-- **Fabric++**: the stub reads the *live* store while validation runs in
-  parallel; every read compares the value's block id against the block
-  height observed when simulation started and raises :class:`StaleRead` as
-  soon as the transaction provably lost (paper Section 5.2.1, Figure 6).
+- **vanilla**: the simulation holds the peer's shared read lock, so no
+  block can commit meanwhile and the simulation never observes a
+  concurrent commit — but its reads may be stale by commit time.
+- **Fabric++**: the simulation runs lock-free while validation runs in
+  parallel. All reads happen at one simulated instant, so the stub never
+  sees a commit mid-simulation; after the simulated execution time the
+  peer re-checks every recorded read version against the live store and
+  aborts the transaction early as soon as one is stale (paper
+  Section 5.2.1, Figure 6).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.errors import ChaincodeError, ReproError
+from repro.errors import ChaincodeError
 from repro.fabric.rwset import ReadWriteSet
 from repro.ledger.state_db import StateDatabase
-
-
-class StaleRead(ReproError):
-    """A Fabric++ simulation read a value newer than its start snapshot.
-
-    Raising aborts the simulation immediately — the transaction could
-    never pass validation, so the endorser stops working on it and the
-    client learns about the abort without waiting for the full pipeline.
-    """
-
-    def __init__(self, key: str, read_block_id: int, start_block_id: int) -> None:
-        super().__init__(
-            f"read of {key!r} at block {read_block_id} is newer than the "
-            f"simulation start block {start_block_id}"
-        )
-        self.key = key
-        self.read_block_id = read_block_id
-        self.start_block_id = start_block_id
 
 
 class ChaincodeStub:
     """The state interface handed to an executing chaincode."""
 
-    def __init__(
-        self,
-        state: StateDatabase,
-        start_block_id: Optional[int] = None,
-    ) -> None:
-        """Create a stub over ``state``.
-
-        ``start_block_id`` enables Fabric++'s per-read staleness check:
-        pass the ledger height observed at simulation start. ``None``
-        (vanilla) disables the check — appropriate when no commit can
-        interleave with the simulation (vanilla holds the read lock).
-        """
+    def __init__(self, state: StateDatabase) -> None:
+        """Create a stub over ``state``."""
         self._state = state
-        self._start_block_id = start_block_id
         self.rwset = ReadWriteSet()
         #: State operations performed through this stub (trace span detail).
         self.operations = 0
@@ -78,11 +51,6 @@ class ChaincodeStub:
         if entry is None:
             self.rwset.record_read(key, None)
             return None
-        if (
-            self._start_block_id is not None
-            and entry.version.block_id > self._start_block_id
-        ):
-            raise StaleRead(key, entry.version.block_id, self._start_block_id)
         self.rwset.record_read(key, entry.version)
         return entry.value
 
@@ -105,11 +73,6 @@ class ChaincodeStub:
         results = []
         payload = []
         for key, entry in scan(start_key, end_key):
-            if (
-                self._start_block_id is not None
-                and entry.version.block_id > self._start_block_id
-            ):
-                raise StaleRead(key, entry.version.block_id, self._start_block_id)
             results.append((key, entry.version))
             if not isinstance(entry.value, Tombstone):
                 payload.append((key, entry.value))

@@ -257,7 +257,7 @@ class Peer:
                     return EndorseReply(None, down=True)
                 # The chaincode's reads observe the state at the start of
                 # its execution; the rwset is fixed from this instant on.
-                stub = ChaincodeStub(pcs.state, start_block_id=None)
+                stub = ChaincodeStub(pcs.state)
                 chaincode.invoke(stub, proposal.function, proposal.args)
                 yield execution_time  # bare-delay sleep
                 if tracer is not None:

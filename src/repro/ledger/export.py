@@ -182,20 +182,22 @@ def import_ledger(payload: Dict[str, object]) -> Ledger:
 
 def save_ledger(path: Union[str, Path], ledger: Ledger) -> None:
     """Export ``ledger`` to ``path`` as JSON, published atomically."""
-    _publish(Path(path), json.dumps(export_ledger(ledger), indent=2))
+    _publish(path, json.dumps(export_ledger(ledger), indent=2))
 
 
-def _publish(path: Path, text: str) -> None:
+def _publish(path: Union[str, Path], text: str) -> None:
     """Write ``text`` to ``path`` through a temp file and ``os.replace``.
 
     Readers see the old file or the whole new one, never a torn one. Any
     exception mid-write, ``KeyboardInterrupt`` included, removes the
     temp file before it propagates. Shared by every file the package
-    publishes: ledger exports, checkpoints and result-cache entries.
+    publishes: ledger exports, checkpoints, result-cache entries,
+    ``--json`` results, ``--report`` invariant reports and trace exports.
     """
+    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_text(text, encoding="utf-8", newline="")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -23,12 +23,12 @@ The CLI front end is ``python -m repro scenario <name>`` (see
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
 from repro.bench.harness import run_experiment_with_network
 from repro.bench.spec import ExperimentSpec
-from repro.chaos import settle_and_check
+from repro.chaos import InvariantReport
 from repro.core.batch_cutter import BatchCutConfig
 from repro.errors import ConfigError
 from repro.fabric.config import (
@@ -280,22 +280,13 @@ def scenario_specs(
 # -- invariant-checked execution ------------------------------------------------
 
 
-@dataclass
-class ScenarioReport:
-    """The outcome of one scenario run: invariants, liveness, counters."""
+@dataclass(kw_only=True)
+class ScenarioReport(InvariantReport):
+    """A scenario run's report: its name, system and overload counters."""
 
     scenario: str
-    seed: int
     system: str
-    invariants: Dict[str, bool]
-    liveness: bool
-    converged: bool
-    details: List[str] = field(default_factory=list)
-    fired: int = 0
-    resolved: int = 0
-    committed: int = 0
     shed: int = 0
-    blocks: int = 0
     client_retries: int = 0
     endorse_rejections: int = 0
     orderer_rejections: int = 0
@@ -303,16 +294,21 @@ class ScenarioReport:
     #: Cross-channel saga counters (sharded scenarios only; 0 otherwise).
     saga_started: int = 0
     saga_half_committed: int = 0
-    sim_time: float = 0.0
 
-    @property
-    def passed(self) -> bool:
-        """True when every invariant held and the run stayed live."""
-        return self.liveness and self.converged and all(self.invariants.values())
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable form for the scenario report artifact."""
-        return {**asdict(self), "passed": self.passed}
+    @classmethod
+    def _counters(cls, network) -> Dict[str, object]:
+        metrics = network.metrics
+        overload = metrics.overload or OverloadStats()
+        sagas = network.saga.stats if network.saga is not None else SagaStats()
+        return {
+            "shed": metrics.outcomes.get(TxOutcome.OVERLOAD_REJECTED, 0),
+            "client_retries": overload.client_retries,
+            "endorse_rejections": overload.endorse_rejections,
+            "orderer_rejections": overload.orderer_rejections,
+            "queue_depth_peak": overload.queue_depth_peak,
+            "saga_started": sagas.started,
+            "saga_half_committed": sagas.half_committed,
+        }
 
 
 def run_scenario(
@@ -326,49 +322,7 @@ def run_scenario(
     Deterministic: the same arguments always yield the same report.
     """
     spec = get_scenario(name).spec(seed, system=system)
-    result, network = run_experiment_with_network(spec)
-    metrics = result.metrics
-    invariants, liveness, converged, details = settle_and_check(
-        network, max_convergence_rounds
+    _result, network = run_experiment_with_network(spec)
+    return ScenarioReport.from_network(
+        network, seed, max_convergence_rounds, scenario=name, system=system
     )
-    overload = metrics.overload or OverloadStats()
-    sagas = network.saga.stats if network.saga is not None else SagaStats()
-    return ScenarioReport(
-        scenario=name,
-        seed=seed,
-        system=system,
-        invariants=invariants,
-        liveness=liveness,
-        converged=converged,
-        details=details,
-        fired=metrics.fired,
-        resolved=metrics.resolved,
-        committed=metrics.outcomes.get(TxOutcome.COMMITTED, 0),
-        shed=metrics.outcomes.get(TxOutcome.OVERLOAD_REJECTED, 0),
-        blocks=metrics.blocks_committed,
-        client_retries=overload.client_retries,
-        endorse_rejections=overload.endorse_rejections,
-        orderer_rejections=overload.orderer_rejections,
-        queue_depth_peak=overload.queue_depth_peak,
-        saga_started=sagas.started,
-        saga_half_committed=sagas.half_committed,
-        sim_time=network.env.now,
-    )
-
-
-def run_scenario_suite(
-    name: str,
-    seeds,
-    system: str = "fabric",
-    max_convergence_rounds: int = 40,
-) -> List[ScenarioReport]:
-    """Run :func:`run_scenario` for every seed, in order."""
-    return [
-        run_scenario(
-            name,
-            seed,
-            system=system,
-            max_convergence_rounds=max_convergence_rounds,
-        )
-        for seed in seeds
-    ]

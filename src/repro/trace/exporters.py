@@ -123,8 +123,10 @@ def chrome_trace_document(tracer: Tracer) -> dict:
 
 def write_chrome_trace(path, tracer: Tracer) -> None:
     """Serialise the tracer to ``path`` as Chrome trace JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(chrome_trace_document(tracer), handle)
+    # Imported here: the ledger layer sits above this module.
+    from repro.ledger.export import _publish
+
+    _publish(path, json.dumps(chrome_trace_document(tracer)))
 
 
 #: Columns of the flat CSV export, in order.
@@ -154,8 +156,9 @@ def trace_csv(tracer: Tracer) -> str:
 
 def write_trace_csv(path, tracer: Tracer) -> None:
     """Write the CSV export to ``path``."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(trace_csv(tracer))
+    from repro.ledger.export import _publish
+
+    _publish(path, trace_csv(tracer))
 
 
 # -- validation (used by the CI trace-smoke job and tests) ----------------------

@@ -1,4 +1,4 @@
-"""Unit tests for the chaincode API, stubs, and stale-read aborts."""
+"""Unit tests for the chaincode API and stubs."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.fabric.chaincode import (
     Chaincode,
     ChaincodeRegistry,
     ChaincodeStub,
-    StaleRead,
     Tombstone,
 )
 from repro.ledger.state_db import StateDatabase, Version
@@ -63,34 +62,6 @@ def test_stub_over_snapshot(state):
     state.apply_block_writes(1, [(0, {"a": 99})])
     stub = ChaincodeStub(snapshot)
     assert stub.get_state("a") == 10  # frozen view
-
-
-def test_stale_read_detection(state):
-    """Fabric++'s per-read version check (paper Figure 6)."""
-    start_height = state.last_block_id
-    state.apply_block_writes(1, [(0, {"a": 50})])
-    stub = ChaincodeStub(state, start_block_id=start_height)
-    # 'b' untouched: read succeeds.
-    assert stub.get_state("b") == 20
-    # 'a' was updated by block 1 > start height 0: abort.
-    with pytest.raises(StaleRead) as info:
-        stub.get_state("a")
-    assert info.value.key == "a"
-    assert info.value.read_block_id == 1
-    assert info.value.start_block_id == 0
-
-
-def test_no_stale_read_when_check_disabled(state):
-    state.apply_block_writes(1, [(0, {"a": 50})])
-    stub = ChaincodeStub(state, start_block_id=None)  # vanilla
-    assert stub.get_state("a") == 50
-
-
-def test_read_current_block_allowed(state):
-    """Reads of versions at or below the start height are fine."""
-    state.apply_block_writes(1, [(0, {"a": 50})])
-    stub = ChaincodeStub(state, start_block_id=1)
-    assert stub.get_state("a") == 50
 
 
 class Doubler(Chaincode):

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import ChaincodeError
-from repro.fabric.chaincode import ChaincodeStub, StaleRead
+from repro.fabric.chaincode import ChaincodeStub
 from repro.fabric.metrics import TxOutcome
 from repro.fabric.peer import Peer
 from repro.fabric.rwset import RangeRead, ReadWriteSet
@@ -68,14 +68,6 @@ def test_stub_range_read_skips_tombstone_values(state):
     stub.del_state("item_2")  # buffered write, not visible to reads
     results = stub.get_state_by_range("item_", "item_z")
     assert ("item_2", 20) in results  # committed state still has it
-
-
-def test_stub_range_read_stale_check(state):
-    height = state.last_block_id
-    state.apply_block_writes(1, [(0, {"item_2": 21})])
-    stub = ChaincodeStub(state, start_block_id=height)
-    with pytest.raises(StaleRead):
-        stub.get_state_by_range("item_", "item_z")
 
 
 def test_stub_range_over_snapshot_rejected(state):

@@ -8,27 +8,42 @@ harness itself is deterministic, and prove the invariant checker can
 actually fail (a tampered ledger is caught).
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.chaos import (
     INVARIANT_NAMES,
-    chaos_config,
+    chaos_spec,
     check_invariants,
     generate_chaos_schedule,
     run_chaos,
-    run_chaos_suite,
 )
 from repro.errors import ConfigError
-from repro.fabric.network import FabricNetwork
-from repro.sim.distributions import mix_seed
-from repro.workloads.registry import make_workload
 
 SUITE_SEEDS = range(20)
+
+#: sha256 of the twenty suite reports (:func:`reports_sha256`).
+SUITE_REPORTS_SHA256 = (
+    "59ff50ed19df4d06c15f1cc1bfcb27d568b51d338621d33ca4e6be5420016c8f"
+)
+
+
+def reports_sha256(reports) -> str:
+    """sha256 of the reports' sorted-key JSON: pins every field of every
+    report, so a refactor of the checked-run path cannot move a counter."""
+    text = json.dumps([report.to_dict() for report in reports], sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.fixture(scope="module")
 def suite_reports():
-    return run_chaos_suite(SUITE_SEEDS)
+    return [run_chaos(seed) for seed in SUITE_SEEDS]
+
+
+def test_suite_reports_match_their_golden_hash(suite_reports):
+    assert reports_sha256(suite_reports) == SUITE_REPORTS_SHA256
 
 
 def test_twenty_seeds_pass_every_invariant(suite_reports):
@@ -59,7 +74,8 @@ def test_chaos_schedules_are_bounded_and_valid():
     for seed in range(10):
         duration = 1.5
         schedule = generate_chaos_schedule(seed, duration=duration)
-        config = chaos_config(seed, duration, 3, schedule=schedule)
+        config = chaos_spec(seed, duration).config
+        assert config.faults == schedule
         config.validate()  # every generated schedule must be runnable
         horizon = 0.7 * duration
         for window in schedule.crashes + schedule.orderer_crashes:
@@ -84,12 +100,7 @@ def test_chaos_rejects_degenerate_parameters():
 def test_invariant_checker_catches_a_forked_peer():
     """Drop the tip block of a non-reference peer: single-chain and
     prefix-consistency must both report the divergence."""
-    seed = 1
-    config = chaos_config(seed, 1.5, 3)
-    workload = make_workload(
-        "smallbank", seed=mix_seed(seed, 0xC4A0, 3), num_users=200, s_value=1.0
-    )
-    network = FabricNetwork(config, workload)
+    network = chaos_spec(1).build_network()
     network.run(1.5, drain=4.0)
 
     healthy, details = check_invariants(network)

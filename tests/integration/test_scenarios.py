@@ -11,15 +11,33 @@ from repro.scenarios import (
     scenario_names,
     scenario_specs,
 )
+from tests.integration.test_chaos import reports_sha256
 
 SEEDS = range(10)
+
+#: Per scenario, the sha256 of its ten vanilla reports (``reports_sha256``).
+REPORTS_SHA256 = {
+    "calm-baseline": "54e34e53801a257e0ac5f819e930d0383db35417ddc75d2ad2388c941d09f978",
+    "poisson-steady": "24dbc240777ad0e61c47ac050502c3ec288f57a2872e038296c404fe03e05d62",
+    "diurnal-wave": "1ad89f6f57a7b80325aed127b00491096dff29c5ec9d904fafe3462703c0aeea",
+    "flash-crowd": "19979dc325d25357d51048a32750251b28e0e7fa8004477490f6a2d6e20b2b01",
+    "heavy-tail-thinkers": "e1324ef783d073f72acf6c025a3969848bb0a883918fca983c78f1f107c38452",
+    "overload-shed": "ed8356bc25be1435b252bca8d63ec5c88a6fbb4cca8f4415bb30f561e5d29ef1",
+    "resubmit-storm": "3d252a0eae45765714954d93ba47a55ed46a07c625327422f09e2440fb092565",
+    "channel-shards": "257a0684bd7e20b05adb96c5764741c4e8a68e5e9d4256e35959f907fe43c468",
+    "stale-replay": "ebad8bb9f2d94c3a1c45da673646c6a83df2b883dc8fa302b2565f3f36675202",
+    "oversized-flood": "ada0575bc1bfccccb84ba79142c1d3142eb84d5ce1638eee88a8bde9ab5eafb2",
+}
 
 
 @pytest.mark.parametrize("name", scenario_names())
 def test_scenario_holds_invariants_across_seeds(name):
-    """Every scenario, ten seeds, five safety invariants plus liveness."""
+    """Every scenario, ten seeds, five safety invariants plus liveness,
+    and the reports byte for byte as pinned."""
+    reports = []
     for seed in SEEDS:
         report = run_scenario(name, seed)
+        reports.append(report)
         assert report.passed, (name, seed, report.details)
         assert report.fired > 0, (name, seed)
         # One saga is one intent with three terminal facts: two
@@ -28,6 +46,7 @@ def test_scenario_holds_invariants_across_seeds(name):
         assert (
             report.resolved == report.fired + report.saga_half_committed
         ), (name, seed)
+    assert reports_sha256(reports) == REPORTS_SHA256[name]
 
 
 @pytest.mark.parametrize("name", ("overload-shed", "flash-crowd"))

@@ -1,5 +1,6 @@
 """Tests for ledger export/import and catch-up state replay."""
 
+import argparse
 import hashlib
 import json
 from dataclasses import replace
@@ -9,8 +10,11 @@ import pytest
 
 from repro.bench.cache import ResultCache
 from repro.bench.harness import run_experiment
+from repro.bench.results import ResultSet
 from repro.bench.spec import ExperimentSpec
+from repro.chaos import ChaosReport
 from repro.checkpoint import Checkpointer, CheckpointOptions
+from repro.cli import _finish_invariant_runs, _maybe_save
 from repro.core.batch_cutter import BatchCutConfig
 from repro.errors import LedgerError, LedgerVerificationError
 from repro.fabric.config import FabricConfig
@@ -25,6 +29,7 @@ from repro.ledger.export import (
 )
 from repro.ledger.ledger import Ledger
 from repro.ledger.state_db import StateDatabase
+from repro.trace import Tracer, write_chrome_trace, write_trace_csv
 from repro.workloads.custom import CustomWorkload, CustomWorkloadParams
 from repro.workloads.registry import WorkloadRef
 
@@ -258,8 +263,9 @@ def test_catch_up_from_is_idempotent(finished_network):
 
 
 def _publishers(directory, ledger):
-    """One write through each atomic publisher: ledger export,
-    checkpoint file, result-cache entry."""
+    """Per atomic publisher, the file it writes and one write through it:
+    ledger export, checkpoint file, result-cache entry, the ``--report``
+    invariant report, ``--json`` results and both trace exports."""
     spec = ExperimentSpec(
         config=replace(FabricConfig(), clients_per_channel=1, client_rate=50.0),
         workload=WorkloadRef("blank"),
@@ -269,25 +275,72 @@ def _publishers(directory, ledger):
         spec, CheckpointOptions(every=0.1, directory=directory)
     )
     result = run_experiment(spec)
+    cache = ResultCache(directory)
+    args = argparse.Namespace(
+        report=str(directory / "report.json"),
+        json=str(directory / "results.json"),
+        seeds=1,
+        seed_base=0,
+        system="fabric",
+    )
+    report = ChaosReport(
+        seed=0, faults=[], invariants={}, liveness=True, converged=True
+    )
+    tracer = Tracer()
     return {
-        "save_ledger": lambda: save_ledger(directory / "ledger.json", ledger),
-        "checkpoint": lambda: checkpointer.write(
-            checkpointer.build(1, 0.1, {})
+        "save_ledger": (
+            directory / "ledger.json",
+            lambda: save_ledger(directory / "ledger.json", ledger),
         ),
-        "cache": lambda: ResultCache(directory).put(spec, result),
+        "checkpoint": (
+            directory / "checkpoint-000001.json",
+            lambda: checkpointer.write(checkpointer.build(1, 0.1, {})),
+        ),
+        "cache": (
+            directory / f"{cache.key(spec)}.json",
+            lambda: cache.put(spec, result),
+        ),
+        "report": (
+            directory / "report.json",
+            lambda: _finish_invariant_runs("chaos", args, [report], {}),
+        ),
+        "json": (
+            directory / "results.json",
+            lambda: _maybe_save(args, ResultSet([result])),
+        ),
+        "chrome_trace": (
+            directory / "trace.json",
+            lambda: write_chrome_trace(directory / "trace.json", tracer),
+        ),
+        "trace_csv": (
+            directory / "trace.csv",
+            lambda: write_trace_csv(directory / "trace.csv", tracer),
+        ),
     }
 
 
-@pytest.mark.parametrize("publisher", ["save_ledger", "checkpoint", "cache"])
+PUBLISHERS = (
+    "save_ledger",
+    "checkpoint",
+    "cache",
+    "report",
+    "json",
+    "chrome_trace",
+    "trace_csv",
+)
+
+
+@pytest.mark.parametrize("publisher", PUBLISHERS)
 def test_interrupted_publish_leaves_no_temp_file(
     tmp_path, monkeypatch, finished_network, publisher
 ):
     """A Ctrl-C inside the write removes the half-written temp file and
-    publishes nothing."""
+    leaves the previous artifact whole where it was."""
     network, _workload = finished_network
-    write = _publishers(
+    target, write = _publishers(
         tmp_path, network.reference_peer.channels["ch0"].ledger
     )[publisher]
+    target.write_text("previous")
     real_write_text = Path.write_text
 
     def interrupted(path, text, *args, **kwargs):
@@ -297,4 +350,5 @@ def test_interrupted_publish_leaves_no_temp_file(
     monkeypatch.setattr(Path, "write_text", interrupted)
     with pytest.raises(KeyboardInterrupt):
         write()
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text() == "previous"

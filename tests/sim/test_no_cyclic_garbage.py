@@ -20,7 +20,7 @@ import pytest
 
 from repro.bench.spec import ExperimentSpec
 from repro.channels import build_network
-from repro.chaos import chaos_config, settle_and_check
+from repro.chaos import chaos_spec, settle_and_check
 from repro.checkpoint import CheckpointOptions, run_with_checkpoints
 from repro.core.batch_cutter import BatchCutConfig
 from repro.fabric.config import FabricConfig
@@ -109,7 +109,7 @@ def test_benchmark_workload_run_makes_no_cyclic_garbage(name):
 @pytest.mark.parametrize("system", SYSTEMS)
 @pytest.mark.parametrize("seed", range(4))
 def test_chaos_run_and_settling_make_no_cyclic_garbage(seed, system):
-    config = chaos_config(seed, fabric_plus_plus=system == "fabric++")
+    config = chaos_spec(seed, fabric_plus_plus=system == "fabric++").config
     network = build_network(config, smallbank(seed))
 
     def drive():

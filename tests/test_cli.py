@@ -3,7 +3,12 @@
 import pytest
 
 from repro.bench.results import ResultSet
-from repro.cli import build_parser, config_from_args, main, workload_from_args
+from repro.cli import (
+    build_parser,
+    config_from_args,
+    main,
+    workload_ref_from_args,
+)
 from repro.errors import ConfigError
 from repro.workloads.blank import BlankWorkload
 from repro.workloads.custom import CustomWorkload
@@ -26,15 +31,15 @@ def test_parser_rejects_unknown_workload():
 
 def test_workload_selection():
     assert isinstance(
-        workload_from_args(parse(["run", "--workload", "smallbank"])),
+        workload_ref_from_args(parse(["run", "--workload", "smallbank"])).build(),
         SmallbankWorkload,
     )
     assert isinstance(
-        workload_from_args(parse(["run", "--workload", "custom"])),
+        workload_ref_from_args(parse(["run", "--workload", "custom"])).build(),
         CustomWorkload,
     )
     assert isinstance(
-        workload_from_args(parse(["run", "--workload", "blank"])),
+        workload_ref_from_args(parse(["run", "--workload", "blank"])).build(),
         BlankWorkload,
     )
 
@@ -44,7 +49,7 @@ def test_smallbank_knobs_forwarded():
         ["run", "--workload", "smallbank", "--users", "500",
          "--prob-write", "0.5", "--s-value", "1.2"]
     )
-    workload = workload_from_args(args)
+    workload = workload_ref_from_args(args).build()
     assert workload.params.num_users == 500
     assert workload.params.prob_write == 0.5
     assert workload.params.s_value == 1.2
@@ -55,7 +60,7 @@ def test_custom_knobs_forwarded():
         ["run", "--workload", "custom", "--accounts", "2000", "--rw", "4",
          "--hr", "0.2", "--hw", "0.05", "--hss", "0.02"]
     )
-    workload = workload_from_args(args)
+    workload = workload_ref_from_args(args).build()
     assert workload.params.num_accounts == 2000
     assert workload.params.reads_writes == 4
     assert workload.params.prob_hot_read == 0.2
@@ -243,7 +248,7 @@ def test_drain_flag_forwarded():
 def test_ycsb_workload_via_cli():
     args = parse(["run", "--workload", "ycsb", "--ycsb-preset", "b",
                   "--records", "500"])
-    workload = workload_from_args(args)
+    workload = workload_ref_from_args(args).build()
     from repro.workloads.ycsb import YcsbWorkload
 
     assert isinstance(workload, YcsbWorkload)

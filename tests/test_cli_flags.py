@@ -25,7 +25,6 @@ from repro.cli import (
     build_parser,
     config_from_args,
     main,
-    workload_from_args,
     workload_ref_from_args,
 )
 
@@ -435,11 +434,11 @@ def test_unset_endorse_retries_still_resolves_to_three():
 
 def test_ycsb_runs_an_explicit_zero_skew():
     args = build_parser().parse_args(["run", "--workload", "ycsb", "--s-value", "0"])
-    assert workload_from_args(args).params.s_value == 0.0
+    assert workload_ref_from_args(args).build().params.s_value == 0.0
     args = build_parser().parse_args(["run", "--workload", "ycsb"])
-    assert workload_from_args(args).params.s_value == 0.99
+    assert workload_ref_from_args(args).build().params.s_value == 0.99
     args = build_parser().parse_args(["run", "--workload", "smallbank"])
-    assert workload_from_args(args).params.s_value == 0.0
+    assert workload_ref_from_args(args).build().params.s_value == 0.0
 
 
 class _Captured(Exception):

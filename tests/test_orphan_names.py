@@ -44,21 +44,16 @@ ORPHANS = {
     "repro.bench.sweep:resolve_jobs",
     "repro.channels.network:channel_config",
     "repro.chaos:CHAOS_SEED_SALT",
-    "repro.chaos:ChaosReport",
-    "repro.chaos:chaos_config",
     "repro.chaos:generate_chaos_schedule",
-    "repro.chaos:run_chaos_suite",
     "repro.checkpoint:CHECKPOINT_PREFIX",
     "repro.checkpoint:CHECKPOINT_SCHEMA",
     "repro.checkpoint:Checkpointer",
     "repro.checkpoint:load_checkpoint",
     "repro.checkpoint:prune_network",
     "repro.checkpoint:spec_from_checkpoint",
-    "repro.cli:workload_from_args",
     "repro.consensus.raft:CANDIDATE",
     "repro.consensus.raft:FOLLOWER",
     "repro.core.conflict_graph:schedule_is_serializable",
-    "repro.fabric.chaincode:StaleRead",
     "repro.fabric.chaincode:Tombstone",
     "repro.fabric.config:PAPER_DEFAULTS",
     "repro.fabric.metrics:LatencyStats",
@@ -76,8 +71,6 @@ ORPHANS = {
     "repro.ledger.export:SCHEMA_VERSION",
     "repro.ledger.export:replay_state",
     "repro.ledger.state_db:VersionedValue",
-    "repro.scenarios:ScenarioReport",
-    "repro.scenarios:run_scenario_suite",
     "repro.testing:V1",
     "repro.testing:V2",
     "repro.trace.cost:RESOURCES",
