@@ -22,10 +22,11 @@ peer does around it (:meth:`repro.fabric.peer.Peer.endorse`):
 
 from __future__ import annotations
 
+from sys import intern
 from typing import Dict
 
-from repro.errors import ChaincodeError
-from repro.fabric.rwset import ReadWriteSet
+from repro.errors import ChaincodeError, StateError
+from repro.fabric.rwset import _SEALED, ReadWriteSet
 from repro.ledger.state_db import StateDatabase
 
 
@@ -42,17 +43,28 @@ class ChaincodeStub:
     def get_state(self, key: str) -> object:
         """Read ``key`` from the current state, recording the read.
 
-        Returns None if the key does not exist. Fabric semantics: reads
-        always observe committed state, never the transaction's own
-        pending writes.
+        Returns None if the key does not exist or its last committed
+        write deleted it (Fabric's GetState returns nil); a deleted key's
+        read still records the tombstone's version, so re-creating the
+        key invalidates the read. Fabric semantics: reads always observe
+        committed state, never the transaction's own pending writes.
+
+        The read is recorded in place, as
+        :meth:`~repro.fabric.rwset.ReadWriteSet.record_read` would: first
+        read wins, the key is interned, the memoised encoding is dropped.
         """
+        rwset = self.rwset
+        if rwset._sealed:
+            raise StateError(_SEALED)
         self.operations += 1
-        entry = self._state.get(key)
-        if entry is None:
-            self.rwset.record_read(key, None)
+        value, version = self._state.read(key)
+        reads = rwset.reads
+        if key not in reads:
+            reads[intern(key)] = version
+            rwset._canonical = None
+        if type(value) is Tombstone:
             return None
-        self.rwset.record_read(key, entry.version)
-        return entry.value
+        return value
 
     def get_state_by_range(self, start_key: str, end_key=None):
         """Scan ``[start_key, end_key)``; returns a list of (key, value).
@@ -82,11 +94,20 @@ class ChaincodeStub:
         return payload
 
     def put_state(self, key: str, value: object) -> None:
-        """Buffer a write of ``value`` to ``key`` into the write set."""
+        """Buffer a write of ``value`` to ``key`` into the write set.
+
+        Recorded in place, as
+        :meth:`~repro.fabric.rwset.ReadWriteSet.record_write` would: last
+        write wins, the key is interned, the memoised encoding is dropped.
+        """
         if value is None:
             raise ChaincodeError("cannot put None; use del_state()")
+        rwset = self.rwset
+        if rwset._sealed:
+            raise StateError(_SEALED)
         self.operations += 1
-        self.rwset.record_write(key, value)
+        rwset.writes[intern(key)] = value
+        rwset._canonical = None
 
     def del_state(self, key: str) -> None:
         """Buffer a deletion of ``key`` (modelled as a tombstone write)."""

@@ -201,7 +201,14 @@ class Client:
 
         costs = self.config.costs
         tracer = self.tracer
-        yield from self.machine_cpu.use(costs.client_proposal)
+        cpu = self.machine_cpu
+        # ``cpu.use(...)`` spelled out here and below: the same yields in
+        # the same order, without a generator per transaction.
+        yield cpu.request()
+        try:
+            yield costs.client_proposal
+        finally:
+            cpu.release()
         if tracer is not None:
             tracer.charge("sign", costs.client_proposal)
 
@@ -244,15 +251,14 @@ class Client:
             yield from self._overload_backoff(proposal, retries, overload_attempt)
             return
 
-        yield from self.machine_cpu.use(
-            costs.client_verify_endorsement * len(replies)
-        )
+        verify_time = costs.client_verify_endorsement * len(replies)
+        yield cpu.request()
+        try:
+            yield verify_time
+        finally:
+            cpu.release()
         if tracer is not None:
-            tracer.charge(
-                "verify",
-                costs.client_verify_endorsement * len(replies),
-                count=len(replies),
-            )
+            tracer.charge("verify", verify_time, count=len(replies))
         transaction = self._assemble(
             proposal, [reply.endorsement for reply in replies], retries
         )

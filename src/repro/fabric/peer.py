@@ -276,26 +276,23 @@ class Peer:
                     # and abort as soon as staleness is proven — the
                     # signing cost and the whole downstream pipeline are
                     # saved, and the client learns immediately.
-                    get_version = pcs.state.get_version
-                    for key, version in stub.rwset.reads.items():
-                        current = get_version(key)
-                        # Usually the very object the read recorded.
-                        if current is not version and current != version:
-                            if tracer is not None:
-                                tracer.span(
-                                    "peer.endorse",
-                                    cat="endorse",
-                                    track=f"endorse/{self.name}",
-                                    start=endorse_start,
-                                    tx_id=proposal.proposal_id,
-                                    mode=ASYNC,
-                                    ops=stub.operations,
-                                    early_abort=True,
-                                    stale_key=key,
-                                )
-                            return EndorseReply(
-                                None, early_aborted=True, stale_key=key
+                    key = pcs.state.first_stale(stub.rwset.reads, {})
+                    if key is not None:
+                        if tracer is not None:
+                            tracer.span(
+                                "peer.endorse",
+                                cat="endorse",
+                                track=f"endorse/{self.name}",
+                                start=endorse_start,
+                                tx_id=proposal.proposal_id,
+                                mode=ASYNC,
+                                ops=stub.operations,
+                                early_abort=True,
+                                stale_key=key,
                             )
+                        return EndorseReply(
+                            None, early_aborted=True, stale_key=key
+                        )
                 rwset = stub.rwset
                 if self.byzantine_rwset_hook is not None:
                     rwset = self.byzantine_rwset_hook(rwset)
@@ -402,12 +399,8 @@ class Peer:
         block — exactly the semantics behind Table 1.
         """
         state = self.channels[channel].state
-        for key, read_version in tx.rwset.reads.items():
-            current = pending_writes.get(key)
-            if current is None:
-                current = state.get_version(key)
-            if current is not read_version and current != read_version:
-                return False
+        if state.first_stale(tx.rwset.reads, pending_writes) is not None:
+            return False
         for range_read in tx.rwset.range_reads:
             if not self._range_read_current(state, pending_writes, range_read):
                 return False

@@ -10,12 +10,21 @@ serializability check in the validation phase and Fabric++'s reordering.
 from __future__ import annotations
 
 import hashlib
+import struct
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import StateError
-from repro.ledger.state_db import Version
+from repro.ledger.state_db import GENESIS_VERSION, Version
+
+#: A version's 16 signed bytes: block id, then transaction id, each
+#: 8 bytes big-endian (what two ``to_bytes(8, "big")`` calls give).
+_pack_version = struct.Struct(">QQ").pack
+_GENESIS_BYTES = _pack_version(GENESIS_VERSION.block_id, GENESIS_VERSION.tx_id)
+
+#: What a sealed set's ``record_*`` methods (and a stub over it) raise.
+_SEALED = "read/write set is sealed: it was signed"
 
 
 class ValueText(str):
@@ -84,7 +93,7 @@ class ReadWriteSet:
 
     def _check_unsealed(self) -> None:
         if self._sealed:
-            raise StateError("read/write set is sealed: it was signed")
+            raise StateError(_SEALED)
 
     def record_read(self, key: str, version: Optional[Version]) -> None:
         """Record that ``key`` was read at ``version`` (first read wins).
@@ -172,23 +181,24 @@ class ReadWriteSet:
             return self._canonical
         parts: List[bytes] = []
         add = parts.append
-        for key in sorted(self.reads):
-            version = self.reads[key]
+        reads = self.reads
+        for key in sorted(reads):
+            version = reads[key]
             add(b"R")
             add(key.encode())
             if version is None:
                 add(b"\x00absent")
+            elif version is GENESIS_VERSION:
+                add(_GENESIS_BYTES)
             else:
-                add(version.block_id.to_bytes(8, "big"))
-                add(version.tx_id.to_bytes(8, "big"))
+                add(_pack_version(version.block_id, version.tx_id))
         for range_read in self.range_reads:
             add(b"Q")
             add(range_read.start_key.encode())
             add((range_read.end_key or "\x00<open>").encode())
             for key, version in range_read.results:
                 add(key.encode())
-                add(version.block_id.to_bytes(8, "big"))
-                add(version.tx_id.to_bytes(8, "big"))
+                add(_pack_version(version.block_id, version.tx_id))
         for key in sorted(self.writes):
             add(b"W")
             add(key.encode())

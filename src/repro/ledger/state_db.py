@@ -111,23 +111,54 @@ class StateDatabase:
                 return VersionedValue(value, GENESIS_VERSION)
         return entry
 
+    def read(self, key: str) -> Tuple[object, Optional[Version]]:
+        """Return ``(value, version)`` for ``key``, ``(None, None)`` if absent.
+
+        The chaincode stub's point read: the pair comes straight from the
+        two layers, so a read of an unwritten genesis key builds no
+        :class:`VersionedValue`.
+        """
+        entry = self._data.get(key)
+        if entry is not None:
+            return entry.value, entry.version
+        value = self._genesis.get(key, _ABSENT)
+        if value is _ABSENT:
+            return None, None
+        return value, GENESIS_VERSION
+
+    def first_stale(
+        self,
+        reads: Mapping[str, Optional[Version]],
+        pending: Mapping[str, Version],
+    ) -> Optional[str]:
+        """The first key of ``reads`` whose current version differs, or None.
+
+        ``reads`` maps each key to the version it was read at (``None``:
+        absent); ``pending`` holds versions that take precedence over the
+        store's (the writes of a block's earlier valid transactions). The
+        versions come straight from the two layers, with no call per key;
+        an unwritten genesis key is at the :data:`GENESIS_VERSION` object
+        itself, so the identity test settles most reads.
+        """
+        data, genesis = self._data, self._genesis
+        for key, read_version in reads.items():
+            current = pending.get(key)
+            if current is None:
+                entry = data.get(key)
+                if entry is not None:
+                    current = entry.version
+                elif key in genesis:
+                    current = GENESIS_VERSION
+            if current is not read_version and current != read_version:
+                return key
+        return None
+
     def get_value(self, key: str, default: object = None) -> object:
         """Return only the value stored under ``key``."""
         entry = self._data.get(key)
         if entry is not None:
             return entry.value
         return self._genesis.get(key, default)
-
-    def get_version(self, key: str) -> Optional[Version]:
-        """Return only the version stored under ``key``.
-
-        An unwritten genesis key returns the :data:`GENESIS_VERSION`
-        object itself, so identity checks against a recorded read hold.
-        """
-        entry = self._data.get(key)
-        if entry is not None:
-            return entry.version
-        return GENESIS_VERSION if key in self._genesis else None
 
     def __contains__(self, key: str) -> bool:
         return key in self._data or key in self._genesis

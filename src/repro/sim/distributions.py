@@ -74,8 +74,16 @@ class Rng:
         return self._random.uniform(low, high)
 
     def randint(self, low: int, high: int) -> int:
-        """Uniform integer in [low, high] inclusive."""
-        return self._random.randint(low, high)
+        """Uniform integer in [low, high] inclusive.
+
+        The value ``random.Random.randint`` returns for int bounds (its
+        ``randrange`` ends in ``low + _randbelow(width)`` on CPython
+        3.10-3.12), drawn without its two wrapper calls.
+        """
+        width = high - low + 1
+        if width <= 0:
+            raise ValueError(f"empty range for randint({low}, {high})")
+        return low + self._random._randbelow(width)
 
     def random(self) -> float:
         """Uniform float in [0, 1)."""

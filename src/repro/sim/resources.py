@@ -116,6 +116,12 @@ class Resource:
         Usage inside a process::
 
             yield from cpu.use(0.003)   # 3 ms of CPU work
+
+        Hot per-transaction loops (the client's two holds, the serial
+        validator's hold) spell out the same three steps — ``yield
+        request(priority)``, the bare delay, ``release()`` in a
+        ``finally`` — which are the same yields in the same order
+        without a generator per hold.
         """
         yield self.request(priority)
         try:

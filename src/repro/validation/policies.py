@@ -189,11 +189,18 @@ def arrival_order(
     validator: "BlockValidator", block: "Block", resolve: Resolve
 ) -> Generator:
     """One transaction after the other, in block order, on the peer CPU."""
-    env = validator.env
-    use, tx_cost = validator.peer.cpu.use, validator.cost.tx_cost
+    env, cpu, tx_cost = validator.env, validator.peer.cpu, validator.cost.tx_cost
+    request, release = cpu.request, cpu.release
     for index, tx in enumerate(block.transactions):
         start = env.now
-        yield from use(tx_cost(tx), VALIDATE_PRIORITY)
+        # ``cpu.use(tx_cost(tx), ...)`` spelled out: the same yields in
+        # the same order, without a generator per transaction.
+        cost = tx_cost(tx)
+        yield request(VALIDATE_PRIORITY)
+        try:
+            yield cost
+        finally:
+            release()
         resolve(index, tx, start)
     return len(block.transactions)
 

@@ -16,8 +16,9 @@ to minimize the number of unnecessary aborts", Section 6.4.3).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from repro.errors import ChaincodeError, ConfigError
 from repro.fabric.chaincode import Chaincode, ChaincodeStub
@@ -69,16 +70,22 @@ class CustomChaincode(Chaincode):
 
     name = "custom"
 
+    def __init__(self, keys: Sequence[str]) -> None:
+        """``keys[account]`` is the state key of ``account``."""
+        self._keys = keys
+
     def invoke(self, stub: ChaincodeStub, function: str, args: tuple) -> object:
         if function != "readwrite":
             raise ChaincodeError(f"custom chaincode has no function {function!r}")
         read_accounts, write_accounts, delta = args
+        keys, get_state = self._keys, stub.get_state
         total = 0
         for account in read_accounts:
-            total += stub.get_state(account_key(account)) or 0
+            total += get_state(keys[account]) or 0
         checksum = (total + delta) % 1_000_003
+        put_state = stub.put_state
         for offset, account in enumerate(write_accounts):
-            stub.put_state(account_key(account), checksum + offset)
+            put_state(keys[account], checksum + offset)
         return checksum
 
     def operation_count(self, function: str, args: tuple) -> int:
@@ -99,39 +106,47 @@ class CustomWorkload(Workload):
         params.validate()
         self.params = params
         self._seed = seed
+        self._hot_size = params.hot_set_size
+        #: The N account keys, built once: the genesis state and the
+        #: chaincode share these very strings.
+        self._keys = tuple(
+            sys.intern(account_key(account))
+            for account in range(params.num_accounts)
+        )
 
     def create_chaincode(self) -> Chaincode:
-        return CustomChaincode()
+        return CustomChaincode(self._keys)
 
     def initial_state(self) -> Dict[str, object]:
-        rng = Rng(self._seed)
-        return {
-            account_key(account): rng.randint(0, 100_000)
-            for account in range(self.params.num_accounts)
-        }
-
-    def _pick_account(self, rng: Rng, hot_probability: float) -> int:
-        """Pick one account: hot with the given probability, else cold."""
-        hot_size = self.params.hot_set_size
-        if rng.bernoulli(hot_probability):
-            return rng.randint(0, hot_size - 1)
-        if hot_size >= self.params.num_accounts:
-            return rng.randint(0, self.params.num_accounts - 1)
-        return rng.randint(hot_size, self.params.num_accounts - 1)
+        randint = Rng(self._seed).randint
+        return {key: randint(0, 100_000) for key in self._keys}
 
     def next_invocation(self, rng: Rng) -> Invocation:
+        """RW distinct read accounts, RW distinct write accounts, a delta.
+
+        Each pick is hot with probability HR (reads) or HW (writes),
+        drawing from ``[0, hot)``, else from the cold rest ``[hot, N)``
+        (all of ``[0, N)`` when every account is hot); a repeat within
+        the list is re-drawn.
+        """
         params = self.params
-        reads: List[int] = []
-        writes: List[int] = []
-        for _ in range(params.reads_writes):
-            read = self._pick_account(rng, params.prob_hot_read)
-            while read in reads:
-                read = self._pick_account(rng, params.prob_hot_read)
-            reads.append(read)
-        for _ in range(params.reads_writes):
-            write = self._pick_account(rng, params.prob_hot_write)
-            while write in writes:
-                write = self._pick_account(rng, params.prob_hot_write)
-            writes.append(write)
-        delta = rng.randint(1, 1000)
+        randint, random = rng.randint, rng.random
+        hot_high = self._hot_size - 1
+        last = params.num_accounts - 1
+        cold_low = self._hot_size if self._hot_size <= last else 0
+        accounts: List[List[int]] = []
+        for hot_probability in (params.prob_hot_read, params.prob_hot_write):
+            picked: List[int] = []
+            for _ in range(params.reads_writes):
+                while True:
+                    if random() < hot_probability:
+                        account = randint(0, hot_high)
+                    else:
+                        account = randint(cold_low, last)
+                    if account not in picked:
+                        break
+                picked.append(account)
+            accounts.append(picked)
+        reads, writes = accounts
+        delta = randint(1, 1000)
         return Invocation("readwrite", (tuple(reads), tuple(writes), delta))

@@ -2,14 +2,16 @@
 
 import pytest
 
-from repro.errors import ChaincodeError
+from repro.errors import ChaincodeError, StateError
 from repro.fabric.chaincode import (
     Chaincode,
     ChaincodeRegistry,
     ChaincodeStub,
     Tombstone,
 )
+from repro.fabric.transaction import Proposal
 from repro.ledger.state_db import StateDatabase, Version
+from tests.fabric.conftest import TestBed
 
 
 @pytest.fixture
@@ -116,3 +118,53 @@ def test_tombstone_equality():
     assert Tombstone() == Tombstone()
     assert hash(Tombstone()) == hash(Tombstone())
     assert repr(Tombstone()) == "<deleted>"
+
+
+def test_point_read_of_a_deleted_key_returns_none_and_records_its_version(state):
+    """Like Fabric's GetState, a committed deletion reads as nil, and the
+    range scan agrees; the tombstone's version is still recorded, so a
+    re-creation of the key invalidates the read."""
+    state.apply_block_writes(1, [(0, {"a": Tombstone()})])
+    stub = ChaincodeStub(state)
+    assert stub.get_state("a") is None
+    assert stub.rwset.reads["a"] == Version(1, 0)
+    assert stub.get_state_by_range("a", None) == [("b", 20)]
+
+
+class Keeper(Chaincode):
+    """Reads and writes one key and keeps every stub it was handed."""
+
+    name = "keeper"
+
+    def __init__(self):
+        self.stubs = []
+
+    def invoke(self, stub, function, args):
+        self.stubs.append(stub)
+        stub.put_state("k", (stub.get_state("k") or 0) + 1)
+
+
+def test_a_kept_stub_cannot_touch_the_set_its_endorser_signed():
+    bed = TestBed(initial={"k": 0, "x": 10})
+    keeper = Keeper()
+    bed.chaincodes.install(keeper)
+    proposal = Proposal(
+        "p1", "client0", "ch0", "keeper", "inc", (), submitted_at=0.0
+    )
+    replies = bed.endorse_everywhere(proposal)
+    signed = [reply.endorsement.rwset for reply in replies]
+    assert [stub.rwset for stub in keeper.stubs] == signed
+    for stub, rwset in zip(keeper.stubs, signed):
+        assert stub.rwset is rwset
+        before = rwset.canonical_bytes()
+        for late_call in (
+            lambda: stub.get_state("x"),
+            lambda: stub.get_state("k"),
+            lambda: stub.put_state("x", 1),
+            lambda: stub.del_state("x"),
+            lambda: stub.get_state_by_range("a", None),
+        ):
+            with pytest.raises(StateError, match="sealed"):
+                late_call()
+        assert rwset.canonical_bytes() == before == rwset.copy().canonical_bytes()
+        assert (rwset.reads, rwset.writes) == ({"k": Version(0, 0)}, {"k": 1})

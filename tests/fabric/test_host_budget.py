@@ -11,7 +11,8 @@ distinct endorsement, however many peers validate it; one endorsement
 verdict per transaction per channel; one hash per ordered transaction)
 — while the *simulated* verify cost stays charged per peer per
 endorsement. The same holds for the genesis state: one read-only layer
-per channel, shared by every peer's store.
+per channel, shared by every peer's store; and for per-key records: a
+``VersionedValue`` exists only for an applied write.
 """
 
 import gc
@@ -34,6 +35,7 @@ from repro.fabric.transaction import Endorsement, Transaction
 from repro.ledger.state_db import Version, VersionedValue
 from repro.workloads.registry import WorkloadRef, make_workload
 from tests.fabric.conftest import real_crypto_calls
+from tests.workloads.test_stream_goldens import CUSTOM_HOT
 
 SYSTEMS = ("fabric", "fabric++")
 
@@ -272,3 +274,35 @@ def test_extra_peers_share_the_genesis_state():
     only its own (still empty) written entries over the shared layer."""
     extra = traced_network_bytes(2) - traced_network_bytes(1)
     assert extra < 64 * 1024
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_a_run_builds_one_versioned_value_per_applied_write(system, monkeypatch):
+    """Inside ``network.run`` a ``VersionedValue`` is what a store keeps
+    for an applied write, and nothing else: a point read, a version
+    check or a record builds none."""
+    config = FabricConfig(batch=BatchCutConfig(max_transactions=256), seed=42)
+    if system == "fabric++":
+        config = config.with_fabric_plus_plus()
+    network = FabricNetwork(
+        config, make_workload("custom", seed=42, **CUSTOM_HOT)
+    )
+    built = Counter()
+    init = VersionedValue.__init__
+
+    def counted_init(self, *args):
+        built["versioned_value"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(VersionedValue, "__init__", counted_init)
+    network.run(1.0, drain=3.0)
+    monkeypatch.undo()
+    assert network.metrics.fired == network.metrics.resolved > 0
+    applied = sum(
+        len(tx.rwset.writes)
+        for peer in network.peers
+        for block in peer.channels["ch0"].ledger
+        for tx in block.transactions
+        if block.is_valid(tx.tx_id)
+    )
+    assert built["versioned_value"] == applied > 0

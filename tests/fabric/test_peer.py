@@ -74,7 +74,7 @@ def test_valid_transaction_commits(testbed):
     for peer in testbed.peers:
         state = peer.channels["ch0"].state
         assert state.get_value("k") == 1
-        assert state.get_version("k") == Version(1, 0)
+        assert state.read("k")[1] == Version(1, 0)
         assert peer.channels["ch0"].ledger.height == 1
 
 

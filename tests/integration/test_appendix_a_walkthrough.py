@@ -82,7 +82,7 @@ def test_valid_transfer_commits_and_bumps_versions(bed):
     state = bed.peers[0].channels["ch0"].state
     assert state.get_value("BalA") == 70
     assert state.get_value("BalB") == 80
-    assert state.get_version("BalA") == Version(1, 0)
+    assert state.read("BalA")[1] == Version(1, 0)
 
 
 def test_malicious_t8_detected_by_signature_check(bed):

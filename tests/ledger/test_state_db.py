@@ -20,15 +20,36 @@ def test_empty_db():
     assert db.get("missing") is None
     assert db.get_value("missing") is None
     assert db.get_value("missing", default=7) == 7
-    assert db.get_version("missing") is None
+    assert db.read("missing")[1] is None
     assert db.last_block_id == 0
+
+
+def test_read_and_first_stale_see_both_layers_and_the_pending_writes():
+    db = StateDatabase()
+    db.populate({"a": 1, "b": 2})
+    db.apply_block_writes(1, [(0, {"b": 3, "c": 4})])
+    assert db.read("a") == (1, GENESIS_VERSION)
+    assert db.read("a")[1] is GENESIS_VERSION
+    assert db.read("b") == (3, Version(1, 0))
+    assert db.read("c") == (4, Version(1, 0))
+    assert db.read("ghost") == (None, None)
+    reads = {"a": GENESIS_VERSION, "b": Version(1, 0), "ghost": None}
+    assert db.first_stale(reads, {}) is None
+    # A pending write of an earlier transaction in the block shadows both
+    # layers, and the first stale key in read order is the one named.
+    assert db.first_stale(reads, {"b": Version(2, 0)}) == "b"
+    pending = {"ghost": Version(2, 1), "b": Version(2, 0)}
+    assert db.first_stale(reads, pending) == "b"
+    assert db.first_stale({"ghost": None}, {"ghost": Version(2, 1)}) == "ghost"
+    assert db.first_stale({"c": None, "a": GENESIS_VERSION}, {}) == "c"
+    assert db.first_stale({"a": Version(0, 1)}, {}) == "a"
 
 
 def test_populate_sets_genesis_version():
     db = StateDatabase()
     db.populate({"a": 1, "b": 2})
     assert db.get_value("a") == 1
-    assert db.get_version("a") == GENESIS_VERSION
+    assert db.read("a")[1] == GENESIS_VERSION
     assert "b" in db
     assert len(db) == 2
 
@@ -64,22 +85,22 @@ def test_later_tx_in_block_overwrites_earlier():
     db = StateDatabase()
     db.apply_block_writes(1, [(0, {"k": "first"}), (1, {"k": "second"})])
     assert db.get_value("k") == "second"
-    assert db.get_version("k") == Version(1, 1)
+    assert db.read("k")[1] == Version(1, 1)
 
 
 def test_read_is_current_matches_version():
     db = StateDatabase()
     db.populate({"a": 1})
-    assert db.get_version("a") == GENESIS_VERSION
+    assert db.read("a")[1] == GENESIS_VERSION
     db.apply_block_writes(1, [(0, {"a": 2})])
-    assert db.get_version("a") == Version(1, 0)
+    assert db.read("a")[1] == Version(1, 0)
 
 
 def test_read_is_current_for_absent_key():
     db = StateDatabase()
-    assert db.get_version("ghost") is None
+    assert db.read("ghost")[1] is None
     db.apply_block_writes(1, [(0, {"ghost": 1})])
-    assert db.get_version("ghost") is not None
+    assert db.read("ghost")[1] is not None
 
 
 def test_snapshot_is_frozen():
@@ -102,7 +123,7 @@ def test_snapshot_length():
 def test_apply_write_single():
     db = StateDatabase()
     db.apply_write("k", 5, Version(2, 7))
-    assert db.get_version("k") == Version(2, 7)
+    assert db.read("k")[1] == Version(2, 7)
 
 
 def test_version_ordering_matches_commit_order():
@@ -154,7 +175,7 @@ def test_populate_on_non_empty_store_overwrites_and_inserts():
     db.apply_write("b", "live", Version(0, 3))
     db.populate({"c": 3, "b": 2, "a": 1})
     assert db.get("b").value == 2
-    assert db.get_version("b") == GENESIS_VERSION
+    assert db.read("b")[1] == GENESIS_VERSION
     assert list(db.keys()) == ["b", "c", "a"]
     assert [key for key, _ in db.range_scan("")] == ["a", "b", "c"]
     db.advance_block(1)

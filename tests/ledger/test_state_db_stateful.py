@@ -77,10 +77,14 @@ def assert_matches(db, model, block_id):
         entry = db.get(key)
         assert entry.value == value
         assert entry.version == version
-        assert db.get_version(key) == version
+        assert db.read(key) == (value, version)
+    versions = {key: version for key, (_value, version) in model.items()}
+    assert db.first_stale(versions, {}) is None
     for key in ("zz", "yy"):
         assert key not in db
-        assert db.get_version(key) is None
+        assert db.read(key) == (None, None)
+        assert db.first_stale({key: None}, {}) is None
+        assert db.first_stale({key: GENESIS_VERSION}, {}) == key
     scanned = list(db.range_scan(""))
     assert [key for key, _entry in scanned] == sorted(model)
     assert {key: (entry.value, entry.version) for key, entry in scanned} == model

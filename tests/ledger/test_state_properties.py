@@ -52,8 +52,7 @@ def test_versions_track_last_writer(blocks):
         for key in writes:
             last_writer[key] = Version(block_id, 0)
     for key, version in last_writer.items():
-        assert db.get_version(key) == version
-        assert db.get_version(key) == version
+        assert db.read(key)[1] == version
 
 
 class StateMachine(RuleBasedStateMachine):

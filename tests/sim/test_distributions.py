@@ -1,6 +1,10 @@
 """Unit and statistical tests for the random distributions."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.distributions import Rng, ZipfSampler
 
@@ -11,6 +15,50 @@ def test_rng_deterministic_from_seed():
     assert [a.randint(0, 100) for _ in range(10)] == [
         b.randint(0, 100) for _ in range(10)
     ]
+
+
+#: Range widths around the generator's bit boundaries and above 32 bits.
+_WIDTHS = st.one_of(
+    st.just(1),
+    st.sampled_from(
+        [2**k + d for k in (1, 2, 8, 31, 32, 33, 53, 64) for d in (-1, 0, 1)]
+    ),
+    st.integers(min_value=2, max_value=2**70),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64),
+    draws=st.lists(
+        st.tuples(
+            st.sampled_from(["randint", "random", "bernoulli"]),
+            st.integers(min_value=-(2**40), max_value=2**40),
+            _WIDTHS,
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_randint_draws_what_random_randint_draws(seed, draws):
+    """Interleaved with the other draws, ``Rng.randint`` returns what
+    ``random.Random.randint`` returns and leaves the stream where it does."""
+    rng, reference = Rng(seed), random.Random(seed)
+    for kind, low, width in draws:
+        if kind == "randint":
+            high = low + width - 1
+            assert rng.randint(low, high) == reference.randint(low, high)
+        elif kind == "random":
+            assert rng.random() == reference.random()
+        else:
+            assert rng.bernoulli(0.3) == (reference.random() < 0.3)
+    assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("low, high", [(0, -1), (5, 3), (-1, -2)])
+def test_randint_of_an_empty_range_raises(low, high):
+    with pytest.raises(ValueError):
+        Rng(0).randint(low, high)
 
 
 def test_rng_different_seeds_differ():

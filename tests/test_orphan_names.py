@@ -70,7 +70,6 @@ ORPHANS = {
     "repro.faults:MISBEHAVIOR_KINDS",
     "repro.ledger.export:SCHEMA_VERSION",
     "repro.ledger.export:replay_state",
-    "repro.ledger.state_db:VersionedValue",
     "repro.testing:V1",
     "repro.testing:V2",
     "repro.trace.cost:RESOURCES",
@@ -84,17 +83,13 @@ ORPHANS = {
     "repro.validation.registry:register_strategy",
     "repro.workloads.blank:BlankChaincode",
     "repro.workloads.custom:CustomChaincode",
-    "repro.workloads.custom:account_key",
     "repro.workloads.registry:register_workload",
     "repro.workloads.registry:workload_names",
     "repro.workloads.smallbank:MODIFYING_FUNCTIONS",
     "repro.workloads.smallbank:SmallbankChaincode",
-    "repro.workloads.smallbank:checking_key",
-    "repro.workloads.smallbank:savings_key",
     "repro.workloads.ycsb:KEY_WIDTH",
     "repro.workloads.ycsb:PRESETS",
     "repro.workloads.ycsb:YcsbChaincode",
-    "repro.workloads.ycsb:record_key",
 }
 
 

@@ -263,7 +263,7 @@ def test_lockless_matches_independent_occ_reference(seed, system):
     # The committed state is exactly the winners' writes, applied in
     # block/index order over the initial state.
     for key, version in final_versions.items():
-        assert pcs.state.get_version(key) == version, key
+        assert pcs.state.read(key)[1] == version, key
     for key, value in final_values.items():
         assert pcs.state.get_value(key) == value, key
 

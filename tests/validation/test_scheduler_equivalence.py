@@ -43,7 +43,7 @@ def reads_current(
     for key, read_version in rwset.reads.items():
         current = pending.get(key)
         if current is None:
-            current = state.get_version(key)
+            current = state.read(key)[1]
         if current != read_version:
             return False
     for range_read in rwset.range_reads:
@@ -116,7 +116,7 @@ def draw_tx(data, state: StateDatabase) -> ReadWriteSet:
         st.lists(key_strategy, unique=True, max_size=3), label="reads"
     ):
         stale = data.draw(st.booleans(), label=f"stale[{key}]")
-        rwset.record_read(key, STALE if stale else state.get_version(key))
+        rwset.record_read(key, STALE if stale else state.read(key)[1])
     for key in data.draw(
         st.lists(key_strategy, unique=True, max_size=3), label="writes"
     ):

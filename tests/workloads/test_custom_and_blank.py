@@ -8,7 +8,6 @@ from repro.ledger.state_db import StateDatabase
 from repro.sim.distributions import Rng
 from repro.workloads.blank import BlankWorkload
 from repro.workloads.custom import (
-    CustomChaincode,
     CustomWorkload,
     CustomWorkloadParams,
     account_key,
@@ -46,7 +45,7 @@ def test_chaincode_reads_then_writes():
     db = StateDatabase()
     db.populate({account_key(i): 10 * i for i in range(5)})
     stub = ChaincodeStub(db)
-    CustomChaincode().invoke(
+    CustomWorkload().create_chaincode().invoke(
         stub, "readwrite", ((0, 1), (2, 3), 7)
     )
     assert set(stub.rwset.reads) == {account_key(0), account_key(1)}
@@ -58,7 +57,7 @@ def test_chaincode_checksum_deterministic():
     db.populate({account_key(i): i for i in range(4)})
     stub_a = ChaincodeStub(db)
     stub_b = ChaincodeStub(db)
-    chaincode = CustomChaincode()
+    chaincode = CustomWorkload().create_chaincode()
     a = chaincode.invoke(stub_a, "readwrite", ((0, 1), (2,), 5))
     b = chaincode.invoke(stub_b, "readwrite", ((0, 1), (2,), 5))
     assert a == b
@@ -67,13 +66,14 @@ def test_chaincode_checksum_deterministic():
 
 def test_chaincode_unknown_function():
     with pytest.raises(ChaincodeError):
-        CustomChaincode().invoke(
+        CustomWorkload().create_chaincode().invoke(
             ChaincodeStub(StateDatabase()), "nope", ((), (), 0)
         )
 
 
 def test_operation_count_matches_accesses():
-    count = CustomChaincode().operation_count("readwrite", ((0, 1, 2), (3,), 9))
+    chaincode = CustomWorkload().create_chaincode()
+    count = chaincode.operation_count("readwrite", ((0, 1, 2), (3,), 9))
     assert count == 4
 
 
