@@ -31,11 +31,11 @@ from typing import Optional, Union
 
 from repro.bench.results import (
     ExperimentResult,
-    config_to_dict,
     metrics_from_dict,
     metrics_to_dict,
 )
 from repro.bench.spec import ExperimentSpec
+from repro.errors import ConfigError
 from repro.ledger.export import _publish
 
 #: Bump when the stored payload layout changes; invalidates old entries.
@@ -76,20 +76,22 @@ def _package_version() -> str:
 def spec_fingerprint(spec: ExperimentSpec, version: Optional[str] = None) -> str:
     """Stable hex fingerprint of everything that determines a run's output.
 
-    Raises :class:`TypeError` for non-cacheable specs (workload not a
-    :class:`WorkloadRef`).
+    The payload is the spec's data form (:meth:`ExperimentSpec.to_dict`)
+    with the seed override applied and the label and report params left
+    out. Raises :class:`TypeError` for non-cacheable specs (workload not
+    a :class:`WorkloadRef`).
     """
-    if not spec.is_cacheable:
-        raise TypeError(
-            "only specs with a WorkloadRef workload can be fingerprinted"
-        )
+    form = spec.to_dict()
+    config = form["config"]
+    if form["seed"] is not None:
+        config["seed"] = form["seed"]
     payload = {
         "cache_format": CACHE_FORMAT,
         "version": version if version is not None else _package_version(),
-        "config": config_to_dict(spec.resolved_config()),
-        "workload": spec.workload.describe(),
-        "duration": spec.duration,
-        "drain": spec.drain,
+        "config": config,
+        "workload": form["workload"],
+        "duration": form["duration"],
+        "drain": form["drain"],
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -147,7 +149,8 @@ class ResultCache:
             self.misses += 1
             return None
         except (
-            OSError, json.JSONDecodeError, KeyError, ValueError, TypeError
+            OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
+            ConfigError,
         ) as error:
             print(
                 f"recomputing corrupt cache entry {path}: {error!r}",

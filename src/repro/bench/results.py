@@ -15,18 +15,10 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
-from repro.core.batch_cutter import BatchCutConfig
+from repro.dataform import load_dataclass
 from repro.errors import ConfigError, ReproError
-from repro.fabric.config import (
-    BackpressureConfig,
-    ConsensusConfig,
-    CostModel,
-    FabricConfig,
-    PopulationConfig,
-)
+from repro.fabric.config import FabricConfig
 from repro.fabric.metrics import PipelineMetrics
-from repro.faults import schedule_from_dict
-from repro.traffic import ArrivalProcess
 
 #: Schema version stamped into serialised result sets; bump on breaking change.
 RESULTSET_SCHEMA = 1
@@ -70,42 +62,26 @@ def config_to_dict(config: FabricConfig) -> Dict[str, object]:
     return asdict(config)
 
 
-def config_from_dict(data: Dict[str, object]) -> FabricConfig:
-    """Rebuild a :class:`FabricConfig` from :func:`config_to_dict` output."""
-    data = dict(data)
-    batch = BatchCutConfig(**data.pop("batch"))
-    costs = CostModel(**data.pop("costs"))
-    faults = schedule_from_dict(data.pop("faults", {}))
-    # Absent in pre-consensus snapshots (and cache entries they wrote).
-    consensus = ConsensusConfig(**data.pop("consensus", {}))
-    # Absent in pre-overload snapshots.
-    traffic = ArrivalProcess(**data.pop("traffic", {}))
-    backpressure = BackpressureConfig(**data.pop("backpressure", {}))
-    # Absent in pre-channel snapshots.
-    population = PopulationConfig(**data.pop("population", {}))
-    if "channel_cc_strategies" in data:
-        data["channel_cc_strategies"] = tuple(data["channel_cc_strategies"])
-    # Stored by builds that had the knob cc_strategy superseded: "serial"
-    # was its default, "dependency" is now spelled cc_strategy.
-    scheduler = data.pop("validation_scheduler", "serial")
-    if scheduler != "serial":
-        strategy = data.get("cc_strategy", "serial")
-        if strategy not in ("serial", scheduler):
-            raise ConfigError(
-                f"stored config sets validation_scheduler {scheduler!r} "
-                f"and cc_strategy {strategy!r}, which disagree"
-            )
-        data["cc_strategy"] = scheduler
-    return FabricConfig(
-        batch=batch,
-        costs=costs,
-        faults=faults,
-        consensus=consensus,
-        traffic=traffic,
-        backpressure=backpressure,
-        population=population,
-        **data,
-    )
+def config_from_dict(data: Dict[str, object], path: str = "") -> FabricConfig:
+    """Rebuild a :class:`FabricConfig` from :func:`config_to_dict` output.
+
+    Keys a snapshot predates take the field defaults. The one rename:
+    builds that had ``validation_scheduler`` stored it beside
+    ``cc_strategy``; "serial" was its default, "dependency" is now
+    spelled ``cc_strategy``.
+    """
+    if isinstance(data, dict) and "validation_scheduler" in data:
+        data = dict(data)
+        scheduler = data.pop("validation_scheduler")
+        if scheduler != "serial":
+            strategy = data.get("cc_strategy", "serial")
+            if strategy not in ("serial", scheduler):
+                raise ConfigError(
+                    f"stored config sets validation_scheduler {scheduler!r} "
+                    f"and cc_strategy {strategy!r}, which disagree"
+                )
+            data["cc_strategy"] = scheduler
+    return load_dataclass(FabricConfig, data, path)
 
 
 def metrics_to_dict(metrics: PipelineMetrics) -> Dict[str, object]:
@@ -135,14 +111,16 @@ def _result_to_dict(result: ExperimentResult) -> Dict[str, object]:
     }
 
 
-def _result_from_dict(data: Dict[str, object]) -> ExperimentResult:
+def _result_from_dict(data: Dict[str, object], path: str = "") -> ExperimentResult:
     """Rebuild an :class:`ExperimentResult` from :func:`_result_to_dict`."""
-    return ExperimentResult(
-        label=data["label"],
-        config=config_from_dict(data["config"]),
-        metrics=metrics_from_dict(data["metrics"]),
-        duration=data["duration"],
-        params=dict(data["params"]),
+    prefix = f"{path}." if path else ""
+    try:
+        config = config_from_dict(data["config"], prefix + "config")
+        metrics = metrics_from_dict(data["metrics"])
+    except (KeyError, TypeError, ValueError) as error:
+        raise ConfigError(f"{path or 'result'}: {error!r}") from error
+    return load_dataclass(
+        ExperimentResult, {**data, "config": config, "metrics": metrics}, path
     )
 
 
@@ -244,11 +222,15 @@ class ResultSet:
             payload = json.loads(text)
         except json.JSONDecodeError as error:
             raise ReproError(f"cannot parse result set: {error}") from error
-        if payload.get("schema_version") != RESULTSET_SCHEMA:
-            raise ReproError(
-                f"unsupported result-set schema {payload.get('schema_version')!r}"
-            )
-        return cls(_result_from_dict(entry) for entry in payload["results"])
+        schema = payload.get("schema_version") if isinstance(payload, dict) else None
+        if schema != RESULTSET_SCHEMA:
+            raise ReproError(f"unsupported result-set schema {schema!r}")
+        if not isinstance(payload.get("results"), list):
+            raise ReproError("results: expected a list")
+        return cls(
+            _result_from_dict(entry, f"results[{index}]")
+            for index, entry in enumerate(payload["results"])
+        )
 
     def improvement_factor(
         self, baseline: str = "Fabric", improved: str = "Fabric++"

@@ -5,15 +5,17 @@ plain data: the network configuration, a workload reference, the firing
 duration, the post-run drain window, an optional seed override, a display
 label, and the report parameters the run should carry into its result
 row. Because a spec is data rather than a closure, it can be pickled to a
-worker process and hashed into a stable on-disk cache key.
+worker process, hashed into a stable on-disk cache key, and stored in a
+checkpoint as JSON (:meth:`ExperimentSpec.to_dict`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Optional, Union
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, Dict, Mapping, Optional, Union
 
 from repro.bench.results import ExperimentResult
+from repro.dataform import load_dataclass
 from repro.fabric.config import FabricConfig
 from repro.workloads.base import Workload
 from repro.workloads.registry import WorkloadRef
@@ -61,6 +63,24 @@ class ExperimentSpec:
     def is_cacheable(self) -> bool:
         """True when the workload is described as data (a registry ref)."""
         return isinstance(self.workload, WorkloadRef)
+
+    def to_dict(self) -> Dict[str, object]:
+        """The spec as plain JSON-ready data, which :meth:`from_dict`
+        rebuilds exactly. Only data specs have this form: raises
+        :class:`TypeError` unless the workload is a :class:`WorkloadRef`."""
+        if not self.is_cacheable:
+            raise TypeError(
+                "only specs with a WorkloadRef workload have a data form, "
+                f"got workload {type(self.workload).__name__}"
+            )
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: object, path: str = "spec") -> "ExperimentSpec":
+        """Rebuild a spec from :meth:`to_dict` output; raises
+        :class:`~repro.errors.ConfigError` naming the dotted path of the
+        first unknown, missing or mistyped field."""
+        return load_dataclass(cls, data, path)
 
     def resolved_config(self) -> FabricConfig:
         """The effective configuration (seed override applied)."""

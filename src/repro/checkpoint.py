@@ -3,9 +3,10 @@ deterministic-replay resume.
 
 A discrete-event simulation cannot be pickled mid-run: every in-flight
 process is a live Python generator. Instead of freezing the process
-graph, a checkpoint stores the *recipe* (the pickled
-:class:`~repro.bench.spec.ExperimentSpec`) together with a dense set of
-**verification digests** taken at an exact event boundary (schema 3).
+graph, a checkpoint stores the *recipe* (the
+:class:`~repro.bench.spec.ExperimentSpec` in its JSON data form)
+together with a dense set of **verification digests** taken at an
+exact event boundary (schema 4).
 Each hashes state the runtime already keeps, so a snapshot costs what
 changed, not the size of the world: per channel the reference ledger,
 block by block with each transaction's recomputed digest and validity
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pickle
 import sys
 from dataclasses import dataclass
 from itertools import chain
@@ -61,7 +61,9 @@ from repro.trace.tracer import crypto_recording
 
 #: Bump when the checkpoint payload layout changes; old files are
 #: rejected with a clear error instead of mis-verifying.
-CHECKPOINT_SCHEMA = 3
+#: 4: the spec is stored as ``ExperimentSpec.to_dict()`` JSON, not a
+#: pickle, and the header lost its duration and drain copies.
+CHECKPOINT_SCHEMA = 4
 
 #: File-name prefix for on-disk checkpoints (``checkpoint-000001.json``).
 CHECKPOINT_PREFIX = "checkpoint-"
@@ -348,12 +350,10 @@ class Checkpointer:
         #: in in-memory mode).
         self.checkpoints: List[Dict[str, object]] = []
         try:
-            self._spec_pickle = pickle.dumps(spec)
-        except (pickle.PicklingError, TypeError, AttributeError) as error:
+            self._spec_form = spec.to_dict()
+        except TypeError as error:
             raise CheckpointError(
-                "experiment spec is not picklable — checkpointed runs "
-                "need a data-only spec (use a WorkloadRef workload): "
-                f"{error!r}"
+                f"checkpointed runs need a data-only spec: {error}"
             ) from error
 
     def boundaries(self, horizon: float) -> Iterator[float]:
@@ -377,9 +377,7 @@ class Checkpointer:
             "every": self.options.every,
             "prune": self.options.prune,
             "label": self.spec.resolved_label(),
-            "duration": self.spec.duration,
-            "drain": self.spec.drain,
-            "spec": self._spec_pickle.hex(),
+            "spec": self._spec_form,
             "snapshot": snapshot,
         }
 
@@ -453,22 +451,6 @@ def load_latest_checkpoint(target: Union[str, Path]) -> Dict[str, object]:
             errors.append(str(error))
     detail = f" ({'; '.join(errors)})" if errors else ""
     raise CheckpointError(f"no loadable checkpoint under {target}{detail}")
-
-
-def spec_from_checkpoint(checkpoint: Dict[str, object]) -> ExperimentSpec:
-    """Recover the embedded experiment spec from a checkpoint payload."""
-    try:
-        spec = pickle.loads(bytes.fromhex(checkpoint["spec"]))
-    except Exception as error:
-        raise CheckpointError(
-            f"corrupt spec in checkpoint: {error!r}"
-        ) from error
-    if not isinstance(spec, ExperimentSpec):
-        raise CheckpointError(
-            f"checkpoint spec decoded to {type(spec).__name__}, "
-            "expected ExperimentSpec"
-        )
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +529,10 @@ def resume_run(
         path = Path(target)
         checkpoint = load_latest_checkpoint(path)
         directory = path if path.is_dir() else path.parent
-    spec = spec_from_checkpoint(checkpoint)
+    try:
+        spec = ExperimentSpec.from_dict(checkpoint["spec"])
+    except ConfigError as error:
+        raise CheckpointError(f"corrupt spec in checkpoint: {error}") from error
     options = CheckpointOptions(
         every=float(checkpoint["every"]),
         directory=directory,

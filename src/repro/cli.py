@@ -411,9 +411,6 @@ def _add_experiment_arguments(
         sub.add_argument(
             "--system", choices=("fabric", "fabric++"), default="fabric",
         )
-    sub.add_argument("--max-resubmits", type=int, default=None, metavar="N",
-                     help="cap on resubmissions per failed business intent; "
-                          "negative = retry forever (default 16)")
     sub.add_argument(
         "--faults-file", metavar="PATH", default=None,
         help="load a complete fault schedule from a JSON file (the "
@@ -472,7 +469,7 @@ def _load_faults_file(path: str) -> FaultSchedule:
     """Parse a JSON fault schedule written in the ``to_dict`` layout."""
     import json
 
-    from repro.faults import schedule_from_dict
+    from repro.dataform import load_dataclass
 
     try:
         with open(path) as handle:
@@ -481,14 +478,9 @@ def _load_faults_file(path: str) -> FaultSchedule:
         raise ConfigError(f"cannot read --faults-file {path!r}: {error}") from error
     except json.JSONDecodeError as error:
         raise ConfigError(f"bad JSON in --faults-file {path!r}: {error}") from error
-    if not isinstance(data, dict):
-        raise ConfigError(
-            f"bad --faults-file {path!r}: expected a JSON object, "
-            f"got {type(data).__name__}"
-        )
     try:
-        schedule = schedule_from_dict(data)
-    except (ConfigError, TypeError) as error:
+        schedule = load_dataclass(FaultSchedule, data, "faults")
+    except ConfigError as error:
         raise ConfigError(f"bad --faults-file {path!r}: {error}") from error
     if (
         "endorsement_timeout" not in data
@@ -589,12 +581,6 @@ def config_from_args(args: argparse.Namespace) -> FabricConfig:
     )
     if config.traffic.is_closed and config.traffic.rate is not None:
         raise ConfigError("--arrival-rate needs an open-loop --traffic shape")
-    max_resubmits = getattr(args, "max_resubmits", None)
-    if max_resubmits is not None:
-        config = replace(
-            config,
-            max_resubmits=None if max_resubmits < 0 else max_resubmits,
-        )
     if getattr(args, "system", "fabric") == "fabric++":
         config = config.with_fabric_plus_plus()
     faults_file = getattr(args, "faults_file", None)

@@ -7,8 +7,9 @@ transactions per second, with failed transactions reported alongside
 per-transaction latencies for one run.
 
 This module is the one place that knows what a metric is: every block
-below serialises itself (``to_dict``/``from_dict``) and says how two of
-it combine (``merge``), so snapshots (``repro.bench.results``) and the
+below serialises itself (``to_dict``, read back by
+:func:`~repro.dataform.load_dataclass`) and says how two of it combine
+(``merge``), so snapshots (``repro.bench.results``) and the
 sharded fleet total (``repro.channels``) hold no field list of their own.
 The per-transaction samples sit behind one interface with two stores:
 :class:`ListSamples` (exact) and :class:`StreamingMetrics` (bounded).
@@ -24,6 +25,7 @@ from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 from typing import Dict, List, Optional, Union
 
+from repro.dataform import load_dataclass
 from repro.trace.cost import CostBreakdown
 
 
@@ -125,20 +127,15 @@ class LatencyStats:
 
 class _FieldsSnapshot:
     """Serialisation of the dataclasses below whose snapshot form is
-    exactly their fields (derived figures live in a ``summary``). How
-    two of them combine is *not* shared: each spells out its ``merge``."""
+    exactly their fields (derived figures live in a ``summary``);
+    :func:`~repro.dataform.load_dataclass` reads it back. How two of
+    them combine is *not* shared: each spells out its ``merge``."""
 
     __slots__ = ()
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict form for JSON round-tripping."""
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]):
-        """Rebuild from :meth:`to_dict` output. Keys a snapshot predates
-        take the field defaults."""
-        return cls(**data)
 
 
 def _throughput_rows(
@@ -550,11 +547,10 @@ class StreamingMetrics:
     def from_dict(cls, data: Dict[str, object]) -> "StreamingMetrics":
         """Rebuild from the sample keys of a snapshot."""
         aggregate = dict(data["streaming"])
-        return cls(
-            reservoir=StreamingLatency.from_dict(aggregate.pop("latency")),
-            window=StreamingWindow.from_dict(aggregate.pop("window")),
-            **aggregate,
+        aggregate["reservoir"] = load_dataclass(
+            StreamingLatency, aggregate.pop("latency"), "streaming.latency"
         )
+        return load_dataclass(cls, aggregate, "streaming")
 
 
 @dataclass
@@ -822,10 +818,6 @@ class ChannelFleetStats(_FieldsSnapshot):
         self.per_channel.extend(other.per_channel)
         self.saga.merge(other.saga)
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ChannelFleetStats":
-        """Rebuild from :meth:`to_dict` output (``saga`` re-nested)."""
-        return cls(**{**data, "saga": SagaStats.from_dict(data["saga"])})
 
 
 #: The optional blocks of :class:`PipelineMetrics`: attribute (and
@@ -1052,7 +1044,7 @@ class PipelineMetrics:
             metrics.outcomes[TxOutcome(value)] = count
         for name, block in OPTIONAL_BLOCKS.items():
             if name in data:
-                setattr(metrics, name, block.from_dict(data[name]))
+                setattr(metrics, name, load_dataclass(block, data[name], name))
         return metrics
 
     # -- derived figures -----------------------------------------------------

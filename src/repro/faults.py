@@ -372,7 +372,8 @@ class FaultSchedule:
         )
 
     def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form (``asdict``); inverse of :func:`schedule_from_dict`."""
+        """Plain-dict form (``asdict``); inverse of
+        :func:`~repro.dataform.load_dataclass`."""
         from dataclasses import asdict
 
         return asdict(self)
@@ -455,64 +456,6 @@ class FaultSchedule:
                     "overlapping partition windows: "
                     f"({earlier.describe()}) and ({later.describe()})"
                 )
-
-
-def schedule_from_dict(data: Dict[str, object]) -> FaultSchedule:
-    """Rebuild a :class:`FaultSchedule` from its ``asdict`` form.
-
-    Accepts both tuples (fresh ``asdict``) and lists (after a JSON round
-    trip) for the window collections. Unknown top-level keys raise
-    :class:`ConfigError` naming the key, so a typo in a ``--faults-file``
-    fails loudly instead of silently configuring nothing.
-    """
-    from dataclasses import fields as dataclass_fields
-
-    data = dict(data)
-    known = {field.name for field in dataclass_fields(FaultSchedule)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        keys = ", ".join(repr(key) for key in unknown)
-        raise ConfigError(
-            f"unknown fault schedule key(s) {keys}; "
-            f"expected a subset of: {', '.join(sorted(known))}"
-        )
-    crashes = tuple(
-        window if isinstance(window, CrashWindow) else CrashWindow(**window)
-        for window in data.pop("crashes", ())
-    )
-    stalls = tuple(
-        window if isinstance(window, StallWindow) else StallWindow(**window)
-        for window in data.pop("stalls", ())
-    )
-    orderer_crashes = tuple(
-        window
-        if isinstance(window, OrdererCrashWindow)
-        else OrdererCrashWindow(**window)
-        for window in data.pop("orderer_crashes", ())
-    )
-    partitions = []
-    for window in data.pop("partitions", ()):
-        if isinstance(window, PartitionWindow):
-            partitions.append(window)
-            continue
-        window = dict(window)
-        window["groups"] = tuple(
-            tuple(group) for group in window.get("groups", ())
-        )
-        window["channels"] = tuple(window.get("channels", ()))
-        partitions.append(PartitionWindow(**window))
-    misbehaviors = tuple(
-        spec if isinstance(spec, MisbehaviorSpec) else MisbehaviorSpec(**spec)
-        for spec in data.pop("misbehaviors", ())
-    )
-    return FaultSchedule(
-        crashes=crashes,
-        stalls=stalls,
-        orderer_crashes=orderer_crashes,
-        partitions=tuple(partitions),
-        misbehaviors=misbehaviors,
-        **data,
-    )
 
 
 def assign_misbehaviors(

@@ -120,11 +120,3 @@ class CostBreakdown:
                 k: self.operations[k] for k in sorted(self.operations)
             },
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CostBreakdown":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            seconds=dict(data.get("seconds", {})),
-            operations=dict(data.get("operations", {})),
-        )

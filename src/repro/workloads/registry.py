@@ -71,10 +71,6 @@ class WorkloadRef:
         """Instantiate the workload this ref describes."""
         return make_workload(self.name, seed=self.seed, **self.params)
 
-    def describe(self) -> Dict[str, object]:
-        """A JSON-ready description (used for cache fingerprints)."""
-        return {"name": self.name, "params": dict(self.params), "seed": self.seed}
-
 
 # -- built-in workloads ---------------------------------------------------------
 

@@ -7,8 +7,15 @@ import pytest
 from repro.bench.cache import ResultCache, spec_fingerprint
 from repro.bench.harness import run_experiment
 from repro.bench.spec import ExperimentSpec
+from repro.cli import build_parser, config_from_args, workload_ref_from_args
 from repro.core.batch_cutter import BatchCutConfig
 from repro.fabric.config import FabricConfig
+from repro.faults import (
+    CrashWindow,
+    FaultSchedule,
+    MisbehaviorSpec,
+    PartitionWindow,
+)
 from repro.workloads.blank import BlankWorkload
 from repro.workloads.registry import WorkloadRef
 
@@ -26,6 +33,68 @@ def small_spec(**overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+def argv_spec(argv):
+    """The spec ``python -m repro run`` builds from ``argv``."""
+    args = build_parser().parse_args(argv)
+    return ExperimentSpec(
+        config=config_from_args(args),
+        workload=workload_ref_from_args(args),
+        duration=args.duration,
+        drain=args.drain,
+    )
+
+
+def pinned_specs():
+    """name -> spec whose cache fingerprint is pinned below."""
+    faulty = ExperimentSpec(
+        config=FabricConfig(
+            orderer_nodes=3,
+            endorsement_policy="outof:1",
+            seed=9,
+            faults=FaultSchedule(
+                crashes=(
+                    CrashWindow("peer1.OrgA", 0.5, 0.7),
+                    # An int where a float is declared stays an int.
+                    CrashWindow("peer0.OrgB", 1, 0.25),
+                ),
+                partitions=(
+                    PartitionWindow(at=0.4, duration=0.3, groups=((0,), (1, 2))),
+                ),
+                misbehaviors=(MisbehaviorSpec(kind="stale_replay", fraction=0.5),),
+                endorsement_timeout=0.05,
+            ),
+        ),
+        workload=WorkloadRef("smallbank", {"num_users": 200, "s_value": 1.0}, seed=3),
+        duration=1.5,
+        drain=4.0,
+        label="faulty",
+        params={"BS": 32},
+    )
+    return {
+        "run": argv_spec(["run"]),
+        "faulty": faulty,
+        "sharded": argv_spec(
+            ["run", "--channels", "4", "--streaming-metrics",
+             "--cc-strategy", "lockless"]
+        ),
+    }
+
+
+#: Cache keys written by earlier builds; a moved literal means their
+#: cache entries stop hitting.
+PINNED_FINGERPRINTS = {
+    "run": "7a856961e8635852d11522940205a3d73b90d187c9a948b3a1696ae91dea699f",
+    "faulty": "4089e6f1e3203e1f4546147957c89bc215776aa095aeb87b7ef29a46ee2d8a90",
+    "sharded": "3f6f74c4dc3a8eda5a0cd64b4176aff0aa70a5fbad6bc2654730acb2240532f7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
+def test_fingerprint_pins(name):
+    spec = pinned_specs()[name]
+    assert spec_fingerprint(spec, version="1.0.0") == PINNED_FINGERPRINTS[name]
 
 
 def test_fingerprint_is_stable_and_label_blind():

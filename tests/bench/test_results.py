@@ -1,5 +1,6 @@
 """Tests for the unified ResultSet and its serialisation helpers."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -12,9 +13,14 @@ from repro.bench.results import (
     _result_from_dict,
     _result_to_dict,
 )
+from repro.bench.harness import run_experiment_with_network
+from repro.bench.spec import ExperimentSpec
+from repro.core.batch_cutter import BatchCutConfig
 from repro.errors import ReproError
-from repro.fabric.config import FabricConfig
-from repro.fabric.metrics import PipelineMetrics, TxOutcome
+from repro.fabric.config import BackpressureConfig, FabricConfig
+from repro.fabric.metrics import OPTIONAL_BLOCKS, PipelineMetrics, TxOutcome
+from repro.trace import Tracer
+from repro.workloads.registry import WorkloadRef
 
 
 def make_result(label, successes=10, failures=2, duration=2.0, params=None):
@@ -116,3 +122,55 @@ def test_result_round_trip_preserves_metrics():
     clone = _result_from_dict(_result_to_dict(result))
     assert clone.row() == result.row()
     assert clone.metrics == result.metrics
+
+
+@pytest.mark.parametrize("streaming", [False, True])
+def test_every_optional_block_round_trips_byte_for_byte(streaming):
+    # Sharded, Raft, a queue bound, a non-serial strategy and a tracer:
+    # the run attaches every optional metrics block.
+    spec = ExperimentSpec(
+        config=FabricConfig(
+            channels=2,
+            orderer_nodes=3,
+            cc_strategy="lockless",
+            batch=BatchCutConfig(max_transactions=16),
+            clients_per_channel=1,
+            client_rate=60.0,
+            backpressure=BackpressureConfig(orderer_queue_limit=8),
+            streaming_metrics=streaming,
+        ),
+        workload=WorkloadRef("smallbank", {"num_users": 100, "s_value": 1.0}, seed=1),
+        duration=0.6,
+        drain=1.0,
+        label="every-block",
+        params={"k": 1},
+    )
+    result, _network = run_experiment_with_network(spec, tracer=Tracer())
+    assert all(getattr(result.metrics, name) is not None for name in OPTIONAL_BLOCKS)
+    text = ResultSet([result]).to_json()
+    assert ResultSet.from_json(text).to_json() == text
+
+
+def _edited_json(edit):
+    """A one-result set's JSON after ``edit`` changed its config dict."""
+    payload = json.loads(ResultSet([make_result("Fabric")]).to_json())
+    edit(payload["results"][0]["config"])
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda config: config["batch"].update(max_txs=16),
+         "results[0].config.batch: unknown key(s) 'max_txs'"),
+        (lambda config: config["faults"].update(
+            crashes=[{"peer": "peer1.OrgA", "at": 0.5}]),
+         "results[0].config.faults.crashes[0]: missing key(s) 'duration'"),
+        (lambda config: config.update(seed="42"),
+         "results[0].config.seed: expected int, got str '42'"),
+    ],
+)
+def test_from_json_names_the_bad_field(edit, where):
+    with pytest.raises(ReproError) as excinfo:
+        ResultSet.from_json(_edited_json(edit))
+    assert where in str(excinfo.value)

@@ -1,5 +1,6 @@
 """Tests for ExperimentSpec and the run_experiment API."""
 
+import json
 import pickle
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 from repro.bench.harness import run_experiment
 from repro.bench.spec import DEFAULT_DRAIN, DEFAULT_DURATION, ExperimentSpec
 from repro.core.batch_cutter import BatchCutConfig
+from repro.errors import ConfigError
 from repro.fabric.config import FabricConfig
 from repro.workloads.blank import BlankWorkload
 from repro.workloads.registry import WorkloadRef
@@ -110,3 +112,41 @@ def test_drain_is_plumbed_through():
         ExperimentSpec(config=config, workload=ref, duration=1.0, drain=5.0)
     )
     assert drained.metrics.successful > no_drain.metrics.successful
+
+
+def _data_specs():
+    """Every spec the package builds from data: chaos runs, scenarios,
+    the CLI argv pins and the pinned cache fingerprints."""
+    from repro.chaos import chaos_spec
+    from repro.scenarios import get_scenario, scenario_names
+    from tests.bench.test_cache import argv_spec, pinned_specs
+    from tests.test_cli_flags import ARGV_GRID
+
+    specs = {
+        f"chaos {seed} {plus}": chaos_spec(seed, fabric_plus_plus=plus)
+        for seed in range(5)
+        for plus in (False, True)
+    }
+    specs.update(
+        (f"scenario {name} {system}", get_scenario(name).spec(3, system))
+        for name in scenario_names()
+        for system in ("fabric", "fabric++")
+    )
+    specs.update((f"argv {label}", argv_spec(argv)) for label, argv in ARGV_GRID.items())
+    specs.update((f"pinned {name}", spec) for name, spec in pinned_specs().items())
+    return specs
+
+
+def test_data_specs_round_trip_through_json():
+    specs = _data_specs()
+    for name, spec in specs.items():
+        text = json.dumps(spec.to_dict(), sort_keys=True)
+        clone = ExperimentSpec.from_dict(json.loads(text))
+        assert clone == spec, name
+        assert json.dumps(clone.to_dict(), sort_keys=True) == text, name
+
+
+def test_from_dict_names_a_workload_that_is_not_a_ref():
+    data = ExperimentSpec(config=small_config(), workload=small_ref()).to_dict()
+    with pytest.raises(ConfigError, match="spec.workload: expected WorkloadRef"):
+        ExperimentSpec.from_dict(dict(data, workload=3))

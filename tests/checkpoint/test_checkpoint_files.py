@@ -1,6 +1,8 @@
 """Checkpoint persistence: atomic files, retention, corruption handling."""
 
 import json
+import os
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -11,8 +13,8 @@ from repro.checkpoint import (
     CheckpointOptions,
     load_checkpoint,
     load_latest_checkpoint,
+    resume_run,
     run_with_checkpoints,
-    spec_from_checkpoint,
 )
 from repro.core.batch_cutter import BatchCutConfig
 from repro.errors import CheckpointError
@@ -62,9 +64,8 @@ def test_load_checkpoint_round_trips(checkpoint_dir):
     assert payload["schema"] == CHECKPOINT_SCHEMA
     assert payload["index"] == 2
     assert payload["time"] == pytest.approx(1.0)
-    spec = spec_from_checkpoint(payload)
-    assert isinstance(spec, ExperimentSpec)
-    assert spec.duration == 1.6
+    # The spec is stored as plain JSON data, never as a pickle.
+    assert ExperimentSpec.from_dict(payload["spec"]) == make_spec()
 
 
 def test_load_latest_prefers_newest_index(checkpoint_dir):
@@ -128,10 +129,33 @@ def test_missing_field_rejected(checkpoint_dir, tmp_path):
 
 def test_corrupt_spec_rejected(checkpoint_dir):
     payload = load_checkpoint(checkpoint_dir / "checkpoint-000001.json")
-    payload = dict(payload, spec="deadbeef")
+    payload["spec"]["config"]["batch"]["max_txs"] = 16
     with pytest.raises(CheckpointError) as excinfo:
-        spec_from_checkpoint(payload)
-    assert "spec" in str(excinfo.value)
+        resume_run(payload)
+    assert "spec.config.batch: unknown key(s) 'max_txs'" in str(excinfo.value)
+
+
+class _Payload:
+    """Pickles to a call that creates a directory when unpickled."""
+
+    def __init__(self, sentinel):
+        self.sentinel = sentinel
+
+    def __reduce__(self):
+        return (os.mkdir, (self.sentinel,))
+
+
+def test_pickled_spec_is_refused_without_running_it(checkpoint_dir, tmp_path):
+    sentinel = tmp_path / "pwned"
+    payload = load_checkpoint(checkpoint_dir / "checkpoint-000001.json")
+    payload["spec"] = pickle.dumps(_Payload(str(sentinel))).hex()
+    crafted = tmp_path / "run" / "checkpoint-000001.json"
+    crafted.parent.mkdir()
+    crafted.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError) as excinfo:
+        resume_run(crafted)
+    assert "spec: expected ExperimentSpec object, got str" in str(excinfo.value)
+    assert not sentinel.exists()
 
 
 def test_keep_retains_only_newest_files(tmp_path):

@@ -4,6 +4,7 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.dataform import load_dataclass
 from repro.errors import ConfigError
 from repro.faults import (
     CrashWindow,
@@ -12,7 +13,6 @@ from repro.faults import (
     PartitionWindow,
     StallWindow,
     crash_schedule,
-    schedule_from_dict,
 )
 
 
@@ -110,7 +110,7 @@ def test_schedule_round_trips_through_asdict():
         endorsement_timeout=0.05,
         max_endorsement_retries=5,
     )
-    assert schedule_from_dict(asdict(schedule)) == schedule
+    assert load_dataclass(FaultSchedule, asdict(schedule)) == schedule
 
 
 def test_schedule_round_trips_through_json():
@@ -121,14 +121,14 @@ def test_schedule_round_trips_through_json():
         endorsement_timeout=0.1,
     )
     data = json.loads(json.dumps(asdict(schedule)))
-    assert schedule_from_dict(data) == schedule
+    assert load_dataclass(FaultSchedule, data) == schedule
 
 
 def test_unknown_schedule_keys_rejected_by_name():
     with pytest.raises(ConfigError, match="drop_probabilty"):
-        schedule_from_dict({"drop_probabilty": 0.1})
+        load_dataclass(FaultSchedule, {"drop_probabilty": 0.1})
     with pytest.raises(ConfigError, match="crashs.*stales"):
-        schedule_from_dict({"stales": [], "crashs": []})
+        load_dataclass(FaultSchedule, {"stales": [], "crashs": []})
 
 
 def test_crash_schedule_is_deterministic():
@@ -185,7 +185,7 @@ def test_consensus_schedule_round_trips_through_json():
 
     schedule = consensus_schedule()
     schedule.validate()
-    rebuilt = schedule_from_dict(json.loads(json.dumps(asdict(schedule))))
+    rebuilt = load_dataclass(FaultSchedule, json.loads(json.dumps(asdict(schedule))))
     assert rebuilt == schedule
 
 

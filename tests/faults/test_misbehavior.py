@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.batch_cutter import BatchCutConfig
+from repro.dataform import load_dataclass
 from repro.errors import ConfigError
 from repro.fabric.config import FabricConfig
 from repro.fabric.metrics import TxOutcome
@@ -11,7 +12,6 @@ from repro.faults import (
     FaultSchedule,
     MisbehaviorSpec,
     assign_misbehaviors,
-    schedule_from_dict,
 )
 from repro.workloads.registry import make_workload
 
@@ -71,7 +71,7 @@ def test_schedule_round_trips_misbehaviors():
             MisbehaviorSpec(kind="resubmit_storm", storm_factor=2, storm_cap=8),
         )
     )
-    assert schedule_from_dict(schedule.to_dict()) == schedule
+    assert load_dataclass(FaultSchedule, schedule.to_dict()) == schedule
 
 
 # -- population assignment ------------------------------------------------------

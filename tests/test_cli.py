@@ -301,14 +301,8 @@ def test_bad_crash_spec_is_a_clean_error(capsys):
 
 
 def test_policy_and_resubmit_flags_forwarded():
-    config = config_from_args(
-        parse(["run", "--policy", "outof:1", "--max-resubmits", "4"])
-    )
+    config = config_from_args(parse(["run", "--policy", "outof:1"]))
     assert config.endorsement_policy == "outof:1"
-    assert config.max_resubmits == 4
-    assert config_from_args(
-        parse(["run", "--max-resubmits", "-1"])
-    ).max_resubmits is None
 
 
 def test_run_command_with_faults_end_to_end(tmp_path, capsys):
@@ -495,6 +489,29 @@ def test_unknown_faults_file_key_is_named_in_the_error(tmp_path, capsys):
     assert exit_code == 2
     assert "drop_probabilty" in err
     assert str(path) in err
+
+
+@pytest.mark.parametrize(
+    "content, where",
+    [
+        ('{"crashes": [{"peer": "peer1.OrgA", "at": "0.5", "duration": 1}]}',
+         "faults.crashes[0].at: expected float, got str '0.5'"),
+        ('{"drop_probability": "0.1"}',
+         "faults.drop_probability: expected float, got str '0.1'"),
+        ('{"crashes": [{"peer": "peer1.OrgA", "at": 0.5}]}',
+         "faults.crashes[0]: missing key(s) 'duration'"),
+        ('{"max_endorsement_retries": true}',
+         "faults.max_endorsement_retries: expected int, got bool True"),
+    ],
+)
+def test_mistyped_faults_file_names_the_dotted_path(tmp_path, capsys, content, where):
+    path = tmp_path / "typed.json"
+    path.write_text(content)
+    exit_code = main(["run", "--faults-file", str(path), "--duration", "1"])
+    err = capsys.readouterr().err
+    assert exit_code == 2
+    assert where in err
+    assert "Traceback" not in err
 
 
 def test_faults_file_unknown_peer_fails_fast_with_name_and_path(tmp_path):

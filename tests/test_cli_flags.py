@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from functools import reduce
 from pathlib import Path
 
@@ -74,8 +75,6 @@ def _flag_cells():
         # Hand-written input handling, pinned alongside the table flags.
         "seed": ["--seed", "7"],
         "system": ["--system", "fabric++"],
-        "max-resubmits": ["--max-resubmits", "4"],
-        "max-resubmits=-1": ["--max-resubmits", "-1"],
         "crash": ["--crash", "peer1.OrgA@0.5+0.7"],
         "stall": ["--stall", "1.5+0.3"],
     }
@@ -213,10 +212,6 @@ ARGV_HASHES = {
         "bc82901ffae90038e8aafea686396cfd447fa6263658728f8b3275a36aecfe00",
     "run system":
         "0e61de6551672f6a13f7ddb0805f859dcc49186e85c38cd39197d180bd045729",
-    "run max-resubmits":
-        "025a471373369a8c12003d8f646bfe8fa912ec43aff798aeeca15eda611e5434",
-    "run max-resubmits=-1":
-        "dc1e49bb19a9e7b65d84ca9a8667de6f9c1359df62294aaec5ae278b2b1ca556",
     "run crash":
         "c5cb3a499418fe92c87aa98b039c26cef5ca30c3dd07dcf633a80faa94b7d5a7",
     "run stall":
@@ -250,7 +245,6 @@ PARENT_SURFACE = {
     "--population-zipf-s": ("population_zipf_s", 1.0),
     "--client-rate": ("client_rate", 512.0),
     "--policy": ("policy", None),
-    "--max-resubmits": ("max_resubmits", None),
     "--validation-workers": ("validation_workers", 1),
     "--pipeline-depth": ("pipeline_depth", 1),
     "--cc-strategy": ("cc_strategy", "serial"),
@@ -314,7 +308,7 @@ def argv_hash(argv) -> str:
     args = build_parser().parse_args(argv)
     payload = {
         "config": config_to_dict(config_from_args(args)),
-        "workload": workload_ref_from_args(args).describe(),
+        "workload": asdict(workload_ref_from_args(args)),
     }
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")

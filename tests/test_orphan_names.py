@@ -37,7 +37,6 @@ ORPHANS = {
     "repro.bench.cache:CACHE_DIR_ENV",
     "repro.bench.cache:DEFAULT_CACHE_DIR",
     "repro.bench.caliper:CaliperReport",
-    "repro.bench.results:RESULTSET_SCHEMA",
     "repro.bench.sweep:PROGRESS_ENV",
     "repro.bench.sweep:SweepProgress",
     "repro.bench.sweep:SweepStats",
@@ -46,11 +45,9 @@ ORPHANS = {
     "repro.chaos:CHAOS_SEED_SALT",
     "repro.chaos:generate_chaos_schedule",
     "repro.checkpoint:CHECKPOINT_PREFIX",
-    "repro.checkpoint:CHECKPOINT_SCHEMA",
     "repro.checkpoint:Checkpointer",
     "repro.checkpoint:load_checkpoint",
     "repro.checkpoint:prune_network",
-    "repro.checkpoint:spec_from_checkpoint",
     "repro.consensus.raft:CANDIDATE",
     "repro.consensus.raft:FOLLOWER",
     "repro.core.conflict_graph:schedule_is_serializable",
@@ -68,7 +65,6 @@ ORPHANS = {
     "repro.fabric.policy:RequireOrg",
     "repro.faults:FAULT_SEED_SALT",
     "repro.faults:MISBEHAVIOR_KINDS",
-    "repro.ledger.export:SCHEMA_VERSION",
     "repro.ledger.export:replay_state",
     "repro.testing:V1",
     "repro.testing:V2",

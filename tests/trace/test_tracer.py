@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dataform import load_dataclass
 from repro.sim.engine import Environment
 from repro.trace import (
     ASYNC,
@@ -149,7 +150,7 @@ def test_breakdown_round_trips_through_dict():
     breakdown = CostBreakdown()
     breakdown.charge("verify", 0.125, count=3)
     breakdown.charge("ledger", 0.5)
-    clone = CostBreakdown.from_dict(breakdown.to_dict())
+    clone = load_dataclass(CostBreakdown, breakdown.to_dict())
     assert clone == breakdown
 
 

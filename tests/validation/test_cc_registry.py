@@ -11,6 +11,7 @@ import pytest
 
 from repro.bench.cache import spec_fingerprint
 from repro.bench.results import config_from_dict, config_to_dict
+from repro.dataform import load_dataclass
 from repro.bench.spec import ExperimentSpec
 from repro.cli import SWEEPABLE, build_parser, config_from_args
 from repro.core.batch_cutter import BatchCutConfig
@@ -250,13 +251,13 @@ def test_validation_stats_strategy_round_trip():
     )
     data = stats.to_dict()
     assert data["strategy"] == "lockless"
-    assert ValidationStats.from_dict(data) == stats
+    assert load_dataclass(ValidationStats, data) == stats
 
 
 def test_validation_stats_strategy_defaults_to_scheduler_on_old_snapshots():
     stats = ValidationStats(workers=4, scheduler="dependency", pipeline_depth=2)
     data = stats.to_dict()
     del data["strategy"]  # snapshot written before the field existed
-    restored = ValidationStats.from_dict(data)
+    restored = load_dataclass(ValidationStats, data)
     assert restored.strategy == ""  # the field default; summary falls back
     assert restored.summary(duration=1.0)["strategy"] == "dependency"

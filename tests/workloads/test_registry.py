@@ -1,6 +1,7 @@
 """Tests for the workload registry and WorkloadRef."""
 
 import pickle
+from dataclasses import asdict
 
 import pytest
 
@@ -62,7 +63,7 @@ def test_ref_is_picklable_and_hashable_description():
     ref = WorkloadRef("smallbank", {"num_users": 50, "s_value": 1.0}, seed=2)
     clone = pickle.loads(pickle.dumps(ref))
     assert clone == ref
-    assert clone.describe() == {
+    assert asdict(clone) == {
         "name": "smallbank",
         "params": {"num_users": 50, "s_value": 1.0},
         "seed": 2,
