@@ -31,6 +31,7 @@ from _bench_utils import DURATION, bench_sweep, both_specs, paper_config, smallb
 
 from repro.fabric.config import BackpressureConfig
 from repro.fabric.metrics import TxOutcome
+from repro.faults import RetryPolicy
 from repro.traffic import ArrivalProcess
 
 #: Offered load per client (arrivals/s): sustainable vs ~6x capacity.
@@ -45,7 +46,7 @@ BOUNDED = BackpressureConfig(
     orderer_queue_limit=128,
     endorse_queue_limit=48,
     delivery_backlog_limit=4,
-    client_retries=2,
+    retry=RetryPolicy(max_retries=2, base=0.01, factor=2.0, jitter=0.5),
 )
 
 

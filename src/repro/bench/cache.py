@@ -57,7 +57,9 @@ from repro.ledger.export import _publish
 #: "streaming" aggregate block.
 #: 7: configs lost the validation_scheduler knob (cc_strategy
 #: "dependency" is the one spelling), so config_to_dict has no such key.
-CACHE_FORMAT = 7
+#: 8: the client retry fields nest as one ``retry`` policy, and configs
+#: lost ``resubmit_failed`` and ``max_resubmits``.
+CACHE_FORMAT = 8
 
 #: Default cache directory, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"

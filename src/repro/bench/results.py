@@ -65,13 +65,15 @@ def config_to_dict(config: FabricConfig) -> Dict[str, object]:
 def config_from_dict(data: Dict[str, object], path: str = "") -> FabricConfig:
     """Rebuild a :class:`FabricConfig` from :func:`config_to_dict` output.
 
-    Keys a snapshot predates take the field defaults. The one rename:
-    builds that had ``validation_scheduler`` stored it beside
-    ``cc_strategy``; "serial" was its default, "dependency" is now
-    spelled ``cc_strategy``.
+    Keys a snapshot predates take the field defaults. Older spellings:
+    ``validation_scheduler`` (now ``cc_strategy``), the flat retry fields
+    (now each ``retry`` policy) and ``resubmit_failed``/``max_resubmits``
+    (gone: the cap is dropped, switching resubmission on is refused).
     """
-    if isinstance(data, dict) and "validation_scheduler" in data:
-        data = dict(data)
+    if not isinstance(data, dict):
+        return load_dataclass(FabricConfig, data, path)
+    data = dict(data)
+    if "validation_scheduler" in data:
         scheduler = data.pop("validation_scheduler")
         if scheduler != "serial":
             strategy = data.get("cc_strategy", "serial")
@@ -81,6 +83,20 @@ def config_from_dict(data: Dict[str, object], path: str = "") -> FabricConfig:
                     f"and cc_strategy {strategy!r}, which disagree"
                 )
             data["cc_strategy"] = scheduler
+    data.pop("max_resubmits", None)
+    if data.pop("resubmit_failed", False):
+        raise ConfigError(f"{path or 'config'}.resubmit_failed: no longer supported")
+    for owner, retries_key in (
+        ("backpressure", "client_retries"),
+        ("faults", "max_endorsement_retries"),
+    ):
+        section = data.get(owner)
+        if isinstance(section, dict) and retries_key in section:
+            section = dict(section)
+            retry = {"max_retries": section.pop(retries_key)}
+            for name in ("base", "factor", "jitter"):
+                retry[name] = section.pop(f"retry_backoff_{name}")
+            data[owner] = {**section, "retry": retry}
     return load_dataclass(FabricConfig, data, path)
 
 
@@ -116,7 +132,7 @@ def _result_from_dict(data: Dict[str, object], path: str = "") -> ExperimentResu
     prefix = f"{path}." if path else ""
     try:
         config = config_from_dict(data["config"], prefix + "config")
-        metrics = metrics_from_dict(data["metrics"])
+        metrics = PipelineMetrics.from_dict(data["metrics"], prefix + "metrics")
     except (KeyError, TypeError, ValueError) as error:
         raise ConfigError(f"{path or 'result'}: {error!r}") from error
     return load_dataclass(

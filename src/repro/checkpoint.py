@@ -63,7 +63,9 @@ from repro.trace.tracer import crypto_recording
 #: rejected with a clear error instead of mis-verifying.
 #: 4: the spec is stored as ``ExperimentSpec.to_dict()`` JSON, not a
 #: pickle, and the header lost its duration and drain copies.
-CHECKPOINT_SCHEMA = 4
+#: 5: the embedded spec's config nests the client retry fields as one
+#: ``retry`` policy and has no ``resubmit_failed``/``max_resubmits``.
+CHECKPOINT_SCHEMA = 5
 
 #: File-name prefix for on-disk checkpoints (``checkpoint-000001.json``).
 CHECKPOINT_PREFIX = "checkpoint-"
@@ -511,24 +513,19 @@ def run_with_checkpoints(
 
 
 def resume_run(
-    target: Union[str, Path, Dict[str, object]],
+    checkpoint: Dict[str, object],
     tracer=None,
+    directory: Optional[Union[str, Path]] = None,
 ):
-    """Resume a killed run from a checkpoint file, directory, or payload.
+    """Resume a killed run from a loaded checkpoint payload.
 
     Rebuilds the network from the embedded spec, replays to the
     checkpoint boundary, verifies every stored digest (raising
     :class:`CheckpointError` on divergence), then runs to completion —
-    writing any remaining checkpoints along the way when the checkpoint
-    came from a directory. Returns ``(result, network, checkpointer)``.
+    writing any remaining checkpoints along the way into ``directory``
+    (``None`` keeps them in memory). Returns ``(result, network,
+    checkpointer)``.
     """
-    directory: Optional[Path] = None
-    if isinstance(target, dict):
-        checkpoint = target
-    else:
-        path = Path(target)
-        checkpoint = load_latest_checkpoint(path)
-        directory = path if path.is_dir() else path.parent
     try:
         spec = ExperimentSpec.from_dict(checkpoint["spec"])
     except ConfigError as error:

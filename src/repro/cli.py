@@ -44,6 +44,7 @@ import sys
 import typing
 from dataclasses import replace
 from functools import partial, reduce
+from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.bench.cache import ResultCache
@@ -190,7 +191,7 @@ FLAGS: Tuple[Flag, ...] = (
     Flag("--endorse-timeout", "faults.endorsement_timeout",
          "client endorsement deadline in simulated seconds (default 0.05 "
          "when any fault flag is set, else disabled)", default_none=True),
-    Flag("--endorse-retries", "faults.max_endorsement_retries",
+    Flag("--endorse-retries", "faults.retry.max_retries",
          "endorsement rounds retried with backoff before giving up "
          "(default 3)", default_none=True),
 )
@@ -269,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
                 help="resume a killed run from a checkpoint file or "
                      "directory (replays deterministically to the "
                      "checkpoint, verifies its digests, then continues); "
-                     "workload/config flags are ignored — the run is "
-                     "rebuilt from the spec embedded in the checkpoint",
+                     "the run is rebuilt from the spec embedded in the "
+                     "checkpoint, so workload/config flags are refused",
             )
             sub.add_argument(
                 "--prune", action="store_true",
@@ -293,15 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
                      "drop count is reported"
                      + (" (requires --trace)" if name == "run" else ""),
             )
-        sub.add_argument(
-            "--duration", type=float, default=3.0,
-            help="simulated seconds to fire the workload (default 3)",
-        )
-        sub.add_argument(
-            "--drain", type=float, default=3.0,
-            help="extra simulated seconds after firing stops so in-flight "
-                 "transactions resolve (default 3)",
-        )
         sub.add_argument(
             "--json", metavar="PATH", default=None,
             help="also save the full results to PATH as JSON "
@@ -405,6 +397,15 @@ def _add_experiment_arguments(
     sub.add_argument(
         "--workload", choices=("smallbank", "custom", "blank", "ycsb"),
         default="smallbank",
+    )
+    sub.add_argument(
+        "--duration", type=float, default=3.0,
+        help="simulated seconds to fire the workload (default 3)",
+    )
+    sub.add_argument(
+        "--drain", type=float, default=3.0,
+        help="extra simulated seconds after firing stops so in-flight "
+             "transactions resolve (default 3)",
     )
     sub.add_argument("--seed", type=int, default=42)
     if with_system:
@@ -623,21 +624,40 @@ def _warn_dropped_spans(tracer) -> None:
 DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"
 
 
+def _experiment_flags_given(args: argparse.Namespace) -> List[str]:
+    """Each experiment flag ``args`` sets away from its default."""
+    probe = argparse.ArgumentParser()
+    _add_experiment_arguments(probe, with_system=True)
+    return [
+        "--" + dest.replace("_", "-")
+        for dest, default in vars(probe.parse_args([])).items()
+        if getattr(args, dest, default) != default
+    ]
+
+
 def command_run(args: argparse.Namespace) -> int:
     from repro.bench.harness import run_experiment_with_network
 
     tracer = _tracer_from_args(args)
-    checkpointer = None
     if getattr(args, "resume_from", None):
         from repro.checkpoint import load_latest_checkpoint, resume_run
 
-        checkpoint = load_latest_checkpoint(args.resume_from)
+        given = _experiment_flags_given(args)
+        if given:
+            raise ConfigError(
+                "--resume-from rebuilds the run from the checkpoint's spec "
+                f"and cannot take experiment flags ({', '.join(given)})"
+            )
+        target = Path(args.resume_from)
+        checkpoint = load_latest_checkpoint(target)
         print(
             f"resuming {checkpoint['label']} from checkpoint "
             f"{checkpoint['index']} (t={checkpoint['time']}): replaying "
             "deterministically and verifying digests..."
         )
-        result, network, checkpointer = resume_run(args.resume_from, tracer=tracer)
+        directory = target if target.is_dir() else target.parent
+        result, network, checkpointer = resume_run(checkpoint, tracer, directory)
+        spec = checkpointer.spec
         print("checkpoint digests verified; run completed\n")
     else:
         if not getattr(args, "checkpoint_every", None):
@@ -673,7 +693,8 @@ def command_run(args: argparse.Namespace) -> int:
             )
         else:
             result, network = run_experiment_with_network(spec, tracer=tracer)
-    print(format_table([result.row()], title=f"{result.label} / {args.workload}"))
+    title = f"{result.label} / {spec.workload.name}"
+    print(format_table([result.row()], title=title))
     fleet = result.metrics.channels
     if fleet is not None:
         print()

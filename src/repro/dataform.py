@@ -62,12 +62,12 @@ def load_dataclass(cls: type, data: object, path: str = ""):
             raise _fail(path, f"{problem} key(s) " + ", ".join(map(repr, sorted(keys))))
     prefix = f"{path}." if path else ""
     return cls(**{
-        name: _load(hints[name], value, prefix + name)
+        name: load_value(hints[name], value, prefix + name)
         for name, value in data.items()
     })
 
 
-def _load(hint: object, value: object, path: str) -> object:
+def load_value(hint: object, value: object, path: str) -> object:
     """``value`` decoded as type ``hint``; raises naming ``path``."""
     if hint is object or hint is Any:
         return value
@@ -77,17 +77,21 @@ def _load(hint: object, value: object, path: str) -> object:
     if origin is Union:
         if value is None and type(None) in args:
             return None
-        return _load(args[0], value, path)
+        return load_value(args[0], value, path)
     if origin is tuple or origin is list:
         if not isinstance(value, (list, tuple)):
             raise _fail(path, f"expected a list, got {type(value).__name__}")
-        items = [_load(args[0], item, f"{path}[{i}]") for i, item in enumerate(value)]
+        items = [
+            load_value(args[0], item, f"{path}[{i}]")
+            for i, item in enumerate(value)
+        ]
         return tuple(items) if origin is tuple else items
     if origin is dict or origin is Mapping:
         if not isinstance(value, dict):
             raise _fail(path, f"expected an object, got {type(value).__name__}")
         return {
-            _load(args[0], key, path): _load(args[1], item, f"{path}.{key}")
+            load_value(args[0], key, path):
+                load_value(args[1], item, f"{path}.{key}")
             for key, item in value.items()
         }
     # A scalar. bool is an int subclass, so it matches only a bool hint;

@@ -33,7 +33,7 @@ from repro.fabric.orderer import OrderingService
 from repro.fabric.peer import EndorseReply, Peer
 from repro.fabric.policy import EndorsementPolicy
 from repro.fabric.transaction import Endorsement, Proposal, Transaction
-from repro.faults import FaultInjector, MisbehaviorSpec
+from repro.faults import FaultInjector, MisbehaviorSpec, RetryPolicy
 from repro.sim.distributions import Rng
 from repro.sim.engine import Environment, Event
 from repro.sim.resources import Resource
@@ -89,7 +89,8 @@ class Client:
         self.misbehavior = misbehavior
         self.misbehavior_rng = misbehavior_rng
         #: Backpressure: seeded rejection-backoff stream and the run's
-        #: shared OverloadStats (both None on unbounded runs).
+        #: shared OverloadStats (both None on unbounded runs, where no
+        #: submission is ever rejected).
         self.overload_rng = overload_rng
         self.overload = overload
         self.tracer = tracer
@@ -360,26 +361,25 @@ class Client:
 
         Each retry re-runs the whole submission (fresh endorsement round,
         fresh reads — a held-back transaction would only abort later
-        anyway). After ``client_retries`` rejections the transaction is
-        shed with the terminal ``overload_rejected`` outcome.
+        anyway). After ``backpressure.retry.max_retries`` rejections the
+        transaction is shed with the terminal ``overload_rejected`` outcome.
         """
-        backpressure = self.config.backpressure
-        if self._stopped or attempt >= backpressure.client_retries:
-            if self.overload is not None:
-                self.overload.txs_shed += 1
+        policy = self.config.backpressure.retry
+        if self._stopped or attempt >= policy.max_retries:
+            self.overload.txs_shed += 1
             self.resolve(proposal, TxOutcome.OVERLOAD_REJECTED, retries=retries)
             return
-        if self.overload is not None:
-            self.overload.client_retries += 1
-        backoff = backpressure.retry_backoff_base * (
-            backpressure.retry_backoff_factor ** attempt
-        )
-        if backpressure.retry_backoff_jitter > 0 and self.overload_rng is not None:
-            backoff *= (
-                1.0 + backpressure.retry_backoff_jitter * self.overload_rng.random()
-            )
-        yield backoff  # bare-delay sleep
+        self.overload.client_retries += 1
+        yield self._backoff(policy, attempt, self.overload_rng)  # bare-delay sleep
         yield from self._submit(proposal, retries, overload_attempt=attempt + 1)
+
+    @staticmethod
+    def _backoff(policy: RetryPolicy, attempt: int, rng: Rng) -> float:
+        """Seconds before retry ``attempt`` (from 0); draws ``rng`` for jitter."""
+        backoff = policy.base * policy.factor ** attempt
+        if policy.jitter > 0:
+            backoff *= 1.0 + policy.jitter * rng.random()
+        return backoff
 
     # -- fault-tolerant endorsement collection -----------------------------------------
 
@@ -394,16 +394,17 @@ class Client:
         satisfy the policy — possibly a strict subset of the contacted
         endorsers (``OutOf`` graceful degradation). Unsatisfiable rounds
         are retried with exponential backoff and seeded jitter, up to
-        ``max_endorsement_retries``; exhaustion resolves the proposal as
-        :attr:`TxOutcome.ENDORSEMENT_TIMEOUT`.
+        ``faults.retry.max_retries`` times; exhaustion resolves the
+        proposal as :attr:`TxOutcome.ENDORSEMENT_TIMEOUT`.
         """
         costs = self.config.costs
         schedule = self.config.faults
+        policy = schedule.retry
         yield from self.machine_cpu.use(costs.client_proposal)
         if self.tracer is not None:
             self.tracer.charge("sign", costs.client_proposal)
 
-        for attempt in range(schedule.max_endorsement_retries + 1):
+        for attempt in range(policy.max_retries + 1):
             endorsers = self._pick_robust_endorsers()
             asks = [
                 self.env.process(
@@ -455,16 +456,9 @@ class Client:
                     )
                 return
 
-            if attempt < schedule.max_endorsement_retries:
+            if attempt < policy.max_retries:
                 self.faults.record("endorsement_retries")
-                backoff = schedule.retry_backoff_base * (
-                    schedule.retry_backoff_factor ** attempt
-                )
-                if schedule.retry_backoff_jitter > 0:
-                    backoff *= (
-                        1.0 + schedule.retry_backoff_jitter * self.fault_rng.random()
-                    )
-                yield backoff  # bare-delay sleep
+                yield self._backoff(policy, attempt, self.fault_rng)  # bare-delay sleep
 
         self.faults.record("endorsements_failed")
         self.resolve(proposal, TxOutcome.ENDORSEMENT_TIMEOUT, retries=retries)
@@ -537,31 +531,15 @@ class Client:
 
         Called either directly (early sim abort, mismatch) with the
         proposal, or by the network resolver with the submission time.
-        ``retries`` counts how often this business intent has already
-        been resubmitted.
+        ``retries`` counts how often a ``resubmit_storm`` client has
+        already refired this business intent.
         """
         if submitted_at is None:
             submitted_at = proposal_or_submitted.submitted_at
             if tx_id is None:
                 tx_id = proposal_or_submitted.proposal_id
         latency = self.env.now - submitted_at
-        spec = self.misbehavior
-        storms = spec is not None and spec.kind == "resubmit_storm"
-        failed_live = not outcome.is_success and not self._stopped
-        will_resubmit = False
-        exhausted = False
-        terminal = outcome
-        if failed_live and self.config.resubmit_failed and not storms:
-            cap = self.config.max_resubmits
-            if cap is None or retries < cap:
-                will_resubmit = True
-            else:
-                # The intent exhausted its resubmission budget: its final
-                # failure terminates in the dedicated exhaustion bucket,
-                # distinct from whatever abort it happened to hit last.
-                exhausted = True
-                terminal = TxOutcome.RESUBMIT_EXHAUSTED
-        self.metrics.record_outcome(terminal, latency, now=self.env.now)
+        self.metrics.record_outcome(outcome, latency, now=self.env.now)
         if self.tracer is not None:
             self.tracer.span(
                 "tx.lifecycle",
@@ -570,15 +548,17 @@ class Client:
                 start=submitted_at,
                 tx_id=tx_id,
                 mode=ASYNC,
-                outcome=terminal.value,
+                outcome=outcome.value,
                 retries=retries,
             )
         self._in_flight -= 1
         if self._slot_waiter is not None and not self._slot_waiter.triggered:
             self._slot_waiter.succeed()
         if self.saga_router is not None:
-            self.saga_router.on_outcome(tx_id, terminal, self.env.now)
-        if storms and failed_live:
+            self.saga_router.on_outcome(tx_id, outcome, self.env.now)
+        spec = self.misbehavior
+        storms = spec is not None and spec.kind == "resubmit_storm"
+        if storms and not outcome.is_success and not self._stopped:
             # resubmit_storm: a buggy retry loop refires every failure
             # ``storm_factor`` times, amplifying load exactly when the
             # system is struggling — bounded by the spec's lifetime cap.
@@ -588,9 +568,3 @@ class Client:
                 self.metrics.record_fault("storm_resubmits", burst)
                 for _ in range(burst):
                     self._fire_one(retries + 1)
-        elif will_resubmit:
-            # Immediate resubmission of the failed business intent as a
-            # fresh proposal (fresh simulation, new chance to commit).
-            self._fire_one(retries + 1)
-        elif exhausted:
-            self.metrics.record_fault("resubmit_capped")

@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 
 from repro.core.batch_cutter import BatchCutConfig
 from repro.errors import ConfigError
-from repro.faults import FaultSchedule
+from repro.faults import FaultSchedule, RetryPolicy
 from repro.traffic import ArrivalProcess
 
 
@@ -172,13 +172,8 @@ class BackpressureConfig:
     #: Max delivered-but-unvalidated blocks at any peer before the
     #: orderer pauses block delivery (0 = unbounded).
     delivery_backlog_limit: int = 0
-    #: Rejection retries before a client sheds the transaction.
-    client_retries: int = 3
-    #: Exponential backoff after a rejection: ``base * factor**attempt``
-    #: stretched by up to ``jitter`` (seeded per-client stream).
-    retry_backoff_base: float = 0.01
-    retry_backoff_factor: float = 2.0
-    retry_backoff_jitter: float = 0.5
+    #: Retries (then shedding) and backoff after an admission rejection.
+    retry: RetryPolicy = RetryPolicy(max_retries=3, base=0.01, factor=2.0, jitter=0.5)
 
     @property
     def is_off(self) -> bool:
@@ -199,14 +194,7 @@ class BackpressureConfig:
             raise ConfigError(
                 "delivery_backlog_limit must be >= 0 (0 = unbounded)"
             )
-        if self.client_retries < 0:
-            raise ConfigError("client_retries must be >= 0")
-        if self.retry_backoff_base <= 0:
-            raise ConfigError("retry_backoff_base must be > 0")
-        if self.retry_backoff_factor < 1.0:
-            raise ConfigError("retry_backoff_factor must be >= 1")
-        if self.retry_backoff_jitter < 0:
-            raise ConfigError("retry_backoff_jitter must be >= 0")
+        self.retry.validate("backpressure.retry")
 
 
 #: Seed salt deriving each sharded channel runtime's config seed from the
@@ -302,13 +290,6 @@ class FabricConfig:
     #: Max unresolved proposals a client keeps in flight (backpressure,
     #: modelling the synchronous gRPC client threads of the real system).
     client_window: int = 512
-    #: Whether clients resubmit aborted/invalid proposals immediately.
-    resubmit_failed: bool = False
-    #: Cap on resubmissions per business intent when ``resubmit_failed``
-    #: is on; ``None`` retries forever (the historical livelock hazard).
-    #: Intents that exhaust the cap are counted in the run's fault
-    #: metrics instead of silently cycling through the pipeline.
-    max_resubmits: Optional[int] = 16
 
     #: Endorsement policy as data (picklable, part of the cache key):
     #: ``None``/"all" = AND over every org, "any" = one org suffices,
@@ -462,11 +443,6 @@ class FabricConfig:
                 "cross_channel_fraction > 0 requires channels >= 2 "
                 "(a saga needs a second channel for its remote leg)"
             )
-        if self.cross_channel_fraction > 0 and self.resubmit_failed:
-            raise ConfigError(
-                "cross_channel_fraction > 0 is incompatible with "
-                "resubmit_failed: saga legs are terminal by design"
-            )
         self.population.validate()
         if not self.population.is_off and not self.uses_sharding:
             raise ConfigError(
@@ -494,8 +470,6 @@ class FabricConfig:
             raise ConfigError("client_rate must be > 0")
         if self.client_window < 1:
             raise ConfigError("client_window must be >= 1")
-        if self.max_resubmits is not None and self.max_resubmits < 0:
-            raise ConfigError("max_resubmits must be >= 0 (or None for no cap)")
         if self.validation_workers < 1:
             raise ConfigError("validation_workers must be >= 1")
         if self.pipeline_depth < 1:
@@ -587,7 +561,3 @@ class FabricConfig:
             early_abort_simulation=False,
             early_abort_ordering=False,
         )
-
-
-#: Paper Table 5 system parameters as a ready-made configuration.
-PAPER_DEFAULTS = FabricConfig()

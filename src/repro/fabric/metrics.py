@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 from typing import Dict, List, Optional, Union
 
-from repro.dataform import load_dataclass
+from repro.dataform import load_dataclass, load_value
 from repro.trace.cost import CostBreakdown
 
 
@@ -53,10 +53,6 @@ class TxOutcome(enum.Enum):
     #: rejected the submission at a full bounded queue and the client
     #: exhausted its rejection retries (backpressure runs).
     OVERLOAD_REJECTED = "overload_rejected"
-    #: A failed business intent exhausted the ``max_resubmits`` cap; the
-    #: final failure terminates here instead of the generic abort bucket
-    #: (resubmitting runs only).
-    RESUBMIT_EXHAUSTED = "resubmit_exhausted"
     #: Lockless OCC (``cc_strategy="lockless"``): aborted at commit
     #: because an earlier transaction in the same block already wrote one
     #: of its keys — the first-committer-wins write-write rule of Meir et
@@ -857,8 +853,8 @@ class PipelineMetrics:
     #: the reported rate — matching the paper's steady-state averages.
     duration: float = 0.0
     #: Sparse fault counters (crashes, recoveries, messages_dropped,
-    #: endorsement_timeouts, endorsement_retries, resubmit_capped,
-    #: orderer_stalls, blocks_caught_up). Empty on healthy runs.
+    #: endorsement_timeouts, endorsement_retries, orderer_stalls,
+    #: blocks_caught_up). Empty on healthy runs.
     fault_counters: Dict[str, int] = field(default_factory=dict)
     #: Timestamped fault events: (simulated time, kind, subject), e.g.
     #: ``(0.5, "crash", "peer1.OrgA")``. Empty on healthy runs.
@@ -1028,23 +1024,26 @@ class PipelineMetrics:
         return snapshot
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "PipelineMetrics":
-        """Rebuild from :meth:`to_dict` output."""
+    def from_dict(
+        cls, data: Dict[str, object], path: str = "metrics"
+    ) -> "PipelineMetrics":
+        """Rebuild from :meth:`to_dict` output; a mistyped counter raises
+        :class:`ConfigError` naming its dotted path under ``path``."""
+        counters = ("fired", "blocks_committed", "duration")
+        scalars = {name: data[name] for name in counters}
+        # Absent in pre-fault snapshots (and cache entries they wrote).
+        scalars["fault_counters"] = data.get("fault_counters", {})
+        metrics = load_dataclass(cls, scalars, path)
         store = StreamingMetrics if "streaming" in data else ListSamples
-        metrics = cls(
-            samples=store.from_dict(data),
-            fired=data["fired"],
-            blocks_committed=data["blocks_committed"],
-            duration=data["duration"],
-            # Absent in pre-fault snapshots (and cache entries they wrote).
-            fault_counters=dict(data.get("fault_counters", {})),
-            fault_events=[tuple(event) for event in data.get("fault_events", [])],
-        )
-        for value, count in data["outcomes"].items():
+        metrics.samples = store.from_dict(data)
+        metrics.fault_events = [tuple(event) for event in data.get("fault_events", [])]
+        outcomes = load_value(Dict[str, int], data["outcomes"], f"{path}.outcomes")
+        for value, count in outcomes.items():
             metrics.outcomes[TxOutcome(value)] = count
         for name, block in OPTIONAL_BLOCKS.items():
             if name in data:
-                setattr(metrics, name, load_dataclass(block, data[name], name))
+                block_path = f"{path}.{name}"
+                setattr(metrics, name, load_dataclass(block, data[name], block_path))
         return metrics
 
     # -- derived figures -----------------------------------------------------

@@ -254,9 +254,9 @@ class MisbehaviorSpec:
         matches what the endorsers signed. Surfaces as policy aborts.
     ``resubmit_storm``
         Every failed transaction is refired ``storm_factor`` times
-        (bounded by ``storm_cap`` per client) regardless of the
-        ``resubmit_failed`` setting — a buggy retry loop amplifying load
-        exactly when the system is struggling.
+        (bounded by ``storm_cap`` per client), even though honest
+        clients never resubmit a failed transaction — a buggy retry loop
+        amplifying load exactly when the system is struggling.
     """
 
     kind: str
@@ -305,6 +305,34 @@ class MisbehaviorSpec:
 
 
 @dataclass(frozen=True)
+class RetryPolicy:
+    """How a client retries a failed step: up to ``max_retries`` times
+    after the first try, sleeping ``base * factor**attempt * (1 + jitter
+    * U[0,1))`` before retry ``attempt`` (from 0), ``U`` drawn from the
+    client's own seeded stream. :attr:`FaultSchedule.retry` governs
+    endorsement rounds, ``BackpressureConfig.retry`` rejected submissions.
+    """
+
+    max_retries: int
+    base: float
+    factor: float
+    jitter: float
+
+    def validate(self, path: str) -> None:
+        """Raise :class:`ConfigError` naming ``path`` for a bad policy."""
+        if self.max_retries < 0:
+            raise ConfigError(
+                f"{path}.max_retries must be >= 0, got {self.max_retries}"
+            )
+        if self.base <= 0:
+            raise ConfigError(f"{path}.base must be > 0, got {self.base}")
+        if self.factor < 1:
+            raise ConfigError(f"{path}.factor must be >= 1, got {self.factor}")
+        if self.jitter < 0:
+            raise ConfigError(f"{path}.jitter must be >= 0, got {self.jitter}")
+
+
+@dataclass(frozen=True)
 class FaultSchedule:
     """Everything that may go wrong in one run, as picklable data.
 
@@ -339,13 +367,8 @@ class FaultSchedule:
     #: crashes or message loss are scheduled, because a client waiting
     #: forever on a dead endorser would otherwise hang.
     endorsement_timeout: float = 0.0
-    #: Bounded retries after an unsatisfiable endorsement round.
-    max_endorsement_retries: int = 3
-    #: Exponential backoff between endorsement retries:
-    #: ``base * factor**attempt * (1 + jitter * U[0,1))``.
-    retry_backoff_base: float = 0.05
-    retry_backoff_factor: float = 2.0
-    retry_backoff_jitter: float = 0.5
+    #: Retries and backoff after an unsatisfiable endorsement round.
+    retry: RetryPolicy = RetryPolicy(max_retries=3, base=0.05, factor=2.0, jitter=0.5)
     #: Gossip anti-entropy: a dropped block delivery is re-attempted
     #: after this many simulated seconds.
     block_redelivery_interval: float = 0.25
@@ -392,12 +415,7 @@ class FaultSchedule:
             raise ConfigError(
                 f"endorsement_timeout must be >= 0, got {self.endorsement_timeout}"
             )
-        if self.max_endorsement_retries < 0:
-            raise ConfigError("max_endorsement_retries must be >= 0")
-        if self.retry_backoff_base <= 0 or self.retry_backoff_factor < 1:
-            raise ConfigError("retry backoff must have base > 0 and factor >= 1")
-        if self.retry_backoff_jitter < 0:
-            raise ConfigError("retry_backoff_jitter must be >= 0")
+        self.retry.validate("faults.retry")
         if self.block_redelivery_interval <= 0:
             raise ConfigError("block_redelivery_interval must be > 0")
         if self.catchup_poll_interval <= 0:
@@ -539,10 +557,7 @@ class FaultInjector:
 
     def backoff_rng(self, channel_index: int, client_index: int) -> Rng:
         """A dedicated backoff-jitter stream for one client."""
-        return Rng(
-            hash((self.seed, FAULT_SEED_SALT, channel_index, client_index))
-            & 0x7FFFFFFF
-        )
+        return Rng(mix_seed(self.seed, FAULT_SEED_SALT, channel_index, client_index))
 
     def message_delay(self, base: float) -> Optional[float]:
         """The effective latency of one faulty-link message.

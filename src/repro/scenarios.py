@@ -37,7 +37,7 @@ from repro.fabric.config import (
     PopulationConfig,
 )
 from repro.fabric.metrics import OverloadStats, SagaStats, TxOutcome
-from repro.faults import FaultSchedule, MisbehaviorSpec
+from repro.faults import FaultSchedule, MisbehaviorSpec, RetryPolicy
 from repro.sim.distributions import mix_seed
 from repro.traffic import ArrivalProcess
 from repro.workloads.registry import WorkloadRef
@@ -174,7 +174,7 @@ _SCENARIOS: Tuple[Scenario, ...] = (
                 orderer_queue_limit=128,
                 endorse_queue_limit=48,
                 delivery_backlog_limit=4,
-                client_retries=2,
+                retry=RetryPolicy(max_retries=2, base=0.01, factor=2.0, jitter=0.5),
             ),
         ),
         workload=_smallbank(),

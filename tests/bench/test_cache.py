@@ -85,9 +85,9 @@ def pinned_specs():
 #: Cache keys written by earlier builds; a moved literal means their
 #: cache entries stop hitting.
 PINNED_FINGERPRINTS = {
-    "run": "7a856961e8635852d11522940205a3d73b90d187c9a948b3a1696ae91dea699f",
-    "faulty": "4089e6f1e3203e1f4546147957c89bc215776aa095aeb87b7ef29a46ee2d8a90",
-    "sharded": "3f6f74c4dc3a8eda5a0cd64b4176aff0aa70a5fbad6bc2654730acb2240532f7",
+    "run": "eeecfa4d7128124892412ed06574da632a2d3b736f50cbd49dfa46f998ea30da",
+    "faulty": "61fb71e79fe4b0d3af9193185d48380e9bb838dce7fe9473dac1f74d44e95b8c",
+    "sharded": "b9969b38800ea8907814da1702ca8d680002addbdd7472dbc5a3a9c01c8bc737",
 }
 
 

@@ -16,9 +16,10 @@ from repro.bench.results import (
 from repro.bench.harness import run_experiment_with_network
 from repro.bench.spec import ExperimentSpec
 from repro.core.batch_cutter import BatchCutConfig
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.fabric.config import BackpressureConfig, FabricConfig
 from repro.fabric.metrics import OPTIONAL_BLOCKS, PipelineMetrics, TxOutcome
+from repro.faults import FaultSchedule, RetryPolicy
 from repro.trace import Tracer
 from repro.workloads.registry import WorkloadRef
 
@@ -152,25 +153,75 @@ def test_every_optional_block_round_trips_byte_for_byte(streaming):
 
 
 def _edited_json(edit):
-    """A one-result set's JSON after ``edit`` changed its config dict."""
+    """A one-result set's JSON after ``edit`` changed its result dict."""
     payload = json.loads(ResultSet([make_result("Fabric")]).to_json())
-    edit(payload["results"][0]["config"])
+    edit(payload["results"][0])
     return json.dumps(payload)
 
 
 @pytest.mark.parametrize(
     "edit, where",
     [
-        (lambda config: config["batch"].update(max_txs=16),
+        (lambda result: result["config"]["batch"].update(max_txs=16),
          "results[0].config.batch: unknown key(s) 'max_txs'"),
-        (lambda config: config["faults"].update(
+        (lambda result: result["config"]["faults"].update(
             crashes=[{"peer": "peer1.OrgA", "at": 0.5}]),
          "results[0].config.faults.crashes[0]: missing key(s) 'duration'"),
-        (lambda config: config.update(seed="42"),
+        (lambda result: result["config"].update(seed="42"),
          "results[0].config.seed: expected int, got str '42'"),
+        (lambda result: result["metrics"].update(fired="3"),
+         "results[0].metrics.fired: expected int, got str '3'"),
+        (lambda result: result["metrics"].update(blocks_committed=1.5),
+         "results[0].metrics.blocks_committed: expected int, got float 1.5"),
+        (lambda result: result["metrics"].update(duration="2.0"),
+         "results[0].metrics.duration: expected float, got str '2.0'"),
+        (lambda result: result["metrics"]["outcomes"].update(committed="10"),
+         "results[0].metrics.outcomes.committed: expected int, got str '10'"),
+        (lambda result: result["metrics"].update(fault_counters={"crashes": None}),
+         "results[0].metrics.fault_counters.crashes: expected int, got NoneType"),
     ],
 )
 def test_from_json_names_the_bad_field(edit, where):
     with pytest.raises(ReproError) as excinfo:
         ResultSet.from_json(_edited_json(edit))
     assert where in str(excinfo.value)
+
+
+def _flat_retry_form(config):
+    """``config`` as builds before :class:`RetryPolicy` stored it: flat
+    retry fields, plus the resubmission switch and cap."""
+    data = config_to_dict(config)
+    for owner, retries_key in (
+        ("backpressure", "client_retries"),
+        ("faults", "max_endorsement_retries"),
+    ):
+        policy = data[owner].pop("retry")
+        data[owner].update({
+            retries_key: policy["max_retries"],
+            "retry_backoff_base": policy["base"],
+            "retry_backoff_factor": policy["factor"],
+            "retry_backoff_jitter": policy["jitter"],
+        })
+    data.update(resubmit_failed=False, max_resubmits=16)
+    return data
+
+
+def test_flat_retry_fields_fold_into_the_policies():
+    config = replace(
+        FabricConfig(),
+        backpressure=BackpressureConfig(
+            orderer_queue_limit=8,
+            retry=RetryPolicy(max_retries=2, base=0.02, factor=3.0, jitter=0.25),
+        ),
+        faults=FaultSchedule(
+            retry=RetryPolicy(max_retries=5, base=0.1, factor=1.5, jitter=0.0)
+        ),
+    )
+    assert config_from_dict(_flat_retry_form(config)) == config
+
+
+def test_stored_resubmitting_config_is_refused_by_name():
+    data = _flat_retry_form(FabricConfig())
+    data["resubmit_failed"] = True
+    with pytest.raises(ConfigError, match=r"^results\[0\]\.config\.resubmit_failed"):
+        config_from_dict(data, "results[0].config")

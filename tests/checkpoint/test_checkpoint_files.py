@@ -153,7 +153,7 @@ def test_pickled_spec_is_refused_without_running_it(checkpoint_dir, tmp_path):
     crafted.parent.mkdir()
     crafted.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError) as excinfo:
-        resume_run(crafted)
+        resume_run(load_checkpoint(crafted))
     assert "spec: expected ExperimentSpec object, got str" in str(excinfo.value)
     assert not sentinel.exists()
 

@@ -19,6 +19,7 @@ from repro.bench.results import metrics_to_dict
 from repro.bench.spec import ExperimentSpec
 from repro.checkpoint import (
     CheckpointOptions,
+    load_latest_checkpoint,
     resume_run,
     run_with_checkpoints,
 )
@@ -171,7 +172,9 @@ def test_resume_continues_writing_checkpoints(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "checkpoint-000001.json"
     ]
-    resumed_result, _network, _ = resume_run(tmp_path)
+    resumed_result, _network, _ = resume_run(
+        load_latest_checkpoint(tmp_path), directory=tmp_path
+    )
     assert resumed_result is not None
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names[0] == "checkpoint-000001.json"

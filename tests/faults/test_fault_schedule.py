@@ -1,18 +1,30 @@
 """Unit tests for the fault schedule data model and its generators."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
 from repro.dataform import load_dataclass
 from repro.errors import ConfigError
+from repro.fabric.config import FabricConfig
 from repro.faults import (
     CrashWindow,
     FaultSchedule,
     OrdererCrashWindow,
     PartitionWindow,
+    RetryPolicy,
     StallWindow,
     crash_schedule,
+)
+
+#: One out-of-range value per :class:`RetryPolicy` field, with the
+#: field the error must name.
+BAD_RETRY_POLICIES = (
+    (RetryPolicy(max_retries=-1, base=0.05, factor=2.0, jitter=0.5),
+     "max_retries"),
+    (RetryPolicy(max_retries=3, base=0.0, factor=2.0, jitter=0.5), "base"),
+    (RetryPolicy(max_retries=3, base=0.05, factor=0.5, jitter=0.5), "factor"),
+    (RetryPolicy(max_retries=3, base=0.05, factor=2.0, jitter=-0.5), "jitter"),
 )
 
 
@@ -75,10 +87,7 @@ def test_same_windows_on_distinct_peers_allowed():
         {"drop_probability": 1.0},
         {"jitter_mean": -1.0},
         {"endorsement_timeout": -1.0},
-        {"max_endorsement_retries": -1},
-        {"retry_backoff_base": 0.0},
-        {"retry_backoff_factor": 0.5},
-        {"retry_backoff_jitter": -0.5},
+        *({"retry": policy} for policy, _ in BAD_RETRY_POLICIES),
         {"block_redelivery_interval": 0.0},
         {"catchup_poll_interval": 0.0},
     ],
@@ -86,6 +95,22 @@ def test_same_windows_on_distinct_peers_allowed():
 def test_out_of_range_knobs_rejected(kwargs):
     with pytest.raises(ConfigError):
         FaultSchedule(**kwargs).validate()
+
+
+@pytest.mark.parametrize("policy,field", BAD_RETRY_POLICIES)
+@pytest.mark.parametrize("owner", ["backpressure", "faults"])
+def test_retry_policy_rejected_by_dotted_path(policy, field, owner):
+    """Both retry policies share one check, which names the field."""
+    config = replace(
+        FabricConfig(),
+        **{owner: replace(getattr(FabricConfig(), owner), retry=policy)},
+    )
+    with pytest.raises(ConfigError, match=rf"^{owner}\.retry\.{field} must be"):
+        config.validate()
+
+
+def test_retry_policy_bounds_are_inclusive():
+    RetryPolicy(max_retries=0, base=0.01, factor=1.0, jitter=0.0).validate("retry")
 
 
 def test_malformed_windows_rejected():
@@ -108,7 +133,7 @@ def test_schedule_round_trips_through_asdict():
         drop_probability=0.05,
         jitter_mean=0.002,
         endorsement_timeout=0.05,
-        max_endorsement_retries=5,
+        retry=RetryPolicy(max_retries=5, base=0.05, factor=2.0, jitter=0.5),
     )
     assert load_dataclass(FaultSchedule, asdict(schedule)) == schedule
 

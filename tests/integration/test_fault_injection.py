@@ -2,8 +2,7 @@
 
 Covers the paper-adjacent robustness story: a crashed endorser must not
 take the pipeline down when the endorsement policy tolerates it, the
-orderer resumes after stall windows, metrics surface what happened, and
-the resubmission cap stops failed intents from cycling forever.
+orderer resumes after stall windows, and metrics surface what happened.
 """
 
 from dataclasses import replace
@@ -17,7 +16,7 @@ from repro.errors import ConfigError
 from repro.fabric.config import FabricConfig
 from repro.fabric.metrics import TxOutcome
 from repro.fabric.network import FabricNetwork
-from repro.faults import CrashWindow, FaultSchedule, StallWindow
+from repro.faults import CrashWindow, FaultSchedule, RetryPolicy, StallWindow
 from repro.workloads.registry import WorkloadRef
 
 WORKLOAD = WorkloadRef(
@@ -147,42 +146,13 @@ def test_endorsement_timeout_outcome_when_no_policy_can_be_met():
             CrashWindow(peer="peer1.OrgB", at=0.2, duration=1.0),
         ),
         endorsement_timeout=0.05,
-        max_endorsement_retries=2,
+        retry=RetryPolicy(max_retries=2, base=0.05, factor=2.0, jitter=0.5),
     )
     result = run_experiment(spec_for(base_config(faults=faults)))
     outcomes = result.metrics.outcomes
     assert outcomes[TxOutcome.ENDORSEMENT_TIMEOUT] > 0
     assert result.metrics.fault_counters.get("endorsements_failed", 0) > 0
     assert result.successful_tps > 0  # before the crash and after recovery
-
-
-def test_resubmit_cap_limits_retry_storms():
-    """With resubmission on and everything failing (unsatisfiable policy
-    while both OrgB peers are down), capped intents are counted instead
-    of cycling forever."""
-    faults = FaultSchedule(
-        crashes=(
-            CrashWindow(peer="peer0.OrgB", at=0.1, duration=1.5),
-            CrashWindow(peer="peer1.OrgB", at=0.1, duration=1.5),
-        ),
-        endorsement_timeout=0.02,
-        max_endorsement_retries=0,
-    )
-    config = base_config(
-        faults=faults,
-        resubmit_failed=True,
-        max_resubmits=2,
-        client_rate=50.0,
-    )
-    result = run_experiment(spec_for(config, drain=4.0))
-    assert result.metrics.fault_counters.get("resubmit_capped", 0) > 0
-
-
-def test_max_resubmits_validation():
-    with pytest.raises(ConfigError):
-        base_config(max_resubmits=-1).validate()
-    base_config(max_resubmits=None).validate()
-    base_config(max_resubmits=0).validate()
 
 
 def test_lossy_network_still_commits():

@@ -17,6 +17,7 @@ from repro.errors import ConfigError
 from repro.fabric.config import BackpressureConfig, FabricConfig
 from repro.fabric.metrics import OverloadStats, TxOutcome
 from repro.fabric.network import FabricNetwork
+from repro.faults import RetryPolicy
 from repro.scenarios import get_scenario
 from repro.traffic import ArrivalProcess
 from repro.workloads.registry import make_workload
@@ -25,7 +26,7 @@ BOUNDED = BackpressureConfig(
     orderer_queue_limit=128,
     endorse_queue_limit=48,
     delivery_backlog_limit=4,
-    client_retries=2,
+    retry=RetryPolicy(max_retries=2, base=0.01, factor=2.0, jitter=0.5),
 )
 
 
@@ -118,48 +119,6 @@ def test_overloaded_runs_are_deterministic():
     assert metrics_to_dict(first) == metrics_to_dict(second)
 
 
-# -- the resubmit_exhausted terminal outcome (satellite) ------------------------
-
-
-def contended_config(**overrides) -> FabricConfig:
-    base = dict(
-        batch=BatchCutConfig(max_transactions=32),
-        clients_per_channel=2,
-        client_rate=120.0,
-        seed=5,
-    )
-    base.update(overrides)
-    return replace(FabricConfig(), **base)
-
-
-def run_contended(config: FabricConfig):
-    workload = make_workload(
-        "smallbank", seed=5, num_users=200, prob_write=0.95, s_value=1.0
-    )
-    return FabricNetwork(config, workload).run(1.0, drain=3.0)
-
-
-def test_resubmit_exhausted_is_a_dedicated_outcome():
-    metrics = run_contended(
-        contended_config(resubmit_failed=True, max_resubmits=1)
-    )
-    exhausted = metrics.outcomes.get(TxOutcome.RESUBMIT_EXHAUSTED, 0)
-    assert exhausted > 0
-    # The counter and the outcome count the same events, and the
-    # exhausted intents are distinct from endorsement timeouts.
-    assert metrics.fault_counters.get("resubmit_capped", 0) == exhausted
-    assert metrics.outcomes.get(TxOutcome.ENDORSEMENT_TIMEOUT, 0) == 0
-    assert metrics.resolved == metrics.fired
-
-
-def test_uncapped_resubmission_never_exhausts():
-    metrics = run_contended(
-        contended_config(resubmit_failed=True, max_resubmits=None)
-    )
-    assert metrics.outcomes.get(TxOutcome.RESUBMIT_EXHAUSTED, 0) == 0
-    assert metrics.fault_counters.get("resubmit_capped", 0) == 0
-
-
 # -- serialisation --------------------------------------------------------------
 
 
@@ -191,11 +150,6 @@ def test_backpressure_validation():
         replace(
             FabricConfig(),
             backpressure=BackpressureConfig(delivery_backlog_limit=-1),
-        ).validate()
-    with pytest.raises(ConfigError):
-        replace(
-            FabricConfig(),
-            backpressure=BackpressureConfig(retry_backoff_base=0.0),
         ).validate()
     assert BackpressureConfig().is_off
     assert not BOUNDED.is_off

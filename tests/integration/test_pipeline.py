@@ -153,15 +153,6 @@ def test_client_window_backpressure():
     assert metrics.fired < 1000  # nominal would be 2000 (2 clients)
 
 
-def test_resubmission_refires_failed_proposals():
-    config = small_config(resubmit_failed=True)
-    network = FabricNetwork(config, small_workload())
-    metrics = network.run(duration=1.0, drain=5.0)
-    # Resubmissions add fired proposals beyond the nominal rate budget.
-    nominal = int(2 * 100 * 1.0)
-    assert metrics.fired > nominal
-
-
 def test_latency_measured_for_commits():
     network = FabricNetwork(small_config(), small_workload())
     metrics = network.run(duration=1.0)

@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from repro.faults import FAULT_SEED_SALT, FaultInjector, FaultSchedule
 from repro.sim.distributions import Rng, mix_seed
 
 #: Pinned outputs. Changing any of these rewires every client RNG stream
@@ -44,6 +45,24 @@ def test_golden_stream_is_pinned():
 def test_matches_builtin_hash_on_current_cpython():
     for parts in GOLDEN:
         assert mix_seed(*parts) == hash(parts) & 0x7FFFFFFF
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.hash_info.width != 64,
+    reason="the frozen mixer clones 64-bit CPython tuple hashing",
+)
+def test_fault_backoff_stream_keeps_its_builtin_hash_seed():
+    """The endorsement-backoff stream was seeded with the builtin hash of
+    ``(seed, FAULT_SEED_SALT, channel, client)`` before it moved onto
+    the mixer; every such stream must still draw the same numbers."""
+    for seed in (0, 3, 7, 42, 2**40, -3):
+        injector = FaultInjector(None, FaultSchedule(), seed, None)
+        for channel in range(4):
+            for client in range(6):
+                legacy = hash((seed, FAULT_SEED_SALT, channel, client)) & 0x7FFFFFFF
+                assert mix_seed(seed, FAULT_SEED_SALT, channel, client) == legacy
+                stream = injector.backoff_rng(channel, client)
+                assert stream.random() == Rng(legacy).random()
 
 
 def test_part_order_and_position_matter():

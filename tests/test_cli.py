@@ -291,7 +291,7 @@ def test_drop_and_jitter_flags_forwarded():
     assert config.faults.drop_probability == 0.05
     assert config.faults.jitter_mean == 0.002
     assert config.faults.endorsement_timeout == 0.1
-    assert config.faults.max_endorsement_retries == 5
+    assert config.faults.retry.max_retries == 5
 
 
 def test_bad_crash_spec_is_a_clean_error(capsys):
@@ -500,8 +500,12 @@ def test_unknown_faults_file_key_is_named_in_the_error(tmp_path, capsys):
          "faults.drop_probability: expected float, got str '0.1'"),
         ('{"crashes": [{"peer": "peer1.OrgA", "at": 0.5}]}',
          "faults.crashes[0]: missing key(s) 'duration'"),
+        # The flat retry fields folded into the nested ``retry`` policy.
         ('{"max_endorsement_retries": true}',
-         "faults.max_endorsement_retries: expected int, got bool True"),
+         "faults: unknown key(s) 'max_endorsement_retries'"),
+        ('{"retry": {"max_retries": true, "base": 0.05, "factor": 2.0, '
+         '"jitter": 0.5}}',
+         "faults.retry.max_retries: expected int, got bool True"),
     ],
 )
 def test_mistyped_faults_file_names_the_dotted_path(tmp_path, capsys, content, where):
@@ -618,3 +622,64 @@ def test_chaos_command_end_to_end(tmp_path, capsys):
     for run in payload["runs"]:
         assert all(run["invariants"].values())
         assert run["liveness"] and run["converged"]
+
+
+# -- run --resume-from ----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def blank_checkpoints(tmp_path_factory):
+    """Checkpoint files of a short blank-workload run (not the default
+    smallbank, so a title taken from the flags would show)."""
+    directory = tmp_path_factory.mktemp("ckpt")
+    assert main([
+        "run", "--workload", "blank", "--clients", "1", "--client-rate", "50",
+        "--duration", "1", "--drain", "0.5", "--checkpoint-every", "0.5",
+        "--checkpoint-dir", str(directory),
+    ]) == 0
+    return directory
+
+
+def _copy_checkpoints(source, tmp_path):
+    target = tmp_path / "ckpt"
+    target.mkdir()
+    for path in source.iterdir():
+        (target / path.name).write_bytes(path.read_bytes())
+    return target
+
+
+def test_resume_refuses_experiment_flags(blank_checkpoints, tmp_path, capsys):
+    directory = _copy_checkpoints(blank_checkpoints, tmp_path)
+    capsys.readouterr()
+    exit_code = main([
+        "run", "--resume-from", str(directory), "--duration", "9",
+        "--users", "500",
+    ])
+    err = capsys.readouterr().err
+    assert exit_code == 2
+    assert "--duration" in err and "--users" in err
+    assert "--workload" not in err  # left at its default
+
+
+def test_resume_titles_the_table_with_the_checkpointed_workload(
+    blank_checkpoints, tmp_path, capsys
+):
+    directory = _copy_checkpoints(blank_checkpoints, tmp_path)
+    capsys.readouterr()
+    assert main(["run", "--resume-from", str(directory)]) == 0
+    out = capsys.readouterr().out
+    assert "Fabric / blank" in out
+    assert "smallbank" not in out
+
+
+def test_resume_names_each_torn_checkpoint_once(blank_checkpoints, tmp_path, capsys):
+    directory = _copy_checkpoints(blank_checkpoints, tmp_path)
+    newest = sorted(directory.glob("checkpoint-*.json"))[-1]
+    newest.write_text(newest.read_text()[:40])
+    capsys.readouterr()
+    assert main(["run", "--resume-from", str(directory)]) == 0
+    skipped = [
+        line for line in capsys.readouterr().err.splitlines()
+        if line.startswith("skipping checkpoint")
+    ]
+    assert len(skipped) == 1 and newest.name in skipped[0]

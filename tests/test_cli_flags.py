@@ -95,127 +95,127 @@ ARGV_GRID = {
 #: sha256 of each ARGV_GRID entry's config + workload description.
 ARGV_HASHES = {
     "run --workload smallbank":
-        "2bb47c3a42ed9f3f3afbf50a590d19bac83130274dd6f02a2b1c19b5bdd366ae",
+        "9b90a450f47ee026f30b2007d1279dcb6abc81a466469eb4d8e8498b3ba1eae7",
     "run --workload custom":
-        "29a74047e54040ff204ed109d3a007d709841cc7faf01f859d6634bbf604502d",
+        "f5699b0904ac68003bd89ffeb61e4d2934be38bc8dd950cd26a6137eacdfafc0",
     "run --workload blank":
-        "a8251b6f47c8ddf9dd596c92cb82b17ce7eb0bcc0e079b02fdbf36062c928074",
+        "9e40635e07985e2586ae2a523c074a482d3c817a42ad08574979434c81aeabcc",
     "run --workload ycsb":
-        "29d9135d2fb7d44f9983bf669aa3daff8e3aca39464816c93ab47014d378b7c8",
+        "10f1a8b3dbc215c896d03168a15754a224ced2f7aa150946aa5bcccddca574a7",
     "compare --workload smallbank":
-        "2bb47c3a42ed9f3f3afbf50a590d19bac83130274dd6f02a2b1c19b5bdd366ae",
+        "9b90a450f47ee026f30b2007d1279dcb6abc81a466469eb4d8e8498b3ba1eae7",
     "compare --workload custom":
-        "29a74047e54040ff204ed109d3a007d709841cc7faf01f859d6634bbf604502d",
+        "f5699b0904ac68003bd89ffeb61e4d2934be38bc8dd950cd26a6137eacdfafc0",
     "compare --workload blank":
-        "a8251b6f47c8ddf9dd596c92cb82b17ce7eb0bcc0e079b02fdbf36062c928074",
+        "9e40635e07985e2586ae2a523c074a482d3c817a42ad08574979434c81aeabcc",
     "compare --workload ycsb":
-        "29d9135d2fb7d44f9983bf669aa3daff8e3aca39464816c93ab47014d378b7c8",
+        "10f1a8b3dbc215c896d03168a15754a224ced2f7aa150946aa5bcccddca574a7",
     "caliper --workload smallbank":
-        "2bb47c3a42ed9f3f3afbf50a590d19bac83130274dd6f02a2b1c19b5bdd366ae",
+        "9b90a450f47ee026f30b2007d1279dcb6abc81a466469eb4d8e8498b3ba1eae7",
     "caliper --workload custom":
-        "29a74047e54040ff204ed109d3a007d709841cc7faf01f859d6634bbf604502d",
+        "f5699b0904ac68003bd89ffeb61e4d2934be38bc8dd950cd26a6137eacdfafc0",
     "caliper --workload blank":
-        "a8251b6f47c8ddf9dd596c92cb82b17ce7eb0bcc0e079b02fdbf36062c928074",
+        "9e40635e07985e2586ae2a523c074a482d3c817a42ad08574979434c81aeabcc",
     "caliper --workload ycsb":
-        "29d9135d2fb7d44f9983bf669aa3daff8e3aca39464816c93ab47014d378b7c8",
+        "10f1a8b3dbc215c896d03168a15754a224ced2f7aa150946aa5bcccddca574a7",
     "sweep --workload smallbank":
-        "2bb47c3a42ed9f3f3afbf50a590d19bac83130274dd6f02a2b1c19b5bdd366ae",
+        "9b90a450f47ee026f30b2007d1279dcb6abc81a466469eb4d8e8498b3ba1eae7",
     "sweep --workload custom":
-        "29a74047e54040ff204ed109d3a007d709841cc7faf01f859d6634bbf604502d",
+        "f5699b0904ac68003bd89ffeb61e4d2934be38bc8dd950cd26a6137eacdfafc0",
     "sweep --workload blank":
-        "a8251b6f47c8ddf9dd596c92cb82b17ce7eb0bcc0e079b02fdbf36062c928074",
+        "9e40635e07985e2586ae2a523c074a482d3c817a42ad08574979434c81aeabcc",
     "sweep --workload ycsb":
-        "29d9135d2fb7d44f9983bf669aa3daff8e3aca39464816c93ab47014d378b7c8",
+        "10f1a8b3dbc215c896d03168a15754a224ced2f7aa150946aa5bcccddca574a7",
     "profile --workload smallbank":
-        "2bb47c3a42ed9f3f3afbf50a590d19bac83130274dd6f02a2b1c19b5bdd366ae",
+        "9b90a450f47ee026f30b2007d1279dcb6abc81a466469eb4d8e8498b3ba1eae7",
     "profile --workload custom":
-        "29a74047e54040ff204ed109d3a007d709841cc7faf01f859d6634bbf604502d",
+        "f5699b0904ac68003bd89ffeb61e4d2934be38bc8dd950cd26a6137eacdfafc0",
     "profile --workload blank":
-        "a8251b6f47c8ddf9dd596c92cb82b17ce7eb0bcc0e079b02fdbf36062c928074",
+        "9e40635e07985e2586ae2a523c074a482d3c817a42ad08574979434c81aeabcc",
     "profile --workload ycsb":
-        "29d9135d2fb7d44f9983bf669aa3daff8e3aca39464816c93ab47014d378b7c8",
+        "10f1a8b3dbc215c896d03168a15754a224ced2f7aa150946aa5bcccddca574a7",
     "run block-size":
-        "6cc6c9f4e77f9132beefd223466a7721b5f5d4c43349cbcba736a02944608cf4",
+        "8b1410eec9423b3a128dceaca367f9d6d9c2105ad24dc04b75598de3c440a9e9",
     "run clients":
-        "f2d9e3cb7c053af666bf3df0abdd58efb638bc0bc5bcf1c397be4575c9a6d83f",
+        "b7346fdd4a71d9aa20d302a05abd36070671c3b9c8effedf8b046ec8ace52467",
     "run channels":
-        "293fd493e67f149b94f7271ee083da6b7f4ce283be16a0f567878087fac12ac4",
+        "a88cb3a7cd21ad9f31bc542a7688a96432ddfc1d49cca100f40342fd41ae64e2",
     "run cross-channel-fraction":
-        "66808e5678c9c9e098cddbe2b4910628baadc1524afc0ba22ef02d6117305525",
+        "7c17835a2ddad63e1f5c81b29a0b6626d0ff2907565a03514f1449685d517741",
     "run population-accounts":
-        "788fd72bdd4cb91a38b0e5d500af82786c0381754dca0b353133cd13656b1246",
+        "73ee0d5f1b4f4135ead6fcf247ee935246fdb029ce8a3e250f8261d3e2dc02fa",
     "run population-zipf-s":
-        "7a9fd7c5a66e66ce0c12c694f0d6c3935bf52df6cc7a072bfde03ee80eaaf07d",
+        "7f294b0b550ec5366450c044fe7bfbf871aaa917aeed58f6ca45a49ffb5137ff",
     "run client-rate":
-        "3498361b94ef3d3e1ba61071454963e7e99e1a124128563d39439c8a1d80864f",
+        "ba5749d3cf54442441e41a2c457f9ee4a0e1baccf55aa9f16672fee4be9b0515",
     "run policy":
-        "1ecf6798fbc255f5f08a57402fa47ba0283b0f13716fa780c9867a8990024eef",
+        "8928e0f74f9f432abd6827d729f404d06eaac1aed98c8e468b9bf089313bbb36",
     "run validation-workers":
-        "64c6262cf963ba5e2cafb381c281dda212616db68a2e3b0d5f0e3ee15bf1f9ba",
+        "9e1b831dbf94d9f74f5143278e3330645c5c29e2840106e568a41aa0cdefd9fb",
     "run pipeline-depth":
-        "742c5970e1c877af30883b79985e2434dad41a7bcff2dc037b3eb363c5ac88b6",
+        "7bc52b611aeef171835cecf903e7614526fa53718c8bb19671b8ae635fdce6a4",
     "run cc-strategy":
-        "365d37443add1e1bf5f82725a7c403379f4f774e1d83f769d8c0c36e3bf1078d",
+        "20ae3df02a0087812262d95030c48720639061936ca103a9d67ea26414fc900e",
     "run orderer-nodes":
-        "3a040e4c03d3d5631ca3b473943a8b2b9847bc696c6ebaf6557dfcf184e05d89",
+        "4442ea55302b266ee5ed9cdfd9603a6bb1f06683fd63410e431373fa7f53e812",
     "run traffic":
-        "eaed03a1b3f760bdb2494390b219d6590d83c46bca098d684f732bd562c8a926",
+        "f213c1cb223cb0fe7f4bdd7295664967e49b6a618df6ced7d5ce97f781b846cd",
     "run arrival-rate":
-        "fbe2e089c62e506fafacfdd293714be214d7a6b987a3a9d8ae9e5c29ac9689f5",
+        "844132778468b28b712bd4e2510a925d73c4da40983ea133677e2523fdf99ebd",
     "run orderer-queue-limit":
-        "ac8bbdb61b576296fc293c1c6ca85de6037debcb68f704fa44b671dc8bb3f2b2",
+        "1dd343b0cae504ef4e08bf692b8e2e40dea329811113a8ed55ea1470732d6eeb",
     "run endorse-queue-limit":
-        "2e9c27f6a84af870c2165de0017fbe6e54699fbbb74bfdcd4aab95e8691db798",
+        "c9a56a0558a8ba13ef6b1a86bc16d943c759161b57f6f94aa2a0d6d65e1ecd3e",
     "run delivery-backlog-limit":
-        "464cd8aca432d3535b9e0f2acef30cc2d4a15ce2f36c0da48cb78d130c010cce",
+        "9f3b160bf217f9f736e4a9409a2f324c7c1276212ccffcd0750f0e985ffc5e4d",
     "run streaming-metrics":
-        "e3993f1dae43e37dbd98ae96745ef66a683884963ebd4394bf9bea6840d313d4",
+        "1ca37a286cfea77327717a78794bc3a972dfadab1cad0793a388d71a7b30ec61",
     "run drop-rate":
-        "9bd67d26e46facf80c519b30c3ac2e24280b7838fd85a6649a15ab0e5a8520d3",
+        "5fed9a9cfdd700093e6136b1baad437ae5a90bb09a0a1d440c370abad4fdd8bb",
     "run jitter":
-        "2beabc0f7964b19e8cd1fa81295ca1b4582247c1bc57833489cf2402d6817d26",
+        "7c705ac67ae744ff01a3bc653c10330dc0935bd22d7de297aabe63233b1df8fc",
     "run endorse-timeout":
-        "505750ddf36721f0409bf64ec1ceb676e9f1a24b73f3a2ee3f13b47a2bae2a63",
+        "f74e6376e07969bb572a960146d215d311f3298b5fd26fe1db87021ee9bd3cc6",
     "run endorse-retries":
-        "0979a24d44d50a5e5a736dc74046198971febfd78e944eb8ed1a574e520efd26",
+        "2b224799ec8eac6db01b994c4ae8e89fc4beac61adad32316e306d8f986bbb55",
     "run users":
-        "4f458d4875bf3a46e8e988a2a74f8be6de597dbe803aacb85a016178e6dd8461",
+        "0fd5f168085a5ce61ab71b185ed367e23f740c5e1446e2d50b1f0cb3f905dad4",
     "run prob-write":
-        "4270ea6a4c6bcb576b10937f23b1c448ae4ef5b0f3f44c96cf72748c82deac1b",
+        "8a479bfacf26d128320239bde7ccc9c7a0a93fd1e86f02e58d3f13b20b9548c4",
     "run s-value/smallbank":
-        "ec35100e7c993b8e1cf0110b16b588847afe629cb70567355fb33ba563d9cae0",
+        "cc04cfb99cd15d69ea5e8a5df37521d92ed1b1e708a290c114ea1b0d04e802c1",
     "run s-value/ycsb":
-        "188257f314b9bb65787356c048958ce0b35cb2700bc2c124f1751611cf644767",
+        "3e2da190eab9b512f72247338c0787732dc76d6ea9937236e670f53cb546103d",
     # Moved on purpose: the parser used to run an explicit 0 at 0.99
     # (29d9135d..., the same hash as "run --workload ycsb").
     "run s-value=0/ycsb":
-        "db8f662fd965074b174967f464c2b1280acc33fb6d15c2651c3c059ee7eba2e7",
+        "e5ef7106d1c9f7f6a9472b0d9a1d1f3b12b172babb7b71f0e22d2e88f096ae42",
     "run accounts":
-        "61216f5c8d18b4a2045725a476f335e274333f7eedeb062f0c18bdffe6e832f2",
+        "7e429220a5ca8d7325f90cb29fda156b538cedb60ba838503330c75731852d9b",
     "run rw":
-        "9e17631c6453c33cb3d2ba45359acd74366d62cbc0e8cb5e91ef9960de591b6b",
+        "766abb06da1a0dba828b00e342fa11365ea6dc95964ab398409dd4c95a6b4753",
     "run hr":
-        "df82c95b8aa9a0a8fa34f51f48d56410dbf4f70cca6d8467ad36c398272363ad",
+        "2fc0bd804c6bb6261db182121158240bac35a2f1f351b1c61e2f721d6885e163",
     "run hw":
-        "01e9f7207088fd3f766694eecf5ad4047f3bceca6f81d4c2867013cf71ddbb49",
+        "23212371f40e2c08a5bf72c5d6672f49465cdf3520da9350ee4f17d4ae5bf795",
     "run hss":
-        "26f61672945147a0a7bacc63fe2e06233721149bc093150cac309f38dbd16dbc",
+        "1bf9cb6e4f2e5191a011cd41d9376c946aedcd2fa78ed09e5c4301ac7656af77",
     "run ycsb-preset":
-        "4bb7709a81f7fe9436ab32cbd5fab57ee0b8b172d56e745dd96688c1c6ba014d",
+        "c8bcf37396ca98a9a28590e3fa49367f952ae7afec68c7d1f99422e8cd0f8be1",
     "run records":
-        "b4d08b1b980e87827e479902680fd97daa41536c39bac9d1da2e69b8e8afcd16",
+        "5364b403ccc4ece3f08f6f43248cdc5c031836eddb5463da208f468241085f60",
     "run hotspot-interval":
-        "e70f105e066ca78329a29d41979176513b666bce564815023ac1783166ed3782",
+        "ededb9962ebd0441e933c5a9f10bcf802ea63c63042180350b62f1143dace4dd",
     "run hot-set-drift":
-        "2ff631fae0feb56188b0ebf8b073850b77d6c94d5a1117b99ce3462d3d09d60e",
+        "e00359f043e4c9da7b953e3f4d90792ec1cd1903af5ea31a5391a162a1445cb0",
     "run seed":
-        "bc82901ffae90038e8aafea686396cfd447fa6263658728f8b3275a36aecfe00",
+        "041fb0bbbad69e44cbc92c56ddb679450b6998487ba0baaa5baaf5a3b57fd081",
     "run system":
-        "0e61de6551672f6a13f7ddb0805f859dcc49186e85c38cd39197d180bd045729",
+        "64280bca43d85f5158519cac738cabe10fe7954ea137984b5cae8694dd274a44",
     "run crash":
-        "c5cb3a499418fe92c87aa98b039c26cef5ca30c3dd07dcf633a80faa94b7d5a7",
+        "c7310e4bbb18f75ac063eb7f28b57e392571634fbb653b75ef0758b8ae5184c8",
     "run stall":
-        "06c91aa0a3c8d0a100e17f4356e5d7cae112ffdc489082fa515a2af5159ecd6b",
+        "0eeb329c11e9ff4924e27a692035a5e1ee4159067f29581bb4d9b822f5495c3f",
 }
 
 #: option string -> (dest, default) of the experiment subparsers.
@@ -420,7 +420,7 @@ def test_each_flag_reaches_its_target(row):
 
 def test_unset_endorse_retries_still_resolves_to_three():
     args = build_parser().parse_args(["run", "--crash", "peer1.OrgA@0.5+0.7"])
-    assert config_from_args(args).faults.max_endorsement_retries == 3
+    assert config_from_args(args).faults.retry.max_retries == 3
 
 
 # -- explicit values run as given -----------------------------------------

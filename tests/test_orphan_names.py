@@ -52,7 +52,6 @@ ORPHANS = {
     "repro.consensus.raft:FOLLOWER",
     "repro.core.conflict_graph:schedule_is_serializable",
     "repro.fabric.chaincode:Tombstone",
-    "repro.fabric.config:PAPER_DEFAULTS",
     "repro.fabric.metrics:LatencyStats",
     "repro.fabric.metrics:OPTIONAL_BLOCKS",
     "repro.fabric.metrics:STREAMING_BUCKET_LIMIT",
@@ -63,8 +62,6 @@ ORPHANS = {
     "repro.fabric.policy:AnyOrg",
     "repro.fabric.policy:OutOf",
     "repro.fabric.policy:RequireOrg",
-    "repro.faults:FAULT_SEED_SALT",
-    "repro.faults:MISBEHAVIOR_KINDS",
     "repro.ledger.export:replay_state",
     "repro.testing:V1",
     "repro.testing:V2",
