@@ -624,15 +624,19 @@ def _warn_dropped_spans(tracer) -> None:
 DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"
 
 
-def _experiment_flags_given(args: argparse.Namespace) -> List[str]:
-    """Each experiment flag ``args`` sets away from its default."""
-    probe = argparse.ArgumentParser()
+def _experiment_flags_given(argv: Sequence[str]) -> List[str]:
+    """Each experiment flag present in ``argv``, whatever its value.
+
+    A probe parser that knows only the experiment flags, each defaulting
+    to "absent", reads ``argv``: a flag given at its default value
+    (``--seed 42``) is named too.
+    """
+    probe = argparse.ArgumentParser(add_help=False)
     _add_experiment_arguments(probe, with_system=True)
-    return [
-        "--" + dest.replace("_", "-")
-        for dest, default in vars(probe.parse_args([])).items()
-        if getattr(args, dest, default) != default
-    ]
+    for action in probe._actions:
+        action.default = argparse.SUPPRESS
+    given, _others = probe.parse_known_args(argv)
+    return ["--" + dest.replace("_", "-") for dest in vars(given)]
 
 
 def command_run(args: argparse.Namespace) -> int:
@@ -642,7 +646,7 @@ def command_run(args: argparse.Namespace) -> int:
     if getattr(args, "resume_from", None):
         from repro.checkpoint import load_latest_checkpoint, resume_run
 
-        given = _experiment_flags_given(args)
+        given = _experiment_flags_given(args.argv)
         if given:
             raise ConfigError(
                 "--resume-from rebuilds the run from the checkpoint's spec "
@@ -1076,7 +1080,11 @@ COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    # The raw arguments: ``run --resume-from`` refuses any experiment
+    # flag present in them, even one given at its default value.
+    args.argv = argv
     try:
         return COMMANDS[args.command](args)
     except ReproError as error:

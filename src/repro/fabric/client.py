@@ -274,12 +274,14 @@ class Client:
         """Form the transaction from agreeing endorsements, or resolve the
         proposal as a mismatch and return None.
 
-        The endorsers' read/write sets have just been proven equal, so
-        the transaction keeps one of them: every endorsement is rebuilt
-        onto the reference rwset and the other copies are dropped.
+        Endorsers that agree return one set object (they share it through
+        the proposal), so the transaction carries that object.
         """
         reference = endorsements[0].rwset
-        if any(e.rwset != reference for e in endorsements[1:]):
+        if any(
+            e.rwset is not reference and e.rwset != reference
+            for e in endorsements[1:]
+        ):
             # Non-determinism or a tampering endorser: the read/write sets
             # disagree, so no transaction can be formed (Section 2.2.1).
             self.resolve(proposal, TxOutcome.ENDORSEMENT_MISMATCH, retries=retries)
@@ -288,12 +290,7 @@ class Client:
             tx_id=proposal.proposal_id,
             proposal=proposal,
             rwset=self._maybe_oversize(reference, proposal),
-            endorsements=tuple(
-                e
-                if e.rwset is reference
-                else Endorsement(e.endorser, e.org, reference, e.signature)
-                for e in endorsements
-            ),
+            endorsements=tuple(endorsements),
             assembled_at=self.env.now,
         )
 

@@ -308,6 +308,14 @@ class Peer:
                 pcs.lock.release_read()
 
         rwset.seal()
+        # Host-side sharing only: every endorser simulated and is charged,
+        # but a set equal to the last one signed for this proposal is
+        # signed as that object, so the agreed set is encoded once.
+        signed = proposal._signed
+        if signed is not None and signed == rwset:
+            rwset = signed
+        else:
+            object.__setattr__(proposal, "_signed", rwset)
         signature = sign(self.identity, endorsement_payload(proposal, rwset))
         endorsement = Endorsement(self.name, self.org, rwset, signature)
         if tracer is not None:

@@ -9,7 +9,8 @@ The lifecycle (paper Section 2.2 and Appendix A):
    over it.
 3. If all endorsers returned equal read/write sets, the client assembles a
    :class:`Transaction` carrying the rwset and every signature, and submits
-   it to the ordering service.
+   it to the ordering service. On the host, endorsers that agree return
+   one set object (see :attr:`Proposal._signed`).
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ class Proposal:
     submitted_at: float = 0.0
     #: Memoised :meth:`payload_bytes` (the fields it covers are frozen).
     _payload: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: The last sealed read/write set an endorser signed for this
+    #: proposal: the next endorser whose set equals it signs this one.
+    _signed: Optional[ReadWriteSet] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -78,8 +84,10 @@ def endorsement_payload(proposal: Proposal, rwset: ReadWriteSet) -> bytes:
 class Transaction:
     """An endorsed transaction travelling through ordering and validation.
 
-    An honest client hands over endorsements that all hold :attr:`rwset`
-    itself — one read/write set per transaction, not one per endorser.
+    Endorsements that agree hold one read/write set object (the
+    endorsers share it through the proposal), and an honest client's
+    :attr:`rwset` is that object — one set per transaction, not one per
+    endorser.
 
     Frozen: what the endorsement verdict and the block hash cover cannot
     change once the client assembled it (and the endorser sealed the

@@ -12,6 +12,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
+from repro.ledger.state_db import Version
+
 if TYPE_CHECKING:
     from repro.fabric.transaction import Transaction
 
@@ -46,7 +48,8 @@ class Block:
     is cut, and every peer shares it. ``validity`` is filled in by the
     validation phase: it maps each transaction id to True (valid, effects
     committed) or False (invalid, effects discarded). Until validation it
-    is empty.
+    is empty. :meth:`version` hands every peer the same ``Version`` for
+    a slot's writes.
     """
 
     header: BlockHeader
@@ -73,6 +76,23 @@ class Block:
         """Return the validation outcome for ``tx_id`` (None if unset)."""
         return self.validity.get(tx_id)
 
+    def version(self, index: int) -> Version:
+        """The state version of the writes of the transaction at ``index``.
+
+        One object per slot, made when first asked for and kept on the
+        block: every peer of the channel stamps its writes with it, so
+        version checks across peers settle on identity, and the memo is
+        freed with the block. A block nobody asks (no valid write) keeps
+        no memo at all.
+        """
+        versions = self._versions
+        if versions is None:
+            versions = self._versions = [None] * len(self.transactions)
+        version = versions[index]
+        if version is None:
+            version = versions[index] = Version(self.header.block_id, index)
+        return version
+
     @classmethod
     def create(
         cls,
@@ -95,4 +115,5 @@ class Block:
             compute_block_hash(block_id, previous_hash, block.transactions),
         )
         block.validity = {}
+        block._versions = None
         return block

@@ -233,10 +233,10 @@ def replay_state(
 
 
 def _valid_writes(block: Block) -> List[tuple]:
-    """``(tx_index, write_set)`` pairs of a block's valid transactions
+    """``(version, write_set)`` pairs of a block's valid transactions
     that write something."""
     return [
-        (index, tx.rwset.writes)
+        (block.version(index), tx.rwset.writes)
         for index, tx in enumerate(block.transactions)
         if tx.rwset.writes and block.is_valid(tx.tx_id)
     ]
@@ -252,7 +252,9 @@ def catch_up_from(source: Ledger, ledger: Ledger, state: StateDatabase) -> int:
     semantics, but incremental over a live store. The write versions are
     ``Version(block_id, tx_index)``, identical to what live validation
     stamps, so a caught-up peer's state is byte-identical to one that
-    never crashed. Returns the number of blocks replayed.
+    never crashed; the ``Version`` objects are the source blocks' own,
+    shared with the peers that validated them live. Returns the number
+    of blocks replayed.
 
     A pruned source can still serve catch-up as long as it retains every
     block above the follower's tip (the fleet prune policy guarantees

@@ -222,23 +222,24 @@ class StateDatabase:
     def apply_block_writes(
         self,
         block_id: int,
-        writes: Iterable[Tuple[int, Mapping[str, object]]],
+        writes: Iterable[Tuple[Version, Mapping[str, object]]],
     ) -> None:
         """Atomically apply the write sets of a block's valid transactions.
 
-        ``writes`` yields ``(tx_id, write_set)`` pairs in commit order. The
-        version of every written key becomes ``Version(block_id, tx_id)``,
-        and ``last_block_id`` advances to ``block_id``. Blocks must be
-        applied in order — an out-of-order block indicates a broken
-        delivery guarantee and raises :class:`StateError`.
+        ``writes`` yields ``(version, write_set)`` pairs in commit order,
+        each ``version`` being ``Version(block_id, tx_index)`` (the
+        block's own object, :meth:`repro.ledger.block.Block.version`, so
+        a channel's peers share it). Every key of a write set is stamped
+        with its version, and ``last_block_id`` advances to ``block_id``.
+        Blocks must be applied in order — an out-of-order block indicates
+        a broken delivery guarantee and raises :class:`StateError`.
         """
         if block_id <= self._last_block_id:
             raise StateError(
                 f"block {block_id} already applied (last={self._last_block_id})"
             )
         data, genesis = self._data, self._genesis
-        for tx_id, write_set in writes:
-            version = Version(block_id, tx_id)
+        for version, write_set in writes:
             for key, value in write_set.items():
                 if key not in data and key not in genesis:
                     bisect.insort(self._new_keys, key)

@@ -12,7 +12,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-from typing import List, Optional, Sequence
+import sys
+from array import array
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Constants of the frozen seed-mixing function below (xxHash primes).
 _MASK64 = (1 << 64) - 1
@@ -85,6 +87,41 @@ class Rng:
             raise ValueError(f"empty range for randint({low}, {high})")
         return low + self._random._randbelow(width)
 
+    def randints(self, low: int, high: int, count: int) -> List[int]:
+        """``count`` uniform integers in [low, high], drawn in bulk.
+
+        The values of ``count`` :meth:`randint` calls, leaving the stream
+        exactly where they leave it. For a width of at most 32 bits each
+        ``randint`` consumes whole 32-bit words: it keeps the top
+        ``width.bit_length()`` bits of a word and draws again while they
+        reach the width (CPython's ``_randbelow_with_getrandbits``).
+        Each round here asks ``getrandbits`` for one word per value still
+        missing, so it never draws a word those calls would not; wider
+        ranges draw one :meth:`randint` at a time.
+        """
+        width = high - low + 1
+        if width <= 0:
+            raise ValueError(f"empty range for randint({low}, {high})")
+        shift = 32 - width.bit_length()
+        if shift < 0:
+            return [self.randint(low, high) for _ in range(count)]
+        # A word's top bits are below ``width`` iff the word is below this.
+        limit = width << shift
+        getrandbits = self._random.getrandbits
+        values: List[int] = []
+        missing = count
+        while missing:
+            # ``getrandbits(32 * m)`` holds the next m words, first word
+            # least significant; as native-order bytes they load into an
+            # array of 32-bit unsigned ints ("I" is 4 bytes on every
+            # platform CPython supports).
+            words = array(
+                "I", getrandbits(32 * missing).to_bytes(4 * missing, sys.byteorder)
+            )
+            values += [low + (word >> shift) for word in words if word < limit]
+            missing = count - len(values)
+        return values
+
     def random(self) -> float:
         """Uniform float in [0, 1)."""
         return self._random.random()
@@ -124,41 +161,69 @@ class ZipfSampler:
     ``s = 0`` degenerates to the uniform distribution, matching the
     paper's note that "an s-value of 0 corresponds to a uniform
     distribution". Ranks are mapped onto population indices by a fixed
-    seeded permutation so that "popular" items are spread across the key
-    space rather than clustered at low indices.
+    permutation seeded from the drawing stream's :class:`Rng`, so that
+    "popular" items are spread across the key space rather than
+    clustered at low indices.
+
+    One sampler serves every client stream of a workload. The rank CDF
+    depends only on ``(population, s_value)``, so it is built once, on
+    the first draw, as an array of doubles. Each stream adds only its
+    permutation, an array of machine ints, kept under the identity of
+    its ``Rng`` (held beside it, so the identity cannot be reused). The
+    sampler lives and dies with its workload.
     """
 
-    def __init__(self, population: int, s_value: float, rng: Optional[Rng] = None) -> None:
+    def __init__(self, population: int, s_value: float) -> None:
         if population < 1:
             raise ValueError(f"population must be >= 1, got {population}")
         if s_value < 0:
             raise ValueError(f"s-value must be >= 0, got {s_value}")
         self.population = population
         self.s_value = s_value
-        self._rng = rng or Rng(0)
-        if s_value == 0:
-            self._cdf: Optional[List[float]] = None
-        else:
-            weights = [1.0 / (rank ** s_value) for rank in range(1, population + 1)]
-            total = sum(weights)
-            self._cdf = list(itertools.accumulate(w / total for w in weights))
-            # Guard against floating-point undershoot at the tail.
-            self._cdf[-1] = 1.0
-        permutation = list(range(population))
-        random.Random(self._rng.seed ^ 0x5BF03635).shuffle(permutation)
-        self._rank_to_index = permutation
+        self._cdf: Optional[array] = None
+        #: id(rng) -> (rng, that stream's rank -> index permutation).
+        self._streams: Dict[int, Tuple[Rng, array]] = {}
 
-    def sample(self) -> int:
-        """Draw one index in ``range(population)``."""
-        if self._cdf is None:
-            rank = self._rng.randint(0, self.population - 1)
+    def sample(self, rng: Rng) -> int:
+        """Draw one index in ``range(population)`` from ``rng``'s stream."""
+        stream = self._streams.get(id(rng))
+        if stream is None:
+            stream = self._streams[id(rng)] = (rng, self._permutation(rng))
+        if self.s_value == 0:
+            rank = rng.randint(0, self.population - 1)
         else:
-            rank = bisect.bisect_left(self._cdf, self._rng.random())
-        return self._rank_to_index[rank]
+            rank = bisect.bisect_left(self._cdf or self._rank_cdf(), rng.random())
+        return stream[1][rank]
 
     def probability_of_rank(self, rank: int) -> float:
         """Return P(rank) for the 0-based ``rank`` (testing helper)."""
-        if self._cdf is None:
+        if self.s_value == 0:
             return 1.0 / self.population
-        previous = self._cdf[rank - 1] if rank > 0 else 0.0
-        return self._cdf[rank] - previous
+        cdf = self._rank_cdf()
+        previous = cdf[rank - 1] if rank > 0 else 0.0
+        return cdf[rank] - previous
+
+    def _rank_cdf(self) -> array:
+        """The cumulative rank probabilities, built on first use."""
+        if self._cdf is None:
+            weights = [
+                1.0 / (rank ** self.s_value)
+                for rank in range(1, self.population + 1)
+            ]
+            total = sum(weights)
+            cdf = array("d", itertools.accumulate(w / total for w in weights))
+            # Guard against floating-point undershoot at the tail.
+            cdf[-1] = 1.0
+            self._cdf = cdf
+        return self._cdf
+
+    def _permutation(self, rng: Rng) -> array:
+        """The rank -> index permutation of ``rng``'s stream.
+
+        Shuffled as a list, exactly as the draws were always made, then
+        kept as 4-byte ints: a population that overflows them could not
+        have been shuffled in memory anyway.
+        """
+        permutation = list(range(self.population))
+        random.Random(rng.seed ^ 0x5BF03635).shuffle(permutation)
+        return array("i", permutation)

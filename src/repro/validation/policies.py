@@ -175,7 +175,7 @@ def occ_block_snapshot(
             if any(key in winner_writes for key in writes):
                 outcome = TxOutcome.ABORT_OCC_WW
             else:
-                version = Version(block.block_id, index)
+                version = block.version(index)
                 for key in writes:
                     winner_writes[key] = version
         outcomes.append(outcome)

@@ -204,11 +204,12 @@ class BlockValidator:
             # Resolved once per block, so that the per-transaction path
             # below is plain local calls.
             pending_writes: Dict[str, Version] = {}
-            valid_writes: List[Tuple[int, Dict[str, object]]] = []
+            valid_writes: List[Tuple[Version, Dict[str, object]]] = []
             decide = self.strategy.decision(
                 peer, self.channel, block, pending_writes
             )
             charge, track, block_id = self.cost.charge, self.track, block.block_id
+            version_of = block.version
             apply_write = pcs.state.apply_write
             report = peer._report if peer.is_reference else None
             committed = ww_aborts = 0
@@ -235,17 +236,17 @@ class BlockValidator:
                     if writes and locks:
                         # Nobody can read under the write lock: the
                         # block's writes apply in one batch at the tail.
-                        version = Version(block_id, index)
+                        version = version_of(index)
                         for key in writes:
                             pending_writes[key] = version
-                        valid_writes.append((index, writes))
+                        valid_writes.append((version, writes))
                     elif writes:
                         # Fine-grained commit: each winner's writes apply
                         # atomically right away, visible to chaincodes
                         # simulating in parallel (Section 5.2.1's "apply
                         # their updates in an atomic fashion while T5 is
                         # simulating").
-                        version = Version(block_id, index)
+                        version = version_of(index)
                         for key, value in writes.items():
                             apply_write(key, value, version)
                 else:
@@ -262,7 +263,7 @@ class BlockValidator:
             if locks:
                 # A schedule may resolve out of block order; the store
                 # applies writes exactly as arrival order would.
-                valid_writes.sort(key=lambda entry: entry[0])
+                valid_writes.sort(key=lambda entry: entry[0].tx_id)
                 pcs.state.apply_block_writes(block_id, valid_writes)
             else:
                 pcs.state.advance_block(block_id)

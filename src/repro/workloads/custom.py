@@ -118,8 +118,8 @@ class CustomWorkload(Workload):
         return CustomChaincode(self._keys)
 
     def initial_state(self) -> Dict[str, object]:
-        randint = Rng(self._seed).randint
-        return {key: randint(0, 100_000) for key in self._keys}
+        values = Rng(self._seed).randints(0, 100_000, len(self._keys))
+        return dict(zip(self._keys, values))
 
     def next_invocation(self, rng: Rng) -> Invocation:
         """RW distinct read accounts, RW distinct write accounts, a delta.

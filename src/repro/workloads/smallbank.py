@@ -123,31 +123,26 @@ class SmallbankWorkload(Workload):
     def __init__(self, params: SmallbankParams = SmallbankParams(), seed: int = 0) -> None:
         self.params = params
         self._seed = seed
-        # One Zipf sampler per client Rng (several clients share a
-        # workload); keyed by object identity.
-        self._samplers: Dict[int, ZipfSampler] = {}
+        #: Account selection for every client stream of this workload.
+        self._accounts = ZipfSampler(params.num_users, params.s_value)
 
     def create_chaincode(self) -> Chaincode:
         return SmallbankChaincode()
 
     def initial_state(self) -> Dict[str, object]:
-        rng = Rng(self._seed)
+        params = self.params
+        # Checking then savings, customer by customer: one stream of draws.
+        balances = Rng(self._seed).randints(
+            params.min_balance, params.max_balance, 2 * params.num_users
+        )
         state: Dict[str, object] = {}
-        for customer in range(self.params.num_users):
-            state[checking_key(customer)] = rng.randint(
-                self.params.min_balance, self.params.max_balance
-            )
-            state[savings_key(customer)] = rng.randint(
-                self.params.min_balance, self.params.max_balance
-            )
+        for customer in range(params.num_users):
+            state[checking_key(customer)] = balances[2 * customer]
+            state[savings_key(customer)] = balances[2 * customer + 1]
         return state
 
     def _customer(self, rng: Rng) -> int:
-        sampler = self._samplers.get(id(rng))
-        if sampler is None:
-            sampler = ZipfSampler(self.params.num_users, self.params.s_value, rng)
-            self._samplers[id(rng)] = sampler
-        return sampler.sample()
+        return self._accounts.sample(rng)
 
     def next_invocation(self, rng: Rng) -> Invocation:
         customer = self._customer(rng)

@@ -137,9 +137,11 @@ class YcsbWorkload(Workload):
         self.params = params or YcsbParams()
         self.params.validate()
         self._seed = seed
-        self._samplers: Dict[int, ZipfSampler] = {}
+        #: Request keys for every client stream of this workload.
+        self._records = ZipfSampler(self.params.num_records, self.params.s_value)
         #: Per-stream ``[operations, shift]`` hot-set drift state, keyed
-        #: like ``_samplers``; only populated when drift is active.
+        #: by ``id(rng)`` (the sampler holds each stream's ``Rng``, so the
+        #: id is never reused); only populated when drift is active.
         self._hotspots: Dict[int, list] = {}
         #: Monotonic id source for inserted records (continues after the
         #: initial load, as in YCSB's ordered insert key chooser).
@@ -156,18 +158,13 @@ class YcsbWorkload(Workload):
         return YcsbChaincode()
 
     def initial_state(self) -> Dict[str, object]:
-        rng = Rng(self._seed)
+        values = Rng(self._seed).randints(0, 1_000_000, self.params.num_records)
         return {
-            record_key(record_id): rng.randint(0, 1_000_000)
-            for record_id in range(self.params.num_records)
+            record_key(record_id): value for record_id, value in enumerate(values)
         }
 
     def _pick_record(self, rng: Rng) -> int:
-        sampler = self._samplers.get(id(rng))
-        if sampler is None:
-            sampler = ZipfSampler(self.params.num_records, self.params.s_value, rng)
-            self._samplers[id(rng)] = sampler
-        record = sampler.sample()
+        record = self._records.sample(rng)
         interval = self.params.hotspot_interval
         if interval and self.params.hot_set_drift:
             state = self._hotspots.get(id(rng))

@@ -61,7 +61,7 @@ def test_reads_do_not_see_own_writes(state):
 
 def test_stub_over_snapshot(state):
     snapshot = state.copy()
-    state.apply_block_writes(1, [(0, {"a": 99})])
+    state.apply_block_writes(1, [(Version(1, 0), {"a": 99})])
     stub = ChaincodeStub(snapshot)
     assert stub.get_state("a") == 10  # frozen view
 
@@ -124,7 +124,7 @@ def test_point_read_of_a_deleted_key_returns_none_and_records_its_version(state)
     """Like Fabric's GetState, a committed deletion reads as nil, and the
     range scan agrees; the tombstone's version is still recorded, so a
     re-creation of the key invalidates the read."""
-    state.apply_block_writes(1, [(0, {"a": Tombstone()})])
+    state.apply_block_writes(1, [(Version(1, 0), {"a": Tombstone()})])
     stub = ChaincodeStub(state)
     assert stub.get_state("a") is None
     assert stub.rwset.reads["a"] == Version(1, 0)
@@ -153,9 +153,12 @@ def test_a_kept_stub_cannot_touch_the_set_its_endorser_signed():
     )
     replies = bed.endorse_everywhere(proposal)
     signed = [reply.endorsement.rwset for reply in replies]
+    # The endorsers agreed, so they signed one set object; each stub's
+    # own set is sealed (its late calls raise) and equal to it.
+    assert len(signed) > 1 and all(rwset is signed[0] for rwset in signed)
     assert [stub.rwset for stub in keeper.stubs] == signed
-    for stub, rwset in zip(keeper.stubs, signed):
-        assert stub.rwset is rwset
+    for stub in keeper.stubs:
+        rwset = stub.rwset
         before = rwset.canonical_bytes()
         for late_call in (
             lambda: stub.get_state("x"),
@@ -167,4 +170,5 @@ def test_a_kept_stub_cannot_touch_the_set_its_endorser_signed():
             with pytest.raises(StateError, match="sealed"):
                 late_call()
         assert rwset.canonical_bytes() == before == rwset.copy().canonical_bytes()
+        assert before == signed[0].canonical_bytes()
         assert (rwset.reads, rwset.writes) == ({"k": Version(0, 0)}, {"k": 1})

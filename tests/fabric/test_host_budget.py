@@ -5,19 +5,23 @@
 RSS are too noisy to gate on a shared runner. These are the noise-free
 companions, in the style of ``tests/sim/test_event_budget.py``: for a
 fixed seed they pin that every per-transaction datum exists once (one
-rwset per transaction, one string per key, no per-record ``__dict__``)
-and every pure per-transaction computation runs once (one real HMAC per
-distinct endorsement, however many peers validate it; one endorsement
-verdict per transaction per channel; one hash per ordered transaction)
-— while the *simulated* verify cost stays charged per peer per
-endorsement. The same holds for the genesis state: one read-only layer
-per channel, shared by every peer's store; and for per-key records: a
-``VersionedValue`` exists only for an applied write.
+rwset per transaction, one ``Version`` per committed block slot, one
+string per key, no per-record ``__dict__``) and every pure
+per-transaction computation runs once (one real rwset encoding per
+transaction, however many endorsers agree; one real HMAC per distinct
+endorsement, however many peers validate it; one endorsement verdict per
+transaction per channel; one hash per ordered transaction) — while the
+*simulated* endorse and verify costs stay charged per endorser and per
+peer. The same holds for the genesis state: one read-only layer per
+channel, shared by every peer's store; for per-key records: a
+``VersionedValue`` exists only for an applied write; and for a
+workload's Zipf table: one rank CDF, one compact permutation per stream.
 """
 
 import gc
 import sys
 import tracemalloc
+from array import array
 from collections import Counter
 from dataclasses import replace
 
@@ -29,10 +33,13 @@ from repro.core.batch_cutter import BatchCutConfig
 from repro.crypto.identity import IdentityRegistry
 from repro.crypto.signing import Signature
 from repro.fabric import network as network_module
+from repro.fabric.client import Client
 from repro.fabric.config import FabricConfig
 from repro.fabric.network import FabricNetwork
+from repro.fabric.rwset import ReadWriteSet
 from repro.fabric.transaction import Endorsement, Transaction
 from repro.ledger.state_db import Version, VersionedValue
+from repro.sim.distributions import Rng, ZipfSampler, mix_seed
 from repro.workloads.registry import WorkloadRef, make_workload
 from tests.fabric.conftest import real_crypto_calls
 from tests.workloads.test_stream_goldens import CUSTOM_HOT
@@ -42,16 +49,39 @@ SYSTEMS = ("fabric", "fabric++")
 
 @pytest.fixture(scope="module", params=SYSTEMS)
 def finished(request):
-    """(network, real sign calls, real verify calls) of one second of
-    contended Smallbank on the default 2 orgs x 2 peers."""
+    """(network, real crypto calls) of one second of contended Smallbank
+    on the default 2 orgs x 2 peers. ``calls`` also counts the real
+    ``canonical_bytes`` encodings (a memoised answer is not one) and the
+    transactions the clients assembled."""
     config = FabricConfig(seed=42)
     if request.param == "fabric++":
         config = config.with_fabric_plus_plus()
     network = FabricNetwork(
         config, make_workload("smallbank", seed=42, num_users=200, s_value=1.0)
     )
-    with real_crypto_calls() as calls:
-        network.run(1.0, drain=3.0)
+    canonical_bytes, assemble = ReadWriteSet.canonical_bytes, Client._assemble
+    encoded = assembled = 0
+
+    def counted_canonical_bytes(rwset):
+        nonlocal encoded
+        encoded += rwset._canonical is None
+        return canonical_bytes(rwset)
+
+    def counted_assemble(client, *args):
+        nonlocal assembled
+        transaction = assemble(client, *args)
+        assembled += transaction is not None
+        return transaction
+
+    ReadWriteSet.canonical_bytes = counted_canonical_bytes
+    Client._assemble = counted_assemble
+    try:
+        with real_crypto_calls() as calls:
+            network.run(1.0, drain=3.0)
+    finally:
+        ReadWriteSet.canonical_bytes = canonical_bytes
+        Client._assemble = assemble
+    calls.update(encode=encoded, assembled=assembled)
     assert network.metrics.fired == network.metrics.resolved > 0
     return network, calls
 
@@ -85,7 +115,31 @@ def test_one_real_verification_per_distinct_endorsement(finished):
 def test_honest_transactions_carry_one_rwset(finished):
     network, _calls = finished
     for tx in ledger_transactions(network.reference_peer):
+        assert len(tx.endorsements) == 2
         assert all(e.rwset is tx.rwset for e in tx.endorsements)
+
+
+def test_one_real_encoding_per_assembled_transaction(finished):
+    """The second endorser signs the set the first one sealed, so the
+    host encodes each agreed set once, not once per endorser."""
+    _network, calls = finished
+    assert calls["encode"] == calls["assembled"] > 0
+
+
+def test_the_peers_of_a_channel_share_one_version_per_block_slot(finished):
+    """Every peer stamps a committed write with its block's own
+    ``Version`` for that slot, and reads record the object they found."""
+    network, _calls = finished
+    held = {}
+    for peer in network.peers:
+        for _key, entry in peer.channels["ch0"].state.items():
+            held.setdefault(entry.version, set()).add(id(entry.version))
+        for tx in ledger_transactions(peer):
+            for version in tx.rwset.reads.values():
+                if version is not None:
+                    held.setdefault(version, set()).add(id(version))
+    assert sum(version.block_id > 0 for version in held) > 1
+    assert all(len(ids) == 1 for ids in held.values())
 
 
 def test_every_retained_key_is_the_interned_string(finished):
@@ -249,6 +303,51 @@ def test_verified_cache_spans_four_of_the_networks_own_blocks(
     )
     network = FabricNetwork(config, make_workload("blank", seed=1))
     assert network.registry.verified_capacity == capacity
+
+
+@pytest.mark.parametrize(
+    "name, params, population",
+    [
+        ("smallbank", dict(num_users=100_000), 100_000),
+        ("smallbank", dict(num_users=100_000, s_value=1.0), 100_000),
+        ("ycsb", dict(preset="a", num_records=10_000, s_value=0.99), 10_000),
+    ],
+)
+def test_further_client_streams_add_only_their_permutation(name, params, population):
+    """A workload builds its Zipf rank table once: the second to fourth
+    client stream each add only their own rank -> index permutation, one
+    machine int per key. A per-stream list of int objects (3.6 MiB at
+    100 000 users) or a per-stream rank CDF is several times that."""
+    workload = make_workload(name, seed=42, **params)
+    streams = [Rng(mix_seed(42, 0, client)) for client in range(4)]
+    workload.next_invocation(streams[0])
+    added = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for rng in streams[1:]:
+            before, _peak = tracemalloc.get_traced_memory()
+            workload.next_invocation(rng)
+            gc.collect()
+            added.append(tracemalloc.get_traced_memory()[0] - before)
+    finally:
+        tracemalloc.stop()
+    assert max(added) < 5 * population + 4096 < 1 << 20
+
+
+def test_the_streams_of_one_workload_share_one_rank_cdf():
+    workload = make_workload(
+        "ycsb", seed=42, preset="a", num_records=10_000, s_value=0.99
+    )
+    for client in range(4):
+        rng = Rng(mix_seed(42, 0, client))
+        for _ in range(8):
+            workload.next_invocation(rng)
+    (sampler,) = [
+        held for held in vars(workload).values() if isinstance(held, ZipfSampler)
+    ]
+    assert len(sampler._streams) == 4
+    assert isinstance(sampler._cdf, array) and len(sampler._cdf) == 10_000
 
 
 def traced_network_bytes(peers_per_org):

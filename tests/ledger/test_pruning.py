@@ -172,7 +172,7 @@ def test_replay_state_over_retained_blocks(pruned_ledger):
             base.apply_block_writes(
                 block.block_id,
                 [
-                    (index, tx.rwset.writes)
+                    (block.version(index), tx.rwset.writes)
                     for index, tx in enumerate(block.transactions)
                     if block.is_valid(tx.tx_id)
                 ],
@@ -181,7 +181,7 @@ def test_replay_state_over_retained_blocks(pruned_ledger):
         base.apply_block_writes(
             block.block_id,
             [
-                (index, tx.rwset.writes)
+                (block.version(index), tx.rwset.writes)
                 for index, tx in enumerate(block.transactions)
                 if block.is_valid(tx.tx_id)
             ],

@@ -27,7 +27,7 @@ def test_empty_db():
 def test_read_and_first_stale_see_both_layers_and_the_pending_writes():
     db = StateDatabase()
     db.populate({"a": 1, "b": 2})
-    db.apply_block_writes(1, [(0, {"b": 3, "c": 4})])
+    db.apply_block_writes(1, [(Version(1, 0), {"b": 3, "c": 4})])
     assert db.read("a") == (1, GENESIS_VERSION)
     assert db.read("a")[1] is GENESIS_VERSION
     assert db.read("b") == (3, Version(1, 0))
@@ -56,14 +56,16 @@ def test_populate_sets_genesis_version():
 
 def test_populate_after_block_rejected():
     db = StateDatabase()
-    db.apply_block_writes(1, [(0, {"x": 1})])
+    db.apply_block_writes(1, [(Version(1, 0), {"x": 1})])
     with pytest.raises(StateError):
         db.populate({"a": 1})
 
 
 def test_apply_block_writes_stamps_versions():
     db = StateDatabase()
-    db.apply_block_writes(1, [(0, {"a": 10}), (3, {"b": 20})])
+    db.apply_block_writes(
+        1, [(Version(1, 0), {"a": 10}), (Version(1, 3), {"b": 20})]
+    )
     assert db.get("a").value == 10
     assert db.get("a").version == Version(1, 0)
     assert db.get("b").version == Version(1, 3)
@@ -83,7 +85,9 @@ def test_apply_blocks_must_be_in_order():
 
 def test_later_tx_in_block_overwrites_earlier():
     db = StateDatabase()
-    db.apply_block_writes(1, [(0, {"k": "first"}), (1, {"k": "second"})])
+    db.apply_block_writes(
+        1, [(Version(1, 0), {"k": "first"}), (Version(1, 1), {"k": "second"})]
+    )
     assert db.get_value("k") == "second"
     assert db.read("k")[1] == Version(1, 1)
 
@@ -92,14 +96,14 @@ def test_read_is_current_matches_version():
     db = StateDatabase()
     db.populate({"a": 1})
     assert db.read("a")[1] == GENESIS_VERSION
-    db.apply_block_writes(1, [(0, {"a": 2})])
+    db.apply_block_writes(1, [(Version(1, 0), {"a": 2})])
     assert db.read("a")[1] == Version(1, 0)
 
 
 def test_read_is_current_for_absent_key():
     db = StateDatabase()
     assert db.read("ghost")[1] is None
-    db.apply_block_writes(1, [(0, {"ghost": 1})])
+    db.apply_block_writes(1, [(Version(1, 0), {"ghost": 1})])
     assert db.read("ghost")[1] is not None
 
 
@@ -107,7 +111,7 @@ def test_snapshot_is_frozen():
     db = StateDatabase()
     db.populate({"a": 1})
     snap = db.copy()
-    db.apply_block_writes(1, [(0, {"a": 2, "b": 3})])
+    db.apply_block_writes(1, [(Version(1, 0), {"a": 2, "b": 3})])
     assert snap.get("a").value == 1
     assert "b" not in snap
     assert snap.last_block_id == 0
@@ -196,7 +200,7 @@ def test_copies_of_one_genesis_are_isolated():
 
     first.apply_write("a", 10, Version(1, 0))
     first.apply_write("c", 30, Version(1, 1))  # brand-new key
-    first.apply_block_writes(2, [(0, {"b": 20, "e": 50})])
+    first.apply_block_writes(2, [(Version(2, 0), {"b": 20, "e": 50})])
     assert first.get_value("a") == 10 and first.get_value("b") == 20
     assert [key for key, _ in first.range_scan("")] == ["a", "b", "c", "d", "e"]
     assert first.last_block_id == 2

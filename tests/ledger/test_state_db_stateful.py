@@ -55,12 +55,17 @@ tx_writes = st.lists(
 def apply_block(db, block_id, indexed_writes, inline):
     """Commit one block by the atomic (vanilla) or inline (Fabric++) path."""
     if not inline:
-        db.apply_block_writes(block_id, indexed_writes)
+        db.apply_block_writes(block_id, versioned(block_id, indexed_writes))
         return
     for tx_index, writes in indexed_writes:
         for key, value in writes.items():
             db.apply_write(key, value, Version(block_id, tx_index))
     db.advance_block(block_id)
+
+
+def versioned(block_id, indexed_writes):
+    """``apply_block_writes`` pairs: each index as its ``Version``."""
+    return [(Version(block_id, index), writes) for index, writes in indexed_writes]
 
 
 def record(model, block_id, indexed_writes):
@@ -168,7 +173,9 @@ class VersionedStateMachine(RuleBasedStateMachine):
         for block_id, indexed_writes in self.block_log:
             if block_id <= self.replica.last_block_id:
                 continue
-            self.replica.apply_block_writes(block_id, indexed_writes)
+            self.replica.apply_block_writes(
+                block_id, versioned(block_id, indexed_writes)
+            )
         assert self.replica.last_block_id == self.db.last_block_id
         assert dict(self.replica.items()) == dict(self.db.items())
 
@@ -177,7 +184,9 @@ class VersionedStateMachine(RuleBasedStateMachine):
     def stale_block_is_rejected(self, block):
         """Re-applying the current (or any older) block must fail."""
         with pytest.raises(StateError):
-            self.db.apply_block_writes(self.block_id, list(enumerate(block)))
+            self.db.apply_block_writes(
+                self.block_id, versioned(self.block_id, enumerate(block))
+            )
 
     @invariant()
     def digests_agree_with_the_full_scan(self):

@@ -40,7 +40,7 @@ def test_index_matches_brute_force_under_random_mutation():
             universe[rng.randint(0, len(universe) - 1)]: block_id
             for _ in range(rng.randint(0, 4))
         }
-        state.apply_block_writes(block_id, [(1, writes)])
+        state.apply_block_writes(block_id, [(Version(block_id, 1), writes)])
         for start, end in [
             ("a000", "c999"),
             ("b000", None),
@@ -57,7 +57,9 @@ def test_index_has_no_duplicate_keys_after_overwrites():
     state.populate({"k1": 0, "k2": 0})
     for block_id in range(1, 6):
         state.apply_write("k1", block_id, Version(block_id, 0))
-        state.apply_block_writes(block_id, [(0, {"k2": block_id})])
+        state.apply_block_writes(
+            block_id, [(Version(block_id, 0), {"k2": block_id})]
+        )
     assert [key for key, _ in state.range_scan("k", None)] == ["k1", "k2"]
 
 

@@ -29,7 +29,7 @@ def test_blocks_apply_like_dict_updates(blocks):
     db = StateDatabase()
     model = {}
     for block_id, writes in enumerate(blocks, start=1):
-        db.apply_block_writes(block_id, [(0, writes)])
+        db.apply_block_writes(block_id, [(Version(block_id, 0), writes)])
         model.update(writes)
     for key, value in model.items():
         assert db.get_value(key) == value
@@ -48,7 +48,7 @@ def test_versions_track_last_writer(blocks):
     db = StateDatabase()
     last_writer = {}
     for block_id, writes in enumerate(blocks, start=1):
-        db.apply_block_writes(block_id, [(0, writes)])
+        db.apply_block_writes(block_id, [(Version(block_id, 0), writes)])
         for key in writes:
             last_writer[key] = Version(block_id, 0)
     for key, version in last_writer.items():
@@ -68,7 +68,9 @@ class StateMachine(RuleBasedStateMachine):
     @rule(writes=st.dictionaries(keys, values, min_size=1, max_size=3))
     def apply_block(self, writes):
         self.block_id += 1
-        self.db.apply_block_writes(self.block_id, [(0, writes)])
+        self.db.apply_block_writes(
+            self.block_id, [(Version(self.block_id, 0), writes)]
+        )
         self.model.update(writes)
 
     @rule()

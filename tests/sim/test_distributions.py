@@ -55,10 +55,41 @@ def test_randint_draws_what_random_randint_draws(seed, draws):
     assert rng.getstate() == reference.getstate()
 
 
+#: Widths on both sides of the bulk path: up to 2**32 - 1 a draw takes
+#: one 32-bit word, and 2**32 and above fall back to ``randint``.
+_BULK_WIDTHS = st.one_of(
+    st.sampled_from(
+        [1, 2, 2**32, 2**32 + 1]
+        + [2**k + d for k in (1, 2, 8, 16, 31) for d in (0, 1)]
+    ),
+    st.integers(min_value=1, max_value=2**33),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64),
+    low=st.integers(min_value=-(2**40), max_value=2**40),
+    width=_BULK_WIDTHS,
+    count=st.integers(min_value=0, max_value=3000),
+)
+def test_randints_draws_what_count_randint_calls_draw(seed, low, width, count):
+    """``Rng.randints`` returns the values of ``count`` ``randint`` calls
+    and leaves the stream exactly where those calls leave it."""
+    high = low + width - 1
+    rng, reference = Rng(seed), random.Random(seed)
+    assert rng.randints(low, high, count) == [
+        reference.randint(low, high) for _ in range(count)
+    ]
+    assert rng.getstate() == reference.getstate()
+
+
 @pytest.mark.parametrize("low, high", [(0, -1), (5, 3), (-1, -2)])
 def test_randint_of_an_empty_range_raises(low, high):
     with pytest.raises(ValueError):
         Rng(0).randint(low, high)
+    with pytest.raises(ValueError):
+        Rng(0).randints(low, high, 3)
 
 
 def test_rng_different_seeds_differ():
@@ -96,8 +127,8 @@ def test_zipf_validation():
 
 
 def test_zipf_s_zero_is_uniform():
-    sampler = ZipfSampler(1000, 0.0, Rng(1))
-    draws = [sampler.sample() for _ in range(20_000)]
+    sampler, rng = ZipfSampler(1000, 0.0), Rng(1)
+    draws = [sampler.sample(rng) for _ in range(20_000)]
     assert all(0 <= d < 1000 for d in draws)
     # Chi-square-ish sanity: the most popular item under uniformity over
     # 1000 bins with 20k draws should not exceed ~3x the expectation.
@@ -108,8 +139,8 @@ def test_zipf_s_zero_is_uniform():
 
 
 def test_zipf_skew_concentrates_mass():
-    sampler = ZipfSampler(1000, 2.0, Rng(2))
-    draws = [sampler.sample() for _ in range(20_000)]
+    sampler, rng = ZipfSampler(1000, 2.0), Rng(2)
+    draws = [sampler.sample(rng) for _ in range(20_000)]
     counts = {}
     for d in draws:
         counts[d] = counts.get(d, 0) + 1
@@ -119,7 +150,7 @@ def test_zipf_skew_concentrates_mass():
 
 
 def test_zipf_rank_probabilities_decrease():
-    sampler = ZipfSampler(100, 1.0, Rng(0))
+    sampler = ZipfSampler(100, 1.0)
     probs = [sampler.probability_of_rank(r) for r in range(100)]
     assert all(a >= b for a, b in zip(probs, probs[1:]))
     assert abs(sum(probs) - 1.0) < 1e-9
@@ -131,14 +162,14 @@ def test_zipf_uniform_rank_probability():
 
 
 def test_zipf_single_item():
-    sampler = ZipfSampler(1, 1.5, Rng(0))
-    assert sampler.sample() == 0
+    sampler = ZipfSampler(1, 1.5)
+    assert sampler.sample(Rng(0)) == 0
 
 
 def test_zipf_higher_skew_more_concentration():
     def top_share(s_value):
-        sampler = ZipfSampler(500, s_value, Rng(5))
-        draws = [sampler.sample() for _ in range(10_000)]
+        sampler, rng = ZipfSampler(500, s_value), Rng(5)
+        draws = [sampler.sample(rng) for _ in range(10_000)]
         counts = {}
         for d in draws:
             counts[d] = counts.get(d, 0) + 1

@@ -653,12 +653,14 @@ def test_resume_refuses_experiment_flags(blank_checkpoints, tmp_path, capsys):
     capsys.readouterr()
     exit_code = main([
         "run", "--resume-from", str(directory), "--duration", "9",
-        "--users", "500",
+        "--users", "500", "--workload", "smallbank", "--seed", "42",
     ])
     err = capsys.readouterr().err
     assert exit_code == 2
-    assert "--duration" in err and "--users" in err
-    assert "--workload" not in err  # left at its default
+    # Named whenever given, even at the parser default (``smallbank``, 42).
+    for flag in ("--duration", "--users", "--workload", "--seed"):
+        assert flag in err
+    assert "--drain" not in err  # not given
 
 
 def test_resume_titles_the_table_with_the_checkpointed_workload(

@@ -78,10 +78,7 @@ ORPHANS = {
     "repro.workloads.custom:CustomChaincode",
     "repro.workloads.registry:register_workload",
     "repro.workloads.registry:workload_names",
-    "repro.workloads.smallbank:MODIFYING_FUNCTIONS",
     "repro.workloads.smallbank:SmallbankChaincode",
-    "repro.workloads.ycsb:KEY_WIDTH",
-    "repro.workloads.ycsb:PRESETS",
     "repro.workloads.ycsb:YcsbChaincode",
 }
 

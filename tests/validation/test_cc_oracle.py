@@ -287,6 +287,9 @@ def test_lockless_decision_rules_first_committer_wins():
         def __init__(self, txs):
             self.transactions = txs
 
+        def version(self, index):
+            return Version(self.block_id, index)
+
     block = SyntheticBlock(
         [
             # Fresh keys: reads of absent keys (version None) are valid.

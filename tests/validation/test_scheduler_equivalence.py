@@ -71,7 +71,7 @@ def run_serial(
             else:
                 for key in rwset.writes:
                     pending[key] = version
-                valid_writes.append((index, rwset.writes))
+                valid_writes.append((version, rwset.writes))
     if inline:
         state.advance_block(block_id)
     else:
@@ -101,11 +101,11 @@ def run_waves(
                 else:
                     for key in rwset.writes:
                         pending[key] = version
-                    valid_writes.append((index, rwset.writes))
+                    valid_writes.append((version, rwset.writes))
     if inline:
         state.advance_block(block_id)
     else:
-        valid_writes.sort(key=lambda entry: entry[0])
+        valid_writes.sort(key=lambda entry: entry[0].tx_id)
         state.apply_block_writes(block_id, valid_writes)
     return [outcomes[index] for index in range(len(rwsets))]
 
@@ -152,7 +152,7 @@ def test_wave_schedule_matches_serial_validation(data):
         label="pre-block writes",
     )
     if pre_writes:
-        base.apply_block_writes(1, [(0, pre_writes)])
+        base.apply_block_writes(1, [(Version(1, 0), pre_writes)])
 
     count = data.draw(st.integers(1, 8), label="block size")
     rwsets = [draw_tx(data, base) for _ in range(count)]

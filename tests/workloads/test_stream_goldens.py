@@ -24,7 +24,7 @@ from repro.core.batch_cutter import BatchCutConfig
 from repro.fabric.chaincode import ChaincodeStub
 from repro.fabric.config import FabricConfig
 from repro.fabric.network import FabricNetwork
-from repro.ledger.state_db import StateDatabase
+from repro.ledger.state_db import StateDatabase, Version
 from repro.sim.distributions import Rng
 from repro.workloads.registry import make_workload
 from tests.integration.test_fault_determinism import metrics_hash
@@ -103,8 +103,8 @@ def mixed_store(state):
     store.apply_block_writes(
         1,
         [
-            (0, {key: -1 for key in written[::2]}),
-            (3, {key: -2 for key in written[1::2]}),
+            (Version(1, 0), {key: -1 for key in written[::2]}),
+            (Version(1, 3), {key: -2 for key in written[1::2]}),
         ],
     )
     return store
