@@ -40,7 +40,9 @@ def transaction_stream(seed=5, n_keys=4000, rw=4):
         for _ in range(rw):
             rwset.record_write(f"k{rng.randint(0, n_keys - 1)}", 1)
         proposal = Proposal(f"t{index}", "client", "ch0", "cc", "f", ())
-        stream.append(Transaction(f"t{index}", proposal, rwset, []))
+        stream.append(
+            Transaction(f"t{index}", proposal.payload_bytes(), rwset, [])
+        )
     return stream
 
 

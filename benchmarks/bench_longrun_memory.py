@@ -13,7 +13,10 @@ checkpointed pruning) the benchmark records the ``tracemalloc`` peak and
 the committed TPS, prints the grid, and asserts bounded growth: the
 streaming mode's peak at the longest horizon must stay within
 ``GROWTH_LIMIT`` of its shortest-horizon peak even as the horizon grows
-``max(HORIZON_MULTIPLES)``-fold.
+``max(HORIZON_MULTIPLES)``-fold. For the list mode it reports what each
+committed transaction costs: the slope of the peak between the shortest
+and the longest horizon, in bytes per committed transaction
+(``list_bytes_per_committed_tx`` in the JSON).
 
 Environment: ``REPRO_BENCH_DURATION`` scales the base horizon,
 ``REPRO_BENCH_FULL=1`` extends the horizon ladder, and
@@ -100,6 +103,7 @@ def measure(system: str, mode: str, duration: float) -> dict:
         "mode": mode,
         "duration": duration,
         "peak_mb": round(peak / 1e6, 3),
+        "peak_bytes": peak,
         "committed": result.metrics.successful,
         "committed_tps": round(result.metrics.successful_tps(), 1),
     }
@@ -128,7 +132,21 @@ def main() -> None:
                 )
 
     failures = []
+    slopes = {}
     for system in ("fabric", "fabric++"):
+        list_rows = [
+            row for row in rows if row["system"] == system and row["mode"] == "lists"
+        ]
+        first, last = list_rows[0], list_rows[-1]
+        slopes[system] = round(
+            (last["peak_bytes"] - first["peak_bytes"])
+            / (last["committed"] - first["committed"])
+        )
+        print(
+            f"{system}: list-mode peak grew {slopes[system]} bytes per "
+            f"committed transaction"
+        )
+
         streaming_rows = [
             row
             for row in rows
@@ -153,6 +171,7 @@ def main() -> None:
         "base_duration": BASE_DURATION,
         "horizon_multiples": list(HORIZON_MULTIPLES),
         "growth_limit": GROWTH_LIMIT,
+        "list_bytes_per_committed_tx": slopes,
         "rows": rows,
         "passed": not failures,
         "failures": failures,

@@ -76,9 +76,10 @@ def endorse(env, peers, proposal):
     endorsements = tuple(reply.endorsement for reply in replies)
     return Transaction(
         tx_id=proposal.proposal_id,
-        proposal=proposal,
+        invocation=proposal.payload_bytes(),
         rwset=endorsements[0].rwset,
         endorsements=endorsements,
+        submitted_at=proposal.submitted_at,
     )
 
 

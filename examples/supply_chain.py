@@ -114,7 +114,13 @@ def submit(env, peers, tx_id, function, args):
     handles = [peer.endorse("ch0", proposal) for peer in peers]
     env.run()
     endorsements = tuple(handle.value.endorsement for handle in handles)
-    return Transaction(tx_id, proposal, endorsements[0].rwset, endorsements)
+    return Transaction(
+        tx_id,
+        proposal.payload_bytes(),
+        endorsements[0].rwset,
+        endorsements,
+        submitted_at=proposal.submitted_at,
+    )
 
 
 def commit_block(env, peers, block_id, transactions):

@@ -275,7 +275,9 @@ class Client:
         proposal as a mismatch and return None.
 
         Endorsers that agree return one set object (they share it through
-        the proposal), so the transaction carries that object.
+        the proposal), so the transaction carries that object. It keeps
+        the proposal's signed invocation bytes and submission time, not
+        the proposal itself.
         """
         reference = endorsements[0].rwset
         if any(
@@ -288,10 +290,11 @@ class Client:
             return None
         return Transaction(
             tx_id=proposal.proposal_id,
-            proposal=proposal,
+            invocation=proposal.payload_bytes(),
             rwset=self._maybe_oversize(reference, proposal),
             endorsements=tuple(endorsements),
             assembled_at=self.env.now,
+            submitted_at=proposal.submitted_at,
         )
 
     # -- misbehavior ---------------------------------------------------------------

@@ -21,9 +21,10 @@ import copy
 import enum
 import math
 import random
+from array import array
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.dataform import load_dataclass, load_value
 from repro.trace.cost import CostBreakdown
@@ -148,21 +149,32 @@ def _throughput_rows(
     ]
 
 
+#: Outcome codes of :class:`ListSamples`: a member's position here.
+_OUTCOMES = tuple(TxOutcome)
+_COMMITTED = _OUTCOMES.index(TxOutcome.COMMITTED)
+
+
 @dataclass(slots=True)
 class ListSamples:
-    """The exact sample store: one list entry per transaction / block.
+    """The exact sample store: one entry per transaction / block.
 
     The default store of :class:`PipelineMetrics`. It and
     :class:`StreamingMetrics` answer the same questions through the same
-    methods; this one keeps every sample, so every answer is exact.
+    methods; this one keeps every sample, so every answer is exact. A
+    run holds every sample until it ends, so the per-transaction ones
+    sit in typed arrays (a C double or byte each), not in lists of
+    tuples of boxed floats.
     """
 
     #: Latencies (proposal submission -> commit) of successful txs.
-    commit_latencies: List[float] = field(default_factory=list)
-    #: Timestamped outcomes: (simulated time, outcome).
-    outcome_times: List[tuple] = field(default_factory=list)
-    #: Per-phase latencies (endorse, order, validate) of committed txs.
-    phase_latencies: List[tuple] = field(default_factory=list)
+    commit_latencies: array = field(default_factory=lambda: array("d"))
+    #: Simulated time of each timestamped outcome, in recording order...
+    outcome_at: array = field(default_factory=lambda: array("d"))
+    #: ...and its outcome's code (position in ``TxOutcome``).
+    outcome_codes: array = field(default_factory=lambda: array("B"))
+    #: Per-phase latencies of committed txs, three entries per tx
+    #: (endorse, order, validate).
+    phase_latencies: array = field(default_factory=lambda: array("d"))
     #: Histogram of block sizes (transactions per block) at commit.
     block_sizes: List[int] = field(default_factory=list)
 
@@ -171,13 +183,14 @@ class ListSamples:
     ) -> None:
         """Keep one terminal outcome's timestamp and commit latency."""
         if now is not None:
-            self.outcome_times.append((now, outcome))
+            self.outcome_at.append(now)
+            self.outcome_codes.append(_OUTCOMES.index(outcome))
         if outcome.is_success and latency is not None:
             self.commit_latencies.append(latency)
 
     def phases(self, endorse: float, order: float, validate: float) -> None:
         """Keep one committed transaction's per-phase latencies."""
-        self.phase_latencies.append((endorse, order, validate))
+        self.phase_latencies.fromlist([endorse, order, validate])
 
     def block(self, num_transactions: int) -> None:
         """Keep one committed block's size."""
@@ -186,15 +199,21 @@ class ListSamples:
     def set_window(self, duration: float) -> None:
         """Nothing to pin: exact samples are windowed at query time."""
 
+    @property
+    def outcome_times(self) -> List[Tuple[float, TxOutcome]]:
+        """The timestamped outcomes as (simulated time, outcome) pairs."""
+        outcomes = map(_OUTCOMES.__getitem__, self.outcome_codes)
+        return list(zip(self.outcome_at, outcomes))
+
     def windowed(self, want_success: bool, duration: float) -> Optional[int]:
         """Outcomes at simulated time <= ``duration``; None when no
         outcome carried a timestamp."""
-        if not self.outcome_times:
+        if not self.outcome_at:
             return None
         return sum(
             1
-            for time, outcome in self.outcome_times
-            if time <= duration and outcome.is_success == want_success
+            for time, code in zip(self.outcome_at, self.outcome_codes)
+            if time <= duration and (code == _COMMITTED) == want_success
         )
 
     def latency(self) -> Optional[LatencyStats]:
@@ -204,12 +223,15 @@ class ListSamples:
     @property
     def phase_count(self) -> int:
         """Committed transactions with recorded phases."""
-        return len(self.phase_latencies)
+        return len(self.phase_latencies) // 3
 
     @property
     def phase_sums(self) -> List[float]:
         """Total seconds per phase (endorse, order, validate)."""
-        return [sum(column) for column in zip(*self.phase_latencies)]
+        phases = self.phase_latencies
+        if not phases:
+            return []
+        return [sum(phases[column::3]) for column in range(3)]
 
     @property
     def block_total(self) -> int:
@@ -223,46 +245,58 @@ class ListSamples:
         bucket_count = max(1, int(round(duration / bucket_seconds)))
         successes = [0] * bucket_count
         failures = [0] * bucket_count
-        for time, outcome in self.outcome_times:
+        for time, code in zip(self.outcome_at, self.outcome_codes):
             if time > duration:
                 continue
             index = min(bucket_count - 1, int(time / bucket_seconds))
-            if outcome.is_success:
+            if code == _COMMITTED:
                 successes[index] += 1
             else:
                 failures[index] += 1
         return _throughput_rows(successes, failures, bucket_seconds)
 
     def merge(self, other: "ListSamples") -> None:
-        """Fold another store in: sample lists concatenate in merge
+        """Fold another store in: sample arrays concatenate in merge
         order; the timestamped series merges by time (stable sort, so
         simultaneous outcomes keep merge order)."""
         self.commit_latencies.extend(other.commit_latencies)
         self.phase_latencies.extend(other.phase_latencies)
         self.block_sizes.extend(other.block_sizes)
-        self.outcome_times.extend(other.outcome_times)
-        self.outcome_times.sort(key=itemgetter(0))
+        at = self.outcome_at + other.outcome_at
+        codes = self.outcome_codes + other.outcome_codes
+        order = sorted(range(len(at)), key=at.__getitem__)
+        self.outcome_at = array("d", map(at.__getitem__, order))
+        self.outcome_codes = array("B", map(codes.__getitem__, order))
 
     def to_dict(self) -> Dict[str, object]:
         """The sample keys of a metrics snapshot."""
+        phases = self.phase_latencies
         return {
-            "commit_latencies": list(self.commit_latencies),
+            "commit_latencies": self.commit_latencies.tolist(),
             "outcome_times": [
                 [time, outcome.value] for time, outcome in self.outcome_times
             ],
-            "phase_latencies": [list(sample) for sample in self.phase_latencies],
+            "phase_latencies": [
+                phases[index : index + 3].tolist()
+                for index in range(0, len(phases), 3)
+            ],
             "block_sizes": list(self.block_sizes),
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ListSamples":
         """Rebuild from the sample keys of a snapshot."""
+        outcome_times = data["outcome_times"]
         return cls(
-            commit_latencies=list(data["commit_latencies"]),
-            outcome_times=[
-                (time, TxOutcome(value)) for time, value in data["outcome_times"]
-            ],
-            phase_latencies=[tuple(sample) for sample in data["phase_latencies"]],
+            commit_latencies=array("d", data["commit_latencies"]),
+            outcome_at=array("d", [time for time, _value in outcome_times]),
+            outcome_codes=array(
+                "B",
+                [_OUTCOMES.index(TxOutcome(value)) for _time, value in outcome_times],
+            ),
+            phase_latencies=array(
+                "d", [value for sample in data["phase_latencies"] for value in sample]
+            ),
             block_sizes=list(data["block_sizes"]),
         )
 
@@ -836,7 +870,7 @@ class PipelineMetrics:
     outcomes: Dict[TxOutcome, int] = field(
         default_factory=lambda: {outcome: 0 for outcome in TxOutcome}
     )
-    #: The per-transaction samples: exact lists by default, the bounded
+    #: The per-transaction samples: exact arrays by default, the bounded
     #: aggregates once :meth:`enable_streaming` swapped the store (set
     #: only when the run enabled ``FabricConfig.streaming_metrics``, so
     #: default snapshots stay byte-identical to pre-streaming builds).

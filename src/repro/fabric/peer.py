@@ -316,7 +316,9 @@ class Peer:
             rwset = signed
         else:
             object.__setattr__(proposal, "_signed", rwset)
-        signature = sign(self.identity, endorsement_payload(proposal, rwset))
+        signature = sign(
+            self.identity, endorsement_payload(proposal.payload_bytes(), rwset)
+        )
         endorsement = Endorsement(self.name, self.org, rwset, signature)
         if tracer is not None:
             tracer.span(
@@ -373,7 +375,9 @@ class Peer:
         policy, registry = key
         if not policy.satisfied_by(tx.endorsing_orgs):
             return False
-        payload = endorsement_payload(tx.proposal, tx.rwset)
+        # Rebuilt from the rwset that travels with the transaction, never
+        # stored whole: a set swapped after endorsement changes it.
+        payload = endorsement_payload(tx.invocation, tx.rwset)
         for endorsement in tx.endorsements:
             # The signature must cover the rwset that travels with the
             # transaction; a client that swapped in another write set
@@ -450,7 +454,7 @@ class Peer:
             and tx.ordered_at is not None
         ):
             self._metrics.record_phases(
-                endorse=tx.assembled_at - tx.proposal.submitted_at,
+                endorse=tx.assembled_at - tx.submitted_at,
                 order=tx.ordered_at - tx.assembled_at,
                 validate=tx.committed_at - tx.ordered_at,
             )

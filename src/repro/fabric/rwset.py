@@ -61,7 +61,7 @@ class RangeRead:
         return tuple(key for key, _version in self.results)
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadWriteSet:
     """A transaction's reads (key -> version) and writes (key -> value).
 
@@ -74,12 +74,15 @@ class ReadWriteSet:
     ``record_*`` methods raise, so the bytes a signature (and a block
     hash) covers cannot be changed through them. :meth:`copy` returns an
     unsealed copy.
+
+    Slotted, and a set without a range scan holds the shared empty
+    tuple: every committed transaction keeps its set until the run ends.
     """
 
     reads: Dict[str, Optional[Version]] = field(default_factory=dict)
     writes: Dict[str, object] = field(default_factory=dict)
     #: Range scans with their observed results (phantom detection).
-    range_reads: List[RangeRead] = field(default_factory=list)
+    range_reads: Tuple[RangeRead, ...] = ()
     #: Memoised canonical encoding; invalidated on mutation.
     _canonical: Optional[bytes] = field(
         default=None, repr=False, compare=False
@@ -116,7 +119,7 @@ class ReadWriteSet:
     def record_range_read(self, range_read: RangeRead) -> None:
         """Record a range scan together with its observed result."""
         self._check_unsealed()
-        self.range_reads.append(range_read)
+        self.range_reads += (range_read,)
         self._canonical = None
 
     @property
@@ -243,7 +246,7 @@ class ReadWriteSet:
                 for key, version in record["reads"].items()
             },
             {key: ValueText(text) for key, text in record["writes"].items()},
-            [
+            tuple(
                 RangeRead(
                     scan["start"],
                     scan["end"],
@@ -253,20 +256,29 @@ class ReadWriteSet:
                     ),
                 )
                 for scan in record["range_reads"]
-            ],
+            ),
         )
 
     def __eq__(self, other: object) -> bool:
+        """Decided on what :meth:`canonical_bytes` signs, without encoding
+        either set: equal reads and range reads, the same written keys,
+        and each written value with the same ``repr`` (the signed text),
+        so ``1`` and ``1.0`` or ``0.0`` and ``-0.0`` differ although
+        they compare equal."""
         if not isinstance(other, ReadWriteSet):
             return NotImplemented
-        return (
-            self.reads == other.reads
-            and self.writes == other.writes
-            and self.range_reads == other.range_reads
-        )
+        writes, theirs = self.writes, other.writes
+        if (
+            self.reads != other.reads
+            or self.range_reads != other.range_reads
+            or writes.keys() != theirs.keys()
+        ):
+            return False
+        for key, value in writes.items():
+            if repr(value) != repr(theirs[key]):
+                return False
+        return True
 
     def copy(self) -> "ReadWriteSet":
         """Return an independent, unsealed copy."""
-        return ReadWriteSet(
-            dict(self.reads), dict(self.writes), list(self.range_reads)
-        )
+        return ReadWriteSet(dict(self.reads), dict(self.writes), self.range_reads)

@@ -11,6 +11,11 @@ The lifecycle (paper Section 2.2 and Appendix A):
    :class:`Transaction` carrying the rwset and every signature, and submits
    it to the ordering service. On the host, endorsers that agree return
    one set object (see :attr:`Proposal._signed`).
+
+A transaction keeps the invocation bytes its endorsers signed, not the
+client's :class:`Proposal`: like a real envelope, it carries the
+serialized request, so the request object (and its argument tuple)
+dies once the transaction is assembled.
 """
 
 from __future__ import annotations
@@ -64,20 +69,21 @@ class Endorsement:
     rwset: ReadWriteSet
     signature: Signature
 
-    def signed_payload(self, proposal: Proposal) -> bytes:
+    def signed_payload(self, invocation: bytes) -> bytes:
         """The bytes this endorsement's signature covers."""
-        return endorsement_payload(proposal, self.rwset)
+        return endorsement_payload(invocation, self.rwset)
 
 
-def endorsement_payload(proposal: Proposal, rwset: ReadWriteSet) -> bytes:
+def endorsement_payload(invocation: bytes, rwset: ReadWriteSet) -> bytes:
     """Canonical signing payload: invocation + rwset (paper A.3.1).
 
-    The signature covers the read and write set, the executed smart
-    contract, and the endorsement policy context (carried here via the
-    proposal's channel/chaincode identity), so a client cannot swap in a
-    different endorser's write set without detection.
+    ``invocation`` is :meth:`Proposal.payload_bytes`. The signature
+    covers the read and write set, the executed smart contract, and the
+    endorsement policy context (carried here via the proposal's
+    channel/chaincode identity), so a client cannot swap in a different
+    endorser's write set without detection.
     """
-    return proposal.payload_bytes() + b"#" + rwset.canonical_bytes()
+    return invocation + b"#" + rwset.canonical_bytes()
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,13 +102,20 @@ class Transaction:
     """
 
     tx_id: str
+    #: The proposal's :meth:`~Proposal.payload_bytes`: what the endorsers
+    #: signed beside the rwset. Only the bytes are kept, never the whole
+    #: signed payload: validation rebuilds that from :attr:`rwset`, so a
+    #: set swapped after endorsement no longer matches the signatures.
     #: None on a transaction imported from a ledger export (the digest
-    #: does not cover the proposal, so exports leave it behind).
-    proposal: Optional[Proposal]
+    #: does not cover it, so exports leave it behind).
+    invocation: Optional[bytes]
     rwset: ReadWriteSet
     endorsements: Tuple[Endorsement, ...]
     #: Simulated time at which the client assembled this transaction.
     assembled_at: float = 0.0
+    #: Simulated time at which the client submitted the proposal (None on
+    #: an imported transaction).
+    submitted_at: Optional[float] = None
     #: Simulated time at which the ordering service cut it into a block.
     ordered_at: Optional[float] = None
     #: Simulated time the orderer received it. Stamped only by traced

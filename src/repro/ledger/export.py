@@ -14,8 +14,9 @@ stream to rebuild its state. This module provides the supporting pieces:
 Each transaction travels as exactly the fields its digest covers — id,
 read/write set and endorsement signatures — plus its validity flag and
 the digest recorded at export time, which lets a mismatch name the
-transaction. The proposal, which the digest does not cover, stays
-behind: imported transactions carry ``proposal=None``.
+transaction. The invocation bytes and submission time, which the digest
+does not cover, stay behind: imported transactions carry
+``invocation=None`` and ``submitted_at=None``.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def _transaction(record: Dict[str, object]) -> Transaction:
         for entry in record["endorsements"]
     )
     tx = Transaction(
-        record["tx_id"], proposal=None, rwset=rwset, endorsements=endorsements
+        record["tx_id"], invocation=None, rwset=rwset, endorsements=endorsements
     )
     if tx.digest().hex() != record["digest"]:
         raise LedgerError(

@@ -16,7 +16,7 @@ def make_tx(tx_id, keys=(), size_entries=0):
     for i in range(size_entries):
         rwset.record_write(f"pad-{tx_id}-{i}", i)
     proposal = Proposal(tx_id, "client", "ch0", "cc", "f", ())
-    return Transaction(tx_id, proposal, rwset, [])
+    return Transaction(tx_id, proposal.payload_bytes(), rwset, [])
 
 
 def test_config_validation():

@@ -108,14 +108,17 @@ class TestBed:
         endorsements = tuple(reply.endorsement for reply in replies)
         return Transaction(
             tx_id=proposal.proposal_id,
-            proposal=proposal,
+            invocation=proposal.payload_bytes(),
             rwset=endorsements[0].rwset,
             endorsements=endorsements,
+            submitted_at=proposal.submitted_at,
         )
 
     def forge_endorsement(self, proposal: Proposal, rwset: ReadWriteSet, peer):
         """An honest signature over an honest rwset, for tamper tests."""
-        signature = sign(peer.identity, endorsement_payload(proposal, rwset))
+        signature = sign(
+            peer.identity, endorsement_payload(proposal.payload_bytes(), rwset)
+        )
         return Endorsement(peer.name, peer.org, rwset, signature)
 
     def deliver(self, block):

@@ -1,5 +1,6 @@
 """Unit tests for configuration and pipeline metrics."""
 
+import hashlib
 import json
 from operator import itemgetter
 
@@ -105,7 +106,7 @@ def test_record_outcomes():
     assert metrics.successful == 2
     assert metrics.failed == 1
     assert metrics.resolved == 3
-    assert metrics.samples.commit_latencies == [0.5, 1.5]
+    assert metrics.samples.commit_latencies.tolist() == [0.5, 1.5]
 
 
 def test_tps_computation():
@@ -272,6 +273,51 @@ def test_merge_equals_recording_the_union(parts, streaming):
     assert merged.samples.outcome_times == sorted(
         union.samples.outcome_times, key=by_time
     )
+
+
+#: Three parts with simultaneous outcomes across parts, every outcome
+#: kind a list store codes, and an inexact float.
+LIST_PARTS = (
+    [
+        (0.5, TxOutcome.COMMITTED, 0.3),
+        (1.25, TxOutcome.ABORT_MVCC, 0.2),
+        (1.0, TxOutcome.EARLY_ABORT_CYCLE, 0.4),
+    ],
+    [
+        (0.5, TxOutcome.ABORT_OCC_WW, 0.1),
+        (0.1, TxOutcome.COMMITTED, 0.7),
+        (2.5, TxOutcome.COMMITTED, 1 / 3),
+    ],
+    [(1.0, TxOutcome.COMMITTED, 0.15), (0.5, TxOutcome.SAGA_HALF_COMMITTED, 0.9)],
+)
+
+#: SHA-256 of the ``LIST_PARTS`` merge's snapshot and of its derived
+#: figures, both captured while the list store held lists of tuples of
+#: floats: the typed arrays must serialise and answer byte for byte the
+#: same (``test_fleet_merge_is_bit_identical_to_golden`` pins whole
+#: sharded list-mode runs).
+LIST_SNAPSHOT_SHA256 = "9318edb7a9fa5010046ecacad2f30b50258bc41c3baaa83e07528933331fd236"
+LIST_DERIVED_SHA256 = "9c7566a8df5617bd00edbc249ad6c1b36d4fb481fb7fd93a4973c2805f21400a"
+
+
+def test_list_mode_snapshot_serialises_byte_for_byte_as_before():
+    merged = PipelineMetrics(duration=2.0)
+    for events in LIST_PARTS:
+        part = PipelineMetrics(duration=2.0)
+        record_part(part, events)
+        merged.merge(part)
+    snapshot = json.dumps(merged.to_dict(), sort_keys=True)
+    assert hashlib.sha256(snapshot.encode()).hexdigest() == LIST_SNAPSHOT_SHA256
+    for metrics in (merged, PipelineMetrics.from_dict(json.loads(snapshot))):
+        assert json.dumps(metrics.to_dict(), sort_keys=True) == snapshot
+        derived = repr((
+            metrics.phase_breakdown(),
+            metrics.latency(),
+            metrics.successful_tps(),
+            metrics.failed_tps(),
+            metrics.throughput_timeseries(0.5),
+        ))
+        assert hashlib.sha256(derived.encode()).hexdigest() == LIST_DERIVED_SHA256
 
 
 def metrics_with_every_block():

@@ -27,7 +27,7 @@ def make_tx(tx_id, reads=(), writes=(), version=Version(1, 0)):
     for key in writes:
         rwset.record_write(key, f"v-{key}")
     proposal = Proposal(tx_id, "client", "ch0", "cc", "f", ())
-    return Transaction(tx_id, proposal, rwset, [])
+    return Transaction(tx_id, proposal.payload_bytes(), rwset, [])
 
 
 def vanilla_config(**kwargs):

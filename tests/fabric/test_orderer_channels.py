@@ -19,7 +19,7 @@ def make_tx(tx_id, pad_entries=0):
     for i in range(pad_entries):
         rwset.record_write(f"pad-{tx_id}-{i}", i)
     proposal = Proposal(tx_id, "client", "ch", "cc", "f", ())
-    return Transaction(tx_id, proposal, rwset, [])
+    return Transaction(tx_id, proposal.payload_bytes(), rwset, [])
 
 
 def build(harness_for, cores, config=None, **kwargs):

@@ -59,6 +59,30 @@ def test_byzantine_hook_changes_rwset(testbed):
     assert replies[0].endorsement.rwset != replies[1].endorsement.rwset
 
 
+def as_floats(rwset):
+    """The same set with every written value as a float: equal under
+    ``==``, different under ``repr`` and so in the signed bytes."""
+    twin = rwset.copy()
+    for key, value in rwset.writes.items():
+        twin.record_write(key, float(value))
+    return twin
+
+
+def test_endorsers_that_sign_different_bytes_each_sign_their_own_set(testbed):
+    testbed.peers[1].byzantine_rwset_hook = as_floats
+    proposal = testbed.proposal("p1")
+    first, second = (
+        reply.endorsement for reply in testbed.endorse_everywhere(proposal)
+    )
+    assert first.rwset.writes == second.rwset.writes  # 1 == 1.0
+    assert first.rwset is not second.rwset
+    assert first.rwset.canonical_bytes() != second.rwset.canonical_bytes()
+    invocation = proposal.payload_bytes()
+    for endorsement in (first, second):
+        payload = endorsement.signed_payload(invocation)
+        assert verify(testbed.registry, endorsement.signature, payload)
+
+
 # -- validation and commit ------------------------------------------------------------
 
 
@@ -88,7 +112,9 @@ def stale_transaction(testbed, proposal):
     endorsements = tuple(
         testbed.forge_endorsement(proposal, stale, peer) for peer in testbed.peers
     )
-    return Transaction(proposal.proposal_id, proposal, stale, endorsements)
+    return Transaction(
+        proposal.proposal_id, proposal.payload_bytes(), stale, endorsements
+    )
 
 
 def test_invalid_transaction_effects_discarded(testbed):
@@ -457,6 +483,19 @@ def test_oversizing_client_still_aborts_on_every_peer_end_to_end():
             key.startswith("__pad/") for key in peer.channels["ch0"].state.keys()
         )
     _assert_cache_holds_only_valid_signatures(network.registry)
+
+
+def test_endorsers_writing_1_and_1_0_resolve_as_an_endorsement_mismatch():
+    network = _small_network()
+    for peer in network.peers_by_org["OrgB"]:
+        peer.byzantine_rwset_hook = as_floats
+    metrics = network.run(1.0, drain=3.0)
+    assert metrics.fired == metrics.resolved
+    assert metrics.outcomes[TxOutcome.ENDORSEMENT_MISMATCH] > 0
+    for block in network.reference_peer.channels["ch0"].ledger:
+        for tx in block.transactions:
+            # Only sets without writes (Smallbank's queries) agree.
+            assert not tx.rwset.writes
 
 
 def test_byzantine_endorser_still_mismatches_after_honest_traffic():

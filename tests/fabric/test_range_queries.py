@@ -108,7 +108,7 @@ def scan_tx(bed, tx_id, results):
     ]
     from repro.fabric.transaction import Transaction
 
-    return Transaction(tx_id, proposal, rwset, endorsements)
+    return Transaction(tx_id, proposal.payload_bytes(), rwset, endorsements)
 
 
 @pytest.fixture
@@ -133,7 +133,7 @@ def test_updated_range_member_invalidates(bed):
     from repro.fabric.transaction import Transaction
 
     writer = Transaction(
-        "writer", proposal, writer_rwset,
+        "writer", proposal.payload_bytes(), writer_rwset,
         [bed.forge_endorsement(proposal, writer_rwset, peer) for peer in bed.peers],
     )
     scanner = scan_tx(bed, "scan", genesis_results())
@@ -155,7 +155,7 @@ def test_write_into_scanned_key_aborts_scanner_without_reorder(bed):
     writer_rwset.record_write("item_2", 21)
     proposal = bed.proposal("writer")
     writer = Transaction(
-        "writer", proposal, writer_rwset,
+        "writer", proposal.payload_bytes(), writer_rwset,
         [bed.forge_endorsement(proposal, writer_rwset, peer) for peer in bed.peers],
     )
     scanner = scan_tx(bed, "scan", genesis_results())
@@ -177,7 +177,7 @@ def test_phantom_insert_invalidates(bed):
     from repro.fabric.transaction import Transaction
 
     inserter = Transaction(
-        "insert", proposal, insert_rwset,
+        "insert", proposal.payload_bytes(), insert_rwset,
         [bed.forge_endorsement(proposal, insert_rwset, peer) for peer in bed.peers],
     )
     scanner = scan_tx(bed, "scan", genesis_results())
@@ -193,7 +193,7 @@ def test_write_outside_range_is_harmless(bed):
     from repro.fabric.transaction import Transaction
 
     outsider = Transaction(
-        "outside", proposal, outside_rwset,
+        "outside", proposal.payload_bytes(), outside_rwset,
         [bed.forge_endorsement(proposal, outside_rwset, peer) for peer in bed.peers],
     )
     scanner = scan_tx(bed, "scan", genesis_results())
@@ -208,7 +208,7 @@ def test_cross_block_phantom_detected(bed):
     from repro.fabric.transaction import Transaction
 
     inserter = Transaction(
-        "insert", proposal, insert_rwset,
+        "insert", proposal.payload_bytes(), insert_rwset,
         [bed.forge_endorsement(proposal, insert_rwset, peer) for peer in bed.peers],
     )
     bed.deliver(Block.create(1, GENESIS_HASH, [inserter]))
@@ -225,7 +225,7 @@ def test_fresh_scan_after_insert_commits(bed):
     from repro.fabric.transaction import Transaction
 
     inserter = Transaction(
-        "insert", proposal, insert_rwset,
+        "insert", proposal.payload_bytes(), insert_rwset,
         [bed.forge_endorsement(proposal, insert_rwset, peer) for peer in bed.peers],
     )
     bed.deliver(Block.create(1, GENESIS_HASH, [inserter]))

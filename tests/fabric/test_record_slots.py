@@ -1,8 +1,8 @@
 """Safety net for the slotted per-key / per-transaction records.
 
 ``Version``, ``VersionedValue``, ``Signature``, ``Endorsement``,
-``Proposal``, ``Transaction`` and ``EndorseReply`` are ``slots=True``
-dataclasses: no per-instance ``__dict__``. Everything that used to go
+``Proposal``, ``Transaction``, ``ReadWriteSet`` and ``EndorseReply`` are
+``slots=True`` dataclasses: no per-instance ``__dict__``. Everything that used to go
 through that dict must keep working — the resume oracle deep-copies
 snapshots, ``--jobs`` pickles results across processes, the walk behind
 the RNG-registry oracle enumerates attributes — on every interpreter of
@@ -33,7 +33,13 @@ def _records():
     signature = Signature("peer0.OrgA", b"\x01" * 32)
     endorsement = Endorsement("peer0.OrgA", "OrgA", rwset, signature)
     transaction = Transaction(
-        "p1", proposal, rwset, [endorsement], assembled_at=1.0, ordered_at=2.0
+        "p1",
+        proposal.payload_bytes(),
+        rwset,
+        [endorsement],
+        assembled_at=1.0,
+        submitted_at=0.5,
+        ordered_at=2.0,
     )
     return {
         "Version": Version(1, 2),
@@ -43,6 +49,7 @@ def _records():
         "Proposal(memoised)": warmed,
         "Endorsement": endorsement,
         "Transaction": transaction,
+        "ReadWriteSet": rwset,
         "EndorseReply": EndorseReply(endorsement, stale_key="k"),
     }
 
@@ -116,14 +123,15 @@ def test_checkpoint_walk_sees_through_slotted_records():
     stream = Rng(7)
     hidden = Transaction(
         "p1",
-        RECORDS["Proposal"],
+        RECORDS["Proposal"].payload_bytes(),
         ReadWriteSet(writes={"k": VersionedValue(stream, Version(1, 0))}),
         [RECORDS["Endorsement"]],
     )
     root = {"reply": EndorseReply(None), "tx": hidden}
     paths = [path for path, _obj in walk_objects(root)]
     assert "root['tx'].endorsements[0].signature" in paths
-    assert "root['tx'].proposal" in paths
+    assert "root['tx'].rwset.writes" in paths
+    assert "root['tx'].rwset.range_reads" in paths
     # The wrapper and the ``random.Random`` it owns, in walk order.
     assert iter_rng_streams(root) == [
         ("root['tx'].rwset.writes['k'].value", stream),

@@ -3,6 +3,8 @@
 import hashlib
 import sys
 
+import pytest
+
 from repro.fabric.rwset import RangeRead, ReadWriteSet
 from repro.ledger.state_db import Version
 
@@ -84,6 +86,39 @@ def test_equality_ignores_insertion_order():
     b.record_read("k2", V1)
     b.record_read("k1", V1)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "mine, theirs", [(1, 1.0), (0.0, -0.0), (True, 1)]
+)
+def test_values_that_compare_equal_but_sign_differently_are_unequal(mine, theirs):
+    """Equality is decided on what is signed (each written value's
+    ``repr``), so two endorsers that disagree on the bytes disagree."""
+    a, b = ReadWriteSet(), ReadWriteSet()
+    for rwset, value in ((a, mine), (b, theirs)):
+        rwset.record_read("k", V1)
+        rwset.record_write("w", value)
+    assert a.canonical_bytes() != b.canonical_bytes()
+    assert a != b and b != a
+
+
+def test_equality_follows_the_signed_text_of_each_value():
+    a = ReadWriteSet(writes={"w": {"balance": 3}})
+    assert a == ReadWriteSet(writes={"w": {"balance": 3}})
+    # An imported set holds each value's text and equals the original.
+    imported = ReadWriteSet.from_record(a.to_record())
+    assert imported == a and imported.canonical_bytes() == a.canonical_bytes()
+    assert a != ReadWriteSet(writes={"w": {"balance": 3}, "x": None})
+    assert a != ReadWriteSet(writes={"v": {"balance": 3}})
+
+
+def test_a_set_without_scans_shares_the_empty_tuple():
+    a, b = ReadWriteSet(), ReadWriteSet()
+    assert a.range_reads == () and a.range_reads is b.range_reads
+    scan = RangeRead("a", "b", ())
+    a.record_range_read(scan)
+    assert a.range_reads == (scan,) and b.range_reads == ()
+    assert not hasattr(a, "__dict__")
 
 
 def test_canonical_bytes_stable():

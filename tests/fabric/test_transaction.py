@@ -51,21 +51,24 @@ def test_proposal_payload_differs_by_args():
 def test_endorsement_payload_covers_proposal_and_rwset():
     proposal = make_proposal()
     rwset = make_rwset()
-    payload = endorsement_payload(proposal, rwset)
-    assert payload != endorsement_payload(make_proposal(function="other"), rwset)
+    invocation = proposal.payload_bytes()
+    payload = endorsement_payload(invocation, rwset)
+    other_function = make_proposal(function="other").payload_bytes()
+    assert payload != endorsement_payload(other_function, rwset)
     other = make_rwset()
     other.record_write("BalB", 80)
-    assert payload != endorsement_payload(proposal, other)
+    assert payload != endorsement_payload(invocation, other)
 
 
 def test_endorsement_signed_payload():
     identity = Identity.create("peer0.OrgA", "OrgA")
     proposal = make_proposal()
     rwset = make_rwset()
-    signature = sign(identity, endorsement_payload(proposal, rwset))
+    invocation = proposal.payload_bytes()
+    signature = sign(identity, endorsement_payload(invocation, rwset))
     endorsement = Endorsement("peer0.OrgA", "OrgA", rwset, signature)
-    assert endorsement.signed_payload(proposal) == endorsement_payload(
-        proposal, rwset
+    assert endorsement.signed_payload(invocation) == endorsement_payload(
+        invocation, rwset
     )
 
 
@@ -74,12 +77,12 @@ def make_transaction():
     identity_b = Identity.create("peer0.OrgB", "OrgB")
     proposal = make_proposal()
     rwset = make_rwset()
-    payload = endorsement_payload(proposal, rwset)
+    payload = endorsement_payload(proposal.payload_bytes(), rwset)
     endorsements = (
         Endorsement("peer0.OrgA", "OrgA", rwset, sign(identity_a, payload)),
         Endorsement("peer0.OrgB", "OrgB", rwset, sign(identity_b, payload)),
     )
-    return Transaction("t1", proposal, rwset, endorsements)
+    return Transaction("t1", proposal.payload_bytes(), rwset, endorsements)
 
 
 def test_transaction_digest_stable():
@@ -120,7 +123,7 @@ def test_estimated_size_grows_with_entries():
 
 def test_estimated_size_grows_with_endorsements():
     tx = make_transaction()
-    one = Transaction("t2", tx.proposal, tx.rwset, tx.endorsements[:1])
+    one = Transaction("t2", tx.invocation, tx.rwset, tx.endorsements[:1])
     assert tx.estimated_size_bytes() > one.estimated_size_bytes()
 
 

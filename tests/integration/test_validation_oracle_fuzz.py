@@ -68,7 +68,7 @@ def test_peer_validation_matches_oracle(rwsets):
             bed.forge_endorsement(proposal, rwset, peer) for peer in bed.peers
         ]
         transactions.append(
-            Transaction(f"t{index}", proposal, rwset, endorsements)
+            Transaction(f"t{index}", proposal.payload_bytes(), rwset, endorsements)
         )
     block = Block.create(1, GENESIS_HASH, transactions)
     bed.deliver(block)
@@ -88,7 +88,7 @@ def test_all_peers_agree_on_validity(rwsets):
             bed.forge_endorsement(proposal, rwset, peer) for peer in bed.peers
         ]
         transactions.append(
-            Transaction(f"t{index}", proposal, rwset, endorsements)
+            Transaction(f"t{index}", proposal.payload_bytes(), rwset, endorsements)
         )
     block = Block.create(1, GENESIS_HASH, transactions)
     bed.deliver(block)

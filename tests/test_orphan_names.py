@@ -52,13 +52,7 @@ ORPHANS = {
     "repro.consensus.raft:FOLLOWER",
     "repro.core.conflict_graph:schedule_is_serializable",
     "repro.fabric.chaincode:Tombstone",
-    "repro.fabric.metrics:LatencyStats",
     "repro.fabric.metrics:OPTIONAL_BLOCKS",
-    "repro.fabric.metrics:STREAMING_BUCKET_LIMIT",
-    "repro.fabric.metrics:STREAMING_RESERVOIR_CAPACITY",
-    "repro.fabric.metrics:StreamingLatency",
-    "repro.fabric.metrics:StreamingWindow",
-    "repro.fabric.peer:PeerChannelState",
     "repro.fabric.policy:AnyOrg",
     "repro.fabric.policy:OutOf",
     "repro.fabric.policy:RequireOrg",
