@@ -8,10 +8,6 @@ drain, package version, cache format). Any field change — a config knob,
 a workload parameter, the seed, the duration — produces a different key;
 bumping the package version invalidates everything at once.
 
-Only specs whose workload is a :class:`~repro.workloads.registry.WorkloadRef`
-are cacheable; closures and ad-hoc workload instances cannot be
-fingerprinted and always run live.
-
 The cache stores the run's *full* metrics snapshot, so a cache hit
 reconstructs an :class:`ExperimentResult` that is row-for-row identical
 to the live run that produced it (floats round-trip exactly through
@@ -41,22 +37,22 @@ from repro.ledger.export import _publish
 #: Bump when the stored payload layout changes; invalidates old entries.
 #: 2: metrics snapshots may carry a "validation" key (pipeline stats),
 #: and configs gained the validation_workers/scheduler/pipeline_depth
-#: knobs — which flow into the key via config_to_dict automatically.
+#: knobs — which flow into the key via the config's asdict form.
 #: 3: metrics snapshots may carry a "consensus" key, and configs gained
 #: orderer_nodes plus the nested ConsensusConfig timing knobs (also in
-#: the key via config_to_dict).
+#: the key via the config's asdict form).
 #: 4: metrics snapshots may carry an "overload" key, and configs gained
 #: the nested traffic (ArrivalProcess) and backpressure
 #: (BackpressureConfig) knobs plus FaultSchedule.misbehaviors (all in
-#: the key via config_to_dict).
-#: 5: configs gained the cc_strategy knob (in the key via
-#: config_to_dict), ValidationStats snapshots gained a "strategy"
-#: field, and outcome tables may carry "abort_occ_ww".
-#: 6: configs gained the streaming_metrics knob (in the key via
-#: config_to_dict) and metric snapshots may carry a conditional
+#: the key via the config's asdict form).
+#: 5: configs gained the cc_strategy knob (in the key via the config's
+#: asdict form), ValidationStats snapshots gained a "strategy" field,
+#: and outcome tables may carry "abort_occ_ww".
+#: 6: configs gained the streaming_metrics knob (in the key via the
+#: config's asdict form) and metric snapshots may carry a conditional
 #: "streaming" aggregate block.
 #: 7: configs lost the validation_scheduler knob (cc_strategy
-#: "dependency" is the one spelling), so config_to_dict has no such key.
+#: "dependency" is the one spelling), so the key has no such field.
 #: 8: the client retry fields nest as one ``retry`` policy, and configs
 #: lost ``resubmit_failed`` and ``max_resubmits``.
 CACHE_FORMAT = 8
@@ -79,18 +75,13 @@ def spec_fingerprint(spec: ExperimentSpec, version: Optional[str] = None) -> str
     """Stable hex fingerprint of everything that determines a run's output.
 
     The payload is the spec's data form (:meth:`ExperimentSpec.to_dict`)
-    with the seed override applied and the label and report params left
-    out. Raises :class:`TypeError` for non-cacheable specs (workload not
-    a :class:`WorkloadRef`).
+    with the label and report params left out.
     """
     form = spec.to_dict()
-    config = form["config"]
-    if form["seed"] is not None:
-        config["seed"] = form["seed"]
     payload = {
         "cache_format": CACHE_FORMAT,
         "version": version if version is not None else _package_version(),
-        "config": config,
+        "config": form["config"],
         "workload": form["workload"],
         "duration": form["duration"],
         "drain": form["drain"],
@@ -123,10 +114,8 @@ class ResultCache:
         """The package version keyed into every fingerprint."""
         return self._version if self._version is not None else _package_version()
 
-    def key(self, spec: ExperimentSpec) -> Optional[str]:
-        """The spec's cache key, or None when the spec is not cacheable."""
-        if not spec.is_cacheable:
-            return None
+    def key(self, spec: ExperimentSpec) -> str:
+        """The spec's cache key."""
         return spec_fingerprint(spec, version=self.version)
 
     def _path(self, key: str) -> Path:
@@ -139,11 +128,7 @@ class ResultCache:
         so a damaged cache degrades to recomputation, never to an error;
         each one is named on stderr with its reason.
         """
-        key = self.key(spec)
-        if key is None:
-            self.misses += 1
-            return None
-        path = self._path(key)
+        path = self._path(self.key(spec))
         try:
             payload = json.loads(path.read_text())
             metrics = metrics_from_dict(payload["metrics"])
@@ -167,11 +152,9 @@ class ResultCache:
         self.hits += 1
         return spec.result(metrics)
 
-    def put(self, spec: ExperimentSpec, result: ExperimentResult) -> bool:
-        """Store ``result`` under the spec's key; False if not cacheable."""
+    def put(self, spec: ExperimentSpec, result: ExperimentResult) -> None:
+        """Store ``result`` under the spec's key."""
         key = self.key(spec)
-        if key is None:
-            return False
         self.root.mkdir(parents=True, exist_ok=True)
         payload = {
             "cache_format": CACHE_FORMAT,
@@ -180,7 +163,6 @@ class ResultCache:
             "metrics": metrics_to_dict(result.metrics),
         }
         _publish(self._path(key), json.dumps(payload, sort_keys=True))
-        return True
 
     def clear(self) -> int:
         """Delete every cache entry; returns the number removed."""

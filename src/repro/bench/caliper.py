@@ -15,9 +15,10 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.bench.results import ExperimentResult
-from repro.bench.spec import DEFAULT_DRAIN, ExperimentSpec, WorkloadLike
+from repro.bench.spec import DEFAULT_DRAIN, ExperimentSpec
 from repro.core.batch_cutter import BatchCutConfig
 from repro.fabric.config import FabricConfig
+from repro.workloads.registry import WorkloadRef
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class CaliperReport:
 
 def caliper_spec(
     config: FabricConfig,
-    workload: WorkloadLike,
+    workload: WorkloadRef,
     duration: float = 10.0,
     rate_per_client: float = 150.0,
     block_size: int = 512,
@@ -80,7 +81,7 @@ def report_from_result(result: ExperimentResult) -> CaliperReport:
 
 def run_caliper(
     config: FabricConfig,
-    workload: WorkloadLike,
+    workload: WorkloadRef,
     duration: float = 10.0,
     rate_per_client: float = 150.0,
     block_size: int = 512,

@@ -11,12 +11,13 @@ The entry point is ``run_experiment(spec)`` with a single
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Union
+from dataclasses import replace
+from typing import Dict, Optional
 
 from repro.bench.results import ExperimentResult, ResultSet
 from repro.bench.spec import DEFAULT_DRAIN, DEFAULT_DURATION, ExperimentSpec
 from repro.fabric.config import FabricConfig
-from repro.fabric.network import FabricNetwork, WorkloadSpec
+from repro.fabric.network import FabricNetwork
 from repro.workloads.registry import WorkloadRef
 
 
@@ -52,7 +53,7 @@ def run_experiment_with_network(
 
 def run_replicated(
     config: FabricConfig,
-    workload_factory: Callable[[int], WorkloadSpec],
+    workload: WorkloadRef,
     seeds,
     duration: float = DEFAULT_DURATION,
     label: str = "",
@@ -60,9 +61,10 @@ def run_replicated(
 ) -> ResultSet:
     """Run the same configuration under several seeds and collect the runs.
 
-    ``workload_factory`` receives each seed so the workload stream varies
-    with the network seed. The paper reports single 90-second runs; this
-    replication utility quantifies run-to-run spread in the simulator:
+    Each replica sets the seed of both the configuration and the workload
+    reference, so the workload stream varies with the network seed. The
+    paper reports single 90-second runs; this replication utility
+    quantifies run-to-run spread in the simulator:
     ``run_replicated(...).aggregate()`` yields mean/stdev of successful
     throughput over the replicas.
     """
@@ -72,11 +74,10 @@ def run_replicated(
     results = ResultSet()
     for seed in seeds:
         spec = ExperimentSpec(
-            config=config,
-            workload=workload_factory(seed),
+            config=replace(config, seed=seed),
+            workload=replace(workload, seed=seed),
             duration=duration,
             label=label,
-            seed=seed,
             drain=drain,
             params={"seed": seed},
         )
@@ -86,30 +87,24 @@ def run_replicated(
 
 def compare_fabric_vs_fabricpp(
     base_config: FabricConfig,
-    workload_factory: Union[WorkloadRef, Callable[[], WorkloadSpec]],
+    workload: WorkloadRef,
     duration: float = DEFAULT_DURATION,
     params: Optional[Dict[str, object]] = None,
     drain: float = DEFAULT_DRAIN,
 ) -> ResultSet:
     """Run vanilla Fabric and Fabric++ on identical fresh workloads.
 
-    ``workload_factory`` is either a :class:`WorkloadRef` (each system
-    builds its own instance from the same data) or a zero-argument
-    callable returning a *fresh* workload per call, so the two systems
-    see identical, independent initial states and invocation streams
-    (both are seeded from the same configuration seed). Returns a
-    :class:`ResultSet` with labels ``"Fabric"`` and ``"Fabric++"``.
+    Each system builds its own instance from the same ``workload``
+    reference, so the two see identical, independent initial states and
+    invocation streams (both are seeded from the same configuration
+    seed). Returns a :class:`ResultSet` with labels ``"Fabric"`` and
+    ``"Fabric++"``.
     """
     results = ResultSet()
     for label, config in (
         ("Fabric", base_config.with_vanilla()),
         ("Fabric++", base_config.with_fabric_plus_plus()),
     ):
-        workload = (
-            workload_factory
-            if isinstance(workload_factory, WorkloadRef)
-            else workload_factory()
-        )
         spec = ExperimentSpec(
             config=config,
             workload=workload,

@@ -57,49 +57,6 @@ class ExperimentResult:
 # identical to the live run that produced it.
 
 
-def config_to_dict(config: FabricConfig) -> Dict[str, object]:
-    """Plain-dict form of a configuration (nested dataclasses included)."""
-    return asdict(config)
-
-
-def config_from_dict(data: Dict[str, object], path: str = "") -> FabricConfig:
-    """Rebuild a :class:`FabricConfig` from :func:`config_to_dict` output.
-
-    Keys a snapshot predates take the field defaults. Older spellings:
-    ``validation_scheduler`` (now ``cc_strategy``), the flat retry fields
-    (now each ``retry`` policy) and ``resubmit_failed``/``max_resubmits``
-    (gone: the cap is dropped, switching resubmission on is refused).
-    """
-    if not isinstance(data, dict):
-        return load_dataclass(FabricConfig, data, path)
-    data = dict(data)
-    if "validation_scheduler" in data:
-        scheduler = data.pop("validation_scheduler")
-        if scheduler != "serial":
-            strategy = data.get("cc_strategy", "serial")
-            if strategy not in ("serial", scheduler):
-                raise ConfigError(
-                    f"stored config sets validation_scheduler {scheduler!r} "
-                    f"and cc_strategy {strategy!r}, which disagree"
-                )
-            data["cc_strategy"] = scheduler
-    data.pop("max_resubmits", None)
-    if data.pop("resubmit_failed", False):
-        raise ConfigError(f"{path or 'config'}.resubmit_failed: no longer supported")
-    for owner, retries_key in (
-        ("backpressure", "client_retries"),
-        ("faults", "max_endorsement_retries"),
-    ):
-        section = data.get(owner)
-        if isinstance(section, dict) and retries_key in section:
-            section = dict(section)
-            retry = {"max_retries": section.pop(retries_key)}
-            for name in ("base", "factor", "jitter"):
-                retry[name] = section.pop(f"retry_backoff_{name}")
-            data[owner] = {**section, "retry": retry}
-    return load_dataclass(FabricConfig, data, path)
-
-
 def metrics_to_dict(metrics: PipelineMetrics) -> Dict[str, object]:
     """Full snapshot of one run's metrics (counters and samples).
 
@@ -122,7 +79,7 @@ def _result_to_dict(result: ExperimentResult) -> Dict[str, object]:
         "label": result.label,
         "duration": result.duration,
         "params": dict(result.params),
-        "config": config_to_dict(result.config),
+        "config": asdict(result.config),
         "metrics": metrics_to_dict(result.metrics),
     }
 
@@ -131,13 +88,11 @@ def _result_from_dict(data: Dict[str, object], path: str = "") -> ExperimentResu
     """Rebuild an :class:`ExperimentResult` from :func:`_result_to_dict`."""
     prefix = f"{path}." if path else ""
     try:
-        config = config_from_dict(data["config"], prefix + "config")
         metrics = PipelineMetrics.from_dict(data["metrics"], prefix + "metrics")
+        data = {**data, "metrics": metrics}
     except (KeyError, TypeError, ValueError) as error:
         raise ConfigError(f"{path or 'result'}: {error!r}") from error
-    return load_dataclass(
-        ExperimentResult, {**data, "config": config, "metrics": metrics}, path
-    )
+    return load_dataclass(ExperimentResult, data, path)
 
 
 class ResultSet:

@@ -2,22 +2,21 @@
 
 An :class:`ExperimentSpec` captures everything one simulated run needs as
 plain data: the network configuration, a workload reference, the firing
-duration, the post-run drain window, an optional seed override, a display
-label, and the report parameters the run should carry into its result
-row. Because a spec is data rather than a closure, it can be pickled to a
+duration, the post-run drain window, a display label, and the report
+parameters the run should carry into its result row. The run's seed is
+``config.seed``. Because a spec is only data, it can be pickled to a
 worker process, hashed into a stable on-disk cache key, and stored in a
 checkpoint as JSON (:meth:`ExperimentSpec.to_dict`).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Dict, Mapping, Optional, Union
+from dataclasses import asdict, dataclass, field
+from typing import Dict, Mapping
 
 from repro.bench.results import ExperimentResult
 from repro.dataform import load_dataclass
 from repro.fabric.config import FabricConfig
-from repro.workloads.base import Workload
 from repro.workloads.registry import WorkloadRef
 
 #: Default simulated run length for benchmark experiments. The paper fires
@@ -29,10 +28,6 @@ DEFAULT_DURATION = 5.0
 #: transactions may still resolve; matches :meth:`FabricNetwork.run`.
 DEFAULT_DRAIN = 3.0
 
-#: What a spec accepts as its workload: a data-only registry reference
-#: (cacheable, preferred), a concrete instance, or a per-channel factory.
-WorkloadLike = Union[WorkloadRef, Workload, Callable]
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -40,16 +35,14 @@ class ExperimentSpec:
 
     ``run_experiment(spec)`` is the canonical entry point consuming it;
     :func:`repro.bench.sweep.run_sweep` fans lists of specs across worker
-    processes. Only specs whose ``workload`` is a :class:`WorkloadRef`
-    participate in the on-disk result cache.
+    processes and :class:`repro.bench.cache.ResultCache` keys results on
+    its data form.
     """
 
     config: FabricConfig
-    workload: WorkloadLike
+    workload: WorkloadRef
     duration: float = DEFAULT_DURATION
     label: str = ""
-    #: When set, overrides ``config.seed`` for this run.
-    seed: Optional[int] = None
     #: Simulated seconds the network keeps running after clients stop.
     drain: float = DEFAULT_DRAIN
     #: Report parameters carried verbatim into the result row (e.g. the
@@ -59,20 +52,9 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", dict(self.params))
 
-    @property
-    def is_cacheable(self) -> bool:
-        """True when the workload is described as data (a registry ref)."""
-        return isinstance(self.workload, WorkloadRef)
-
     def to_dict(self) -> Dict[str, object]:
         """The spec as plain JSON-ready data, which :meth:`from_dict`
-        rebuilds exactly. Only data specs have this form: raises
-        :class:`TypeError` unless the workload is a :class:`WorkloadRef`."""
-        if not self.is_cacheable:
-            raise TypeError(
-                "only specs with a WorkloadRef workload have a data form, "
-                f"got workload {type(self.workload).__name__}"
-            )
+        rebuilds exactly."""
         return asdict(self)
 
     @classmethod
@@ -82,23 +64,11 @@ class ExperimentSpec:
         first unknown, missing or mistyped field."""
         return load_dataclass(cls, data, path)
 
-    def resolved_config(self) -> FabricConfig:
-        """The effective configuration (seed override applied)."""
-        if self.seed is None:
-            return self.config
-        return replace(self.config, seed=self.seed)
-
     def resolved_label(self) -> str:
         """The explicit label, or the system name the config implies."""
         return self.label or (
             "Fabric++" if self.config.is_fabric_plus_plus else "Fabric"
         )
-
-    def build_workload(self):
-        """Materialise the workload for :class:`FabricNetwork`."""
-        if isinstance(self.workload, WorkloadRef):
-            return self.workload.build()
-        return self.workload
 
     def build_network(self, tracer=None):
         """A fresh, not yet run network for this spec: a sharded fleet
@@ -107,15 +77,13 @@ class ExperimentSpec:
         # the bench package is imported by modules repro.channels depends on.
         from repro.channels import build_network
 
-        return build_network(
-            self.resolved_config(), self.build_workload(), tracer=tracer
-        )
+        return build_network(self.config, self.workload.build(), tracer=tracer)
 
     def result(self, metrics) -> ExperimentResult:
         """The result row this spec's run yields, given its metrics."""
         return ExperimentResult(
             label=self.resolved_label(),
-            config=self.resolved_config(),
+            config=self.config,
             metrics=metrics,
             duration=self.duration,
             params=dict(self.params),

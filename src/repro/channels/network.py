@@ -44,8 +44,7 @@ from repro.fabric.metrics import (
     PipelineMetrics,
     SagaStats,
 )
-from repro.fabric.network import FabricNetwork, WorkloadSpec
-from repro.fabric.policy import EndorsementPolicy
+from repro.fabric.network import FabricNetwork
 from repro.faults import FaultSchedule, PartitionWindow, StallWindow
 from repro.channels.population import ClientPopulation
 from repro.channels.saga import SagaRouter
@@ -53,6 +52,7 @@ from repro.channels.topology import ChannelTopology
 from repro.sim.distributions import mix_seed
 from repro.sim.engine import Environment
 from repro.trace.tracer import Tracer, crypto_recording
+from repro.workloads.base import Workload
 
 
 def route_faults(
@@ -106,7 +106,7 @@ def route_faults(
     ]
 
 
-def channel_config(
+def _channel_config(
     config: FabricConfig,
     channel: int,
     faults: FaultSchedule,
@@ -141,8 +141,7 @@ class ShardedNetwork:
     def __init__(
         self,
         config: FabricConfig,
-        workload: WorkloadSpec,
-        policy: Optional[EndorsementPolicy] = None,
+        workload: Workload,
         tracer: Optional[Tracer] = None,
     ) -> None:
         config.validate()
@@ -166,9 +165,10 @@ class ShardedNetwork:
         self.runtimes: List[FabricNetwork] = []
         for channel in range(config.channels):
             runtime = FabricNetwork(
-                channel_config(config, channel, routed[channel], self.population),
-                workload(channel) if callable(workload) else workload,
-                policy=policy,
+                _channel_config(
+                    config, channel, routed[channel], self.population
+                ),
+                workload,
                 tracer=tracer,
                 env=self.env,
                 channel_names=(self.topology.channel_names[channel],),
@@ -305,8 +305,7 @@ class ShardedNetwork:
 
 def build_network(
     config: FabricConfig,
-    workload: WorkloadSpec,
-    policy: Optional[EndorsementPolicy] = None,
+    workload: Workload,
     tracer: Optional[Tracer] = None,
 ):
     """Build the network a config describes: sharded fleet or legacy.
@@ -316,5 +315,5 @@ def build_network(
     bit-identity anchor the golden-hash tests pin down.
     """
     if config.uses_sharding:
-        return ShardedNetwork(config, workload, policy=policy, tracer=tracer)
-    return FabricNetwork(config, workload, policy=policy, tracer=tracer)
+        return ShardedNetwork(config, workload, tracer=tracer)
+    return FabricNetwork(config, workload, tracer=tracer)

@@ -65,7 +65,9 @@ from repro.trace.tracer import crypto_recording
 #: pickle, and the header lost its duration and drain copies.
 #: 5: the embedded spec's config nests the client retry fields as one
 #: ``retry`` policy and has no ``resubmit_failed``/``max_resubmits``.
-CHECKPOINT_SCHEMA = 5
+#: 6: the embedded spec has no ``seed`` override (``config.seed`` is the
+#: run's seed).
+CHECKPOINT_SCHEMA = 6
 
 #: File-name prefix for on-disk checkpoints (``checkpoint-000001.json``).
 CHECKPOINT_PREFIX = "checkpoint-"
@@ -351,12 +353,7 @@ class Checkpointer:
         #: Every checkpoint built this run, newest last (also the store
         #: in in-memory mode).
         self.checkpoints: List[Dict[str, object]] = []
-        try:
-            self._spec_form = spec.to_dict()
-        except TypeError as error:
-            raise CheckpointError(
-                f"checkpointed runs need a data-only spec: {error}"
-            ) from error
+        self._spec_form = spec.to_dict()
 
     def boundaries(self, horizon: float) -> Iterator[float]:
         """Checkpoint times ``every, 2*every, ...`` strictly inside the

@@ -47,7 +47,7 @@ def load_dataclass(cls: type, data: object, path: str = ""):
     An instance of ``cls`` passes through unchanged. ``path`` prefixes
     every error message (the dotted location of ``data`` in a larger
     document). A ``Union`` decodes as its first arm, so ``Optional[X]``
-    is ``X`` or ``None`` and a spec's workload is a ``WorkloadRef``.
+    is ``X`` or ``None``.
     """
     if isinstance(data, cls):
         return data

@@ -244,7 +244,12 @@ class Client:
             # Fabric++: a stale simulation was aborted at the endorser; the
             # client learns immediately and the slot frees without the
             # proposal ever touching the orderer (Section 5.2.1).
-            self.resolve(proposal, TxOutcome.EARLY_ABORT_SIM, retries=retries)
+            self.resolve(
+                proposal.proposal_id,
+                proposal.submitted_at,
+                TxOutcome.EARLY_ABORT_SIM,
+                retries,
+            )
             return
         if any(reply.rejected for reply in replies):
             # A saturated endorser shed the proposal: back off and retry
@@ -286,7 +291,12 @@ class Client:
         ):
             # Non-determinism or a tampering endorser: the read/write sets
             # disagree, so no transaction can be formed (Section 2.2.1).
-            self.resolve(proposal, TxOutcome.ENDORSEMENT_MISMATCH, retries=retries)
+            self.resolve(
+                proposal.proposal_id,
+                proposal.submitted_at,
+                TxOutcome.ENDORSEMENT_MISMATCH,
+                retries,
+            )
             return None
         return Transaction(
             tx_id=proposal.proposal_id,
@@ -367,7 +377,12 @@ class Client:
         policy = self.config.backpressure.retry
         if self._stopped or attempt >= policy.max_retries:
             self.overload.txs_shed += 1
-            self.resolve(proposal, TxOutcome.OVERLOAD_REJECTED, retries=retries)
+            self.resolve(
+                proposal.proposal_id,
+                proposal.submitted_at,
+                TxOutcome.OVERLOAD_REJECTED,
+                retries,
+            )
             return
         self.overload.client_retries += 1
         yield self._backoff(policy, attempt, self.overload_rng)  # bare-delay sleep
@@ -430,7 +445,12 @@ class Client:
                 ]
 
             if any(reply.early_aborted for reply in replies):
-                self.resolve(proposal, TxOutcome.EARLY_ABORT_SIM, retries=retries)
+                self.resolve(
+                    proposal.proposal_id,
+                    proposal.submitted_at,
+                    TxOutcome.EARLY_ABORT_SIM,
+                    retries,
+                )
                 return
 
             endorsements = [reply.endorsement for reply in replies]
@@ -461,7 +481,12 @@ class Client:
                 yield self._backoff(policy, attempt, self.fault_rng)  # bare-delay sleep
 
         self.faults.record("endorsements_failed")
-        self.resolve(proposal, TxOutcome.ENDORSEMENT_TIMEOUT, retries=retries)
+        self.resolve(
+            proposal.proposal_id,
+            proposal.submitted_at,
+            TxOutcome.ENDORSEMENT_TIMEOUT,
+            retries,
+        )
 
     def _ask_endorser(self, peer: Peer, proposal: Proposal) -> Generator:
         """One endorser exchange over a faulty link.
@@ -521,23 +546,19 @@ class Client:
 
     def resolve(
         self,
-        proposal_or_submitted: object,
+        tx_id: str,
+        submitted_at: float,
         outcome: TxOutcome,
-        submitted_at: Optional[float] = None,
         retries: int = 0,
-        tx_id: Optional[str] = None,
     ) -> None:
-        """Record a terminal outcome and free the client slot.
+        """Record a terminal outcome of ``tx_id``, submitted at
+        ``submitted_at``, and free the client slot.
 
-        Called either directly (early sim abort, mismatch) with the
-        proposal, or by the network resolver with the submission time.
-        ``retries`` counts how often a ``resubmit_storm`` client has
-        already refired this business intent.
+        Called directly (early sim abort, mismatch, timeout, overload
+        rejection) or by the network resolver. ``retries`` counts how
+        often a ``resubmit_storm`` client has already refired this
+        business intent.
         """
-        if submitted_at is None:
-            submitted_at = proposal_or_submitted.submitted_at
-            if tx_id is None:
-                tx_id = proposal_or_submitted.proposal_id
         latency = self.env.now - submitted_at
         self.metrics.record_outcome(outcome, latency, now=self.env.now)
         if self.tracer is not None:

@@ -598,10 +598,8 @@ class ValidationStats(_FieldsSnapshot):
     scheduler: str
     pipeline_depth: int
     #: Registry name of the CC strategy that collected the stats
-    #: (``repro.validation.registry``). Empty in snapshots written
-    #: before the registry existed; :meth:`summary` then falls back to
-    #: ``scheduler``, which named the only strategies of that era.
-    strategy: str = ""
+    #: (``repro.validation.registry``).
+    strategy: str
     #: Blocks / transactions committed through the pipeline.
     blocks: int = 0
     txs: int = 0
@@ -652,7 +650,7 @@ class ValidationStats(_FieldsSnapshot):
             "workers": self.workers,
             "scheduler": self.scheduler,
             "pipeline_depth": self.pipeline_depth,
-            "strategy": self.strategy or self.scheduler,
+            "strategy": self.strategy,
             "blocks": self.blocks,
             "txs": self.txs,
             "avg_critical_path": round(self.avg_critical_path(), 2),
@@ -1063,14 +1061,11 @@ class PipelineMetrics:
     ) -> "PipelineMetrics":
         """Rebuild from :meth:`to_dict` output; a mistyped counter raises
         :class:`ConfigError` naming its dotted path under ``path``."""
-        counters = ("fired", "blocks_committed", "duration")
-        scalars = {name: data[name] for name in counters}
-        # Absent in pre-fault snapshots (and cache entries they wrote).
-        scalars["fault_counters"] = data.get("fault_counters", {})
-        metrics = load_dataclass(cls, scalars, path)
+        counters = ("fired", "blocks_committed", "duration", "fault_counters")
+        metrics = load_dataclass(cls, {name: data[name] for name in counters}, path)
         store = StreamingMetrics if "streaming" in data else ListSamples
         metrics.samples = store.from_dict(data)
-        metrics.fault_events = [tuple(event) for event in data.get("fault_events", [])]
+        metrics.fault_events = [tuple(event) for event in data["fault_events"]]
         outcomes = load_value(Dict[str, int], data["outcomes"], f"{path}.outcomes")
         for value, count in outcomes.items():
             metrics.outcomes[TxOutcome(value)] = count

@@ -10,7 +10,7 @@ time and returns the collected :class:`PipelineMetrics`.
 from __future__ import annotations
 
 from random import Random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.identity import VERIFIED_CACHE_BLOCKS, IdentityRegistry
 from repro.errors import ConfigError
@@ -25,7 +25,7 @@ from repro.fabric.metrics import (
 )
 from repro.fabric.orderer import OrderingService
 from repro.fabric.peer import Peer
-from repro.fabric.policy import AllOrgs, EndorsementPolicy, parse_policy_spec
+from repro.fabric.policy import AllOrgs, parse_policy_spec
 from repro.consensus.cluster import OrdererCluster
 from repro.consensus.service import RaftConsenter
 from repro.faults import MISBEHAVIOR_SEED_SALT, FaultInjector, assign_misbehaviors
@@ -38,9 +38,6 @@ from repro.sim.resources import Resource
 from repro.trace.tracer import Tracer, crypto_recording
 from repro.workloads.base import Workload
 
-#: A workload shared by all channels, or a factory keyed by channel index.
-WorkloadSpec = Union[Workload, Callable[[int], Workload]]
-
 
 class FabricNetwork:
     """A fully wired Fabric deployment running inside one DES environment."""
@@ -48,8 +45,7 @@ class FabricNetwork:
     def __init__(
         self,
         config: FabricConfig,
-        workload: WorkloadSpec,
-        policy: Optional[EndorsementPolicy] = None,
+        workload: Workload,
         tracer: Optional[Tracer] = None,
         env: Optional[Environment] = None,
         channel_names: Optional[Sequence[str]] = None,
@@ -81,12 +77,11 @@ class FabricNetwork:
             tracer.bind(self.env)
 
         self.orgs = [f"Org{chr(ord('A') + i)}" for i in range(config.num_orgs)]
-        if policy is None and config.endorsement_policy:
-            policy = parse_policy_spec(config.endorsement_policy, self.orgs)
-        self.policy = policy or AllOrgs(*self.orgs)
-        unknown = self.policy.mentioned_orgs() - set(self.orgs)
-        if unknown:
-            raise ConfigError(f"policy references unknown orgs: {sorted(unknown)}")
+        self.policy = (
+            parse_policy_spec(config.endorsement_policy, self.orgs)
+            if config.endorsement_policy
+            else AllOrgs(*self.orgs)
+        )
         # The verified-signature cache spans a few of this network's own
         # blocks, each carrying at most one endorsement per org the
         # policy mentions.
@@ -186,9 +181,8 @@ class FabricNetwork:
     # -- construction helpers -----------------------------------------------------
 
     def _build_channel(
-        self, channel_index: int, channel: str, workload: WorkloadSpec
+        self, channel_index: int, channel: str, instance: Workload
     ) -> None:
-        instance = workload(channel_index) if callable(workload) else workload
         self.workloads[channel] = instance
 
         chaincodes = ChaincodeRegistry()
@@ -458,9 +452,7 @@ class FabricNetwork:
         if entry is None:
             return  # already resolved (e.g. orderer aborted it earlier)
         client, submitted_at, retries = entry
-        client.resolve(
-            None, outcome, submitted_at=submitted_at, retries=retries, tx_id=tx_id
-        )
+        client.resolve(tx_id, submitted_at, outcome, retries)
 
     # -- running ---------------------------------------------------------------------
 

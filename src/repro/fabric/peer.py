@@ -93,11 +93,6 @@ class Peer:
         self.tracer = tracer
         self.cpu = Resource(env, config.cores_per_peer)
         self.channels: Dict[str, PeerChannelState] = {}
-        #: Straggler knob: all of this peer's simulated CPU durations are
-        #: multiplied by this factor (1.0 = nominal hardware). Lets tests
-        #: and experiments model a slow peer without touching the global
-        #: cost model.
-        self.speed_factor = 1.0
         #: Test hook: transforms the simulated rwset before signing, to
         #: model a byzantine endorser (Appendix A.3.1).
         self.byzantine_rwset_hook: Optional[
@@ -235,7 +230,7 @@ class Peer:
 
         chaincode = pcs.chaincodes.lookup(proposal.chaincode)
         op_count = chaincode.operation_count(proposal.function, proposal.args)
-        execution_time = max(1, op_count) * costs.chaincode_op * self.speed_factor
+        execution_time = max(1, op_count) * costs.chaincode_op
 
         vanilla = not self.config.early_abort_simulation
         if vanilla:
@@ -296,11 +291,9 @@ class Peer:
                 rwset = stub.rwset
                 if self.byzantine_rwset_hook is not None:
                     rwset = self.byzantine_rwset_hook(rwset)
-                yield costs.endorse_sign * self.speed_factor
+                yield costs.endorse_sign
                 if tracer is not None:
-                    tracer.charge(
-                        "sign", costs.endorse_sign * self.speed_factor
-                    )
+                    tracer.charge("sign", costs.endorse_sign)
             finally:
                 self.cpu.release()
         finally:

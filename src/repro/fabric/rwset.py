@@ -18,10 +18,13 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.errors import StateError
 from repro.ledger.state_db import GENESIS_VERSION, Version
 
-#: A version's 16 signed bytes: block id, then transaction id, each
-#: 8 bytes big-endian (what two ``to_bytes(8, "big")`` calls give).
-_pack_version = struct.Struct(">QQ").pack
-_GENESIS_BYTES = _pack_version(GENESIS_VERSION.block_id, GENESIS_VERSION.tx_id)
+#: A version as signed: the end of the key before it (0xFF), the tag
+#: ``V``, then 16 fixed bytes: block id and transaction id, each 8 bytes
+#: big-endian. An absent version is the key's end and the tag ``-``.
+_pack_version = struct.Struct(">2sQQ").pack
+_AT = b"\xffV"
+_ABSENT = b"\xff-"
+_GENESIS_BYTES = _pack_version(_AT, GENESIS_VERSION.block_id, GENESIS_VERSION.tx_id)
 
 #: What a sealed set's ``record_*`` methods (and a stub over it) raise.
 _SEALED = "read/write set is sealed: it was signed"
@@ -173,15 +176,31 @@ class ReadWriteSet:
         )
 
     def canonical_bytes(self) -> bytes:
-        """Deterministic byte encoding, the payload endorsers sign.
+        """SHA-256 of :meth:`preimage`, the payload endorsers sign.
 
-        Keys are sorted so that two honest endorsers producing the same
-        logical rwset also produce identical bytes (and signatures over
-        differing states differ). The encoding is memoised; mutations via
-        ``record_read``/``record_write`` invalidate the cache.
+        Memoised; mutations via the ``record_*`` methods invalidate it.
         """
-        if self._canonical is not None:
-            return self._canonical
+        if self._canonical is None:
+            self._canonical = hashlib.sha256(self.preimage()).digest()
+        return self._canonical
+
+    def preimage(self) -> bytes:
+        """The decodable byte encoding :meth:`canonical_bytes` hashes.
+
+        Point reads sorted by key, then range reads in recorded order,
+        then writes sorted by key, so two honest endorsers producing the
+        same logical set produce identical bytes. Each record opens with
+        a one-byte tag; each text field is UTF-8, which never contains
+        0xFF, and ends with 0xFF; a version is a tag and 16 fixed bytes:
+
+        - ``R`` key, then ``V`` + version or ``-`` (absent);
+        - ``Q`` start, then ``E`` end 0xFF or ``-`` (open end), then one
+          ``K`` key ``V`` + version per observed result;
+        - ``W`` key, then the value's ``repr`` text.
+
+        So different sets never share a pre-image (``{"x": 12}`` and
+        ``{"x1": 2}`` differ at the key's end).
+        """
         parts: List[bytes] = []
         add = parts.append
         reads = self.reads
@@ -190,26 +209,32 @@ class ReadWriteSet:
             add(b"R")
             add(key.encode())
             if version is None:
-                add(b"\x00absent")
+                add(_ABSENT)
             elif version is GENESIS_VERSION:
                 add(_GENESIS_BYTES)
             else:
-                add(_pack_version(version.block_id, version.tx_id))
+                add(_pack_version(_AT, version.block_id, version.tx_id))
         for range_read in self.range_reads:
             add(b"Q")
             add(range_read.start_key.encode())
-            add((range_read.end_key or "\x00<open>").encode())
+            if range_read.end_key is None:
+                add(_ABSENT)
+            else:
+                add(b"\xffE")
+                add(range_read.end_key.encode())
+                add(b"\xff")
             for key, version in range_read.results:
+                add(b"K")
                 add(key.encode())
-                add(_pack_version(version.block_id, version.tx_id))
-        for key in sorted(self.writes):
+                add(_pack_version(_AT, version.block_id, version.tx_id))
+        writes = self.writes
+        for key in sorted(writes):
             add(b"W")
             add(key.encode())
-            add(repr(self.writes[key]).encode())
-        # One hash over the joined parts: the digest of a concatenation
-        # is the digest of the same bytes fed piecewise.
-        self._canonical = hashlib.sha256(b"".join(parts)).digest()
-        return self._canonical
+            add(b"\xff")
+            add(repr(writes[key]).encode())
+            add(b"\xff")
+        return b"".join(parts)
 
     def to_record(self) -> Dict[str, object]:
         """JSON-ready form carrying exactly what :meth:`canonical_bytes` hashes.

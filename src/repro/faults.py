@@ -339,7 +339,7 @@ class FaultSchedule:
     The default instance is all-zero: no crashes, no loss, no jitter, no
     stalls, no endorsement timeout — and the network then builds no fault
     machinery at all. Every field participates in the experiment cache
-    fingerprint through :func:`~repro.bench.results.config_to_dict`.
+    fingerprint through the config's ``asdict`` form.
     """
 
     #: Peer outages. The reference peer (``peer0`` of the first org) is

@@ -34,7 +34,9 @@ from repro.ledger.block import Block
 from repro.ledger.ledger import ContinuityRecord, Ledger
 from repro.ledger.state_db import StateDatabase
 
-SCHEMA_VERSION = 2
+#: 3: read/write sets sign a decodable pre-image (``ReadWriteSet.preimage``),
+#: so every digest and block hash differs from a schema-2 export's.
+SCHEMA_VERSION = 3
 
 
 def export_ledger(ledger: Ledger) -> Dict[str, object]:

@@ -61,27 +61,22 @@ class AssumedPool:
     pool = None
 
     def __init__(self, peer: "Peer") -> None:
-        self.peer = peer
         self.costs = peer.config.costs
 
     def tx_cost(self, tx: "Transaction") -> float:
         """CPU seconds the committing thread spends on ``tx``."""
-        cost = self.costs.tx_validation_cost(len(tx.endorsements))
-        return cost * self.peer.speed_factor
+        return self.costs.tx_validation_cost(len(tx.endorsements))
 
     def charge(self, tracer: "Tracer", tx: "Transaction") -> None:
         """Attribute :meth:`tx_cost` to the trace's cost taxonomy."""
-        costs, speed = self.costs, self.peer.speed_factor
+        costs = self.costs
         endorsements = len(tx.endorsements)
         tracer.charge(
             "verify",
-            costs.verify_signature
-            * endorsements
-            / costs.validation_parallelism
-            * speed,
+            costs.verify_signature * endorsements / costs.validation_parallelism,
             count=endorsements,
         )
-        tracer.charge("mvcc", costs.mvcc_check * speed)
+        tracer.charge("mvcc", costs.mvcc_check)
 
 
 class WorkerLanes:
@@ -95,18 +90,16 @@ class WorkerLanes:
     """
 
     def __init__(self, peer: "Peer") -> None:
-        self.peer = peer
         self.costs = peer.config.costs
         self.pool = peer.verify_pool()
 
     def verify_cost(self, tx: "Transaction") -> float:
         """Lane seconds to verify every endorsement of ``tx``."""
-        cost = self.costs.verify_signature * len(tx.endorsements)
-        return cost * self.peer.speed_factor
+        return self.costs.verify_signature * len(tx.endorsements)
 
     def tx_cost(self, tx: "Transaction") -> float:
         """Seconds of one MVCC check (verification is paid on the lanes)."""
-        return self.costs.mvcc_check * self.peer.speed_factor
+        return self.costs.mvcc_check
 
     def charge(self, tracer: "Tracer", tx: "Transaction") -> None:
         """Attribute :meth:`tx_cost`; verification is charged where it runs."""

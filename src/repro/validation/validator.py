@@ -196,7 +196,7 @@ class BlockValidator:
         if locks:
             yield pcs.lock.acquire_write()
         try:
-            overhead = peer.config.costs.block_overhead * peer.speed_factor
+            overhead = peer.config.costs.block_overhead
             yield from peer.cpu.use(overhead, VALIDATE_PRIORITY)
             if tracer is not None:
                 tracer.charge("ledger", overhead)

@@ -9,7 +9,7 @@ from repro.core.batch_cutter import BatchCutConfig
 from repro.fabric.config import FabricConfig
 from repro.sim.engine import Environment
 from repro.errors import SimulationError
-from repro.workloads.custom import CustomWorkload, CustomWorkloadParams
+from repro.workloads.registry import WorkloadRef
 
 
 # -- any_of ----------------------------------------------------------------------
@@ -53,21 +53,20 @@ def test_any_of_empty_rejected():
 # -- replicated runs ----------------------------------------------------------------
 
 
-def test_run_replicated_aggregates():
-    config = replace(
+def small_config():
+    return replace(
         FabricConfig(),
         clients_per_channel=1,
         client_rate=100.0,
         batch=BatchCutConfig(max_transactions=32),
     )
 
-    def factory(seed):
-        return CustomWorkload(
-            CustomWorkloadParams(num_accounts=300, hot_set_fraction=0.05),
-            seed=seed,
-        )
 
-    results = run_replicated(config, factory, seeds=[1, 2, 3], duration=1.5)
+HOT = WorkloadRef("custom", {"num_accounts": 300, "hot_set_fraction": 0.05})
+
+
+def test_run_replicated_aggregates():
+    results = run_replicated(small_config(), HOT, seeds=[1, 2, 3], duration=1.5)
     stats = results.aggregate("successful_tps")
     assert stats["n"] == 3
     assert len(stats["values"]) == 3
@@ -76,26 +75,15 @@ def test_run_replicated_aggregates():
     assert len(results.rows()) == 3
     assert all(result.label == "Fabric" for result in results.values())
     assert [result.params["seed"] for result in results.values()] == [1, 2, 3]
+    # Each replica's seed is its config's seed (the workload's follows it).
+    assert [result.config.seed for result in results.values()] == [1, 2, 3]
 
 
 def test_run_replicated_varies_with_seed():
-    config = replace(
-        FabricConfig(),
-        clients_per_channel=1,
-        client_rate=100.0,
-        batch=BatchCutConfig(max_transactions=32),
-    )
-
-    def factory(seed):
-        return CustomWorkload(
-            CustomWorkloadParams(num_accounts=300, hot_set_fraction=0.05),
-            seed=seed,
-        )
-
-    results = run_replicated(config, factory, seeds=[1, 2], duration=1.5)
+    results = run_replicated(small_config(), HOT, seeds=[1, 2], duration=1.5)
     assert len(set(results.aggregate("successful_tps")["values"])) > 1
 
 
 def test_run_replicated_requires_seeds():
     with pytest.raises(ValueError):
-        run_replicated(FabricConfig(), lambda seed: None, seeds=[])
+        run_replicated(FabricConfig(), HOT, seeds=[])

@@ -14,8 +14,7 @@ from repro.bench.report import format_series, format_table, improvement_factor
 from repro.bench.spec import ExperimentSpec
 from repro.core.batch_cutter import BatchCutConfig
 from repro.fabric.config import FabricConfig
-from repro.workloads.blank import BlankWorkload
-from repro.workloads.custom import CustomWorkload, CustomWorkloadParams
+from repro.workloads.registry import WorkloadRef
 
 
 def quick_config():
@@ -29,16 +28,14 @@ def quick_config():
 
 
 def quick_workload():
-    return CustomWorkload(
-        CustomWorkloadParams(num_accounts=500, hot_set_fraction=0.02), seed=0
-    )
+    return WorkloadRef("custom", {"num_accounts": 500, "hot_set_fraction": 0.02})
 
 
 def test_run_experiment_returns_labelled_result():
     result = run_experiment(
         ExperimentSpec(
             config=quick_config(),
-            workload=BlankWorkload(),
+            workload=WorkloadRef("blank"),
             duration=0.5,
             params={"bs": 64},
         )
@@ -54,7 +51,7 @@ def test_run_experiment_labels_fabricpp():
     result = run_experiment(
         ExperimentSpec(
             config=quick_config().with_fabric_plus_plus(),
-            workload=BlankWorkload(),
+            workload=WorkloadRef("blank"),
             duration=0.5,
         )
     )
@@ -63,7 +60,7 @@ def test_run_experiment_labels_fabricpp():
 
 def test_compare_runs_both_systems():
     results = compare_fabric_vs_fabricpp(
-        quick_config(), quick_workload, duration=1.0
+        quick_config(), quick_workload(), duration=1.0
     )
     assert set(results) == {"Fabric", "Fabric++"}
     assert not results["Fabric"].config.is_fabric_plus_plus
@@ -87,7 +84,7 @@ def test_caliper_uses_block_size_512_default():
     # Duration must exceed the 1 s batch delay: throughput only counts
     # outcomes inside the measurement window.
     report = run_caliper(
-        quick_config(), BlankWorkload(), duration=3.0, rate_per_client=50
+        quick_config(), WorkloadRef("blank"), duration=3.0, rate_per_client=50
     )
     assert report.successful_tps > 0
 

@@ -1,21 +1,20 @@
 """Tests for the unified ResultSet and its serialisation helpers."""
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
 from repro.bench.results import (
     ExperimentResult,
     ResultSet,
-    config_from_dict,
-    config_to_dict,
     _result_from_dict,
     _result_to_dict,
 )
 from repro.bench.harness import run_experiment_with_network
 from repro.bench.spec import ExperimentSpec
 from repro.core.batch_cutter import BatchCutConfig
+from repro.dataform import load_dataclass
 from repro.errors import ConfigError, ReproError
 from repro.fabric.config import BackpressureConfig, FabricConfig
 from repro.fabric.metrics import OPTIONAL_BLOCKS, PipelineMetrics, TxOutcome
@@ -111,8 +110,18 @@ def test_aggregate_mean_and_stdev():
 
 
 def test_config_round_trip_preserves_nested_dataclasses():
-    config = replace(FabricConfig(), seed=42).with_fabric_plus_plus()
-    clone = config_from_dict(config_to_dict(config))
+    config = replace(
+        FabricConfig(),
+        seed=42,
+        backpressure=BackpressureConfig(
+            orderer_queue_limit=8,
+            retry=RetryPolicy(max_retries=2, base=0.02, factor=3.0, jitter=0.25),
+        ),
+        faults=FaultSchedule(
+            retry=RetryPolicy(max_retries=5, base=0.1, factor=1.5, jitter=0.0)
+        ),
+    ).with_fabric_plus_plus()
+    clone = load_dataclass(FabricConfig, asdict(config))
     assert clone == config
     assert clone.batch == config.batch
     assert clone.costs == config.costs
@@ -187,41 +196,33 @@ def test_from_json_names_the_bad_field(edit, where):
     assert where in str(excinfo.value)
 
 
-def _flat_retry_form(config):
-    """``config`` as builds before :class:`RetryPolicy` stored it: flat
-    retry fields, plus the resubmission switch and cap."""
-    data = config_to_dict(config)
+def stored_config_refusal(config_data):
+    """The error loading a one-result set whose config is ``config_data``."""
+    text = _edited_json(lambda result: result.update(config=config_data))
+    with pytest.raises(ConfigError) as excinfo:
+        ResultSet.from_json(text)
+    return str(excinfo.value)
+
+
+def test_flat_retry_fields_are_refused_by_path():
+    # Builds before RetryPolicy stored flat retry fields in each owner.
     for owner, retries_key in (
         ("backpressure", "client_retries"),
         ("faults", "max_endorsement_retries"),
     ):
+        data = asdict(FabricConfig())
         policy = data[owner].pop("retry")
-        data[owner].update({
-            retries_key: policy["max_retries"],
-            "retry_backoff_base": policy["base"],
-            "retry_backoff_factor": policy["factor"],
-            "retry_backoff_jitter": policy["jitter"],
-        })
-    data.update(resubmit_failed=False, max_resubmits=16)
-    return data
-
-
-def test_flat_retry_fields_fold_into_the_policies():
-    config = replace(
-        FabricConfig(),
-        backpressure=BackpressureConfig(
-            orderer_queue_limit=8,
-            retry=RetryPolicy(max_retries=2, base=0.02, factor=3.0, jitter=0.25),
-        ),
-        faults=FaultSchedule(
-            retry=RetryPolicy(max_retries=5, base=0.1, factor=1.5, jitter=0.0)
-        ),
-    )
-    assert config_from_dict(_flat_retry_form(config)) == config
+        data[owner][retries_key] = policy["max_retries"]
+        for name in ("base", "factor", "jitter"):
+            data[owner][f"retry_backoff_{name}"] = policy[name]
+        message = stored_config_refusal(data)
+        assert message.startswith(f"results[0].config.{owner}: unknown key(s) ")
+        for key in (retries_key, "retry_backoff_base", "retry_backoff_jitter"):
+            assert repr(key) in message
 
 
 def test_stored_resubmitting_config_is_refused_by_name():
-    data = _flat_retry_form(FabricConfig())
-    data["resubmit_failed"] = True
-    with pytest.raises(ConfigError, match=r"^results\[0\]\.config\.resubmit_failed"):
-        config_from_dict(data, "results[0].config")
+    data = dict(asdict(FabricConfig()), resubmit_failed=True, max_resubmits=16)
+    assert stored_config_refusal(data).startswith(
+        "results[0].config: unknown key(s) 'max_resubmits', 'resubmit_failed'"
+    )

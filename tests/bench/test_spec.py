@@ -11,7 +11,6 @@ from repro.bench.spec import DEFAULT_DRAIN, DEFAULT_DURATION, ExperimentSpec
 from repro.core.batch_cutter import BatchCutConfig
 from repro.errors import ConfigError
 from repro.fabric.config import FabricConfig
-from repro.workloads.blank import BlankWorkload
 from repro.workloads.registry import WorkloadRef
 
 
@@ -37,7 +36,6 @@ def test_spec_defaults():
     spec = ExperimentSpec(config=small_config(), workload=small_ref())
     assert spec.duration == DEFAULT_DURATION
     assert spec.drain == DEFAULT_DRAIN
-    assert spec.seed is None
     assert spec.params == {}
 
 
@@ -47,7 +45,6 @@ def test_spec_pickles_round_trip():
         workload=small_ref(seed=7),
         duration=2.0,
         label="point",
-        seed=11,
         drain=1.0,
         params={"BS": 32},
     )
@@ -57,12 +54,13 @@ def test_spec_pickles_round_trip():
     assert clone.params == {"BS": 32}
 
 
-def test_resolved_config_applies_seed_override():
-    spec = ExperimentSpec(config=small_config(), workload=small_ref(), seed=99)
-    assert spec.resolved_config().seed == 99
-    # Without an override the config passes through untouched.
-    plain = ExperimentSpec(config=small_config(), workload=small_ref())
-    assert plain.resolved_config() is plain.config
+def test_the_config_seed_is_the_only_run_seed():
+    # A spec carries no seed of its own: a stored spec naming one is
+    # refused by its path, not silently applied or dropped.
+    spec = ExperimentSpec(config=small_config(seed=99), workload=small_ref())
+    assert spec.result(None).config.seed == 99
+    with pytest.raises(ConfigError, match=r"spec: unknown key\(s\) 'seed'"):
+        ExperimentSpec.from_dict(dict(spec.to_dict(), seed=99))
 
 
 def test_resolved_label_falls_back_to_system_name():
@@ -81,13 +79,6 @@ def test_describe_includes_params():
     spec = ExperimentSpec(config=small_config(), workload=small_ref(),
                           label="Fabric", params={"BS": 64})
     assert spec.describe() == "Fabric (BS=64)"
-
-
-def test_is_cacheable_only_for_workload_refs():
-    assert ExperimentSpec(config=small_config(),
-                          workload=small_ref()).is_cacheable
-    assert not ExperimentSpec(config=small_config(),
-                              workload=BlankWorkload()).is_cacheable
 
 
 def test_run_experiment_rejects_spec_plus_workload():

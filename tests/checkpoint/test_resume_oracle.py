@@ -186,18 +186,3 @@ def test_options_validation():
         CheckpointOptions(every=0.0)
     with pytest.raises(ConfigError):
         CheckpointOptions(every=1.0, keep=0)
-
-
-def test_unpicklable_spec_fails_fast():
-    from repro.checkpoint import Checkpointer
-    from repro.workloads.registry import make_workload
-
-    workload = make_workload("smallbank", seed=1, num_users=10)
-    spec = ExperimentSpec(
-        config=FabricConfig(),
-        workload=lambda channel: workload,  # closures cannot checkpoint
-        duration=1.0,
-    )
-    with pytest.raises(CheckpointError) as excinfo:
-        Checkpointer(spec, CheckpointOptions(every=0.5))
-    assert "WorkloadRef" in str(excinfo.value)

@@ -368,17 +368,19 @@ def test_merge_takes_and_combines_optional_blocks():
     assert fleet.channels.saga.started == 2
 
 
-def test_old_snapshots_still_load():
-    """Keys a snapshot predates fall back to defaults: ``strategy`` and
-    ``horizon`` (validation), ``fault_counters``/``fault_events`` and the
-    optional blocks themselves."""
+def test_snapshots_load_in_todays_form_only():
+    """Optional blocks a run did not attach may be absent; keys every
+    snapshot of today's form carries may not."""
     snapshot = metrics_with_every_block().to_dict()
-    for key in ("fault_counters", "fault_events", "consensus", "overload"):
+    for key in ("consensus", "overload"):
         del snapshot[key]
-    del snapshot["validation"]["strategy"]
-    del snapshot["validation"]["horizon"]
     loaded = PipelineMetrics.from_dict(snapshot)
-    assert loaded.fault_counters == {} and loaded.fault_events == []
     assert loaded.consensus is None and loaded.overload is None
-    assert loaded.validation.horizon == 0.0
-    assert loaded.summary()["validation"]["strategy"] == "dependency"
+    for key in ("fault_counters", "fault_events"):
+        with pytest.raises(KeyError, match=key):
+            PipelineMetrics.from_dict(
+                {name: value for name, value in snapshot.items() if name != key}
+            )
+    del snapshot["validation"]["strategy"]
+    with pytest.raises(ConfigError, match=r"^metrics\.validation: missing key"):
+        PipelineMetrics.from_dict(snapshot)

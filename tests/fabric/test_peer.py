@@ -388,6 +388,33 @@ def test_tampering_fails_policy_against_a_warm_verdict_memo(warm, tampering):
     assert block.is_valid("p1-tampered") is False
 
 
+def test_signatures_over_a_set_do_not_cover_its_text_shifted_twin(testbed):
+    """Honest signatures over writes ``{"x": 12}`` carried by endorsements
+    and a transaction holding ``{"x1": 2}``: the two sets are different
+    signed bytes, so the swap fails the policy check."""
+    proposal = testbed.proposal("p1")
+    honest, swapped = ReadWriteSet(), ReadWriteSet()
+    honest.record_write("x", 12)
+    swapped.record_write("x1", 2)
+
+    def carrying(rwset):
+        endorsements = tuple(
+            replace(testbed.forge_endorsement(proposal, honest, peer), rwset=rwset)
+            for peer in testbed.peers
+        )
+        return Transaction(
+            tx_id="p1",
+            invocation=proposal.payload_bytes(),
+            rwset=rwset,
+            endorsements=endorsements,
+            submitted_at=proposal.submitted_at,
+        )
+
+    for peer in testbed.peers:
+        assert peer._endorsements_valid("ch0", carrying(honest))  # control
+        assert not peer._endorsements_valid("ch0", carrying(swapped))
+
+
 def test_verdict_under_one_key_is_reevaluated_under_another(testbed):
     proposal = testbed.proposal("p1")
     tx = testbed.make_transaction(proposal, testbed.endorse_everywhere(proposal))

@@ -4,9 +4,11 @@ import hashlib
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fabric.rwset import RangeRead, ReadWriteSet
-from repro.ledger.state_db import Version
+from repro.ledger.state_db import GENESIS_VERSION, Version
 
 V1 = Version(1, 0)
 V2 = Version(2, 0)
@@ -175,27 +177,33 @@ def _piecewise_canonical(rwset):
     """The encoding fed to the hasher field by field — the reference the
     one-shot ``b"".join`` form must equal byte for byte."""
     hasher = hashlib.sha256()
+
+    def version_bytes(version):
+        block, tx = version.block_id, version.tx_id
+        return b"\xffV" + block.to_bytes(8, "big") + tx.to_bytes(8, "big")
+
     for key in sorted(rwset.reads):
         version = rwset.reads[key]
         hasher.update(b"R")
         hasher.update(key.encode())
-        if version is None:
-            hasher.update(b"\x00absent")
-        else:
-            hasher.update(version.block_id.to_bytes(8, "big"))
-            hasher.update(version.tx_id.to_bytes(8, "big"))
+        hasher.update(b"\xff-" if version is None else version_bytes(version))
     for range_read in rwset.range_reads:
         hasher.update(b"Q")
         hasher.update(range_read.start_key.encode())
-        hasher.update((range_read.end_key or "\x00<open>").encode())
+        if range_read.end_key is None:
+            hasher.update(b"\xff-")
+        else:
+            hasher.update(b"\xffE" + range_read.end_key.encode() + b"\xff")
         for key, version in range_read.results:
+            hasher.update(b"K")
             hasher.update(key.encode())
-            hasher.update(version.block_id.to_bytes(8, "big"))
-            hasher.update(version.tx_id.to_bytes(8, "big"))
+            hasher.update(version_bytes(version))
     for key in sorted(rwset.writes):
         hasher.update(b"W")
         hasher.update(key.encode())
+        hasher.update(b"\xff")
         hasher.update(repr(rwset.writes[key]).encode())
+        hasher.update(b"\xff")
     return hasher.digest()
 
 
@@ -211,8 +219,119 @@ def test_canonical_bytes_equal_the_piecewise_reference():
     rwset.record_write("a", None)
     assert rwset.canonical_bytes() == _piecewise_canonical(rwset)
     assert rwset.canonical_bytes().hex() == (
-        "b1942b00a836e6674321d0da6a2b72ca70d792c12681233ea414d98fe42a9d82"
+        "df8c0c40b79ad41d25b841ad33f54a3ec790ff3fa0a73d7cc10dc227f406e1a7"
     )
+
+
+def _writes(values):
+    rwset = ReadWriteSet()
+    for key, value in values.items():
+        rwset.record_write(key, value)
+    return rwset
+
+
+def test_moving_text_between_key_and_value_changes_the_bytes():
+    # Without a key terminator both encode "x12" after the W tag.
+    assert (
+        _writes({"x": 12}).canonical_bytes() != _writes({"x1": 2}).canonical_bytes()
+    )
+    reads, shifted = ReadWriteSet(), ReadWriteSet()
+    reads.record_read("a", None)
+    reads.record_read("b", None)
+    shifted.record_read("a\x00absentRb", None)  # the old absent marker
+    assert reads.canonical_bytes() != shifted.canonical_bytes()
+    assert (
+        ReadWriteSet(range_reads=(RangeRead("a", "\x00<open>", ()),)).preimage()
+        != ReadWriteSet(range_reads=(RangeRead("a", None, ()),)).preimage()
+    )
+
+
+def _decode(preimage):
+    """Parse a pre-image back into (reads, range reads, write texts)."""
+    reads, ranges, writes = {}, [], {}
+    at = 0
+
+    def text():
+        nonlocal at
+        end = preimage.index(b"\xff", at)
+        value = preimage[at:end].decode()
+        at = end + 1
+        return value
+
+    def tag():
+        nonlocal at
+        at += 1
+        return preimage[at - 1:at]
+
+    def version():
+        nonlocal at
+        if tag() == b"-":
+            return None
+        at += 16
+        return Version(
+            int.from_bytes(preimage[at - 16:at - 8], "big"),
+            int.from_bytes(preimage[at - 8:at], "big"),
+        )
+
+    while at < len(preimage):
+        kind = tag()
+        if kind == b"R":
+            key = text()
+            reads[key] = version()
+        elif kind == b"Q":
+            start = text()
+            end = text() if tag() == b"E" else None
+            ranges.append(RangeRead(start, end, ()))
+        elif kind == b"K":
+            key = text()
+            scan = ranges[-1]
+            ranges[-1] = RangeRead(
+                scan.start_key, scan.end_key, scan.results + ((key, version()),)
+            )
+        elif kind == b"W":
+            key = text()
+            writes[key] = text()
+        else:
+            raise AssertionError(f"unknown tag {kind!r} at {at - 1}")
+    return reads, tuple(ranges), writes
+
+
+KEYS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+VERSIONS = st.just(GENESIS_VERSION) | st.builds(
+    Version, st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)
+)
+VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | KEYS,
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    reads=st.dictionaries(KEYS, st.none() | VERSIONS, max_size=4),
+    ranges=st.lists(
+        st.builds(
+            RangeRead,
+            KEYS,
+            st.none() | KEYS,
+            st.lists(st.tuples(KEYS, VERSIONS), max_size=3).map(tuple),
+        ),
+        max_size=3,
+    ),
+    writes=st.dictionaries(KEYS, VALUES, max_size=4),
+)
+def test_preimage_decodes_back_to_the_signed_text(reads, ranges, writes):
+    rwset = ReadWriteSet(dict(reads), dict(writes), tuple(ranges))
+    decoded = _decode(rwset.preimage())
+    assert decoded == (
+        reads,
+        tuple(ranges),
+        {key: repr(value) for key, value in writes.items()},
+    )
+    assert rwset.canonical_bytes() == hashlib.sha256(rwset.preimage()).digest()
 
 
 def test_recorded_keys_are_interned():

@@ -137,7 +137,7 @@ def test_transaction_digest_equals_the_piecewise_reference():
         hasher.update(endorsement.signature.value)
     assert tx.digest() == hasher.digest()
     assert tx.digest().hex() == (
-        "c6efb1546db1fdf7fb08902d6e478f85637c6de0b56ef16277d8c5b4aea00703"
+        "d957a58e0c686f366046a87b5a2039859410d4958240682c75b1620f1c340269"
     )
 
 

@@ -1,18 +1,14 @@
 """Backpressure end to end: admission, retry, shed, and serialisation."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
-from repro.bench.results import (
-    config_from_dict,
-    config_to_dict,
-    metrics_from_dict,
-    metrics_to_dict,
-)
+from repro.bench.results import metrics_from_dict, metrics_to_dict
 from repro.bench.harness import run_experiment_with_network
 from repro.chaos import _settle, check_invariants
 from repro.core.batch_cutter import BatchCutConfig
+from repro.dataform import load_dataclass
 from repro.errors import ConfigError
 from repro.fabric.config import BackpressureConfig, FabricConfig
 from repro.fabric.metrics import OverloadStats, TxOutcome
@@ -124,7 +120,7 @@ def test_overloaded_runs_are_deterministic():
 
 def test_config_round_trips_traffic_and_backpressure():
     config = overload_config()
-    rebuilt = config_from_dict(config_to_dict(config))
+    rebuilt = load_dataclass(FabricConfig, asdict(config))
     assert rebuilt == config
     assert rebuilt.traffic == ArrivalProcess(kind="poisson")
     assert rebuilt.backpressure == BOUNDED

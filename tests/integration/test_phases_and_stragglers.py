@@ -1,4 +1,4 @@
-"""Tests for per-phase latency breakdown and straggler peers."""
+"""Tests for the per-phase latency breakdown."""
 
 from dataclasses import replace
 
@@ -8,7 +8,6 @@ from repro.core.batch_cutter import BatchCutConfig
 from repro.fabric.config import FabricConfig
 from repro.fabric.network import FabricNetwork
 from repro.workloads.blank import BlankWorkload
-from repro.workloads.custom import CustomWorkload, CustomWorkloadParams
 
 
 def config(**kwargs):
@@ -20,12 +19,6 @@ def config(**kwargs):
     )
     defaults.update(kwargs)
     return replace(FabricConfig(), **defaults)
-
-
-def workload(seed=0):
-    return CustomWorkload(
-        CustomWorkloadParams(num_accounts=300, hot_set_fraction=0.05), seed=seed
-    )
 
 
 # -- phase breakdown -----------------------------------------------------------
@@ -62,38 +55,3 @@ def test_phase_breakdown_none_without_commits():
     from repro.fabric.metrics import PipelineMetrics
 
     assert PipelineMetrics().phase_breakdown() is None
-
-
-# -- stragglers ----------------------------------------------------------------
-
-
-def test_straggler_endorser_raises_endorsement_latency():
-    fast = FabricNetwork(config(), workload())
-    fast_metrics = fast.run(duration=1.5)
-
-    slow = FabricNetwork(config(), workload())
-    # One peer of OrgB is 50x slower; every proposal endorsed by it waits.
-    slow.peers_by_org["OrgB"][0].speed_factor = 50.0
-    slow_metrics = slow.run(duration=1.5)
-
-    fast_endorse = fast_metrics.phase_breakdown()["endorse"]
-    slow_endorse = slow_metrics.phase_breakdown()["endorse"]
-    assert slow_endorse > 2 * fast_endorse
-
-
-def test_straggler_validator_does_not_break_consensus():
-    """A slow non-reference peer lags but converges to the same chain."""
-    network = FabricNetwork(config(), workload())
-    laggard = network.peers[-1]
-    assert not laggard.is_reference
-    laggard.speed_factor = 10.0
-    network.run(duration=1.0, drain=30.0)
-    reference_ledger = network.reference_peer.channels["ch0"].ledger
-    laggard_ledger = laggard.channels["ch0"].ledger
-    assert laggard_ledger.height == reference_ledger.height
-    assert laggard_ledger.tip_hash == reference_ledger.tip_hash
-
-
-def test_straggler_default_is_nominal():
-    network = FabricNetwork(config(), BlankWorkload())
-    assert all(peer.speed_factor == 1.0 for peer in network.peers)

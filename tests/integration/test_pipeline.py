@@ -132,7 +132,7 @@ def test_smallbank_runs_end_to_end():
 
 def test_multiple_channels_isolated_state():
     config = small_config(num_channels=2, clients_per_channel=1)
-    network = FabricNetwork(config, lambda i: small_workload(seed=i))
+    network = FabricNetwork(config, small_workload())
     network.run(duration=1.0, drain=5.0)
     assert set(network.channels) == {"ch0", "ch1"}
     peer = network.reference_peer
@@ -169,16 +169,6 @@ def test_invalid_configuration_rejected():
 
     with pytest.raises(ConfigError):
         FabricNetwork(small_config(clients_per_channel=0), BlankWorkload())
-
-
-def test_policy_must_reference_known_orgs():
-    from repro.errors import ConfigError
-    from repro.fabric.policy import AllOrgs
-
-    with pytest.raises(ConfigError):
-        FabricNetwork(
-            small_config(), BlankWorkload(), policy=AllOrgs("OrgA", "OrgZ")
-        )
 
 
 def test_topology_report():

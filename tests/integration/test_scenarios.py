@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.results import metrics_to_dict
+from repro.bench.spec import ExperimentSpec
 from repro.bench.sweep import run_sweep
 from repro.errors import ConfigError
 from repro.scenarios import (
@@ -78,11 +79,11 @@ def test_reports_are_deterministic():
 
 
 def test_scenario_specs_are_sweepable():
-    """Scenario specs are data-only: cacheable and process-portable."""
+    """Scenario specs are data: they round-trip and each seed is its own run."""
     specs = scenario_specs("resubmit-storm", range(3))
     assert len(specs) == 3
-    assert all(spec.is_cacheable for spec in specs)
-    assert len({spec.resolved_config().seed for spec in specs}) == 3
+    assert all(ExperimentSpec.from_dict(spec.to_dict()) == spec for spec in specs)
+    assert len({spec.config.seed for spec in specs}) == 3
 
 
 def test_scenario_runs_identical_serial_and_parallel():

@@ -8,7 +8,6 @@ from repro.core.batch_cutter import BatchCutConfig
 from repro.fabric.config import FabricConfig
 from repro.fabric.metrics import TxOutcome
 from repro.fabric.network import FabricNetwork
-from repro.fabric.policy import AnyOrg, OutOf, RequireOrg
 from repro.workloads.blank import BlankWorkload
 from repro.workloads.custom import CustomWorkload, CustomWorkloadParams
 
@@ -52,8 +51,9 @@ def test_single_org_single_peer():
 
 
 def test_out_of_policy_endorses_subset():
-    policy = OutOf(2, ["OrgA", "OrgB", "OrgC"])
-    network = FabricNetwork(config(num_orgs=3), workload(), policy=policy)
+    network = FabricNetwork(
+        config(num_orgs=3, endorsement_policy="outof:2"), workload()
+    )
     metrics = network.run(duration=1.0)
     assert metrics.successful > 0
     ledger = network.reference_peer.channels["ch0"].ledger
@@ -61,12 +61,11 @@ def test_out_of_policy_endorses_subset():
         for tx in block.transactions:
             # Clients collect the cheapest satisfying set: two orgs.
             assert len(tx.endorsing_orgs) == 2
-            assert policy.satisfied_by(tx.endorsing_orgs)
+            assert network.policy.satisfied_by(tx.endorsing_orgs)
 
 
 def test_any_org_policy_single_endorsement():
-    policy = AnyOrg("OrgA", "OrgB")
-    network = FabricNetwork(config(), workload(), policy=policy)
+    network = FabricNetwork(config(endorsement_policy="any"), workload())
     metrics = network.run(duration=1.0)
     assert metrics.successful > 0
     ledger = network.reference_peer.channels["ch0"].ledger
@@ -79,14 +78,14 @@ def test_any_org_policy_single_endorsement():
 
 
 def test_single_org_policy_in_two_org_network():
-    policy = RequireOrg("OrgB")
-    network = FabricNetwork(config(), workload(), policy=policy)
+    # "any" asks the cheapest satisfying org, the first one, every time.
+    network = FabricNetwork(config(endorsement_policy="any"), workload())
     metrics = network.run(duration=1.0)
     assert metrics.successful > 0
     ledger = network.reference_peer.channels["ch0"].ledger
     for block in ledger:
         for tx in block.transactions:
-            assert tx.endorsing_orgs == frozenset({"OrgB"})
+            assert tx.endorsing_orgs == frozenset({"OrgA"})
 
 
 def test_byzantine_endorser_blocks_progress_under_and_policy():
@@ -107,10 +106,11 @@ def test_byzantine_endorser_blocks_progress_under_and_policy():
 
 
 def test_byzantine_org_harmless_under_any_policy():
-    """Under OR(OrgA, OrgB), clients only ask one org; with round-robin
-    selection the honest org's endorsements still commit."""
-    policy = AnyOrg("OrgA")
-    network = FabricNetwork(config(peers_per_org=1), workload(), policy=policy)
+    """Under OR(OrgA, OrgB), clients only ask the cheapest org, OrgA, so
+    the honest org's endorsements still commit."""
+    network = FabricNetwork(
+        config(peers_per_org=1, endorsement_policy="any"), workload()
+    )
 
     def corrupt(rwset):
         bad = rwset.copy()
@@ -148,13 +148,10 @@ def test_round_robin_endorser_load_balancing():
 
 
 def test_fabricpp_wins_regardless_of_policy():
-    for policy in (None, AnyOrg("OrgA", "OrgB")):
-        vanilla = FabricNetwork(
-            config(clients_per_channel=2), workload(seed=9), policy=policy
-        ).run(duration=1.5)
+    for policy in (None, "any"):
+        base = config(clients_per_channel=2, endorsement_policy=policy)
+        vanilla = FabricNetwork(base, workload(seed=9)).run(duration=1.5)
         plus = FabricNetwork(
-            config(clients_per_channel=2).with_fabric_plus_plus(),
-            workload(seed=9),
-            policy=policy,
+            base.with_fabric_plus_plus(), workload(seed=9)
         ).run(duration=1.5)
         assert plus.successful >= vanilla.successful

@@ -64,15 +64,16 @@ def test_export_round_trip(finished_network):
 def test_export_and_catch_up_bytes_are_pinned(finished_network):
     """The export is a function of the ledger alone: how the in-memory
     records are laid out (slots, shared rwsets, interned keys) must never
-    show in it. Pinned when the export became schema 2 (read sets and
-    endorsements); the schema-1 pin, from the tree before those records
-    were slotted, was 059009b9…f6cb7c."""
+    show in it. Pinned when the export became schema 3 (read sets sign a
+    decodable pre-image); the schema-2 pin was 31d02bf9…93d781db, the
+    schema-1 pin, from the tree before those records were slotted,
+    059009b9…f6cb7c."""
 
     def sha(ledger):
         text = json.dumps(export_ledger(ledger), sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()
 
-    pinned = "31d02bf9409d7df740f2590e73fcadb737b0349c04005767043a57a293d781db"
+    pinned = "65885848c9bc62b5e9fc9aefb34f682c3ada8a057f4d0173aac4221f25062617"
     network, workload = finished_network
     source = network.reference_peer.channels["ch0"].ledger
     assert sha(source) == pinned

@@ -22,7 +22,12 @@ from repro.fabric.chaincode import Tombstone
 from repro.fabric.config import FabricConfig
 from repro.fabric.network import FabricNetwork
 from repro.fabric.rwset import RangeRead, ReadWriteSet
-from repro.ledger.export import export_ledger, import_ledger, save_ledger
+from repro.ledger.export import (
+    SCHEMA_VERSION,
+    export_ledger,
+    import_ledger,
+    save_ledger,
+)
 from repro.ledger.state_db import Version
 from repro.workloads.custom import CustomWorkload, CustomWorkloadParams
 from repro.workloads.ycsb import YcsbParams, YcsbWorkload
@@ -125,13 +130,17 @@ def test_tampered_field_fails_by_block_index_and_tx_id(
 
 
 def test_schema_1_and_blockless_exports_fail_by_name():
-    with pytest.raises(LedgerVerificationError) as excinfo:
-        import_ledger({"schema_version": 1, "blocks": []})
-    message = str(excinfo.value)
-    assert "schema 1" in message
-    assert "read sets" in message and "endorsements" in message
+    # Schema 2 digests cover the old, ambiguous read/write-set bytes: such
+    # an export is refused by its number, not reported as tampered.
+    assert SCHEMA_VERSION == 3
+    for old in (1, 2):
+        with pytest.raises(LedgerVerificationError) as excinfo:
+            import_ledger({"schema_version": old, "blocks": []})
+        message = str(excinfo.value)
+        assert f"schema {old}" in message
+        assert "read sets" in message and "endorsements" in message
     with pytest.raises(LedgerVerificationError, match="no 'blocks' list"):
-        import_ledger({"schema_version": 2, "blocks": "truncated"})
+        import_ledger({"schema_version": SCHEMA_VERSION, "blocks": "truncated"})
 
 
 # -- read/write-set records ---------------------------------------------------

@@ -124,7 +124,7 @@ def test_chaos_run_and_settling_make_no_cyclic_garbage(seed, system):
 @pytest.mark.parametrize("name", scenario_names())
 def test_scenario_run_and_settling_make_no_cyclic_garbage(name, system):
     spec = get_scenario(name).spec(0, system=system)
-    network = build_network(spec.resolved_config(), spec.build_workload())
+    network = spec.build_network()
 
     def drive():
         network.run(spec.duration, drain=spec.drain)

@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from repro import cli
-from repro.bench.results import config_to_dict
 from repro.cli import (
     FLAGS,
     SWEEPABLE,
@@ -307,7 +306,7 @@ def subparsers(parser):
 def argv_hash(argv) -> str:
     args = build_parser().parse_args(argv)
     payload = {
-        "config": config_to_dict(config_from_args(args)),
+        "config": asdict(config_from_args(args)),
         "workload": asdict(workload_ref_from_args(args)),
     }
     return hashlib.sha256(

@@ -41,7 +41,6 @@ ORPHANS = {
     "repro.bench.sweep:SweepProgress",
     "repro.bench.sweep:SweepStats",
     "repro.bench.sweep:resolve_jobs",
-    "repro.channels.network:channel_config",
     "repro.chaos:CHAOS_SEED_SALT",
     "repro.chaos:generate_chaos_schedule",
     "repro.checkpoint:CHECKPOINT_PREFIX",
@@ -70,8 +69,6 @@ ORPHANS = {
     "repro.validation.registry:register_strategy",
     "repro.workloads.blank:BlankChaincode",
     "repro.workloads.custom:CustomChaincode",
-    "repro.workloads.registry:register_workload",
-    "repro.workloads.registry:workload_names",
     "repro.workloads.smallbank:SmallbankChaincode",
     "repro.workloads.ycsb:YcsbChaincode",
 }

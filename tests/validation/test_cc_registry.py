@@ -1,16 +1,15 @@
 """The CC-strategy registry and its plumbing: registration API, config
-threading (``cc_strategy``, and the retired ``validation_scheduler`` in
-stored configs), CLI flag, sweep axis, cache fingerprint, and
+threading (``cc_strategy``; the retired ``validation_scheduler`` is
+refused in stored configs), CLI flag, sweep axis, cache fingerprint, and
 ValidationStats serialisation."""
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
 from repro.bench.cache import spec_fingerprint
-from repro.bench.results import config_from_dict, config_to_dict
 from repro.dataform import load_dataclass
 from repro.bench.spec import ExperimentSpec
 from repro.cli import SWEEPABLE, build_parser, config_from_args
@@ -28,6 +27,7 @@ from repro.validation.registry import (
     strategy_names,
 )
 from repro.workloads.registry import WorkloadRef
+from tests.bench.test_results import stored_config_refusal
 
 
 def parse(argv):
@@ -142,8 +142,8 @@ def test_a_new_strategy_is_only_policies(monkeypatch):
 
 
 def stored_config(**overrides):
-    """A config dict as an earlier build's results JSON / cache wrote it."""
-    data = config_to_dict(FabricConfig())
+    """A config dict as an earlier build's results JSON wrote it."""
+    data = asdict(FabricConfig())
     data.update(overrides)
     return data
 
@@ -160,17 +160,16 @@ def test_cc_strategy_overrides_resolution():
     config = replace(FabricConfig(), cc_strategy="lockless")
     config.validate()
     assert config.cc_strategy == "lockless"
-    assert config_from_dict(config_to_dict(config)) == config
+    assert load_dataclass(FabricConfig, asdict(config)) == config
 
 
-def test_serial_cc_strategy_defers_to_legacy_scheduler_knob():
-    # Builds before the knob was retired stored it next to cc_strategy;
-    # such results files and cache entries must still load.
-    config = config_from_dict(stored_config(validation_scheduler="dependency"))
-    config.validate()
-    assert config.cc_strategy == "dependency"
-    default = config_from_dict(stored_config(validation_scheduler="serial"))
-    assert default == FabricConfig()
+def test_stored_validation_scheduler_is_refused_by_path():
+    # Builds before the knob was retired stored it next to cc_strategy.
+    for scheduler in ("serial", "dependency"):
+        data = stored_config(validation_scheduler=scheduler)
+        assert stored_config_refusal(data) == (
+            "results[0].config: unknown key(s) 'validation_scheduler'"
+        )
 
 
 def test_config_rejects_unknown_cc_strategy():
@@ -180,19 +179,13 @@ def test_config_rejects_unknown_cc_strategy():
 
 
 def test_config_rejects_conflicting_cc_knobs():
-    data = stored_config(
-        cc_strategy="lockless", validation_scheduler="dependency"
-    )
-    with pytest.raises(ConfigError, match="lockless") as excinfo:
-        config_from_dict(data)
-    assert "dependency" in str(excinfo.value)
-
-
-def test_matching_cc_knobs_are_not_a_conflict():
-    data = stored_config(
-        cc_strategy="dependency", validation_scheduler="dependency"
-    )
-    assert config_from_dict(data).cc_strategy == "dependency"
+    # Agreeing or not, a stored validation_scheduler beside cc_strategy
+    # is refused by name: there is one spelling.
+    for strategy in ("lockless", "dependency"):
+        data = stored_config(
+            cc_strategy=strategy, validation_scheduler="dependency"
+        )
+        assert "'validation_scheduler'" in stored_config_refusal(data)
 
 
 # -- CLI -------------------------------------------------------------------
@@ -254,10 +247,13 @@ def test_validation_stats_strategy_round_trip():
     assert load_dataclass(ValidationStats, data) == stats
 
 
-def test_validation_stats_strategy_defaults_to_scheduler_on_old_snapshots():
-    stats = ValidationStats(workers=4, scheduler="dependency", pipeline_depth=2)
+def test_validation_stats_without_a_strategy_are_refused():
+    stats = ValidationStats(
+        workers=4, scheduler="dependency", pipeline_depth=2, strategy="dependency"
+    )
     data = stats.to_dict()
     del data["strategy"]  # snapshot written before the field existed
-    restored = load_dataclass(ValidationStats, data)
-    assert restored.strategy == ""  # the field default; summary falls back
-    assert restored.summary(duration=1.0)["strategy"] == "dependency"
+    with pytest.raises(
+        ConfigError, match=r"^metrics\.validation: missing key\(s\) 'strategy'$"
+    ):
+        load_dataclass(ValidationStats, data, "metrics.validation")

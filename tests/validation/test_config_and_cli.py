@@ -131,6 +131,7 @@ def test_validation_stats_round_trip_through_result_rows():
         workers=4,
         scheduler="dependency",
         pipeline_depth=2,
+        strategy="dependency",
         blocks=8,
         txs=189,
         critical_path_total=14,

@@ -84,7 +84,5 @@ def test_serial_replay_charges_mvcc_not_logic(system):
     seconds = tracer.breakdown.seconds
     assert seconds.get("logic", 0.0) == 0.0
     costs = network.config.costs
-    assert seconds["mvcc"] == pytest.approx(
-        txs * costs.mvcc_check * peer.speed_factor
-    )
+    assert seconds["mvcc"] == pytest.approx(txs * costs.mvcc_check)
     assert tracer.breakdown.operations["mvcc"] == txs

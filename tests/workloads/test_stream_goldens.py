@@ -59,22 +59,22 @@ STREAM_HASHES = {
 
 #: sha256 over the canonical bytes of every invocation's rwset.
 RWSET_HASHES = {
-    "custom-hot": "4cb5d72bbd2b8e5c67d6c45f4351ccf53ae5158aabcab825b348c7f719308fe3",
-    "smallbank-s0": "128849f3a2183e0ef3f10139690017a41b8c0640a1af4414dce0a1205c63639d",
-    "smallbank-s1": "914073c73d187eaabdd9867fa8f5cc4cd6efae7a9439ac4a7b3feeb970850bb6",
-    "ycsb-a": "de638ee8be5a36b70c53f9a85980058c6664e8f248b7ceb101d3856190828738",
-    "ycsb-e": "9522dbb83064607c6ee66f0f996d736083f90f52280dd9a741ebaa9f973b3360",
+    "custom-hot": "ea2852e315e6dabbd79774637f97f314490ef88bfe25f389dc1afa60d2f06d04",
+    "smallbank-s0": "4f409e88952c6176ccb27510e528be133dfd50da995ad7162e106366f3f3379e",
+    "smallbank-s1": "1245dc40f48f8ae639555ceb17f22eb077b117885b55bafafb71c800db4dfd3b",
+    "ycsb-a": "13d28e57b0516bbdbb4f6658d5cb2130e560ed58eb9c618decd3394b23a1718e",
+    "ycsb-e": "c75216aaa13f9a8fb124e69bc876e7225789f32a2c0c94a071d1fb02124b6291",
 }
 
 #: (metrics hash, reference ledger digest) of one second of custom-hot.
 RUN_HASHES = {
     "fabric": (
         "f3159882b7c6730030c796214684a120f869b2e711b4f4b6518043eaa589c189",
-        "c53f5614944176df7181b9d29edf4790a8e879ebd247e0f9a30193058fc112ba",
+        "23db0ff98e025791cc9fdc07b0da8305f5d2409655a98f06d49ac07b2bec14cb",
     ),
     "fabric++": (
         "591d310c6c0e2979d6ed5f2166b3d0d9420d370b20083d905d317621fdd7cdc1",
-        "f870aaa20325334561338155d005796229982864b105bd66752be52bbe1d5bac",
+        "4d67586e4afcf2b83977333acf3b9c37fa873716277e2ca0f372818b52679fb6",
     ),
 }
 
